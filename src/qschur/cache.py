@@ -14,13 +14,10 @@ import os
 import sys
 import tempfile
 
-from .laurent import RatFunc, RatFuncField, qint
-from .linalg import identity, mat_mul, mat_scale
+from .laurent import RatFunc
 from .schur import SchurAlgebra
 
 FORMAT_VERSION = 1
-
-_F = RatFuncField
 
 
 def default_cache_dir():
@@ -54,38 +51,9 @@ class CachedModule:
             off += self.dims[nu]
         self._e_mats = e_mats
         self._f_mats = f_mats
-        self._dp_cache = {}
 
     def generator_matrix(self, sign, i):
         return self._e_mats[i] if sign > 0 else self._f_mats[i]
-
-    def divided_power_matrix(self, sign, i, k):
-        key = (1 if sign > 0 else -1, i, k)
-        cached = self._dp_cache.get(key)
-        if cached is not None:
-            return cached
-        if k == 0:
-            out = identity(self.dim, _F)
-        else:
-            base = self.generator_matrix(sign, i)
-            out = mat_mul(base, self.divided_power_matrix(sign, i, k - 1),
-                          _F)
-            # E^(k) = E * E^(k-1) / [k]
-            out = mat_scale(
-                RatFunc.from_poly(qint(k, self.datum.cartan.d(i))).inverse(),
-                out)
-        self._dp_cache[key] = out
-        return out
-
-    def k_matrix(self, h):
-        from .weylmod import WeylModule
-        return WeylModule.k_matrix(self, h)
-
-    def weight_of_index(self, idx):
-        for nu in self.weights:
-            if self.offsets[nu] <= idx < self.offsets[nu] + self.dims[nu]:
-                return nu
-        raise IndexError(idx)
 
 
 def _mat_to_strings(mat):
@@ -181,18 +149,7 @@ def _rebuild(pi, body):
         modules.append(CachedModule(pi.datum, tuple(mrec["lam"]),
                                     [tuple(w) for w in mrec["weights"]],
                                     mrec["dims"], e_mats, f_mats))
-    alg = SchurAlgebra.__new__(SchurAlgebra)
-    alg.pi = pi
-    alg.datum = pi.datum
-    alg.modules = modules
-    alg.orbit = pi.orbit_weights()
-    alg.block_dims = [m.dim for m in modules]
-    alg.expected_dim = sum(d * d for d in alg.block_dims)
-    alg._basis = None
-    alg._dimension = None
-    alg._gen_cache = {}
-    alg._idem_cache = {}
-    return alg
+    return SchurAlgebra(pi, modules)
 
 
 def algebras_equal(a, b):

@@ -4,8 +4,8 @@ Usage:
     qsl <task> --spec FILE [--cache-dir DIR] [--format human|json]
 
 where <task> is one of build, verify, dims, maps, limit, probe, specialize.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error,
-3 internal error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error
+or a highest weight that no construction supports, 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .rings import PoleError
 from .schur import SchurAlgebra, TruncationMap, build_schur
 from .ulimit import (check_Kh_identity, check_u_relations, hat_K, hat_one,
                      probe_schedule, separation_probe, verify_coherence)
+from .weylmod import WindowTooLargeError
 from .words import WordExpr
 
 
@@ -301,7 +302,7 @@ def run(argv=None, out=None, err=None):
         notes = []
         result, witnesses, passed = TASKS[args.task](
             spec, cache_dir, params, notes)
-    except SpecParseError as exc:
+    except (SpecParseError, WindowTooLargeError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except PoleError as exc:

@@ -4,11 +4,12 @@ kernel probes."""
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, RatFunc, RatFuncField, is_integral, qint
+from .laurent import LaurentPoly, RatFuncField, is_integral
 from .linalg import (SparseEchelon, det_unit_check, identity, is_zero_matrix,
-                     mat_eq, mat_mul, mat_sub, rref, zeros)
+                     mat_mul, rank, rref, sparse_diagonal, sparse_from_dense)
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
+from .schur import BlockAlgebra, SchurElement
 from .weylmod import weyl_module
 
 _F = RatFuncField
@@ -223,66 +224,7 @@ def lattice_basis(module):
 # -- specialized algebras ----------------------------------------------------
 
 
-class SpecElement:
-    """Block-matrix element of a specialized algebra."""
-
-    __slots__ = ("algebra", "blocks")
-
-    def __init__(self, algebra, blocks):
-        self.algebra = algebra
-        self.blocks = tuple(blocks)
-
-    def __add__(self, other):
-        f = self.algebra.field
-        return SpecElement(self.algebra, [
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-            for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other):
-        return SpecElement(self.algebra, [
-            mat_sub(a, b) for a, b in zip(self.blocks, other.blocks)])
-
-    def __neg__(self):
-        return SpecElement(self.algebra,
-                           [[[-x for x in row] for row in b]
-                            for b in self.blocks])
-
-    def __mul__(self, other):
-        f = self.algebra.field
-        if not isinstance(other, SpecElement):
-            return self.scale(other)
-        return SpecElement(self.algebra, [
-            mat_mul(a, b, f) for a, b in zip(self.blocks, other.blocks)])
-
-    def scale(self, c):
-        return SpecElement(self.algebra,
-                           [[[c * x for x in row] for row in b]
-                            for b in self.blocks])
-
-    def is_zero(self):
-        f = self.algebra.field
-        return all(is_zero_matrix(b, f) for b in self.blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpecElement):
-            return NotImplemented
-        return all(mat_eq(a, b) for a, b in zip(self.blocks, other.blocks))
-
-    def flatten(self):
-        zero = self.algebra.field.zero
-        out = {}
-        off = 0
-        for b in self.blocks:
-            n = len(b)
-            for r, row in enumerate(b):
-                for c, x in enumerate(row):
-                    if x != zero:
-                        out[off + r * n + c] = x
-            off += n * n
-        return out
-
-
-class SpecializedSchur:
+class SpecializedSchur(BlockAlgebra):
     """The realized image of the integral form of a truncated algebra after
     specializing v to xi.
 
@@ -305,9 +247,12 @@ class SpecializedSchur:
         self._basis = None
         self._dimension = None
 
-    def _spec(self, poly: LaurentPoly):
+    def _poly(self, poly: LaurentPoly):
         val = poly.evaluate(self.point.xi_pow)
         return self.field.zero if val is None else val
+
+    def _scalar(self, c):
+        return evaluate(c, self.point)
 
     def divided_power(self, sign, i, k):
         key = (1 if sign > 0 else -1, i, k)
@@ -315,78 +260,35 @@ class SpecializedSchur:
         if el is None:
             blocks = []
             for lb in self.lattices:
-                kmax = lb.nilpotency(sign, i)
-                n = lb.module.dim
-                if k > kmax:
-                    blocks.append(zeros(n, n, self.field))
+                if k > lb.nilpotency(sign, i):
+                    blocks.append({})
                 else:
                     mat = lb.integral_matrix(sign, i, k)
-                    blocks.append([[self._spec(x) for x in row]
-                                   for row in mat])
-            el = SpecElement(self, blocks)
+                    blocks.append(sparse_from_dense(
+                        [[self._poly(x) for x in row] for row in mat]))
+            el = SchurElement(self, blocks)
             self._dp_cache[key] = el
         return el
 
     def generator(self, sign, i):
         return self.divided_power(sign, i, 1)
 
-    def zero(self):
-        return SpecElement(self,
-                           [zeros(d, d, self.field)
-                            for d in self.block_dims])
-
-    def one(self):
-        return SpecElement(self,
-                           [identity(d, self.field)
-                            for d in self.block_dims])
-
     def idempotent(self, lam):
         lam = tuple(lam)
-        if lam not in self.orbit:
-            return self.zero()
-        blocks = []
-        for lb in self.lattices:
-            m = lb.module
-            b = zeros(m.dim, m.dim, self.field)
-            for idx, nu in enumerate(lb.weight_of_col):
-                if nu == lam:
-                    b[idx][idx] = self.field.one
-            blocks.append(b)
-        return SpecElement(self, blocks)
+        one = self.field.one
+        return SchurElement(self, [
+            sparse_diagonal({idx: one
+                             for idx, nu in enumerate(lb.weight_of_col)
+                             if nu == lam})
+            for lb in self.lattices])
 
     def k_element(self, h):
         h = tuple(h)
-        blocks = []
-        for lb in self.lattices:
-            m = lb.module
-            b = zeros(m.dim, m.dim, self.field)
-            for idx, nu in enumerate(lb.weight_of_col):
-                b[idx][idx] = self.point.xi_pow(self.datum.pair(h, nu))
-            blocks.append(b)
-        return SpecElement(self, blocks)
-
-    def evaluate_symbol(self, sym):
-        kind = sym[0]
-        if kind == "E":
-            return self.generator(sym[1], sym[2])
-        if kind == "Ed":
-            return self.divided_power(sym[1], sym[2], sym[3])
-        if kind == "K":
-            return self.k_element(sym[1])
-        if kind == "1":
-            return self.idempotent(sym[1])
-        raise ValueError(f"unknown symbol {sym!r}")
-
-    def evaluate_expr(self, expr):
-        out = self.zero()
-        for word, c in expr.terms.items():
-            el = self.one()
-            for sym in word:
-                el = el * self.evaluate_symbol(sym)
-                if el.is_zero():
-                    break
-            out = out + el.scale(evaluate(c, self.point))
-        return out
+        xi_pow, pair = self.point.xi_pow, self.datum.pair
+        return SchurElement(self, [
+            sparse_diagonal({idx: xi_pow(pair(h, nu))
+                             for idx, nu in enumerate(lb.weight_of_col)})
+            for lb in self.lattices])
 
     # -- dimension --------------------------------------------------------
 
@@ -402,105 +304,13 @@ class SpecializedSchur:
     def basis(self):
         """Span closure over R, seeded with the idempotents and closed under
         left multiplication by all divided powers."""
-        if self._basis is not None:
-            return self._basis
-        ech = SparseEchelon(self.field)
-        basis = []
-        queue = []
-        for lam in sorted(self.orbit):
-            el = self.idempotent(lam)
-            if ech.insert(el.flatten()):
-                basis.append(el)
-                queue.append(el)
-        gens = self._generators()
-        while queue:
-            el = queue.pop(0)
-            for g in gens:
-                prod = g * el
-                if ech.insert(prod.flatten()):
-                    basis.append(prod)
-                    queue.append(prod)
-        self._basis = basis
-        self._dimension = len(basis)
-        return basis
+        if self._basis is None:
+            self._basis = self._closure(self._generators())
+            self._dimension = len(self._basis)
+        return self._basis
 
-    def dimension(self):
-        if self._dimension is None:
-            self.basis()
-        return self._dimension
-
-    # -- relation suite over R --------------------------------------------
-
-    def verify_relations(self):
-        report = []
-        datum = self.datum
-        r = datum.rank
-        orbit = sorted(self.orbit)
-
-        def entry(name, ok, witness=None):
-            report.append({"relation": name, "ok": bool(ok),
-                           "witness": witness})
-
-        total = self.zero()
-        ok = True
-        for lam in orbit:
-            total = total + self.idempotent(lam)
-            for mu in orbit:
-                prod = self.idempotent(lam) * self.idempotent(mu)
-                expect = self.idempotent(lam) if lam == mu else self.zero()
-                if not (prod == expect):
-                    ok = False
-        entry("a:orthogonality", ok)
-        entry("a:completeness", total == self.one())
-
-        ok = True
-        for i in range(r):
-            alpha = datum.simple_roots[i]
-            for sign in (1, -1):
-                g = self.generator(sign, i)
-                for lam in orbit:
-                    shifted = tuple(x + sign * a for x, a in zip(lam, alpha))
-                    if not (g * self.idempotent(lam)
-                            == self.idempotent(shifted) * g):
-                        ok = False
-        entry("b:intertwine", ok)
-
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                lhs = (self.generator(1, i) * self.generator(-1, j)
-                       - self.generator(-1, j) * self.generator(1, i))
-                rhs = self.zero()
-                if i == j:
-                    d = datum.cartan.d(i)
-                    for lam in orbit:
-                        n = datum.pair_i(i, lam)
-                        if n != 0:
-                            rhs = rhs + self.idempotent(lam).scale(
-                                self._spec(qint(n, d)))
-                if not (lhs == rhs):
-                    ok = False
-        entry("c:commutator", ok)
-
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                n = 1 - datum.pair_i(i, datum.simple_roots[j])
-                for sign in (1, -1):
-                    total_s = self.zero()
-                    for s in range(n + 1):
-                        term = (self.divided_power(sign, i, s)
-                                * self.generator(sign, j)
-                                * self.divided_power(sign, i, n - s))
-                        if (n - s) % 2 == 1:
-                            term = -term
-                        total_s = total_s + term
-                    if not total_s.is_zero():
-                        ok = False
-        entry("d:serre", ok)
-        return report
+    # the defining relations, checked over R by the shared suite
+    verify_relations = BlockAlgebra.verify_presentation
 
     def key(self):
         return (self.pi.key(), repr(self.point))
@@ -513,7 +323,8 @@ _spec_cache = {}
 
 
 def specialize_schur(pi, point):
-    key = (pi.key(), id(point.field), repr(point.xi))
+    # fields compare by value, so equal points built anew share one algebra
+    key = (pi.key(), point.field, repr(point.xi))
     alg = _spec_cache.get(key)
     if alg is None:
         alg = SpecializedSchur(pi, point)
@@ -533,7 +344,7 @@ class RTruncationMap:
         self._indices = [list(source_pi).index(lam) for lam in target_pi]
 
     def apply(self, x):
-        return SpecElement(self.target, [x.blocks[k] for k in self._indices])
+        return SchurElement(self.target, [x.blocks[k] for k in self._indices])
 
     def verify(self):
         report = []
@@ -636,20 +447,12 @@ def kernel_probe_RU(datum, degree_bound, height_bound, point):
         pi = datum.saturate([mu])
         S = specialize_schur(pi, point)
         # image vectors of all words in this component
-        cols = []
-        for w in words:
-            el = S.one()
-            for sym in w:
-                el = el * S.evaluate_symbol(sym)
-                if el.is_zero():
-                    break
-            cols.append(el.flatten())
+        cols = [S.evaluate_word(w).flatten() for w in words]
         entries = sorted({k for col in cols for k in col})
         for ent in entries:
             rows.append([col.get(ent, field.zero) for col in cols])
         if rows:
-            from .linalg import rank as _rank
-            kernel_dim = len(words) - _rank(rows, field)
+            kernel_dim = len(words) - rank(rows, field)
         history.append({"pi": list(pi), "kernel_dim": kernel_dim})
     return {"word_count": len(words), "history": history,
             "final_kernel_dim": kernel_dim}

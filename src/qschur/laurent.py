@@ -156,9 +156,6 @@ class LaurentPoly:
         """True when the polynomial is +-v^k."""
         return len(self.coeffs) == 1 and abs(next(iter(self.coeffs.values()))) == 1
 
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
     def evaluate(self, xi_pow):
         """Evaluate at v = xi, given a function e -> xi^e (e may be negative)."""
         total = None

@@ -2,6 +2,14 @@
 
 A field object only needs `zero`, `one` attributes and elements supporting
 +, -, *, / and equality; Q(v), Q, and cyclotomic fields all qualify.
+
+Dense matrices are lists of rows; module construction and the lattice
+bases use them.  Sparse matrices are row dicts `{row: {col: x}}` that store
+nonzero entries only (no zero entry, no empty row); algebra elements keep
+one per block, so every operation touches only nonzeros.  The sparse
+helpers test entries by truth value and never mutate their arguments.
+Because the scalars are canonical, two sparse matrices are equal exactly
+when their dicts are.
 """
 
 from __future__ import annotations
@@ -26,31 +34,14 @@ def mat_mul(a, b, field):
                     oi[j] = oi[j] + x * y
     return out
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
 def identity(n, field):
     return [[field.one if i == j else field.zero for j in range(n)]
             for i in range(n)]
-
-
-def zeros(n, m, field):
-    return [[field.zero] * m for _ in range(n)]
 
 
 def is_zero_matrix(a, field):
@@ -106,66 +97,6 @@ def rank(matrix, field):
     return len(rref(matrix, field)[1])
 
 
-def column_basis(matrix, field):
-    """Indices of a lexicographically-first column basis."""
-    return rref(matrix, field)[1]
-
-
-def solve_columns(matrix, basis_cols, field):
-    """Express every column of `matrix` in terms of the columns indexed by
-    basis_cols.  Returns a dict col_index -> coefficient list (len(basis_cols)).
-
-    Assumes basis_cols were produced by column_basis, so every column lies in
-    their span.
-    """
-    rows, pivots = rref(matrix, field)
-    assert pivots == list(basis_cols), "basis columns must be the rref pivots"
-    m = len(matrix[0]) if matrix else 0
-    out = {}
-    for c in range(m):
-        out[c] = [rows[r][c] for r in range(len(basis_cols))]
-    return out
-
-
-def solve_in_span(basis_vectors, target, field):
-    """Coefficients expressing target in the span of basis_vectors, or None.
-
-    basis_vectors: list of equal-length coordinate lists (independent).
-    """
-    zero = field.zero
-    if not basis_vectors:
-        return [] if all(x == zero for x in target) else None
-    m = len(target)
-    aug = [[basis_vectors[j][i] for j in range(len(basis_vectors))] + [target[i]]
-           for i in range(m)]
-    rows, pivots = rref(aug, field)
-    k = len(basis_vectors)
-    if k in pivots:
-        return None  # target outside the span
-    coeffs = [zero] * k
-    for r, c in enumerate(pivots):
-        coeffs[c] = rows[r][k]
-    return coeffs
-
-
-def nullspace(matrix, field):
-    """Basis of the right kernel as a list of coordinate lists."""
-    zero, one = field.zero, field.one
-    m = len(matrix[0]) if matrix else 0
-    if not matrix:
-        return [[one if i == j else zero for j in range(m)] for i in range(m)]
-    rows, pivots = rref(matrix, field)
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * m
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def det_unit_check(matrix, field):
     """Determinant via fraction-free-ish Gaussian elimination over the field.
 
@@ -197,6 +128,78 @@ def det_unit_check(matrix, field):
     return det
 
 
+# -- sparse row matrices -------------------------------------------------
+
+
+def sparse_from_dense(mat):
+    out = {}
+    for i, row in enumerate(mat):
+        srow = {j: x for j, x in enumerate(row) if x}
+        if srow:
+            out[i] = srow
+    return out
+
+
+def sparse_diagonal(diag):
+    """Sparse matrix with the given {index: nonzero} diagonal."""
+    return {i: {i: x} for i, x in diag.items()}
+
+
+def sparse_add(a, b):
+    out = dict(a)
+    for i, rb in b.items():
+        ra = out.get(i)
+        if ra is None:
+            out[i] = rb
+            continue
+        row = dict(ra)
+        for j, y in rb.items():
+            x = row.get(j)
+            if x is None:
+                row[j] = y
+            else:
+                s = x + y
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+        if row:
+            out[i] = row
+        else:
+            del out[i]
+    return out
+
+
+def sparse_neg(a):
+    return {i: {j: -x for j, x in row.items()} for i, row in a.items()}
+
+
+def sparse_sub(a, b):
+    return sparse_add(a, sparse_neg(b))
+
+
+def sparse_scale(c, a):
+    """c * a for a nonzero scalar c (a field has no zero divisors)."""
+    return {i: {j: c * x for j, x in row.items()} for i, row in a.items()}
+
+
+def sparse_mul(a, b):
+    out = {}
+    for i, ra in a.items():
+        acc = {}
+        for t, x in ra.items():
+            rb = b.get(t)
+            if rb is None:
+                continue
+            for j, y in rb.items():
+                s = acc.get(j)
+                acc[j] = x * y if s is None else s + x * y
+        row = {j: s for j, s in acc.items() if s}
+        if row:
+            out[i] = row
+    return out
+
+
 class SparseEchelon:
     """Incremental echelon basis of sparse vectors (dict index -> element).
 
@@ -209,23 +212,14 @@ class SparseEchelon:
         self.pivots = {}  # pivot index -> reduced vector with that pivot = 1
 
     def reduce(self, vec):
-        """Reduce vec against the current basis; returns the residue dict."""
-        zero = self.field.zero
-        vec = {k: x for k, x in vec.items() if x != zero}
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(vec):
-                if k in self.pivots:
-                    f = vec[k]
-                    for j, y in self.pivots[k].items():
-                        s = vec.get(j, zero) - f * y
-                        if s != zero:
-                            vec[j] = s
-                        else:
-                            vec.pop(j, None)
-                    changed = True
-                    break
+        """Reduce vec against the current basis; returns the residue dict.
+
+        The basis is kept fully reduced (every row is zero at every other
+        pivot), so one pass over the pivots present in vec suffices."""
+        pivots = self.pivots
+        vec = {k: x for k, x in vec.items() if x}
+        for k in [k for k in vec if k in pivots]:
+            _sub_multiple(vec, vec[k], pivots[k])
         return vec
 
     def insert(self, vec):
@@ -240,15 +234,9 @@ class SparseEchelon:
             inv = one / pv
             res = {k: inv * x for k, x in res.items()}
         # back-substitute into existing rows for a fully reduced basis
-        for q, row in self.pivots.items():
+        for row in self.pivots.values():
             if p in row:
-                f = row[p]
-                for j, y in res.items():
-                    s = row.get(j, self.field.zero) - f * y
-                    if s != self.field.zero:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
+                _sub_multiple(row, row[p], res)
         self.pivots[p] = res
         return True
 
@@ -258,3 +246,14 @@ class SparseEchelon:
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _sub_multiple(vec, f, row):
+    """vec -= f * row in place, dropping the entries that cancel."""
+    for j, y in row.items():
+        x = vec.get(j)
+        s = -(f * y) if x is None else x - f * y
+        if s:
+            vec[j] = s
+        else:
+            vec.pop(j, None)

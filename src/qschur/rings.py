@@ -58,10 +58,6 @@ class QField:
     def from_int(n):
         return Fraction(n)
 
-    @staticmethod
-    def element_str(x):
-        return str(x)
-
     def __repr__(self):
         return "QField()"
 
@@ -206,10 +202,6 @@ class CycloField:
         inv = [c / lead for c in s0]
         inv += [Fraction(0)] * (2 * self.degree - len(inv))
         return self._reduce(inv)
-
-    @staticmethod
-    def element_str(x):
-        return ",".join(str(c) for c in x.coeffs)
 
 
 def _polydivmod(a, b):

@@ -1,20 +1,24 @@
 """Generalized q-Schur algebras realized on direct sums of highest-weight
 modules, with presentation checks and the truncation maps of the inverse
-system."""
+system.
+
+An element keeps one sparse row matrix per block (see `linalg`), with
+entries in the field of its algebra: Q(v) here, the target field of a
+specialization in `intspec`, which uses the same element type."""
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
-from .linalg import (SparseEchelon, identity, is_zero_matrix, mat_eq, mat_mul,
-                     mat_sub, zeros)
+from .linalg import (SparseEchelon, sparse_add, sparse_diagonal,
+                     sparse_from_dense, sparse_mul, sparse_neg, sparse_scale,
+                     sparse_sub)
 from .weylmod import weyl_module
-
-_F = RatFuncField
 
 
 class SchurElement:
-    """An element, stored as one exact matrix per block (one block per
-    highest weight of the saturated set)."""
+    """An element, stored as one sparse matrix {row: {col: x}} per block
+    (one block per highest weight of the saturated set) that holds only
+    the nonzero entries, elements of `algebra.field`."""
 
     __slots__ = ("algebra", "blocks")
 
@@ -24,48 +28,44 @@ class SchurElement:
 
     def __add__(self, other):
         self._check(other)
-        return SchurElement(self.algebra, [
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-            for a, b in zip(self.blocks, other.blocks)])
+        return SchurElement(self.algebra,
+                            map(sparse_add, self.blocks, other.blocks))
 
     def __sub__(self, other):
         self._check(other)
-        return SchurElement(self.algebra, [
-            mat_sub(a, b) for a, b in zip(self.blocks, other.blocks)])
+        return SchurElement(self.algebra,
+                            map(sparse_sub, self.blocks, other.blocks))
 
     def __neg__(self):
-        return SchurElement(self.algebra,
-                            [[[-x for x in row] for row in b]
-                             for b in self.blocks])
+        return SchurElement(self.algebra, map(sparse_neg, self.blocks))
 
     def __mul__(self, other):
-        if isinstance(other, (int, RatFunc)):
+        if not isinstance(other, SchurElement):
             return self.scale(other)
         self._check(other)
-        return SchurElement(self.algebra, [
-            mat_mul(a, b, _F) for a, b in zip(self.blocks, other.blocks)])
+        return SchurElement(self.algebra,
+                            map(sparse_mul, self.blocks, other.blocks))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, RatFunc)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def scale(self, c):
         if isinstance(c, int):
-            c = RatFunc(c)
+            c = self.algebra.field.from_int(c)
+        if not c:
+            return self.algebra.zero()
         return SchurElement(self.algebra,
-                            [[[c * x for x in row] for row in b]
-                             for b in self.blocks])
+                            [sparse_scale(c, b) for b in self.blocks])
 
     def is_zero(self):
-        return all(is_zero_matrix(b, _F) for b in self.blocks)
+        return not any(self.blocks)
 
     def __eq__(self, other):
         if not isinstance(other, SchurElement):
             return NotImplemented
-        return (self.algebra.pi == other.algebra.pi
-                and all(mat_eq(a, b)
-                        for a, b in zip(self.blocks, other.blocks)))
+        return ((self.algebra is other.algebra
+                 or self.algebra.pi == other.algebra.pi)
+                and self.blocks == other.blocks)
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -76,12 +76,11 @@ class SchurElement:
         """Sparse dict (linear index) -> coefficient, for span computations."""
         out = {}
         off = 0
-        for b in self.blocks:
-            n = len(b)
-            for r, row in enumerate(b):
-                for c, x in enumerate(row):
-                    if not x.is_zero():
-                        out[off + r * n + c] = x
+        for b, n in zip(self.blocks, self.algebra.block_dims):
+            for r, row in b.items():
+                base = off + r * n
+                for c, x in row.items():
+                    out[base + c] = x
             off += n * n
         return out
 
@@ -89,74 +88,23 @@ class SchurElement:
         return f"SchurElement(pi={list(self.algebra.pi)})"
 
 
-class SchurAlgebra:
-    """The image of the quantized enveloping algebra on the direct sum of
-    the highest-weight modules indexed by a finite saturated set."""
+class BlockAlgebra:
+    """What the generic and the specialized algebras share.
 
-    def __init__(self, pi):
-        self.pi = pi
-        self.datum = pi.datum
-        self.modules = [weyl_module(self.datum, lam) for lam in pi]
-        self.orbit = pi.orbit_weights()
-        self.block_dims = [m.dim for m in self.modules]
-        self.expected_dim = sum(d * d for d in self.block_dims)
-        self._basis = None
-        self._dimension = None
-        self._gen_cache = {}
-        self._idem_cache = {}
-
-    # -- elements ---------------------------------------------------------
+    A subclass sets `field`, `pi`, `datum`, `orbit`, `block_dims` and the
+    memo slots `_basis`, `_dimension`, and provides `generator`,
+    `divided_power`, `k_element`, `idempotent`, `basis`, `_scalar` (the
+    image in `field` of a Q(v) coefficient of a word expression) and
+    `_poly` (the image of a Laurent polynomial)."""
 
     def zero(self):
-        return SchurElement(self, [zeros(d, d, _F) for d in self.block_dims])
+        return SchurElement(self, [{} for _ in self.block_dims])
 
     def one(self):
-        return SchurElement(self, [identity(d, _F) for d in self.block_dims])
-
-    def generator(self, sign, i):
-        key = (1 if sign > 0 else -1, i)
-        el = self._gen_cache.get(key)
-        if el is None:
-            el = SchurElement(self, [m.generator_matrix(sign, i)
-                                     for m in self.modules])
-            self._gen_cache[key] = el
-        return el
-
-    def divided_power(self, sign, i, k):
-        return SchurElement(self, [m.divided_power_matrix(sign, i, k)
-                                   for m in self.modules])
-
-    def idempotent(self, lam):
-        """The weight projector; the zero element when lam is outside the
-        orbit of the saturated set."""
-        lam = tuple(lam)
-        el = self._idem_cache.get(lam)
-        if el is not None:
-            return el
-        if lam not in self.orbit:
-            el = self.zero()
-        else:
-            blocks = []
-            for m in self.modules:
-                b = zeros(m.dim, m.dim, _F)
-                if lam in m.offsets:
-                    off = m.offsets[lam]
-                    for t in range(m.dims[lam]):
-                        b[off + t][off + t] = _F.one
-                blocks.append(b)
-            el = SchurElement(self, blocks)
-        self._idem_cache[lam] = el
-        return el
-
-    def k_element(self, h):
-        """K_h = sum over orbit weights of v^<h,lam> 1_lam."""
-        h = tuple(h)
-        blocks = []
-        for m in self.modules:
-            blocks.append(m.k_matrix(h))
-        return SchurElement(self, blocks)
-
-    # -- word evaluation ---------------------------------------------------
+        one = self.field.one
+        return SchurElement(self, [
+            sparse_diagonal(dict.fromkeys(range(d), one))
+            for d in self.block_dims])
 
     def evaluate_symbol(self, sym):
         kind = sym[0]
@@ -182,40 +130,20 @@ class SchurAlgebra:
         """Image of a formal word expression under the quotient map."""
         out = self.zero()
         for word, c in expr.terms.items():
-            out = out + self.evaluate_word(word).scale(c)
+            out = out + self.evaluate_word(word).scale(self._scalar(c))
         return out
 
-    # -- dimension by span closure ----------------------------------------
-
-    def basis(self):
-        """Echelonized spanning basis of the realized algebra, computed by
-        closing the span of the idempotents under left multiplication by the
-        generators."""
-        if self._basis is not None:
-            return self._basis
-        ech = SparseEchelon(_F)
-        basis = []
-        queue = []
-        for lam in sorted(self.orbit):
-            el = self.idempotent(lam)
-            if ech.insert(el.flatten()):
-                basis.append(el)
-                queue.append(el)
-        gens = [self.generator(s, i)
-                for s in (1, -1) for i in range(self.datum.rank)]
-        while queue:
-            el = queue.pop(0)
+    def _closure(self, gens):
+        """Echelonized spanning basis of the realized algebra: the span of
+        the idempotents closed under left multiplication by gens."""
+        ech = SparseEchelon(self.field)
+        basis = [el for el in map(self.idempotent, sorted(self.orbit))
+                 if ech.insert(el.flatten())]
+        for el in basis:  # the list grows while it is walked: breadth first
             for g in gens:
                 prod = g * el
                 if ech.insert(prod.flatten()):
                     basis.append(prod)
-                    queue.append(prod)
-        self._basis = basis
-        self._dimension = len(basis)
-        if self._dimension != self.expected_dim:
-            raise RuntimeError(
-                f"density violated: span closure rank {self._dimension} "
-                f"!= sum of squared block dimensions {self.expected_dim}")
         return basis
 
     def dimension(self):
@@ -282,7 +210,7 @@ class SchurAlgebra:
                         n = datum.pair_i(i, lam)
                         if n != 0:
                             rhs = rhs + self.idempotent(lam).scale(
-                                RatFunc.from_poly(qint(n, d)))
+                                self._poly(qint(n, d)))
                 if not (lhs == rhs):
                     ok_c = False
                     entry("c:commutator", False, {"i": i, "j": j})
@@ -313,6 +241,107 @@ class SchurAlgebra:
         if ok_d:
             entry("d:serre", True)
         return report
+
+
+class SchurAlgebra(BlockAlgebra):
+    """The image of the quantized enveloping algebra on the direct sum of
+    the highest-weight modules indexed by a finite saturated set."""
+
+    field = RatFuncField
+
+    def __init__(self, pi, modules=None):
+        self.pi = pi
+        self.datum = pi.datum
+        if modules is None:
+            modules = [weyl_module(self.datum, lam) for lam in pi]
+        self.modules = modules
+        self.orbit = pi.orbit_weights()
+        self.block_dims = [m.dim for m in self.modules]
+        self.expected_dim = sum(d * d for d in self.block_dims)
+        self._basis = None
+        self._dimension = None
+        self._gen_cache = {}
+        self._dp_cache = {}
+        self._idem_cache = {}
+
+    # -- elements ---------------------------------------------------------
+
+    def generator(self, sign, i):
+        key = (1 if sign > 0 else -1, i)
+        el = self._gen_cache.get(key)
+        if el is None:
+            el = SchurElement(self, [
+                sparse_from_dense(m.generator_matrix(sign, i))
+                for m in self.modules])
+            self._gen_cache[key] = el
+        return el
+
+    def divided_power(self, sign, i, k):
+        """E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i."""
+        key = (1 if sign > 0 else -1, i, k)
+        el = self._dp_cache.get(key)
+        if el is None:
+            if k == 0:
+                el = self.one()
+            else:
+                qk = RatFunc.from_poly(qint(k, self.datum.cartan.d(i)))
+                el = (self.divided_power(sign, i, k - 1)
+                      * self.generator(sign, i)).scale(qk.inverse())
+            self._dp_cache[key] = el
+        return el
+
+    def idempotent(self, lam):
+        """The weight projector; the zero element when lam is outside the
+        orbit of the saturated set."""
+        lam = tuple(lam)
+        el = self._idem_cache.get(lam)
+        if el is None:
+            one = self.field.one
+            blocks = []
+            for m in self.modules:
+                off = m.offsets.get(lam, 0)
+                blocks.append(sparse_diagonal(dict.fromkeys(
+                    range(off, off + m.dims.get(lam, 0)), one)))
+            el = SchurElement(self, blocks)
+            self._idem_cache[lam] = el
+        return el
+
+    def k_element(self, h):
+        """K_h = sum over orbit weights of v^<h,lam> 1_lam."""
+        h = tuple(h)
+        blocks = []
+        for m in self.modules:
+            diag = {}
+            for nu in m.weights:
+                x = RatFunc.from_poly(
+                    LaurentPoly.monomial(1, self.datum.pair(h, nu)))
+                off = m.offsets[nu]
+                diag.update(dict.fromkeys(range(off, off + m.dims[nu]), x))
+            blocks.append(sparse_diagonal(diag))
+        return SchurElement(self, blocks)
+
+    @staticmethod
+    def _scalar(c):
+        return c
+
+    _poly = staticmethod(RatFunc.from_poly)
+
+    # -- dimension by span closure ----------------------------------------
+
+    def basis(self):
+        """Echelonized spanning basis of the realized algebra, computed by
+        closing the span of the idempotents under left multiplication by the
+        generators."""
+        if self._basis is None:
+            self._basis = self._closure([
+                self.generator(s, i)
+                for s in (1, -1) for i in range(self.datum.rank)])
+            self._dimension = len(self._basis)
+            if self._dimension != self.expected_dim:
+                raise RuntimeError(
+                    f"density violated: span closure rank {self._dimension} "
+                    f"!= sum of squared block dimensions {self.expected_dim}")
+        return self._basis
 
     def key(self):
         return self.pi.key()
@@ -387,7 +416,7 @@ class TruncationMap:
             entry("multiplicative", ok_mul)
 
         # surjectivity: images of the source basis span the target
-        ech = SparseEchelon(_F)
+        ech = SparseEchelon(src.field)
         for b in src.basis():
             ech.insert(self.apply(b).flatten())
         entry("surjective", ech.rank == tgt.dimension(),

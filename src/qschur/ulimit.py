@@ -72,14 +72,6 @@ class LimitElement:
         return f"LimitElement(datum={self.datum!r})"
 
 
-def limit_add(a, b):
-    return a + b
-
-
-def limit_mul(a, b):
-    return a * b
-
-
 # -- constant families -------------------------------------------------------
 
 
@@ -100,10 +92,6 @@ def hat_K(datum, h):
 def hat_divided(datum, sign, i, k):
     return LimitElement(datum,
                         lambda pi: build_schur(pi).divided_power(sign, i, k))
-
-
-def zero_family(datum):
-    return LimitElement(datum, lambda pi: build_schur(pi).zero())
 
 
 # -- the two embeddings ------------------------------------------------------

@@ -73,17 +73,6 @@ class TruncatedVerma:
             tuple(a - b for a, b in zip(self.lam, nu)))
         return int(sum(coords))
 
-    def weight_of_word(self, w):
-        return self._weight_of[w]
-
-    def in_window(self, nu):
-        coords = self.datum.alpha_coords(
-            tuple(a - b for a, b in zip(self.lam, nu)))
-        if coords is None:
-            return False
-        return all(c.denominator == 1 and 0 <= c <= b
-                   for c, b in zip(coords, self.bounds))
-
     # -- raising action on the free word span ---------------------------
 
     def e_word(self, i, w):
@@ -514,6 +503,11 @@ def _express(block, target):
 _VERMA_WINDOW_BOUND = 7
 
 
+class WindowTooLargeError(ValueError):
+    """Raised for a fundamental weight whose truncation window exceeds the
+    Gram-quotient bound: the tensor path would need the same module."""
+
+
 def weyl_module(datum, lam):
     """Cached construction; a pure function of (datum, lam)."""
     key = (datum.key(), tuple(lam))
@@ -535,6 +529,11 @@ def _construct(datum, lam):
         return WeylModule(datum, lam)
     j = max(k for k, c in enumerate(lam) if c > 0)
     fund = tuple(1 if k == j else 0 for k in range(len(lam)))
+    if fund == lam:
+        raise WindowTooLargeError(
+            f"highest weight {lam} is fundamental and its truncation window "
+            f"has size {int(sum(bounds))} > {_VERMA_WINDOW_BOUND}; no "
+            "supported construction")
     rest = tuple(c - 1 if k == j else c for k, c in enumerate(lam))
     return TensorModule(datum, lam,
                         weyl_module(datum, rest), weyl_module(datum, fund))

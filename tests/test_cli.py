@@ -194,6 +194,21 @@ class TestExitCodes:
         assert code == 2
         assert "ring" in err
 
+    def test_fundamental_weight_past_window_bound_exits_2(self, tmp_path):
+        # A8 omega_1 has truncation window 8 > 7 and is fundamental, so
+        # neither module construction applies
+        rows = ";".join(",".join(str(2 if i == j else -1 if abs(i - j) == 1
+                                     else 0) for j in range(8))
+                        for i in range(8))
+        bad = tmp_path / "a8.qs"
+        bad.write_text(f"datum matrix {rows}\npi gens [(1,0,0,0,0,0,0,0)]\n"
+                       "task dims\n")
+        code, _, err = run_cli(["dims", "--spec", str(bad)], tmp_path)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "(1, 0, 0, 0, 0, 0, 0, 0)" in err
+        assert "window has size 8" in err
+
     def test_env_cache_dir_is_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QHAT_CACHE_DIR", str(tmp_path / "envcache"))
         spec_path = os.path.join(DATA, "a1_build.qs")

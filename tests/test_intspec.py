@@ -94,6 +94,15 @@ class TestSpecializedDimensions:
                         ech.insert(el.flatten())
         assert ech.rank == S.dimension()
 
+    def test_equal_points_share_one_algebra(self):
+        pi = preset("A1").saturate([(2,)])
+        first = specialize_schur(pi, RingPoint.cyclotomic(4))
+        assert specialize_schur(pi, RingPoint.cyclotomic(4)) is first
+        # xi = -1 lives in the same field but is a different point
+        minus_one = specialize_schur(pi, RingPoint.cyclotomic(4, power=2))
+        assert minus_one is not first
+        assert minus_one.point.xi == -1
+
     def test_quantum_two_vanishes_at_fourth_root(self):
         assert qint(2).evaluate(XI_I.xi_pow) == XI_I.field.zero
 

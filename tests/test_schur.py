@@ -2,8 +2,13 @@
 evaluation, truncation maps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qschur.intspec import specialize_schur
 from qschur.laurent import LaurentPoly, RatFunc, qint
+from qschur.linalg import mat_mul, mat_sub
+from qschur.rings import RingPoint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import SchurAlgebra, TruncationMap, build_schur, \
@@ -83,6 +88,60 @@ class TestElements:
         S = build_schur(sat("A1", [(2,)]))
         expr = WordExpr.E(0) * WordExpr.idem((1,))
         assert S.evaluate_expr(expr).is_zero()
+
+
+# the same small set over Q(v) and specialized at a cube root of unity
+A1_3 = [build_schur(sat("A1", [(3,)])),
+        specialize_schur(sat("A1", [(3,)]), RingPoint.cyclotomic(3))]
+SYMBOLS = ([("E", s, 0) for s in (1, -1)]
+           + [("Ed", s, 0, 2) for s in (1, -1)]
+           + [("1", (w,)) for w in (-3, -1, 1, 3)]
+           + [("K", (h,)) for h in (1, -1)])
+COMBINATIONS = st.lists(st.tuples(st.sampled_from(SYMBOLS),
+                                  st.integers(-3, 3)), min_size=1, max_size=5)
+
+
+def combination(S, terms):
+    out = S.zero()
+    for sym, c in terms:
+        out = out + S.evaluate_symbol(sym).scale(c)
+    return out
+
+
+def dense(S, el):
+    zero = S.field.zero
+    return [[[b.get(i, {}).get(j, zero) for j in range(n)] for i in range(n)]
+            for b, n in zip(el.blocks, S.block_dims)]
+
+
+def assert_sparse(S, el):
+    for b, n in zip(el.blocks, S.block_dims):
+        for i, row in b.items():
+            assert 0 <= i < n and row
+            for j, x in row.items():
+                assert 0 <= j < n and x != S.field.zero
+
+
+class TestSparseElements:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(A1_3), COMBINATIONS, COMBINATIONS,
+           st.integers(-2, 2))
+    def test_sparse_ops_match_dense_reference(self, S, ta, tb, c):
+        a, b = combination(S, ta), combination(S, tb)
+        da, db = dense(S, a), dense(S, b)
+        neg_b = [mat_sub([[S.field.zero] * len(m) for m in x], x)
+                 for x in db]
+        cases = [
+            (a + b, [mat_sub(x, y) for x, y in zip(da, neg_b)]),
+            (a - b, [mat_sub(x, y) for x, y in zip(da, db)]),
+            (a * b, [mat_mul(x, y, S.field) for x, y in zip(da, db)]),
+            (a.scale(c), [[[S.field.from_int(c) * v for v in row]
+                           for row in x] for x in da]),
+        ]
+        for got, want in cases:
+            assert_sparse(S, got)
+            assert dense(S, got) == want
+        assert (a - b == S.zero()) == (da == db)
 
 
 class TestPresentation:
