@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFuncField, is_integral
 from .linalg import (SparseEchelon, det_unit_check, identity, is_zero_matrix,
-                     mat_mul, rank, rref, sparse_diagonal, sparse_from_dense)
+                     mat_mul, rref, sparse_from_dense)
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
-from .schur import BlockAlgebra, SchurElement
+from .schur import BlockAlgebra, SchurElement, TruncationMap
 from .weylmod import weyl_module
 
 _F = RatFuncField
@@ -46,9 +46,6 @@ class LatticeBasis:
         self.C = [[cols[j][i] for j in range(n)] for i in range(n)]
         self._c_inv = _invert(self.C)
         self._integral_cache = {}
-        self.weight_of_col = []
-        for nu in module.weights:
-            self.weight_of_col.extend([nu] * len(chosen[nu]))
         self._verify_unit_transition()
 
     def _verify_unit_transition(self):
@@ -234,18 +231,13 @@ class SpecializedSchur(BlockAlgebra):
     """
 
     def __init__(self, pi, point: RingPoint):
-        self.pi = pi
+        super().__init__(pi, [weyl_module(pi.datum, lam) for lam in pi])
         self.point = point
         self.field = point.field
-        self.datum = pi.datum
-        self.modules = [weyl_module(self.datum, lam) for lam in pi]
+        # the lattice basis keeps the weight order of its module, so the
+        # shared idempotents and K elements apply to it unchanged
         self.lattices = [lattice_basis(m) for m in self.modules]
-        self.orbit = pi.orbit_weights()
-        self.block_dims = [m.dim for m in self.modules]
-        self.generic_dim = sum(d * d for d in self.block_dims)
-        self._dp_cache = {}
-        self._basis = None
-        self._dimension = None
+        self.generic_dim = self.expected_dim
 
     def _poly(self, poly: LaurentPoly):
         val = poly.evaluate(self.point.xi_pow)
@@ -272,23 +264,6 @@ class SpecializedSchur(BlockAlgebra):
 
     def generator(self, sign, i):
         return self.divided_power(sign, i, 1)
-
-    def idempotent(self, lam):
-        lam = tuple(lam)
-        one = self.field.one
-        return SchurElement(self, [
-            sparse_diagonal({idx: one
-                             for idx, nu in enumerate(lb.weight_of_col)
-                             if nu == lam})
-            for lb in self.lattices])
-
-    def k_element(self, h):
-        h = tuple(h)
-        xi_pow, pair = self.point.xi_pow, self.datum.pair
-        return SchurElement(self, [
-            sparse_diagonal({idx: xi_pow(pair(h, nu))
-                             for idx, nu in enumerate(lb.weight_of_col)})
-            for lb in self.lattices])
 
     # -- dimension --------------------------------------------------------
 
@@ -332,87 +307,26 @@ def specialize_schur(pi, point):
     return alg
 
 
-class RTruncationMap:
-    """Block restriction between specialized algebras."""
+class RTruncationMap(TruncationMap):
+    """Block restriction between the specializations at `point`."""
+
+    multiplicative_sample = False
 
     def __init__(self, target_pi, source_pi, point):
-        if not target_pi.issubset(source_pi):
-            raise ValueError("target saturated set is not contained in the "
-                             "source")
-        self.source = specialize_schur(source_pi, point)
-        self.target = specialize_schur(target_pi, point)
-        self._indices = [list(source_pi).index(lam) for lam in target_pi]
+        self.point = point
+        super().__init__(target_pi, source_pi)
 
-    def apply(self, x):
-        return SchurElement(self.target, [x.blocks[k] for k in self._indices])
+    def _algebra(self, pi):
+        return specialize_schur(pi, self.point)
 
     def verify(self):
-        report = []
-        src, tgt = self.source, self.target
-
-        def entry(name, ok, witness=None):
-            report.append({"check": name, "ok": bool(ok), "witness": witness})
-
-        for sign in (1, -1):
-            for i in range(src.datum.rank):
-                entry(f"generator({'+' if sign > 0 else '-'}{i})",
-                      self.apply(src.generator(sign, i))
-                      == tgt.generator(sign, i))
-        for lam in sorted(src.orbit):
-            entry(f"idempotent{lam}",
-                  self.apply(src.idempotent(lam)) == tgt.idempotent(lam))
-        entry("unit", self.apply(src.one()) == tgt.one())
-        ech = SparseEchelon(src.field)
-        for b in src.basis():
-            ech.insert(self.apply(b).flatten())
-        entry("surjective", ech.rank == tgt.dimension(),
-              {"image_rank": ech.rank, "target_dim": tgt.dimension()})
-        return report
+        """The checks of `TruncationMap.verify` over the specialized field,
+        without the multiplicative sample."""
+        return self._verify()
 
 
 def r_truncation_map(target_pi, source_pi, point):
     return RTruncationMap(target_pi, source_pi, point)
-
-
-class RLimitElement:
-    """Coherent family valued in specialized algebras."""
-
-    __slots__ = ("datum", "point", "_evaluator", "memo")
-
-    def __init__(self, datum, point, evaluator):
-        self.datum = datum
-        self.point = point
-        self._evaluator = evaluator
-        self.memo = {}
-
-    def at(self, pi):
-        key = pi.key()
-        val = self.memo.get(key)
-        if val is None:
-            val = self._evaluator(pi)
-            self.memo[key] = val
-        return val
-
-
-def r_theta_dot(datum, expr, point):
-    """Componentwise image of a modified-form expression over R."""
-    if not expr.is_modified():
-        raise ValueError("expression is not in the modified form")
-    return RLimitElement(
-        datum, point,
-        lambda pi: specialize_schur(pi, point).evaluate_expr(expr))
-
-
-def verify_r_coherence(element, chain, point):
-    links = []
-    ok = True
-    for small, large in zip(chain, chain[1:]):
-        f = r_truncation_map(small, large, point)
-        passed = f.apply(element.at(large)) == element.at(small)
-        ok = ok and passed
-        links.append({"pi": list(small), "pi_prime": list(large),
-                      "ok": passed})
-    return {"ok": ok, "links": links}
 
 
 # -- kernel probe ------------------------------------------------------------
@@ -439,20 +353,21 @@ def kernel_probe_RU(datum, degree_bound, height_bound, point):
         layer = [w + (sym,) for w in layer for sym in alphabet]
         words.extend(layer)
 
-    field = point.field
     history = []
     kernel_dim = len(words)
-    rows = []  # accumulated constraint rows: one per matrix entry per pi
+    # the constraint rows, one per matrix entry per pi: row ent holds
+    # entry ent of the image of every word
+    ech = SparseEchelon(point.field)
     for mu in dominant_weights_up_to_height(datum, height_bound):
         pi = datum.saturate([mu])
         S = specialize_schur(pi, point)
-        # image vectors of all words in this component
-        cols = [S.evaluate_word(w).flatten() for w in words]
-        entries = sorted({k for col in cols for k in col})
-        for ent in entries:
-            rows.append([col.get(ent, field.zero) for col in cols])
-        if rows:
-            kernel_dim = len(words) - rank(rows, field)
+        rows = {}
+        for j, w in enumerate(words):
+            for ent, x in S.evaluate_word(w).flatten().items():
+                rows.setdefault(ent, {})[j] = x
+        for ent in sorted(rows):
+            ech.insert(rows[ent])
+        kernel_dim = len(words) - ech.rank
         history.append({"pi": list(pi), "kernel_dim": kernel_dim})
     return {"word_count": len(words), "history": history,
             "final_kernel_dim": kernel_dim}

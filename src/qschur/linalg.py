@@ -93,10 +93,6 @@ def rref(matrix, field):
     return rows, pivots
 
 
-def rank(matrix, field):
-    return len(rref(matrix, field)[1])
-
-
 def det_unit_check(matrix, field):
     """Determinant via fraction-free-ish Gaussian elimination over the field.
 

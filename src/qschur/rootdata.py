@@ -11,14 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import rref
-
-
-class QFieldLite:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-
-_QF = QFieldLite()
+from .rings import QField
 
 
 class CartanDatum:
@@ -166,18 +159,24 @@ class RootDatum:
         """Coordinates of vec in the simple-root basis, or None when vec is
         outside the rational span.  Entries are Fractions."""
         if self._alpha_solver is None:
-            cols = self.simple_roots
-            mat = [[Fraction(cols[j][i]) for j in range(self.rank)]
-                   for i in range(self.rank_x)]
-            self._alpha_solver = mat
-        mat = self._alpha_solver
-        aug = [row[:] + [Fraction(vec[i])] for i, row in enumerate(mat)]
-        rows, pivots = rref(aug, _QF)
-        if self.rank in pivots:
+            # one reduction [A | I] -> [R | T] with R = T A in reduced row
+            # echelon form: A x = vec is solvable iff T vec vanishes past
+            # the pivot rows of R, and T vec then holds the coordinates at
+            # the pivot columns (the free ones are 0)
+            r, n = self.rank, self.rank_x
+            aug = [[Fraction(a[i]) for a in self.simple_roots]
+                   + [Fraction(int(i == k)) for k in range(n)]
+                   for i in range(n)]
+            rows, pivots = rref(aug, QField)
+            self._alpha_solver = ([row[r:] for row in rows],
+                                  [c for c in pivots if c < r])
+        T, pivots = self._alpha_solver
+        tv = [sum(t * x for t, x in zip(row, vec)) for row in T]
+        if any(tv[len(pivots):]):
             return None
         coords = [Fraction(0)] * self.rank
         for r_, c in enumerate(pivots):
-            coords[c] = rows[r_][self.rank]
+            coords[c] = tv[r_]
         return tuple(coords)
 
     def dominance_leq(self, lam, mu):
@@ -324,7 +323,7 @@ class RootDatum:
 
 def _rank_of(vectors):
     mat = [[Fraction(x) for x in v] for v in vectors]
-    return len(rref(mat, _QF)[1])
+    return len(rref(mat, QField)[1])
 
 
 def _box(bounds):
@@ -350,10 +349,11 @@ class SaturatedSet:
                     raise ValueError(f"element {e} is not dominant")
         self.elements = tuple(sorted(
             elems, key=lambda w: (datum.height(w), w)))
+        self._members = frozenset(elems)
         self._weights = None
 
     def __contains__(self, w):
-        return tuple(w) in set(self.elements)
+        return tuple(w) in self._members
 
     def __iter__(self):
         return iter(self.elements)
@@ -364,25 +364,23 @@ class SaturatedSet:
     def __eq__(self, other):
         return (isinstance(other, SaturatedSet)
                 and self.datum.key() == other.datum.key()
-                and set(self.elements) == set(other.elements))
+                and self._members == other._members)
 
     def __hash__(self):
-        return hash((self.datum.key(), frozenset(self.elements)))
+        return hash((self.datum.key(), self._members))
 
     def issubset(self, other):
-        return set(self.elements) <= set(other.elements)
+        return self._members <= other._members
 
     def union(self, other):
-        return SaturatedSet(self.datum,
-                            set(self.elements) | set(other.elements),
+        return SaturatedSet(self.datum, self._members | other._members,
                             check=False)
 
     def is_saturated(self):
         """Re-verify downward closure by exhaustive dominance tests."""
-        have = set(self.elements)
         for mu in self.elements:
             for lam in self.datum.saturate([mu]):
-                if lam not in have:
+                if lam not in self._members:
                     return False
         return True
 
@@ -487,7 +485,7 @@ def _weight_from_pairings(datum, ns):
              for b in range(datum.rank_x)]
             for h in datum.simple_coroots]
     aug = [row[:] + [Fraction(n)] for row, n in zip(rows, ns)]
-    out_rows, pivots = rref(aug, _QF)
+    out_rows, pivots = rref(aug, QField)
     if datum.rank_x in pivots:
         return None
     lam = [Fraction(0)] * datum.rank_x

@@ -63,14 +63,12 @@ class SchurElement:
     def __eq__(self, other):
         if not isinstance(other, SchurElement):
             return NotImplemented
-        return ((self.algebra is other.algebra
-                 or self.algebra.pi == other.algebra.pi)
+        return (self.algebra.same_algebra(other.algebra)
                 and self.blocks == other.blocks)
 
     def _check(self, other):
-        if self.algebra is not other.algebra:
-            if self.algebra.pi != other.algebra.pi:
-                raise ValueError("elements of different algebras")
+        if not self.algebra.same_algebra(other.algebra):
+            raise ValueError("elements of different algebras")
 
     def flatten(self):
         """Sparse dict (linear index) -> coefficient, for span computations."""
@@ -89,13 +87,30 @@ class SchurElement:
 
 
 class BlockAlgebra:
-    """What the generic and the specialized algebras share.
+    """What the generic and the specialized algebras share: one block per
+    module of the saturated set `pi`, in the weight order of the module.
 
-    A subclass sets `field`, `pi`, `datum`, `orbit`, `block_dims` and the
-    memo slots `_basis`, `_dimension`, and provides `generator`,
-    `divided_power`, `k_element`, `idempotent`, `basis`, `_scalar` (the
-    image in `field` of a Q(v) coefficient of a word expression) and
-    `_poly` (the image of a Laurent polynomial)."""
+    A subclass sets `field` and provides `generator`, `divided_power`,
+    `basis`, `key` (equal exactly when two algebras have the same
+    saturated set and the same scalars), `_scalar` (the image in `field`
+    of a Q(v) coefficient of a word expression) and `_poly` (the image of
+    a Laurent polynomial)."""
+
+    def __init__(self, pi, modules):
+        self.pi = pi
+        self.datum = pi.datum
+        self.modules = modules
+        self.orbit = pi.orbit_weights()
+        self.block_dims = [m.dim for m in modules]
+        self.expected_dim = sum(d * d for d in self.block_dims)
+        self._basis = None
+        self._dimension = None
+        self._dp_cache = {}
+        self._idem_cache = {}
+
+    def same_algebra(self, other):
+        """Whether elements of the two algebras may be combined."""
+        return self is other or self.key() == other.key()
 
     def zero(self):
         return SchurElement(self, [{} for _ in self.block_dims])
@@ -105,6 +120,35 @@ class BlockAlgebra:
         return SchurElement(self, [
             sparse_diagonal(dict.fromkeys(range(d), one))
             for d in self.block_dims])
+
+    def idempotent(self, lam):
+        """The weight projector; the zero element when lam is outside the
+        orbit of the saturated set."""
+        lam = tuple(lam)
+        el = self._idem_cache.get(lam)
+        if el is None:
+            one = self.field.one
+            blocks = []
+            for m in self.modules:
+                off = m.offsets.get(lam, 0)
+                blocks.append(sparse_diagonal(dict.fromkeys(
+                    range(off, off + m.dims.get(lam, 0)), one)))
+            el = SchurElement(self, blocks)
+            self._idem_cache[lam] = el
+        return el
+
+    def k_element(self, h):
+        """K_h = sum over orbit weights of v^<h,lam> 1_lam."""
+        h = tuple(h)
+        blocks = []
+        for m in self.modules:
+            diag = {}
+            for nu in m.weights:
+                x = self._poly(LaurentPoly.monomial(1, self.datum.pair(h, nu)))
+                off = m.offsets[nu]
+                diag.update(dict.fromkeys(range(off, off + m.dims[nu]), x))
+            blocks.append(sparse_diagonal(diag))
+        return SchurElement(self, blocks)
 
     def evaluate_symbol(self, sym):
         kind = sym[0]
@@ -250,19 +294,10 @@ class SchurAlgebra(BlockAlgebra):
     field = RatFuncField
 
     def __init__(self, pi, modules=None):
-        self.pi = pi
-        self.datum = pi.datum
         if modules is None:
-            modules = [weyl_module(self.datum, lam) for lam in pi]
-        self.modules = modules
-        self.orbit = pi.orbit_weights()
-        self.block_dims = [m.dim for m in self.modules]
-        self.expected_dim = sum(d * d for d in self.block_dims)
-        self._basis = None
-        self._dimension = None
+            modules = [weyl_module(pi.datum, lam) for lam in pi]
+        super().__init__(pi, modules)
         self._gen_cache = {}
-        self._dp_cache = {}
-        self._idem_cache = {}
 
     # -- elements ---------------------------------------------------------
 
@@ -289,36 +324,6 @@ class SchurAlgebra(BlockAlgebra):
                       * self.generator(sign, i)).scale(qk.inverse())
             self._dp_cache[key] = el
         return el
-
-    def idempotent(self, lam):
-        """The weight projector; the zero element when lam is outside the
-        orbit of the saturated set."""
-        lam = tuple(lam)
-        el = self._idem_cache.get(lam)
-        if el is None:
-            one = self.field.one
-            blocks = []
-            for m in self.modules:
-                off = m.offsets.get(lam, 0)
-                blocks.append(sparse_diagonal(dict.fromkeys(
-                    range(off, off + m.dims.get(lam, 0)), one)))
-            el = SchurElement(self, blocks)
-            self._idem_cache[lam] = el
-        return el
-
-    def k_element(self, h):
-        """K_h = sum over orbit weights of v^<h,lam> 1_lam."""
-        h = tuple(h)
-        blocks = []
-        for m in self.modules:
-            diag = {}
-            for nu in m.weights:
-                x = RatFunc.from_poly(
-                    LaurentPoly.monomial(1, self.datum.pair(h, nu)))
-                off = m.offsets[nu]
-                diag.update(dict.fromkeys(range(off, off + m.dims[nu]), x))
-            blocks.append(sparse_diagonal(diag))
-        return SchurElement(self, blocks)
 
     @staticmethod
     def _scalar(c):
@@ -367,25 +372,33 @@ class TruncationMap:
     """Block restriction from the algebra of a larger saturated set onto the
     algebra of a smaller one."""
 
+    # also check f(g * b) == f(g) * f(b) for every generator g and source
+    # basis element b
+    multiplicative_sample = True
+    _algebra = staticmethod(build_schur)
+
     def __init__(self, target_pi, source_pi):
         if not target_pi.issubset(source_pi):
             raise ValueError("target saturated set is not contained in the "
                              "source")
         self.target_pi = target_pi
         self.source_pi = source_pi
-        self.source = build_schur(source_pi)
-        self.target = build_schur(target_pi)
+        self.source = self._algebra(source_pi)
+        self.target = self._algebra(target_pi)
         self._indices = [list(source_pi).index(lam) for lam in target_pi]
 
     def apply(self, x):
-        if x.algebra.pi != self.source_pi:
+        if not x.algebra.same_algebra(self.source):
             raise ValueError("element does not belong to the source algebra")
         return SchurElement(self.target,
                             [x.blocks[k] for k in self._indices])
 
-    def verify(self, sample_products=True):
+    def verify(self):
         """Checks that the map is a surjective algebra homomorphism sending
         generators to generators; returns a report list."""
+        return self._verify()
+
+    def _verify(self):
         report = []
         src, tgt = self.source, self.target
 
@@ -403,7 +416,7 @@ class TruncationMap:
             entry(f"idempotent{lam}", image == expect)
         entry("unit", self.apply(src.one()) == tgt.one())
 
-        if sample_products:
+        if self.multiplicative_sample:
             gens = [src.generator(s, i)
                     for s in (1, -1) for i in range(src.datum.rank)]
             basis = src.basis()

@@ -5,6 +5,7 @@ and probes that live at the limit level."""
 
 from __future__ import annotations
 
+from .intspec import r_truncation_map, specialize_schur
 from .laurent import RatFunc, qint
 from .rootdata import dominant_weights_up_to_height
 from .schur import build_schur, truncation_map
@@ -20,17 +21,14 @@ class LimitElement:
     see verify_coherence.
     """
 
-    __slots__ = ("datum", "_evaluator", "memo", "use_memo")
+    __slots__ = ("datum", "_evaluator", "memo")
 
-    def __init__(self, datum, evaluator, use_memo=True):
+    def __init__(self, datum, evaluator):
         self.datum = datum
         self._evaluator = evaluator
         self.memo = {}
-        self.use_memo = use_memo
 
     def at(self, pi):
-        if not self.use_memo:
-            return self._evaluator(pi)
         key = pi.key()
         val = self.memo.get(key)
         if val is None:
@@ -49,7 +47,7 @@ class LimitElement:
                             lambda pi: self.at(pi) - other.at(pi))
 
     def __mul__(self, other):
-        if isinstance(other, (int, RatFunc)):
+        if not isinstance(other, LimitElement):  # a scalar of the ring
             return LimitElement(self.datum,
                                 lambda pi: self.at(pi).scale(other))
         self._check(other)
@@ -103,27 +101,34 @@ def theta(datum, expr: WordExpr):
     return LimitElement(datum, lambda pi: build_schur(pi).evaluate_expr(expr))
 
 
-def theta_dot(datum, expr: WordExpr):
+def theta_dot(datum, expr: WordExpr, point=None):
     """The family of images of a modified-form expression (every word must
-    contain an idempotent symbol)."""
+    contain an idempotent symbol), over Q(v) or, given a RingPoint, in the
+    specializations at that point."""
     if not expr.is_modified():
         raise ValueError("expression is not in the modified form: some word "
                          "carries no idempotent")
-    return LimitElement(datum, lambda pi: build_schur(pi).evaluate_expr(expr))
+    if point is None:
+        return LimitElement(datum,
+                            lambda pi: build_schur(pi).evaluate_expr(expr))
+    return LimitElement(
+        datum, lambda pi: specialize_schur(pi, point).evaluate_expr(expr))
 
 
 # -- coherence ---------------------------------------------------------------
 
 
-def verify_coherence(element, chain):
+def verify_coherence(element, chain, point=None):
     """Check the compatibility condition along a nested chain of saturated
-    sets; returns a report with witnesses for failures."""
+    sets, over Q(v) or in the specializations at `point`; returns a report
+    with witnesses for failures."""
     links = []
     ok = True
     for small, large in zip(chain, chain[1:]):
         if not small.issubset(large):
             raise ValueError("chain is not nested")
-        f = truncation_map(small, large)
+        f = (truncation_map(small, large) if point is None
+             else r_truncation_map(small, large, point))
         lhs = f.apply(element.at(large))
         rhs = element.at(small)
         passed = lhs == rhs

@@ -1,0 +1,50 @@
+"""The benchmark in `bench/` reaches the library through fixed names: the
+entry points that `bench/layers.py` wraps in spans, and the calls of
+`bench/child.py`.  A refactor that renames one of them breaks the
+benchmark while every other test stays green."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", os.path.join(BENCH, "layers.py"))
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)   # defines names only, patches nothing
+    return layers
+
+
+def _module(name):
+    return importlib.import_module("qschur." + name)
+
+
+def test_every_span_entry_point_resolves():
+    layers = _layers()
+    for name in layers.MODULES:
+        _module(name)
+    for modname, clsname, attr, _ in layers.SPANS:
+        owner = _module(modname)
+        if clsname:
+            owner = getattr(owner, clsname)
+        assert callable(getattr(owner, attr)), (modname, clsname, attr)
+
+
+def test_counted_and_called_names_resolve():
+    schur, ulimit = _module("schur"), _module("ulimit")
+    intspec, weylmod = _module("intspec"), _module("weylmod")
+    assert callable(schur.SchurElement.__mul__)
+    assert callable(ulimit.LimitElement.at)
+    assert callable(ulimit.separation_probe)
+    assert callable(intspec.r_truncation_map)
+    assert inspect.isclass(weylmod.TensorModule)
+
+
+def test_specialized_truncation_has_its_own_span():
+    # without its own `verify`, the specialized map would run the wrapped
+    # `TruncationMap.verify` and record its time as `schur.truncation`
+    assert "verify" in _module("intspec").RTruncationMap.__dict__

@@ -6,13 +6,14 @@ import itertools
 import pytest
 
 from qschur.intspec import (LatticeError, kernel_probe_RU, lattice_basis,
-                            r_theta_dot, r_truncation_map, specialize_schur,
-                            verify_r_coherence)
+                            r_truncation_map, specialize_schur)
 from qschur.laurent import qint
 from qschur.linalg import SparseEchelon
 from qschur.rings import RingPoint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
+from qschur.schur import build_schur
+from qschur.ulimit import theta_dot, verify_coherence
 from qschur.weylmod import weyl_module
 from qschur.words import WordExpr
 
@@ -103,6 +104,26 @@ class TestSpecializedDimensions:
         assert minus_one is not first
         assert minus_one.point.xi == -1
 
+    def test_elements_of_different_rings_do_not_mix(self):
+        pi = preset("A1").saturate([(2,)])
+        at_i = specialize_schur(pi, XI_I).one()
+        others = [specialize_schur(pi, RingPoint.cyclotomic(3)).one(),
+                  specialize_schur(pi, XI_ONE).one(),
+                  build_schur(pi).one()]
+        for other in others:
+            for x, y in ((at_i, other), (other, at_i)):
+                with pytest.raises(ValueError):
+                    x + y
+                with pytest.raises(ValueError):
+                    x * y
+                assert x != y
+        # xi = 1 and xi = 2 share the field Q but not the algebra
+        with pytest.raises(ValueError):
+            specialize_schur(pi, RingPoint.rational(2)).one() + others[1]
+        # an equal point built anew gives the same algebra
+        assert specialize_schur(pi, RingPoint.cyclotomic(4)).one() + at_i \
+            == at_i.scale(2)
+
     def test_quantum_two_vanishes_at_fourth_root(self):
         assert qint(2).evaluate(XI_I.xi_pow) == XI_I.field.zero
 
@@ -136,6 +157,8 @@ class TestSpecializedTruncation:
             for k in (1, 2):
                 assert f.apply(big.divided_power(sign, 0, k)) \
                     == small.divided_power(sign, 0, k)
+        with pytest.raises(ValueError):
+            f.apply(build_schur(pi1).one())
 
     def test_r_coherence_of_modified_elements(self):
         a1 = preset("A1")
@@ -145,12 +168,13 @@ class TestSpecializedTruncation:
         for point in (XI_ONE, XI_I):
             expr = WordExpr.E(0) * WordExpr.idem((0,)) \
                 + WordExpr.idem((2,))
-            el = r_theta_dot(a1, expr, point)
-            assert verify_r_coherence(el, chain, point)["ok"]
+            el = theta_dot(a1, expr, point)
+            assert verify_coherence(el, chain, point)["ok"]
+            assert verify_coherence(el * point.xi, chain, point)["ok"]
 
-    def test_r_theta_dot_requires_modified(self):
+    def test_specialized_theta_dot_requires_modified(self):
         with pytest.raises(ValueError):
-            r_theta_dot(preset("A1"), WordExpr.E(0), XI_ONE)
+            theta_dot(preset("A1"), WordExpr.E(0), XI_ONE)
 
 
 class TestKernelProbe:
