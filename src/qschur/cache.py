@@ -2,8 +2,10 @@
 
 Files are named by a digest of the root datum, the saturated set, and a
 format version; each file carries its own checksum and is written
-atomically (temp file then rename).  A corrupt or stale file is reported
-and ignored, never trusted.
+atomically (temp file then rename).  A loaded module is rebuilt as the
+`weylmod.HighestWeightModule` record, so it meets the same checks as a
+built one.  A corrupt or stale file, or one whose modules fail those
+checks, is reported and ignored, never trusted.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import tempfile
 
 from .laurent import RatFunc
 from .schur import SchurAlgebra
+from .weylmod import HighestWeightModule, ModuleCheckError, weyl_dim_oracle
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def default_cache_dir():
@@ -34,37 +37,25 @@ def cache_key(pi):
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
-class CachedModule:
-    """Read-only stand-in for a highest-weight module, reconstituted from
-    stored action matrices."""
-
-    def __init__(self, datum, lam, weights, dims, e_mats, f_mats):
-        self.datum = datum
-        self.lam = tuple(lam)
-        self.weights = [tuple(w) for w in weights]
-        self.dims = {nu: dims[i] for i, nu in enumerate(self.weights)}
-        self.dim = sum(dims)
-        self.offsets = {}
-        off = 0
-        for nu in self.weights:
-            self.offsets[nu] = off
-            off += self.dims[nu]
-        self._e_mats = e_mats
-        self._f_mats = f_mats
-
-    def generator_matrix(self, sign, i):
-        return self._e_mats[i] if sign > 0 else self._f_mats[i]
+def _to_triples(mat):
+    return [[r, c, mat[r][c].to_string()]
+            for r in sorted(mat) for c in sorted(mat[r])]
 
 
-def _mat_to_strings(mat):
-    return [[x.to_string() for x in row] for row in mat]
-
-
-def _mat_from_strings(rows):
-    return [[RatFunc.parse(x) for x in row] for row in rows]
+def _from_triples(triples, dim):
+    mat = {}
+    for r, c, x in triples:
+        x = RatFunc.parse(x)
+        if not (0 <= r < dim and 0 <= c < dim) or not x:
+            raise ValueError(f"bad matrix entry {[r, c, x.to_string()]}")
+        mat.setdefault(r, {})[c] = x
+    return mat
 
 
 def serialize_algebra(algebra):
+    """The saturated set and, per module, its weights, their
+    multiplicities and the nonzero entries of E_i and F_i as
+    [row, col, value] triples."""
     body = {
         "version": FORMAT_VERSION,
         "datum": repr(algebra.datum.key()),
@@ -76,10 +67,8 @@ def serialize_algebra(algebra):
             "lam": list(m.lam),
             "weights": [list(nu) for nu in m.weights],
             "dims": [m.dims[nu] for nu in m.weights],
-            "e": [_mat_to_strings(m.generator_matrix(1, i))
-                  for i in range(algebra.datum.rank)],
-            "f": [_mat_to_strings(m.generator_matrix(-1, i))
-                  for i in range(algebra.datum.rank)],
+            "e": [_to_triples(mat) for mat in m.e],
+            "f": [_to_triples(mat) for mat in m.f],
         })
     return body
 
@@ -134,21 +123,38 @@ def cache_load(pi, cache_dir, warn=None):
                  "set; ignoring it")
             return None
         return _rebuild(pi, body)
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except ModuleCheckError as exc:
+        warn(f"cache file {path} failed a module check ({exc}); "
+             "ignoring it")
+        return None
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OSError) as exc:
         warn(f"cache file {path} is unreadable ({exc}); ignoring it")
         return None
 
 
 def _rebuild(pi, body):
+    """The algebra from a file body; every module goes through the checks
+    of the module record and its dimension through the Weyl formula."""
+    datum = pi.datum
+    if len(body["modules"]) != len(pi):
+        raise ValueError("wrong number of modules")
     modules = []
-    for mrec in body["modules"]:
-        e_mats = {i: _mat_from_strings(rows)
-                  for i, rows in enumerate(mrec["e"])}
-        f_mats = {i: _mat_from_strings(rows)
-                  for i, rows in enumerate(mrec["f"])}
-        modules.append(CachedModule(pi.datum, tuple(mrec["lam"]),
-                                    [tuple(w) for w in mrec["weights"]],
-                                    mrec["dims"], e_mats, f_mats))
+    for lam, mrec in zip(pi, body["modules"]):
+        if tuple(mrec["lam"]) != lam or not (
+                len(mrec["e"]) == len(mrec["f"]) == datum.rank):
+            raise ValueError(f"malformed module record for {lam}")
+        weights = [tuple(w) for w in mrec["weights"]]
+        dim = sum(mrec["dims"])
+        m = HighestWeightModule(
+            datum, lam, weights, dict(zip(weights, mrec["dims"])),
+            [_from_triples(t, dim) for t in mrec["e"]],
+            [_from_triples(t, dim) for t in mrec["f"]])
+        if m.dim != weyl_dim_oracle(datum, lam):
+            raise ModuleCheckError(
+                f"module {lam} has dimension {m.dim}, the Weyl formula "
+                f"gives {weyl_dim_oracle(datum, lam)}")
+        modules.append(m)
     return SchurAlgebra(pi, modules)
 
 

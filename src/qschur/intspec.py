@@ -5,11 +5,11 @@ kernel probes."""
 from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFuncField, is_integral
-from .linalg import (SparseEchelon, det_unit_check, identity, is_zero_matrix,
-                     mat_mul, rref, sparse_from_dense)
+from .linalg import (SparseEchelon, det_unit_check, identity, mat_mul, rref,
+                     sparse_from_dense, sparse_map, sparse_mul)
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
-from .schur import BlockAlgebra, SchurElement, TruncationMap
+from .schur import BlockAlgebra, TruncationMap
 from .weylmod import weyl_module
 
 _F = RatFuncField
@@ -35,31 +35,22 @@ class LatticeBasis:
         self.module = module
         chosen = _greedy_select(module, reverse=False)
         # deterministic order: module weight order, monomials as discovered
-        self.monomials = []
-        cols = []
-        for nu in module.weights:
-            for mono, vec in chosen[nu]:
-                self.monomials.append(mono)
-                cols.append(vec)
+        self.monomials = [mono for nu in module.weights
+                          for mono, _ in chosen[nu]]
         # change of basis C: lattice coords -> module coords (columns)
-        n = module.dim
-        self.C = [[cols[j][i] for j in range(n)] for i in range(n)]
-        self._c_inv = _invert(self.C)
+        C = _columns(module, chosen)
+        c_inv = _invert(C)
+        self._c = sparse_from_dense(C)
+        self._c_inv = sparse_from_dense(c_inv)
         self._integral_cache = {}
-        self._verify_unit_transition()
+        self._verify_unit_transition(c_inv)
 
-    def _verify_unit_transition(self):
+    def _verify_unit_transition(self, c_inv):
         """An alternate greedy selection must express in this basis with
         entries in Z[v,v^-1] and unit determinant."""
         module = self.module
-        alt = _greedy_select(module, reverse=True)
-        cols = []
-        for nu in module.weights:
-            for _, vec in alt[nu]:
-                cols.append(vec)
-        n = module.dim
-        C2 = [[cols[j][i] for j in range(n)] for i in range(n)]
-        T = mat_mul(self._c_inv, C2, _F)
+        C2 = _columns(module, _greedy_select(module, reverse=True))
+        T = mat_mul(c_inv, C2, _F)
         for r_, row in enumerate(T):
             for c_, x in enumerate(row):
                 if is_integral(x) is None:
@@ -78,33 +69,31 @@ class LatticeBasis:
         """Largest k with a nonzero k-th divided power (0 for the zero
         action)."""
         k = 0
-        while True:
-            mat = self.module.divided_power_matrix(sign, i, k + 1)
-            if is_zero_matrix(mat, _F):
-                return k
+        while self.module.divided_power(sign, i, k + 1):
             k += 1
+        return k
 
     def integral_matrix(self, sign, i, k):
-        """The k-th divided power in the lattice basis, entries in
-        Z[v,v^-1]; raises LatticeError on an offending entry."""
+        """The k-th divided power in the lattice basis, as a sparse matrix
+        with entries in Z[v,v^-1]; raises LatticeError on an offending
+        entry."""
         key = (1 if sign > 0 else -1, i, k)
-        cached = self._integral_cache.get(key)
-        if cached is not None:
-            return cached
-        mat = self.module.divided_power_matrix(sign, i, k)
-        latt = mat_mul(self._c_inv, mat_mul(mat, self.C, _F), _F)
-        out = []
-        for r_, row in enumerate(latt):
-            orow = []
-            for c_, x in enumerate(row):
+        out = self._integral_cache.get(key)
+        if out is not None:
+            return out
+        mat = self.module.divided_power(sign, i, k)
+        latt = sparse_mul(self._c_inv, sparse_mul(mat, self._c))
+        out = {}
+        for r_, row in latt.items():
+            orow = out[r_] = {}
+            for c_, x in row.items():
                 p = is_integral(x)
                 if p is None:
                     raise LatticeError(
                         "unsupported lattice: entry "
                         f"({r_},{c_}) of E^({k}) (sign {key[0]}, index {i}) "
                         f"is {x.to_string()}, not in Z[v,v^-1]")
-                orow.append(p)
-            out.append(orow)
+                orow[c_] = p
         self._integral_cache[key] = out
         return out
 
@@ -124,32 +113,26 @@ class LatticeBasis:
 
 
 def _greedy_select(module, reverse=False):
-    """Greedy rank-extending selection of divided-power monomial images,
-    grouped by weight.  `reverse` flips the generator enumeration order to
-    produce an independent second selection."""
+    """Greedy rank-extending selection of divided-power monomial images
+    (sparse vectors), grouped by weight.  `reverse` flips the generator
+    enumeration order to produce an independent second selection."""
     datum = module.datum
     r = datum.rank
     chosen = {nu: [] for nu in module.weights}
     picked = 0
     echelons = {nu: SparseEchelon(_F) for nu in module.weights}
 
-    def block_vec(nu, vec):
-        off = module.offsets[nu]
-        return {k: vec[off + k] for k in range(module.dims[nu])
-                if not vec[off + k].is_zero()}
-
-    hw = [_F.zero] * module.dim
-    hw[module.offsets[module.lam]] = _F.one
-    frontier = [((), tuple(hw), module.lam)]
-    echelons[module.lam].insert(block_vec(module.lam, hw))
-    chosen[module.lam].append(((), tuple(hw)))
+    hw = {module.offsets[module.lam]: _F.one}
+    frontier = [((), hw, module.lam)]
+    echelons[module.lam].insert(hw)
+    chosen[module.lam].append(((), hw))
     picked += 1
     indices = list(range(r))
     if reverse:
         indices.reverse()
     while frontier:
         nxt = []
-        for mono, vec, nu in sorted(frontier):
+        for mono, vec, nu in sorted(frontier, key=lambda t: t[0]):
             for i in indices:
                 if mono and mono[0][0] == i:
                     continue
@@ -160,18 +143,17 @@ def _greedy_select(module, reverse=False):
                     target = tuple(x - a * al for x, al in zip(nu, alpha))
                     if target not in module.offsets:
                         break
-                    mat = module.divided_power_matrix(-1, i, a)
-                    nv = _apply(mat, vec)
-                    if all(x.is_zero() for x in nv):
+                    nv = _apply(module.divided_power(-1, i, a), vec)
+                    if not nv:
                         break
-                    steps.append((a, target, tuple(nv)))
+                    steps.append((a, target, nv))
                     a += 1
                 if reverse:
                     steps.reverse()
                 for a, target, nv in steps:
                     nm = ((i, a),) + mono
                     nxt.append((nm, nv, target))
-                    if echelons[target].insert(block_vec(target, nv)):
+                    if echelons[target].insert(nv):
                         chosen[target].append((nm, nv))
                         picked += 1
         frontier = nxt
@@ -183,18 +165,24 @@ def _greedy_select(module, reverse=False):
 
 
 def _apply(mat, vec):
-    n = len(mat)
-    out = [_F.zero] * n
-    for i in range(n):
-        row = mat[i]
+    """A sparse matrix times a sparse vector."""
+    out = {}
+    for r_, row in mat.items():
         acc = _F.zero
-        for j, x in enumerate(vec):
-            if not x.is_zero():
-                y = row[j]
-                if not y.is_zero():
-                    acc = acc + y * x
-        out[i] = acc
+        for c_, x in vec.items():
+            y = row.get(c_)
+            if y is not None:
+                acc = acc + y * x
+        if acc:
+            out[r_] = acc
     return out
+
+
+def _columns(module, chosen):
+    """Dense matrix whose columns are the chosen vectors, in module weight
+    order."""
+    cols = [vec for nu in module.weights for _, vec in chosen[nu]]
+    return [[col.get(i, _F.zero) for col in cols] for i in range(module.dim)]
 
 
 def _invert(mat):
@@ -246,24 +234,9 @@ class SpecializedSchur(BlockAlgebra):
     def _scalar(self, c):
         return evaluate(c, self.point)
 
-    def divided_power(self, sign, i, k):
-        key = (1 if sign > 0 else -1, i, k)
-        el = self._dp_cache.get(key)
-        if el is None:
-            blocks = []
-            for lb in self.lattices:
-                if k > lb.nilpotency(sign, i):
-                    blocks.append({})
-                else:
-                    mat = lb.integral_matrix(sign, i, k)
-                    blocks.append(sparse_from_dense(
-                        [[self._poly(x) for x in row] for row in mat]))
-            el = SchurElement(self, blocks)
-            self._dp_cache[key] = el
-        return el
-
-    def generator(self, sign, i):
-        return self.divided_power(sign, i, 1)
+    def _divided_power_blocks(self, sign, i, k):
+        return [sparse_map(self._poly, lb.integral_matrix(sign, i, k))
+                for lb in self.lattices]
 
     # -- dimension --------------------------------------------------------
 

@@ -20,6 +20,8 @@ from .rootdata import CartanDatum, preset, simply_connected
 
 TASK_NAMES = ("build", "verify", "dims", "maps", "limit", "probe",
               "specialize")
+# the parameters a task takes; each value is a nonnegative integer
+TASK_PARAMS = {"probe": ("height",)}
 
 
 class SpecParseError(ValueError):
@@ -225,10 +227,13 @@ def _parse_task(words, lineno):
         raise SpecParseError("task parameters must come in key value pairs",
                              lineno)
     for k, v in zip(rest[::2], rest[1::2]):
-        try:
-            params[k] = int(v)
-        except ValueError:
-            params[k] = v
+        if k not in TASK_PARAMS.get(name, ()):
+            raise SpecParseError(f"task {name} takes no parameter {k!r}",
+                                 lineno)
+        if not v.isdecimal():
+            raise SpecParseError(
+                f"{k} must be a nonnegative integer, not {v!r}", lineno)
+        params[k] = int(v)
     return (name, params)
 
 

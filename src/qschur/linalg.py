@@ -3,10 +3,11 @@
 A field object only needs `zero`, `one` attributes and elements supporting
 +, -, *, / and equality; Q(v), Q, and cyclotomic fields all qualify.
 
-Dense matrices are lists of rows; module construction and the lattice
-bases use them.  Sparse matrices are row dicts `{row: {col: x}}` that store
-nonzero entries only (no zero entry, no empty row); algebra elements keep
-one per block, so every operation touches only nonzeros.  The sparse
+Dense matrices are lists of rows; the Gram quotient, the lattice change
+of basis and the root-datum solvers use them.  Sparse matrices are row
+dicts `{row: {col: x}}` that store nonzero entries only (no zero entry, no
+empty row); the module matrices are sparse, and algebra elements keep one
+per block, so every operation touches only nonzeros.  The sparse
 helpers test entries by truth value and never mutate their arguments.
 Because the scalars are canonical, two sparse matrices are equal exactly
 when their dicts are.
@@ -42,23 +43,6 @@ def mat_sub(a, b):
 def identity(n, field):
     return [[field.one if i == j else field.zero for j in range(n)]
             for i in range(n)]
-
-
-def is_zero_matrix(a, field):
-    zero = field.zero
-    return all(x == zero for row in a for x in row)
-
-
-def mat_pow(a, k, field):
-    n = len(a)
-    out = identity(n, field)
-    base = [row[:] for row in a]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base, field)
-        base = mat_mul(base, base, field)
-        k >>= 1
-    return out
 
 
 def rref(matrix, field):
@@ -131,6 +115,21 @@ def sparse_from_dense(mat):
     out = {}
     for i, row in enumerate(mat):
         srow = {j: x for j, x in enumerate(row) if x}
+        if srow:
+            out[i] = srow
+    return out
+
+
+def sparse_map(f, a):
+    """The sparse matrix of the images f(x) of the entries of a, without
+    the entries that f sends to zero."""
+    out = {}
+    for i, row in a.items():
+        srow = {}
+        for j, x in row.items():
+            y = f(x)
+            if y:
+                srow[j] = y
         if srow:
             out[i] = srow
     return out

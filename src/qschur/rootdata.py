@@ -8,7 +8,7 @@ conversions to the simple-root basis solve exact linear systems.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import rref
 from .rings import QField
@@ -59,24 +59,45 @@ class CartanDatum:
         return errors
 
     def is_finite_type(self):
-        """Positive definiteness via leading principal minors."""
-        n = self.rank
-        for k in range(1, n + 1):
-            sub = [row[:k] for row in self.form[:k]]
-            if _int_det(sub) <= 0:
-                return False
-        return True
+        """Positive definiteness: every leading principal minor, read off
+        one Bareiss elimination without row swaps, is positive."""
+        pivots, _ = _bareiss(self.form, swap=False)
+        return len(pivots) == self.rank and all(p > 0 for p in pivots)
+
+
+def _bareiss(m, swap):
+    """Bareiss fraction-free elimination of a square integer matrix.
+
+    Returns (pivots, sign).  The k-th pivot is the leading k x k minor of
+    the matrix with the rows swapped so far, and `sign` is the sign of
+    those swaps, so sign times the n-th pivot is the determinant.  Without
+    `swap` no row moves, so the pivots are the leading principal minors.
+    Elimination stops at the first zero pivot that no swap removes."""
+    a = [list(row) for row in m]
+    n = len(a)
+    pivots, sign, prev = [], 1, 1
+    for k in range(n):
+        if swap and a[k][k] == 0:
+            r = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if r is not None:
+                a[k], a[r] = a[r], a[k]
+                sign = -sign
+        p = a[k][k]
+        pivots.append(p)
+        if p == 0:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return pivots, sign
 
 
 def _int_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _int_det(minor)
-    return total
+    if not m:
+        return 1
+    pivots, sign = _bareiss(m, swap=True)
+    return sign * pivots[-1] if len(pivots) == len(m) else 0
 
 
 class RootDatum:
@@ -98,7 +119,6 @@ class RootDatum:
                                     for h in simple_coroots)
         self.rank = cartan.rank
         self.name = name
-        self._alpha_solver = None
         self._positive_roots = None
 
     # -- pairing and reflections ---------------------------------------
@@ -155,29 +175,23 @@ class RootDatum:
 
     # -- alpha coordinates ----------------------------------------------
 
+    @cached_property
+    def _alpha_solver(self):
+        return _solver([[a[k] for a in self.simple_roots]
+                        for k in range(self.rank_x)])
+
+    @cached_property
+    def _pairing_solver(self):
+        """Solves <h_i, lam> = n_i for a rational weight lam."""
+        return _solver([[sum(h[a] * self.pairing[a][b]
+                             for a in range(self.rank_y))
+                         for b in range(self.rank_x)]
+                        for h in self.simple_coroots])
+
     def alpha_coords(self, vec):
         """Coordinates of vec in the simple-root basis, or None when vec is
         outside the rational span.  Entries are Fractions."""
-        if self._alpha_solver is None:
-            # one reduction [A | I] -> [R | T] with R = T A in reduced row
-            # echelon form: A x = vec is solvable iff T vec vanishes past
-            # the pivot rows of R, and T vec then holds the coordinates at
-            # the pivot columns (the free ones are 0)
-            r, n = self.rank, self.rank_x
-            aug = [[Fraction(a[i]) for a in self.simple_roots]
-                   + [Fraction(int(i == k)) for k in range(n)]
-                   for i in range(n)]
-            rows, pivots = rref(aug, QField)
-            self._alpha_solver = ([row[r:] for row in rows],
-                                  [c for c in pivots if c < r])
-        T, pivots = self._alpha_solver
-        tv = [sum(t * x for t, x in zip(row, vec)) for row in T]
-        if any(tv[len(pivots):]):
-            return None
-        coords = [Fraction(0)] * self.rank
-        for r_, c in enumerate(pivots):
-            coords[c] = tv[r_]
-        return tuple(coords)
+        return self._alpha_solver(vec)
 
     def dominance_leq(self, lam, mu):
         """lam <= mu in the dominance order."""
@@ -319,6 +333,34 @@ class RootDatum:
         """Deterministic identity for caching and memo tables."""
         return (self.cartan.form, self.pairing, self.simple_roots,
                 self.simple_coroots)
+
+
+def _solver(rows):
+    """A solver b -> x of the integer system A x = b (A given by its rows):
+    x has Fraction entries, 0 at the free unknowns, and is None when the
+    system has no rational solution.
+
+    One reduction [A | I] -> [R | T] with R = T A in reduced row echelon
+    form: A x = b is solvable iff T b vanishes past the pivot rows of R,
+    and T b then holds x at the pivot columns."""
+    n = len(rows[0])
+    aug = [[Fraction(x) for x in row]
+           + [Fraction(int(i == k)) for k in range(len(rows))]
+           for i, row in enumerate(rows)]
+    red, pivots = rref(aug, QField)
+    T = [row[n:] for row in red]
+    pivots = [c for c in pivots if c < n]
+
+    def solve(b):
+        tb = [sum(t * x for t, x in zip(row, b)) for row in T]
+        if any(tb[len(pivots):]):
+            return None
+        x = [Fraction(0)] * n
+        for r_, c in enumerate(pivots):
+            x[c] = tb[r_]
+        return tuple(x)
+
+    return solve
 
 
 def _rank_of(vectors):
@@ -480,17 +522,7 @@ def dominant_weights_up_to_height(datum, bound):
 
 def _weight_from_pairings(datum, ns):
     """An integral weight lam with <h_i, lam> = ns[i], or None."""
-    rows = [[Fraction(sum(h[a] * datum.pairing[a][b]
-                          for a in range(datum.rank_y)))
-             for b in range(datum.rank_x)]
-            for h in datum.simple_coroots]
-    aug = [row[:] + [Fraction(n)] for row, n in zip(rows, ns)]
-    out_rows, pivots = rref(aug, QField)
-    if datum.rank_x in pivots:
-        return None
-    lam = [Fraction(0)] * datum.rank_x
-    for r_, c in enumerate(pivots):
-        lam[c] = out_rows[r_][datum.rank_x]
-    if any(x.denominator != 1 for x in lam):
+    lam = datum._pairing_solver(ns)
+    if lam is None or any(x.denominator != 1 for x in lam):
         return None
     return tuple(int(x) for x in lam)

@@ -9,9 +9,8 @@ specialization in `intspec`, which uses the same element type."""
 from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
-from .linalg import (SparseEchelon, sparse_add, sparse_diagonal,
-                     sparse_from_dense, sparse_mul, sparse_neg, sparse_scale,
-                     sparse_sub)
+from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_mul,
+                     sparse_neg, sparse_scale, sparse_sub)
 from .weylmod import weyl_module
 
 
@@ -90,11 +89,11 @@ class BlockAlgebra:
     """What the generic and the specialized algebras share: one block per
     module of the saturated set `pi`, in the weight order of the module.
 
-    A subclass sets `field` and provides `generator`, `divided_power`,
-    `basis`, `key` (equal exactly when two algebras have the same
-    saturated set and the same scalars), `_scalar` (the image in `field`
-    of a Q(v) coefficient of a word expression) and `_poly` (the image of
-    a Laurent polynomial)."""
+    A subclass sets `field` and provides `_divided_power_blocks` (the
+    blocks of E_i^(k) or F_i^(k)), `basis`, `key` (equal exactly when two
+    algebras have the same saturated set and the same scalars), `_scalar`
+    (the image in `field` of a Q(v) coefficient of a word expression) and
+    `_poly` (the image of a Laurent polynomial)."""
 
     def __init__(self, pi, modules):
         self.pi = pi
@@ -120,6 +119,18 @@ class BlockAlgebra:
         return SchurElement(self, [
             sparse_diagonal(dict.fromkeys(range(d), one))
             for d in self.block_dims])
+
+    def divided_power(self, sign, i, k):
+        """E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i."""
+        key = (1 if sign > 0 else -1, i, k)
+        el = self._dp_cache.get(key)
+        if el is None:
+            el = SchurElement(self, self._divided_power_blocks(sign, i, k))
+            self._dp_cache[key] = el
+        return el
+
+    def generator(self, sign, i):
+        return self.divided_power(sign, i, 1)
 
     def idempotent(self, lam):
         """The weight projector; the zero element when lam is outside the
@@ -297,33 +308,11 @@ class SchurAlgebra(BlockAlgebra):
         if modules is None:
             modules = [weyl_module(pi.datum, lam) for lam in pi]
         super().__init__(pi, modules)
-        self._gen_cache = {}
 
     # -- elements ---------------------------------------------------------
 
-    def generator(self, sign, i):
-        key = (1 if sign > 0 else -1, i)
-        el = self._gen_cache.get(key)
-        if el is None:
-            el = SchurElement(self, [
-                sparse_from_dense(m.generator_matrix(sign, i))
-                for m in self.modules])
-            self._gen_cache[key] = el
-        return el
-
-    def divided_power(self, sign, i, k):
-        """E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i."""
-        key = (1 if sign > 0 else -1, i, k)
-        el = self._dp_cache.get(key)
-        if el is None:
-            if k == 0:
-                el = self.one()
-            else:
-                qk = RatFunc.from_poly(qint(k, self.datum.cartan.d(i)))
-                el = (self.divided_power(sign, i, k - 1)
-                      * self.generator(sign, i)).scale(qk.inverse())
-            self._dp_cache[key] = el
-        return el
+    def _divided_power_blocks(self, sign, i, k):
+        return [m.divided_power(sign, i, k) for m in self.modules]
 
     @staticmethod
     def _scalar(c):

@@ -1,19 +1,21 @@
-"""Highest-weight modules over Q(v) via truncated Verma modules and the
-radical of the contravariant form, with exact action matrices.
+"""Highest-weight modules over Q(v), as one record of exact sparse action
+matrices.
 
 The module of highest weight lam is built on the free span of F-words
 (sequences of lowering operators applied to a highest-weight vector),
-modulo the radical of the contravariant Gram form.  Two independent
+modulo the radical of the contravariant Gram form, or, for tall weights,
+inside a tensor product of two smaller modules.  Two independent
 classical oracles (Weyl dimension formula, Freudenthal recursion) check
-the result.
+the result, and the record checks the commutator relation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import RatFunc, RatFuncField, qint, qfact
-from .linalg import SparseEchelon, mat_mul, mat_pow, identity, rref
+from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
+from .linalg import (SparseEchelon, rref, sparse_diagonal, sparse_mul,
+                     sparse_scale, sparse_sub)
 
 _F = RatFuncField
 
@@ -129,372 +131,277 @@ class TruncatedVerma:
                 for J in words]
 
 
-_module_cache = {}
+class ModuleCheckError(RuntimeError):
+    """Raised when a module fails a consistency check: the commutator
+    tripwire, a character oracle, or a generator image outside the span."""
 
 
-class ModuleOps:
-    """Shared matrix accessors for highest-weight module realizations.
+def _offsets(weights, dims):
+    out = {}
+    off = 0
+    for nu in weights:
+        out[nu] = off
+        off += dims[nu]
+    return out
 
-    Requires datum, lam, weights, dims, offsets, dim and _e_mats/_f_mats
-    (index -> matrix) plus a _dp_cache dict on the concrete class.
+
+class HighestWeightModule:
+    """A highest-weight module as exact sparse matrices in a fixed basis.
+
+    The basis is grouped by weight in the order of `weights`; weight nu
+    holds the `dims[nu]` indices from `offsets[nu]` on.  `e[i]` and `f[i]`
+    are the matrices of E_i and F_i, sparse row dicts in the `linalg`
+    format, acting on coordinate columns.  Every construction ends here:
+    the constructor refuses a highest weight space that is not a line and
+    checks [E_i, F_j] = delta_ij [<h_i, nu>]_i on every weight space.
     """
 
-    def e_matrix(self, i):
-        return self._e_mats[i]
+    def __init__(self, datum, lam, weights, dims, e, f):
+        self.datum = datum
+        self.lam = tuple(lam)
+        self.weights = list(weights)
+        self.dims = dict(dims)
+        self.offsets = _offsets(self.weights, self.dims)
+        self.dim = sum(self.dims.values())
+        self.e = list(e)
+        self.f = list(f)
+        self._dp_cache = {}
+        if self.dims.get(self.lam) != 1:
+            raise ModuleCheckError(
+                f"highest weight space of {self.lam} is not one dimensional")
+        self._check_commutators()
 
-    def f_matrix(self, i):
-        return self._f_mats[i]
+    def _check_commutators(self):
+        datum = self.datum
+        for i in range(datum.rank):
+            d = datum.cartan.d(i)
+            cartan = {}
+            for nu in self.weights:
+                c = _qint_r(datum.pair_i(i, nu), d)
+                if c:
+                    off = self.offsets[nu]
+                    for k in range(off, off + self.dims[nu]):
+                        cartan[k] = {k: c}
+            for j in range(datum.rank):
+                comm = sparse_sub(sparse_mul(self.e[i], self.f[j]),
+                                  sparse_mul(self.f[j], self.e[i]))
+                if comm != (cartan if i == j else {}):
+                    raise ModuleCheckError(
+                        f"commutator [E_{i}, F_{j}] fails on the module of "
+                        f"highest weight {self.lam}")
 
-    def generator_matrix(self, sign, i):
-        return self._e_mats[i] if sign > 0 else self._f_mats[i]
-
-    def divided_power_matrix(self, sign, i, k):
-        """Matrix of E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i."""
+    def divided_power(self, sign, i, k):
+        """Sparse matrix of E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i."""
         key = (sign > 0, i, k)
-        cached = self._dp_cache.get(key)
-        if cached is not None:
-            return cached
-        if k == 0:
-            out = identity(self.dim, _F)
-        else:
-            base = self.generator_matrix(sign, i)
-            power = mat_pow(base, k, _F)
-            fact = RatFunc.from_poly(qfact(k, self.datum.cartan.d(i)))
-            out = [[x / fact for x in row] for row in power]
-        self._dp_cache[key] = out
-        return out
+        mat = self._dp_cache.get(key)
+        if mat is None:
+            if k == 0:
+                mat = sparse_diagonal(dict.fromkeys(range(self.dim), _F.one))
+            elif k == 1:
+                mat = (self.e if sign > 0 else self.f)[i]
+            else:
+                qk = _qint_r(k, self.datum.cartan.d(i))
+                mat = sparse_scale(qk.inverse(), sparse_mul(
+                    self.divided_power(sign, i, k - 1),
+                    self.divided_power(sign, i, 1)))
+            self._dp_cache[key] = mat
+        return mat
 
-    def k_matrix(self, h):
-        """Diagonal matrix of the grouplike torus element for coweight h."""
-        diag = []
-        for nu in self.weights:
-            n = self.datum.pair(h, nu)
-            diag.extend([RatFunc.from_poly(_monomial(n))] * self.dims[nu])
-        return [[diag[i] if i == j else _F.zero for j in range(self.dim)]
-                for i in range(self.dim)]
-
-    def weight_of_index(self, idx):
-        for nu in self.weights:
-            if self.offsets[nu] <= idx < self.offsets[nu] + self.dims[nu]:
-                return nu
-        raise IndexError(idx)
+    def __repr__(self):
+        return f"{type(self).__name__}(lam={self.lam}, dim={self.dim})"
 
 
-class WeylModule(ModuleOps):
-    """The simple highest-weight module, as exact matrices in a fixed basis.
+class WeylModule(HighestWeightModule):
+    """The simple highest-weight module by the Gram quotient.
 
     Basis vectors are images of pivot F-words, grouped by weight in window
-    order; matrices act on coordinate columns.
+    order.
     """
 
     def __init__(self, datum, lam):
         tv = TruncatedVerma(datum, lam)
-        self.datum = datum
-        self.lam = tuple(lam)
-        self.verma = tv
-
-        # quotient each weight space by the Gram radical
-        self.weights = []          # weights with nonzero multiplicity
-        self.basis_words = {}      # nu -> list of pivot words
-        expansions = {}            # nu -> {word: coeff list in basis}
+        # quotient each weight space by the Gram radical: the basis is the
+        # pivot words, and a word expands by its column of the reduced Gram
+        # matrix
+        basis_words = {}           # nu -> list of pivot words
+        expansions = {}            # nu -> {word: {basis index: coeff}}
         for nu in tv.window:
             words = tv.words_by_weight[nu]
-            G = tv.gram(nu)
-            rows, pivots = rref(G, _F)
+            rows, pivots = rref(tv.gram(nu), _F)
             if not pivots:
                 continue
-            self.weights.append(nu)
-            self.basis_words[nu] = [words[c] for c in pivots]
-            exp = {}
-            for c, w in enumerate(words):
-                exp[w] = [rows[r][c] for r in range(len(pivots))]
-            expansions[nu] = exp
-        self._expansions = expansions
+            basis_words[nu] = [words[c] for c in pivots]
+            expansions[nu] = {
+                w: {r: rows[r][c] for r in range(len(pivots)) if rows[r][c]}
+                for c, w in enumerate(words)}
+        weights = list(basis_words)
+        dims = {nu: len(ws) for nu, ws in basis_words.items()}
+        offsets = _offsets(weights, dims)
 
-        self.dims = {nu: len(self.basis_words[nu]) for nu in self.weights}
-        self.dim = sum(self.dims.values())
-        self.offsets = {}
-        off = 0
-        for nu in self.weights:
-            self.offsets[nu] = off
-            off += self.dims[nu]
-        if self.dims.get(self.lam) != 1:
-            raise RuntimeError("highest weight space is not one dimensional")
-
-        self._e_mats = {}
-        self._f_mats = {}
-        self._dp_cache = {}
-        for i in range(datum.rank):
-            self._e_mats[i] = self._build_e(i)
-            self._f_mats[i] = self._build_f(i)
-            self._check_radical_stable(i)
-
-    # -- construction helpers -------------------------------------------
-
-    def _expand(self, nu, vec):
-        """Coordinates (length dims[nu]) of a word-span vector at weight nu;
-        the zero vector when nu carries no basis."""
-        if nu not in self.basis_words:
-            return None
-        exp = self._expansions[nu]
-        out = [_F.zero] * self.dims[nu]
-        for w, c in vec.items():
-            for k, x in enumerate(exp[w]):
-                if not x.is_zero():
-                    out[k] = out[k] + c * x
-        return out
-
-    def _alpha(self, i):
-        return self.datum.simple_roots[i]
-
-    def _build_e(self, i):
-        mat = [[_F.zero] * self.dim for _ in range(self.dim)]
-        alpha = self._alpha(i)
-        for nu in self.weights:
-            target = tuple(x + a for x, a in zip(nu, alpha))
-            if target not in self.basis_words:
-                continue
-            for col, b in enumerate(self.basis_words[nu]):
-                vec = self.verma.e_word(i, b)
-                coords = self._expand(target, vec)
-                if coords is None:
+        def matrix(i, sign, image):
+            # image(b) is the word-span image of the basis word b
+            mat = {}
+            for nu in weights:
+                target = tuple(x + sign * a for x, a in
+                               zip(nu, datum.simple_roots[i]))
+                exp = expansions.get(target)
+                if exp is None:
                     continue
-                for row, x in enumerate(coords):
-                    if not x.is_zero():
-                        mat[self.offsets[target] + row][
-                            self.offsets[nu] + col] = x
-        return mat
+                for col, b in enumerate(basis_words[nu]):
+                    coords = {}
+                    for w, c in image(b).items():
+                        for k, x in exp.get(w, {}).items():
+                            coords[k] = coords.get(k, _F.zero) + c * x
+                    for row, x in coords.items():
+                        if x:
+                            mat.setdefault(offsets[target] + row, {})[
+                                offsets[nu] + col] = x
+            return mat
 
-    def _build_f(self, i):
-        mat = [[_F.zero] * self.dim for _ in range(self.dim)]
-        alpha = self._alpha(i)
-        for nu in self.weights:
-            target = tuple(x - a for x, a in zip(nu, alpha))
-            if target not in self.basis_words:
-                continue
-            for col, b in enumerate(self.basis_words[nu]):
-                w = (i,) + b
-                if w not in self._expansions[target]:
-                    # word leaves the window: image is zero in the module
-                    continue
-                coords = self._expansions[target][w]
-                for row, x in enumerate(coords):
-                    if not x.is_zero():
-                        mat[self.offsets[target] + row][
-                            self.offsets[nu] + col] = x
-        return mat
-
-    def _check_radical_stable(self, i):
-        """Tripwire: the commutation relation must hold on the quotient."""
-        e, f = self._e_mats[i], self._f_mats[i]
-        ef = mat_mul(e, f, _F)
-        fe = mat_mul(f, e, _F)
-        d = self.datum.cartan.d(i)
-        for nu in self.weights:
-            n = self.datum.pair_i(i, nu)
-            c = _qint_r(n, d)
-            for k in range(self.dims[nu]):
-                idx = self.offsets[nu] + k
-                for col in range(self.dim):
-                    expect = c if col == idx else _F.zero
-                    got = ef[idx][col] - fe[idx][col]
-                    if got != expect:
-                        raise RuntimeError(
-                            "radical not stable: commutation relation fails "
-                            f"at weight {nu} (index {i})")
-
-    # -- public surface --------------------------------------------------
-
-    def __repr__(self):
-        return f"WeylModule(lam={self.lam}, dim={self.dim})"
+        # E_i acts on words by the commutation relation; F_i prepends i, and
+        # a word that leaves the window is zero in the module
+        r = datum.rank
+        super().__init__(
+            datum, lam, weights, dims,
+            [matrix(i, 1, lambda b, i=i: tv.e_word(i, b)) for i in range(r)],
+            [matrix(i, -1, lambda b, i=i: {(i,) + b: _F.one})
+             for i in range(r)])
 
 
-def _monomial(n):
-    from .laurent import LaurentPoly
-    return LaurentPoly.monomial(1, n)
-
-
-class TensorModule(ModuleOps):
+class TensorModule(HighestWeightModule):
     """A tall highest-weight module realized as the submodule generated by
     the product of the highest vectors inside (left tensor right), with the
     usual coproduct action E -> E x 1 + K~ x E, F -> F x K~^{-1} + 1 x F.
 
     Independent of the Gram-quotient construction; dimensions and weight
     multiplicities are checked against both character oracles on build.
+    The basis of each weight space is the fully reduced echelon basis of
+    the closure, ordered by pivot: every row has entry 1 at its pivot and 0
+    at the other pivots, so the coordinates of a vector in the span are its
+    entries at the pivots.
     """
 
     def __init__(self, datum, lam, left, right):
-        self.datum = datum
-        self.lam = tuple(lam)
-        self._d2 = right.dim
-        amb_wt = []
-        for p in range(left.dim):
-            w1 = left.weight_of_index(p)
-            for q in range(right.dim):
-                w2 = right.weight_of_index(q)
-                amb_wt.append(tuple(a + b for a, b in zip(w1, w2)))
-        self._amb_wt = amb_wt
-
-        r = datum.rank
-        self._ecols1 = [_sparse_cols(left.e_matrix(i)) for i in range(r)]
-        self._fcols1 = [_sparse_cols(left.f_matrix(i)) for i in range(r)]
-        self._ecols2 = [_sparse_cols(right.e_matrix(i)) for i in range(r)]
-        self._fcols2 = [_sparse_cols(right.f_matrix(i)) for i in range(r)]
-        self._k1 = [_ktilde_diag(left, i, 1) for i in range(r)]
-        self._k2inv = [_ktilde_diag(right, i, -1) for i in range(r)]
-
-        basis_by_wt = self._close_under_lowering(left, right)
-        mults = freudenthal_oracle(datum, self.lam)
-        got = {nu: len(vs) for nu, vs in basis_by_wt.items()}
-        if got != mults:
-            raise RuntimeError(
+        lam = tuple(lam)
+        apply = _coproduct_action(datum, left, right)
+        hw = right.offsets[right.lam] * left.dim + left.offsets[left.lam]
+        echelons = _close_under_lowering(datum, lam, hw, apply)
+        got = {nu: ech.rank for nu, ech in echelons.items()}
+        if got != freudenthal_oracle(datum, lam):
+            raise ModuleCheckError(
                 f"tensor closure multiplicities {got} disagree with the "
-                f"character oracle for {self.lam}")
-        if sum(got.values()) != weyl_dim_oracle(datum, self.lam):
-            raise RuntimeError("tensor closure dimension disagrees with "
-                               "the Weyl dimension formula")
+                f"character oracle for {lam}")
+        if sum(got.values()) != weyl_dim_oracle(datum, lam):
+            raise ModuleCheckError("tensor closure dimension disagrees with "
+                                   "the Weyl dimension formula")
 
         def depth(nu):
-            coords = datum.alpha_coords(
-                tuple(a - b for a, b in zip(self.lam, nu)))
-            return sum(coords)
+            return sum(datum.alpha_coords(
+                tuple(a - b for a, b in zip(lam, nu))))
 
-        self.weights = sorted(basis_by_wt, key=lambda nu: (depth(nu), nu))
-        self.dims = {nu: len(basis_by_wt[nu]) for nu in self.weights}
-        self.dim = sum(self.dims.values())
-        self.offsets = {}
-        off = 0
-        for nu in self.weights:
-            self.offsets[nu] = off
-            off += self.dims[nu]
-        self._basis_by_wt = basis_by_wt
+        weights = sorted(echelons, key=lambda nu: (depth(nu), nu))
+        offsets = _offsets(weights, got)
+        pivots = {nu: sorted(ech.pivots) for nu, ech in echelons.items()}
 
-        self._e_mats = {}
-        self._f_mats = {}
-        self._dp_cache = {}
-        for i in range(r):
-            self._e_mats[i] = self._build(i, 1)
-            self._f_mats[i] = self._build(i, -1)
-
-    # -- ambient action ---------------------------------------------------
-
-    def _apply(self, i, sign, vec):
-        d2 = self._d2
-        out = {}
-        if sign > 0:
-            cols1, cols2 = self._ecols1[i], self._ecols2[i]
-            k1 = self._k1[i]
-            for idx, c in vec.items():
-                p, q = divmod(idx, d2)
-                for p2, a in cols1[p]:
-                    j = p2 * d2 + q
-                    out[j] = out.get(j, _F.zero) + a * c
-                ck = c * k1[p]
-                for q2, a in cols2[q]:
-                    j = p * d2 + q2
-                    out[j] = out.get(j, _F.zero) + a * ck
-        else:
-            cols1, cols2 = self._fcols1[i], self._fcols2[i]
-            k2inv = self._k2inv[i]
-            for idx, c in vec.items():
-                p, q = divmod(idx, d2)
-                ck = c * k2inv[q]
-                for p2, a in cols1[p]:
-                    j = p2 * d2 + q
-                    out[j] = out.get(j, _F.zero) + a * ck
-                for q2, a in cols2[q]:
-                    j = p * d2 + q2
-                    out[j] = out.get(j, _F.zero) + a * c
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def _close_under_lowering(self, left, right):
-        hw = left.offsets[left.lam] * self._d2 + right.offsets[right.lam]
-        seed = {hw: _F.one}
-        basis_by_wt = {self.lam: [seed]}
-        echelons = {self.lam: SparseEchelon(_F)}
-        echelons[self.lam].insert(seed)
-        queue = [seed]
-        while queue:
-            vec = queue.pop(0)
-            nu = self._amb_wt[next(iter(vec))]
-            for i in range(self.datum.rank):
-                img = self._apply(i, -1, vec)
-                if not img:
-                    continue
-                target = tuple(a - b for a, b in
-                               zip(nu, self.datum.simple_roots[i]))
+        def matrix(i, sign):
+            mat = {}
+            for nu in weights:
+                target = tuple(a + sign * b for a, b in
+                               zip(nu, datum.simple_roots[i]))
                 ech = echelons.get(target)
-                if ech is None:
-                    ech = echelons[target] = SparseEchelon(_F)
-                    basis_by_wt[target] = []
-                if ech.insert(img):
-                    basis_by_wt[target].append(img)
-                    queue.append(img)
-        return basis_by_wt
+                for col, p in enumerate(pivots[nu]):
+                    img = apply(i, sign, echelons[nu].pivots[p])
+                    if not img:
+                        continue
+                    if ech is None or ech.reduce(img):
+                        raise ModuleCheckError(
+                            "generator image leaves the closure span")
+                    for row, q in enumerate(pivots[target]):
+                        x = img.get(q)
+                        if x:
+                            mat.setdefault(offsets[target] + row, {})[
+                                offsets[nu] + col] = x
+            return mat
 
-    def _build(self, i, sign):
-        mat = [[_F.zero] * self.dim for _ in range(self.dim)]
-        alpha = self.datum.simple_roots[i]
-        for nu in self.weights:
-            target = tuple(a + sign * b for a, b in zip(nu, alpha))
-            block = self._basis_by_wt.get(target)
-            for col, b in enumerate(self._basis_by_wt[nu]):
-                img = self._apply(i, sign, b)
-                if not img:
-                    continue
-                if block is None:
-                    raise RuntimeError(
-                        "generator image leaves the closure weights")
-                coords = _express(block, img)
-                if coords is None:
-                    raise RuntimeError(
-                        "generator image leaves the closure span")
-                for row, x in enumerate(coords):
-                    if not x.is_zero():
-                        mat[self.offsets[target] + row][
-                            self.offsets[nu] + col] = x
-        return mat
-
-    def __repr__(self):
-        return f"TensorModule(lam={self.lam}, dim={self.dim})"
+        r = datum.rank
+        super().__init__(datum, lam, weights, got,
+                         [matrix(i, 1) for i in range(r)],
+                         [matrix(i, -1) for i in range(r)])
 
 
-def _sparse_cols(mat):
-    n = len(mat)
-    cols = [[] for _ in range(n)]
-    for r_ in range(n):
-        row = mat[r_]
-        for c_ in range(n):
-            if not row[c_].is_zero():
-                cols[c_].append((r_, row[c_]))
+def _coproduct_action(datum, left, right):
+    """The action of E_i (sign > 0) and F_i on sparse vectors of
+    left (x) right, indexed q * left.dim + p.
+
+    With the right factor as the major index, the pivot (smallest index)
+    of a closure vector falls, where it can, on a component whose right
+    factor is its highest vector.  That coefficient is a left coordinate
+    times a power of v, so the echelon rows, scaled to 1 there, keep
+    polynomial entries (on A1, F acts by powers of v)."""
+    d1 = left.dim
+    r = datum.rank
+    cols = {(sign, i): (_columns(left.divided_power(sign, i, 1)),
+                        _columns(right.divided_power(sign, i, 1)))
+            for sign in (1, -1) for i in range(r)}
+    k1 = [_ktilde_diag(left, i, 1) for i in range(r)]
+    k2inv = [_ktilde_diag(right, i, -1) for i in range(r)]
+
+    def apply(i, sign, vec):
+        cols1, cols2 = cols[sign, i]
+        out = {}
+        for idx, c in vec.items():
+            q, p = divmod(idx, d1)
+            # E: E x 1 + K~ x E;  F: F x K~^{-1} + 1 x F
+            c1, c2 = (c, c * k1[i][p]) if sign > 0 else (c * k2inv[i][q], c)
+            for p2, a in cols1.get(p, ()):
+                j = q * d1 + p2
+                out[j] = out.get(j, _F.zero) + a * c1
+            for q2, a in cols2.get(q, ()):
+                j = q2 * d1 + p
+                out[j] = out.get(j, _F.zero) + a * c2
+        return {k: v for k, v in out.items() if v}
+
+    return apply
+
+
+def _close_under_lowering(datum, lam, hw, apply):
+    """Echelon bases, by weight, of the span of the F-images of the
+    ambient vector hw of weight lam."""
+    seed = {hw: _F.one}
+    echelons = {lam: SparseEchelon(_F)}
+    echelons[lam].insert(seed)
+    queue = [(lam, seed)]
+    for nu, vec in queue:  # the queue grows while it is walked
+        for i in range(datum.rank):
+            img = apply(i, -1, vec)
+            if not img:
+                continue
+            target = tuple(a - b for a, b in zip(nu, datum.simple_roots[i]))
+            ech = echelons.get(target)
+            if ech is None:
+                ech = echelons[target] = SparseEchelon(_F)
+            if ech.insert(img):
+                queue.append((target, img))
+    return echelons
+
+
+def _columns(mat):
+    """Column lists {col: [(row, x), ...]} of a sparse matrix."""
+    cols = {}
+    for r_, row in mat.items():
+        for c_, x in row.items():
+            cols.setdefault(c_, []).append((r_, x))
     return cols
 
 
 def _ktilde_diag(module, i, sign):
     d = module.datum.cartan.d(i)
     out = []
-    for idx in range(module.dim):
-        nu = module.weight_of_index(idx)
+    for nu in module.weights:
         n = sign * d * module.datum.pair_i(i, nu)
-        out.append(RatFunc.from_poly(_monomial(n)))
+        out.extend([RatFunc.from_poly(LaurentPoly.monomial(1, n))]
+                   * module.dims[nu])
     return out
-
-
-def _express(block, target):
-    """Coordinates of a sparse vector in a list of independent sparse
-    vectors, or None."""
-    support = sorted({k for v in block for k in v} | set(target))
-    cols = [[v.get(k, _F.zero) for v in block] + [target.get(k, _F.zero)]
-            for k in support]
-    from .linalg import rref
-    rows, pivots = rref(cols, _F)
-    k = len(block)
-    if k in pivots:
-        return None
-    coeffs = [_F.zero] * k
-    for r_, c_ in enumerate(pivots):
-        coeffs[c_] = rows[r_][k]
-    return coeffs
 
 
 # the Gram-quotient construction enumerates all lowering words in the
@@ -506,6 +413,9 @@ _VERMA_WINDOW_BOUND = 7
 class WindowTooLargeError(ValueError):
     """Raised for a fundamental weight whose truncation window exceeds the
     Gram-quotient bound: the tensor path would need the same module."""
+
+
+_module_cache = {}
 
 
 def weyl_module(datum, lam):

@@ -2,13 +2,17 @@
 driver's golden-file determinism."""
 
 import glob
+import hashlib
 import io
 import json
 import os
 
 import pytest
 
+
+from qschur import cache
 from qschur.cache import (algebras_equal, cache_load, cache_store)
+from qschur.laurent import RatFunc
 from qschur.cli import run
 from qschur.jobspec import JobSpec, SpecParseError, parse_spec
 from qschur.rootdata import preset
@@ -63,6 +67,14 @@ class TestParsing:
         with pytest.raises(SpecParseError):
             parse_spec("datum preset A1\nring rational xi 0/1\n")
 
+    def test_task_parameters_are_checked(self):
+        for stmt in ("task probe height foo", "task probe height -3",
+                     "task probe depth 3", "task build height 4"):
+            with pytest.raises(SpecParseError, match="line 2"):
+                parse_spec(f"datum preset A1\n{stmt}\n")
+        assert parse_spec("task probe height 0").tasks == [
+            ("probe", {"height": 0})]
+
     def test_serialize_round_trip(self):
         text = ("datum preset B2\npi gens [(1,0),(0,2)]\n"
                 "ring cyclotomic 6\ntask build\ntask probe height 4\n")
@@ -74,6 +86,15 @@ class TestParsing:
         spec = parse_spec("# header\n\ndatum preset A1\npi gens [1]\n"
                           "task build\n")
         assert spec.datum_spec == ("preset", "A1")
+
+
+def _double_value(entry):
+    x = RatFunc.parse(entry[2])
+    entry[2] = (x + x).to_string()
+
+
+def _move_out_of_range(entry):
+    entry[0] = 99
 
 
 class TestCache:
@@ -96,13 +117,48 @@ class TestCache:
     def test_checksum_failure_is_reported_and_ignored(self, tmp_path):
         pi = preset("A1").saturate([(1,)])
         path = cache_store(SchurAlgebra(pi), str(tmp_path))
-        blob = open(path).read().replace('"version": 1', '"version": 2')
-        assert '"version": 2' in blob
+        version = f'"version": {cache.FORMAT_VERSION}'
+        wrong = f'"version": {cache.FORMAT_VERSION + 1}'
+        blob = open(path).read().replace(version, wrong)
+        assert wrong in blob
         with open(path, "w") as fh:
             fh.write(blob)
         warns = []
         assert cache_load(pi, str(tmp_path), warn=warns.append) is None
         assert any("checksum" in w for w in warns)
+
+    @pytest.mark.parametrize("tamper,reason", [
+        (_double_value, "module check"), (_move_out_of_range, "unreadable")])
+    def test_wrong_content_under_a_valid_checksum_is_rebuilt(
+            self, tmp_path, tamper, reason):
+        # one E entry changed and the checksum recomputed: the file is
+        # refused, and the driver rebuilds the algebra
+        spec_path = os.path.join(DATA, "a1_build.qs")
+        args = ["build", "--spec", spec_path, "--format", "json"]
+        assert run_cli(args, tmp_path)[0] == 0
+        [path] = glob.glob(str(tmp_path / "*.json"))
+        with open(path) as fh:
+            body = json.load(fh)["body"]
+        entry = body["modules"][-1]["e"][0][0]     # E on Delta(2)
+        tamper(entry)
+        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        checksum = hashlib.sha256(text.encode()).hexdigest()
+        with open(path, "w") as fh:
+            json.dump({"checksum": checksum, "body": body}, fh,
+                      sort_keys=True)
+        pi = preset("A1").saturate([(2,)])
+        warns = []
+        assert cache_load(pi, str(tmp_path), warn=warns.append) is None
+        assert any(reason in w for w in warns)
+
+        code, out, err = run_cli(args, tmp_path)
+        assert code == 0
+        assert "built algebra" in err
+        got = json.loads(out)
+        got.pop("elapsed")
+        with open(spec_path[:-3] + ".json") as fh:
+            assert got == json.load(fh)
+        assert cache_load(pi, str(tmp_path), warn=warns.append) is not None
 
     def test_truncated_file_is_reported_and_ignored(self, tmp_path):
         pi = preset("A1").saturate([(1,)])
@@ -208,6 +264,16 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "(1, 0, 0, 0, 0, 0, 0, 0)" in err
         assert "window has size 8" in err
+
+    @pytest.mark.parametrize("value", ["foo", "-3"])
+    def test_bad_probe_height_exits_2(self, tmp_path, value):
+        bad = tmp_path / "bad.qs"
+        bad.write_text(f"datum preset A1\npi gens [2]\ntask probe height "
+                       f"{value}\n")
+        code, _, err = run_cli(["probe", "--spec", str(bad)], tmp_path)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "line 3" in err
 
     def test_env_cache_dir_is_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QHAT_CACHE_DIR", str(tmp_path / "envcache"))

@@ -51,8 +51,8 @@ class TestLatticeBases:
                 mat = lb.integral_matrix(sign, i, 1)
                 # entries are Laurent polynomials by construction; a
                 # denominator would have raised LatticeError
-                for row in mat:
-                    for x in row:
+                for row in mat.values():
+                    for x in row.values():
                         assert x.coeffs == {} or min(x.coeffs) > -100
 
 

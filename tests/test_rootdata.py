@@ -1,12 +1,30 @@
 """Cartan data, root data, Weyl orbits, dominance order, saturated sets."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur.rootdata import (CartanDatum, PRESET_NAMES, RootDatum,
-                             SaturatedSet, dominant_weights_up_to_height,
-                             preset, simply_connected)
+                             SaturatedSet, _bareiss, _int_det,
+                             _weight_from_pairings,
+                             dominant_weights_up_to_height, preset,
+                             simply_connected)
+
+
+def _laplace_det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j]
+               * _laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _type_a_form(rank):
+    return tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0
+                       for j in range(rank)) for i in range(rank))
 
 
 class TestCartanDatum:
@@ -29,6 +47,26 @@ class TestCartanDatum:
         c = CartanDatum(((2, -2), (-2, 2)))
         assert not c.is_finite_type()
         assert any("positive definite" in e for e in c.validate())
+
+    def test_a12_form_validates_quickly(self):
+        c = CartanDatum(_type_a_form(12))
+        t0 = time.perf_counter()
+        assert c.validate() == []
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_bareiss_equals_laplace_expansion(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:          # force zero pivots and swaps
+                m[0][0] = 0
+            assert _int_det(m) == _laplace_det(m), m
+            pivots, _ = _bareiss(m, swap=False)
+            minors = [_laplace_det([row[:k] for row in m[:k]])
+                      for k in range(1, n + 1)]
+            assert pivots == minors[:len(pivots)], m
+            assert len(pivots) == n or pivots[-1] == 0
 
     def test_nonsymmetric_form_is_invalid(self):
         c = CartanDatum(((2, -1), (-2, 2)))
@@ -179,6 +217,12 @@ class TestSaturatedSets:
 
 
 class TestDominantEnumeration:
+    def test_pairings_without_integral_weight_give_none(self):
+        # on A1adj the simple coroot pairs to 2 * lam, so odd n has none
+        a1adj = preset("A1adj")
+        assert _weight_from_pairings(a1adj, (3,)) is None
+        assert _weight_from_pairings(a1adj, (4,)) == (2,)
+
     def test_a1_window(self):
         a1 = preset("A1")
         got = dominant_weights_up_to_height(a1, 4)

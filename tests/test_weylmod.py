@@ -3,14 +3,14 @@ independent character oracles, generator relations, divided powers."""
 
 import pytest
 
-from qschur.laurent import RatFunc, RatFuncField, qbinom, qint
-from qschur.linalg import identity, is_zero_matrix, mat_mul, mat_sub
+from qschur.laurent import LaurentPoly, RatFunc, qbinom, qint
+from qschur.linalg import sparse_add, sparse_mul, sparse_scale, sparse_sub
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
-from qschur.weylmod import (TruncatedVerma, freudenthal_oracle,
-                            weyl_dim_oracle, weyl_module)
-
-_F = RatFuncField
+from qschur.schur import SchurAlgebra, build_schur
+from qschur.weylmod import (HighestWeightModule, ModuleCheckError,
+                            TensorModule, TruncatedVerma, WeylModule,
+                            freudenthal_oracle, weyl_dim_oracle, weyl_module)
 
 ALL_PRESETS = list(PRESET_NAMES)
 
@@ -97,54 +97,54 @@ class TestModuleConstruction:
         assert nu not in m.dims
 
 
+def _serre_sum(m, sign, i, j, n):
+    """sum_s (-1)^s X_i^(s) X_j X_i^(n-s) on the module, X = E or F."""
+    total = {}
+    for s in range(n + 1):
+        term = sparse_mul(m.divided_power(sign, i, s),
+                          sparse_mul(m.divided_power(sign, j, 1),
+                                     m.divided_power(sign, i, n - s)))
+        total = (sparse_sub if (n - s) % 2 else sparse_add)(total, term)
+    return total
+
+
+def _check_commutator(datum, m):
+    # E_i F_j - F_j E_i = delta_ij [<h_i, nu>]_i on each weight space
+    for i in range(datum.rank):
+        for j in range(datum.rank):
+            e, f = m.divided_power(1, i, 1), m.divided_power(-1, j, 1)
+            comm = sparse_sub(sparse_mul(e, f), sparse_mul(f, e))
+            expect = {}
+            if i == j:
+                d = datum.cartan.d(i)
+                for nu in m.weights:
+                    c = RatFunc.from_poly(qint(datum.pair_i(i, nu), d))
+                    off = m.offsets[nu]
+                    for a in range(off, off + m.dims[nu]):
+                        if c:
+                            expect[a] = {a: c}
+            assert comm == expect, (m, i, j)
+
+
+def _check_serre(datum, m):
+    for i in range(datum.rank):
+        for j in range(datum.rank):
+            if i != j:
+                n = 1 - datum.pair_i(i, datum.simple_roots[j])
+                for sign in (1, -1):
+                    assert _serre_sum(m, sign, i, j, n) == {}, (m, i, j)
+
+
 class TestRelationsOnModules:
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_commutator_relation(self, name):
-        # E_i F_j - F_j E_i = delta_ij [<h_i, nu>]_i on each weight space
         for datum, lam in modules_up_to_height(name, 4):
-            m = weyl_module(datum, lam)
-            for i in range(datum.rank):
-                for j in range(datum.rank):
-                    e, f = m.e_matrix(i), m.f_matrix(j)
-                    comm = mat_sub(mat_mul(e, f, _F), mat_mul(f, e, _F))
-                    if i != j:
-                        assert is_zero_matrix(comm, _F), (name, lam, i, j)
-                        continue
-                    d = datum.cartan.d(i)
-                    for nu in m.weights:
-                        n = datum.pair_i(i, nu)
-                        expect = RatFunc.from_poly(qint(n, d))
-                        off = m.offsets[nu]
-                        for a in range(m.dims[nu]):
-                            for b in range(m.dims[nu]):
-                                got = comm[off + a][off + b]
-                                want = expect if a == b else _F.zero
-                                assert got == want, (name, lam, i, nu)
+            _check_commutator(datum, weyl_module(datum, lam))
 
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_serre_relation(self, name):
         for datum, lam in modules_up_to_height(name, 4):
-            m = weyl_module(datum, lam)
-            for i in range(datum.rank):
-                for j in range(datum.rank):
-                    if i == j:
-                        continue
-                    n = 1 - datum.pair_i(i, datum.simple_roots[j])
-                    for sign in (1, -1):
-                        total = None
-                        for s in range(n + 1):
-                            term = mat_mul(
-                                m.divided_power_matrix(sign, i, s),
-                                mat_mul(m.generator_matrix(sign, j),
-                                        m.divided_power_matrix(sign, i,
-                                                               n - s),
-                                        _F), _F)
-                            if (n - s) % 2 == 1:
-                                term = [[-x for x in row] for row in term]
-                            total = term if total is None else \
-                                [[x + y for x, y in zip(ra, rb)]
-                                 for ra, rb in zip(total, term)]
-                        assert is_zero_matrix(total, _F), (name, lam, i, j)
+            _check_serre(datum, weyl_module(datum, lam))
 
     @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
     def test_divided_power_product_rule(self, name):
@@ -156,12 +156,13 @@ class TestRelationsOnModules:
                 for sign in (1, -1):
                     for a in (1, 2):
                         for b in (1, 2):
-                            lhs = mat_mul(
-                                m.divided_power_matrix(sign, i, a),
-                                m.divided_power_matrix(sign, i, b), _F)
-                            coef = RatFunc.from_poly(qbinom(a + b, a, d))
-                            rhs = [[coef * x for x in row] for row in
-                                   m.divided_power_matrix(sign, i, a + b)]
+                            lhs = sparse_mul(m.divided_power(sign, i, a),
+                                             m.divided_power(sign, i, b))
+                            rhs = m.divided_power(sign, i, a + b)
+                            if rhs:
+                                rhs = sparse_scale(
+                                    RatFunc.from_poly(qbinom(a + b, a, d)),
+                                    rhs)
                             assert lhs == rhs, (name, lam, i, sign, a, b)
 
     def test_nilpotency_window(self):
@@ -169,34 +170,64 @@ class TestRelationsOnModules:
         a1 = preset("A1")
         for mval in range(1, 5):
             m = weyl_module(a1, (mval,))
-            assert not is_zero_matrix(
-                m.divided_power_matrix(1, 0, mval), _F)
-            assert is_zero_matrix(
-                m.divided_power_matrix(1, 0, mval + 1), _F)
+            assert m.divided_power(1, 0, mval)
+            assert m.divided_power(1, 0, mval + 1) == {}
 
     def test_k_matrix_is_grouplike_diagonal(self):
-        from qschur.laurent import LaurentPoly
+        # the algebra's K_h acts on each block as v^<h, nu> on weight nu
         a2 = preset("A2")
-        m = weyl_module(a2, (1, 1))
+        S = SchurAlgebra(a2.saturate([(1, 1)]))
         h = a2.simple_coroots[0]
-        k = m.k_matrix(h)
-        for idx in range(m.dim):
-            nu = m.weight_of_index(idx)
-            n = a2.pair(h, nu)
-            assert k[idx][idx] == RatFunc.from_poly(
-                LaurentPoly.monomial(1, n))
+        m = S.modules[-1]
+        assert m.lam == (1, 1)
+        expect = {}
+        for nu in m.weights:
+            x = RatFunc.from_poly(LaurentPoly.monomial(1, a2.pair(h, nu)))
+            for idx in range(m.offsets[nu], m.offsets[nu] + m.dims[nu]):
+                expect[idx] = {idx: x}
+        assert S.k_element(h).blocks[-1] == expect
 
     def test_k_conjugation_shifts_e(self):
         # K_h E_i K_{-h} = v^{<h, alpha_i>} E_i on every module
         a2 = preset("A2")
-        m = weyl_module(a2, (2, 1))
-        from qschur.laurent import LaurentPoly
+        S = SchurAlgebra(a2.saturate([(2, 1)]))
         for i in range(2):
             h = a2.simple_coroots[i]
-            k = m.k_matrix(h)
-            kinv = m.k_matrix(tuple(-x for x in h))
-            lhs = mat_mul(k, mat_mul(m.e_matrix(i), kinv, _F), _F)
+            lhs = (S.k_element(h) * S.generator(1, i)
+                   * S.k_element(tuple(-x for x in h)))
             n = a2.pair(h, a2.simple_roots[i])
             c = RatFunc.from_poly(LaurentPoly.monomial(1, n))
-            rhs = [[c * x for x in row] for row in m.e_matrix(i)]
-            assert lhs == rhs
+            assert lhs == S.generator(1, i).scale(c)
+
+
+class TestTensorPath:
+    """The tensor realization, built directly for weights that the Gram
+    quotient also builds."""
+
+    @pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("A2", (2, 1)),
+                                          ("B2", (1, 1))])
+    def test_tensor_module_agrees_with_gram_module(self, name, lam):
+        datum = preset(name)
+        j = max(k for k, c in enumerate(lam) if c > 0)
+        fund = tuple(int(k == j) for k in range(len(lam)))
+        rest = tuple(c - f for c, f in zip(lam, fund))
+        tensor = TensorModule(datum, lam, weyl_module(datum, rest),
+                              weyl_module(datum, fund))
+        gram = WeylModule(datum, lam)
+        assert tensor.weights == gram.weights
+        assert tensor.dims == gram.dims
+        _check_commutator(datum, tensor)
+        _check_serre(datum, tensor)
+
+        pi = datum.saturate([lam])
+        modules = [tensor if mu == lam else weyl_module(datum, mu)
+                   for mu in pi]
+        assert SchurAlgebra(pi, modules).dimension() \
+            == build_schur(pi).dimension()
+
+    def test_tripwire_refuses_a_wrong_matrix(self):
+        m = weyl_module(preset("A1"), (2,))
+        e = [dict(m.e[0])]
+        e[0][0] = {c: x + x for c, x in e[0][0].items()}
+        with pytest.raises(ModuleCheckError, match="commutator"):
+            HighestWeightModule(m.datum, m.lam, m.weights, m.dims, e, m.f)
