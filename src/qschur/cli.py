@@ -4,8 +4,8 @@ Usage:
     qsl <task> --spec FILE [--cache-dir DIR] [--format human|json]
 
 where <task> is one of build, verify, dims, maps, limit, probe, specialize.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error
-or a highest weight that no construction supports, 3 internal error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .rings import PoleError
 from .schur import SchurAlgebra, TruncationMap, build_schur
 from .ulimit import (check_Kh_identity, check_u_relations, hat_K, hat_one,
                      probe_schedule, separation_probe, verify_coherence)
-from .weylmod import WindowTooLargeError
+from .weylmod import weyl_dim_oracle
 from .words import WordExpr
 
 
@@ -68,7 +68,6 @@ def task_build(spec, cache_dir, params, notes):
 
 
 def task_dims(spec, cache_dir, params, notes):
-    from .weylmod import weyl_dim_oracle
     pi = spec.pi()
     alg = load_or_build(pi, cache_dir, notes)
     datum = pi.datum
@@ -302,7 +301,7 @@ def run(argv=None, out=None, err=None):
         notes = []
         result, witnesses, passed = TASKS[args.task](
             spec, cache_dir, params, notes)
-    except (SpecParseError, WindowTooLargeError) as exc:
+    except SpecParseError as exc:
         print(f"error: {exc}", file=err)
         return 2
     except PoleError as exc:

@@ -3,9 +3,9 @@
 A field object only needs `zero`, `one` attributes and elements supporting
 +, -, *, / and equality; Q(v), Q, and cyclotomic fields all qualify.
 
-Dense matrices are lists of rows; the Gram quotient, the lattice change
-of basis and the root-datum solvers use them.  Sparse matrices are row
-dicts `{row: {col: x}}` that store nonzero entries only (no zero entry, no
+Dense matrices are lists of rows; the lattice change of basis and the
+root-datum solvers use them.  Sparse matrices are row dicts
+`{row: {col: x}}` that store nonzero entries only (no zero entry, no
 empty row); the module matrices are sparse, and algebra elements keep one
 per block, so every operation touches only nonzeros.  The sparse
 helpers test entries by truth value and never mutate their arguments.
@@ -234,9 +234,6 @@ class SparseEchelon:
                 _sub_multiple(row, row[p], res)
         self.pivots[p] = res
         return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
     @property
     def rank(self):

@@ -6,7 +6,8 @@ and probes that live at the limit level."""
 from __future__ import annotations
 
 from .intspec import r_truncation_map, specialize_schur
-from .laurent import RatFunc, qint
+from .laurent import LaurentPoly, RatFunc, RatFuncField
+from .linalg import SparseEchelon
 from .rootdata import dominant_weights_up_to_height
 from .schur import build_schur, truncation_map
 from .words import WordExpr
@@ -180,7 +181,7 @@ def check_Kh_identity(pi):
         for lam in sorted(S.orbit):
             n = datum.pair(h, lam)
             rhs = rhs + S.idempotent(lam).scale(
-                RatFunc.from_poly(_v_power(n)))
+                RatFunc.from_poly(LaurentPoly.monomial(1, n)))
         ok = S.k_element(h) == rhs
         report.append({"relation": f"K_h=sum(v^<h,lam> 1_lam), h={h}",
                        "ok": ok, "witness": None})
@@ -236,7 +237,7 @@ def check_u_relations(pi):
             for sign in (1, -1):
                 lhs = S.k_element(h) * S.generator(sign, i) * S.k_element(neg)
                 rhs = S.generator(sign, i).scale(
-                    RatFunc.from_poly(_v_power(sign * n)))
+                    RatFunc.from_poly(LaurentPoly.monomial(1, sign * n)))
                 if not (lhs == rhs):
                     ok = False
                     entry("b:K-E-intertwine", False,
@@ -256,8 +257,8 @@ def check_u_relations(pi):
                 hi = datum.simple_coroots[i]
                 ktilde_p = S.k_element(tuple(d * x for x in hi))
                 ktilde_m = S.k_element(tuple(-d * x for x in hi))
-                denom = RatFunc.from_poly(
-                    _v_power(d)) - RatFunc.from_poly(_v_power(-d))
+                denom = RatFunc.from_poly(LaurentPoly.monomial(1, d)
+                                          - LaurentPoly.monomial(1, -d))
                 rhs = (ktilde_p - ktilde_m).scale(denom.inverse())
             if not (lhs == rhs):
                 ok = False
@@ -271,23 +272,26 @@ def check_u_relations(pi):
     return report
 
 
-def _v_power(n):
-    from .laurent import LaurentPoly
-    return LaurentPoly.monomial(1, n)
-
-
 # -- probes ------------------------------------------------------------------
+
+
+_schedule_cache = {}
 
 
 def probe_schedule(datum, height_bound):
     """Default schedule of saturated sets: the downward closures of single
-    dominant weights, enumerated by height.  Cofinal in the full system."""
-    out = []
-    for mu in dominant_weights_up_to_height(datum, height_bound):
-        pi = datum.saturate([mu])
-        if pi not in out:
-            out.append(pi)
-    return out
+    dominant weights, enumerated by height.  Cofinal in the full system.
+    Memoized per (datum, height_bound); the schedule is a tuple."""
+    key = (datum.key(), height_bound)
+    sched = _schedule_cache.get(key)
+    if sched is None:
+        out = []
+        for mu in dominant_weights_up_to_height(datum, height_bound):
+            pi = datum.saturate([mu])
+            if pi not in out:
+                out.append(pi)
+        sched = _schedule_cache[key] = tuple(out)
+    return sched
 
 
 def separation_probe(datum, expr: WordExpr, height_bound):
@@ -303,8 +307,6 @@ def separation_probe(datum, expr: WordExpr, height_bound):
 def coherent_basis_check(datum, exprs, pi):
     """Project a family of modified-form expressions to the algebra of pi,
     discard zero images, and report (independent, spanning, rank)."""
-    from .linalg import SparseEchelon
-    from .laurent import RatFuncField
     S = build_schur(pi)
     ech = SparseEchelon(RatFuncField)
     nonzero = 0

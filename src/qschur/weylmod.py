@@ -1,12 +1,11 @@
 """Highest-weight modules over Q(v), as one record of exact sparse action
 matrices.
 
-The module of highest weight lam is built on the free span of F-words
-(sequences of lowering operators applied to a highest-weight vector),
-modulo the radical of the contravariant Gram form, or, for tall weights,
-inside a tensor product of two smaller modules.  Two independent
-classical oracles (Weyl dimension formula, Freudenthal recursion) check
-the result, and the record checks the commutator relation.
+The simple module of highest weight lam is built weight by weight from
+its highest vector by the lowering operators, or, for tall weights, inside
+a tensor product of two smaller modules.  Two independent classical
+oracles (Weyl dimension formula, Freudenthal recursion) check the result,
+and the record checks the commutator relation.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
-from .linalg import (SparseEchelon, rref, sparse_diagonal, sparse_mul,
+from .linalg import (SparseEchelon, sparse_diagonal, sparse_mul,
                      sparse_scale, sparse_sub)
 
 _F = RatFuncField
@@ -22,113 +21,6 @@ _F = RatFuncField
 
 def _qint_r(n, d):
     return RatFunc.from_poly(qint(n, d))
-
-
-class TruncatedVerma:
-    """F-word spanning sets for every weight in the window
-    {nu : w0(lam) <= nu <= lam}, with the raising-operator action computed
-    by the defining commutation relation."""
-
-    def __init__(self, datum, lam):
-        lam = tuple(lam)
-        if not datum.is_dominant(lam):
-            raise ValueError(f"highest weight {lam} is not dominant")
-        self.datum = datum
-        self.lam = lam
-        w0 = datum.antidominant(lam)
-        bounds = datum.alpha_coords(tuple(a - b for a, b in zip(lam, w0)))
-        self.bounds = tuple(int(b) for b in bounds)
-        self._build_words()
-        self._e_cache = {}
-
-    def _build_words(self):
-        datum = self.datum
-        lam = self.lam
-        r = datum.rank
-        roots = datum.simple_roots
-        words = {(): (self.lam, (0,) * r)}
-        frontier = [()]
-        by_weight = {}
-        while frontier:
-            nxt = []
-            for w in frontier:
-                nu, depth = words[w]
-                by_weight.setdefault(nu, []).append(w)
-                for i in range(r):
-                    if depth[i] < self.bounds[i]:
-                        nw = (i,) + w
-                        nnu = tuple(x - a for x, a in zip(nu, roots[i]))
-                        nd = tuple(d + (1 if j == i else 0)
-                                   for j, d in enumerate(depth))
-                        if nw not in words:
-                            words[nw] = (nnu, nd)
-                            nxt.append(nw)
-            frontier = nxt
-        self.window = sorted(by_weight,
-                             key=lambda nu: (self._depth_of(nu), nu))
-        self.words_by_weight = {nu: sorted(ws)
-                                for nu, ws in by_weight.items()}
-        self._weight_of = {w: info[0] for w, info in words.items()}
-
-    def _depth_of(self, nu):
-        coords = self.datum.alpha_coords(
-            tuple(a - b for a, b in zip(self.lam, nu)))
-        return int(sum(coords))
-
-    # -- raising action on the free word span ---------------------------
-
-    def e_word(self, i, w):
-        """E_i applied to the word w, as dict word -> RatFunc."""
-        key = (i, w)
-        cached = self._e_cache.get(key)
-        if cached is not None:
-            return cached
-        if not w:
-            out = {}
-        else:
-            j, rest = w[0], w[1:]
-            out = {}
-            for u, c in self.e_word(i, rest).items():
-                nu = (j,) + u
-                out[nu] = out.get(nu, _F.zero) + c
-            if i == j:
-                nu_rest = self._weight_of[rest]
-                n = self.datum.pair_i(i, nu_rest)
-                c = _qint_r(n, self.datum.cartan.d(i))
-                if not c.is_zero():
-                    out[rest] = out.get(rest, _F.zero) + c
-            out = {u: c for u, c in out.items() if not c.is_zero()}
-        self._e_cache[key] = out
-        return out
-
-    def e_apply(self, i, vec):
-        out = {}
-        for w, c in vec.items():
-            for u, cu in self.e_word(i, w).items():
-                s = out.get(u, _F.zero) + c * cu
-                if s.is_zero():
-                    out.pop(u, None)
-                else:
-                    out[u] = s
-        return out
-
-    # -- contravariant form ---------------------------------------------
-
-    def pair_words(self, J, vec):
-        """<F_J m, x> for a word J and a word-span vector x: successively
-        raise by the letters of J and read off the highest coefficient."""
-        for j in J:
-            vec = self.e_apply(j, vec)
-        return vec.get((), _F.zero)
-
-    def gram(self, nu):
-        """Gram matrix of the contravariant form on the nu word span."""
-        nu = tuple(nu)
-        if nu not in self.words_by_weight:
-            raise ValueError(f"weight {nu} outside the window")
-        words = self.words_by_weight[nu]
-        return [[self.pair_words(J, {K: _F.one}) for K in words]
-                for J in words]
 
 
 class ModuleCheckError(RuntimeError):
@@ -212,60 +104,94 @@ class HighestWeightModule:
 
 
 class WeylModule(HighestWeightModule):
-    """The simple highest-weight module by the Gram quotient.
+    """The simple highest-weight module L(lam), lowered from its highest
+    vector weight by weight, from the top down.
 
-    Basis vectors are images of pivot F-words, grouped by weight in window
-    order.
+    The candidates at weight nu are the vectors F_i b, one for each basis
+    vector b at nu + alpha_i, with the word (i,) + word(b), taken in word
+    order.  Below the top a weight vector of a simple module is zero
+    exactly when every E_j kills it, so candidates are compared through
+    their E-images, E_j F_i b = F_i E_j b + delta_ij [<h_i, nu + alpha_i>]_i b,
+    which need only the matrices already built.  The basis of nu is the
+    first independent candidates: the lexicographically first F-words that
+    are independent in L(lam).
     """
 
     def __init__(self, datum, lam):
-        tv = TruncatedVerma(datum, lam)
-        # quotient each weight space by the Gram radical: the basis is the
-        # pivot words, and a word expands by its column of the reduced Gram
-        # matrix
-        basis_words = {}           # nu -> list of pivot words
-        expansions = {}            # nu -> {word: {basis index: coeff}}
-        for nu in tv.window:
-            words = tv.words_by_weight[nu]
-            rows, pivots = rref(tv.gram(nu), _F)
-            if not pivots:
-                continue
-            basis_words[nu] = [words[c] for c in pivots]
-            expansions[nu] = {
-                w: {r: rows[r][c] for r in range(len(pivots)) if rows[r][c]}
-                for c, w in enumerate(words)}
-        weights = list(basis_words)
-        dims = {nu: len(ws) for nu, ws in basis_words.items()}
-        offsets = _offsets(weights, dims)
-
-        def matrix(i, sign, image):
-            # image(b) is the word-span image of the basis word b
-            mat = {}
-            for nu in weights:
-                target = tuple(x + sign * a for x, a in
-                               zip(nu, datum.simple_roots[i]))
-                exp = expansions.get(target)
-                if exp is None:
-                    continue
-                for col, b in enumerate(basis_words[nu]):
-                    coords = {}
-                    for w, c in image(b).items():
-                        for k, x in exp.get(w, {}).items():
-                            coords[k] = coords.get(k, _F.zero) + c * x
-                    for row, x in coords.items():
-                        if x:
-                            mat.setdefault(offsets[target] + row, {})[
-                                offsets[nu] + col] = x
-            return mat
-
-        # E_i acts on words by the commutation relation; F_i prepends i, and
-        # a word that leaves the window is zero in the module
+        lam = tuple(lam)
+        if not datum.is_dominant(lam):
+            raise ValueError(f"highest weight {lam} is not dominant")
         r = datum.rank
-        super().__init__(
-            datum, lam, weights, dims,
-            [matrix(i, 1, lambda b, i=i: tv.e_word(i, b)) for i in range(r)],
-            [matrix(i, -1, lambda b, i=i: {(i,) + b: _F.one})
-             for i in range(r)])
+        roots = datum.simple_roots
+        words = {lam: [()]}           # nu -> basis words, in word order
+        offsets = {lam: 0}
+        dim = 1
+        e = [{} for _ in range(r)]    # column dicts while building
+        f = [{} for _ in range(r)]
+        level = [lam]
+        while level:                  # the weights one step further down
+            below = {tuple(x - a for x, a in zip(nu, roots[i]))
+                     for nu in level for i in range(r)}
+            level = []
+            for nu in _weight_order(datum, lam, below):
+                basis = _lower(datum, nu, dim, words, offsets, e, f)
+                if basis:
+                    words[nu] = basis
+                    offsets[nu] = dim
+                    dim += len(basis)
+                    level.append(nu)
+        dims = {nu: len(ws) for nu, ws in words.items()}
+        _check_character(datum, lam, dims)
+        super().__init__(datum, lam, list(words), dims,
+                         [_transpose(m) for m in e],
+                         [_transpose(m) for m in f])
+
+
+def _lower(datum, nu, off, words, offsets, e, f):
+    """Build weight nu of L(lam) below the top, given every weight above it;
+    its basis gets the indices from off on.  Fills the columns of E_j and of
+    F_i on those indices and returns the basis words."""
+    roots = datum.simple_roots
+    cands = []
+    for i in range(datum.rank):
+        mu = tuple(x + a for x, a in zip(nu, roots[i]))
+        for k, w in enumerate(words.get(mu, ())):
+            cands.append(((i,) + w, i, offsets[mu] + k, mu))
+    cands.sort()
+    # one echelon of the E-images; candidate n carries the unit tag off + n,
+    # past every image index, so the residue of a dependent candidate is its
+    # own tag minus its coordinates on the tags of the basis candidates
+    ech = SparseEchelon(_F)
+    basis = []
+    pos = {}                          # tag of a basis candidate -> index
+    for n, (word, i, b, mu) in enumerate(cands):
+        images = []
+        for j in range(datum.rank):
+            img = {}
+            for t, x in e[j].get(b, {}).items():
+                for u, y in f[i].get(t, {}).items():
+                    img[u] = img.get(u, _F.zero) + x * y
+            if i == j:
+                img[b] = img.get(b, _F.zero) + _qint_r(
+                    datum.pair_i(i, mu), datum.cartan.d(i))
+            images.append({k: x for k, x in img.items() if x})
+        vec = {k: x for img in images for k, x in img.items()}
+        vec[off + n] = _F.one
+        res = ech.reduce(vec)
+        if min(res) < off:
+            ech.insert(res)
+            pos[off + n] = len(basis)
+            col = off + len(basis)
+            basis.append(word)
+            f[i][b] = {col: _F.one}
+            for j, img in enumerate(images):
+                if img:
+                    e[j][col] = img
+        else:
+            col = {off + pos[t]: -x for t, x in res.items() if t != off + n}
+            if col:
+                f[i][b] = col
+    return basis
 
 
 class TensorModule(HighestWeightModule):
@@ -273,7 +199,7 @@ class TensorModule(HighestWeightModule):
     the product of the highest vectors inside (left tensor right), with the
     usual coproduct action E -> E x 1 + K~ x E, F -> F x K~^{-1} + 1 x F.
 
-    Independent of the Gram-quotient construction; dimensions and weight
+    Independent of the lowering construction; dimensions and weight
     multiplicities are checked against both character oracles on build.
     The basis of each weight space is the fully reduced echelon basis of
     the closure, ordered by pivot: every row has entry 1 at its pivot and 0
@@ -287,19 +213,8 @@ class TensorModule(HighestWeightModule):
         hw = right.offsets[right.lam] * left.dim + left.offsets[left.lam]
         echelons = _close_under_lowering(datum, lam, hw, apply)
         got = {nu: ech.rank for nu, ech in echelons.items()}
-        if got != freudenthal_oracle(datum, lam):
-            raise ModuleCheckError(
-                f"tensor closure multiplicities {got} disagree with the "
-                f"character oracle for {lam}")
-        if sum(got.values()) != weyl_dim_oracle(datum, lam):
-            raise ModuleCheckError("tensor closure dimension disagrees with "
-                                   "the Weyl dimension formula")
-
-        def depth(nu):
-            return sum(datum.alpha_coords(
-                tuple(a - b for a, b in zip(lam, nu))))
-
-        weights = sorted(echelons, key=lambda nu: (depth(nu), nu))
+        _check_character(datum, lam, got)
+        weights = _weight_order(datum, lam, echelons)
         offsets = _offsets(weights, got)
         pivots = {nu: sorted(ech.pivots) for nu, ech in echelons.items()}
 
@@ -340,8 +255,8 @@ def _coproduct_action(datum, left, right):
     polynomial entries (on A1, F acts by powers of v)."""
     d1 = left.dim
     r = datum.rank
-    cols = {(sign, i): (_columns(left.divided_power(sign, i, 1)),
-                        _columns(right.divided_power(sign, i, 1)))
+    cols = {(sign, i): (_transpose(left.divided_power(sign, i, 1)),
+                        _transpose(right.divided_power(sign, i, 1)))
             for sign in (1, -1) for i in range(r)}
     k1 = [_ktilde_diag(left, i, 1) for i in range(r)]
     k2inv = [_ktilde_diag(right, i, -1) for i in range(r)]
@@ -353,10 +268,10 @@ def _coproduct_action(datum, left, right):
             q, p = divmod(idx, d1)
             # E: E x 1 + K~ x E;  F: F x K~^{-1} + 1 x F
             c1, c2 = (c, c * k1[i][p]) if sign > 0 else (c * k2inv[i][q], c)
-            for p2, a in cols1.get(p, ()):
+            for p2, a in cols1.get(p, {}).items():
                 j = q * d1 + p2
                 out[j] = out.get(j, _F.zero) + a * c1
-            for q2, a in cols2.get(q, ()):
+            for q2, a in cols2.get(q, {}).items():
                 j = q2 * d1 + p
                 out[j] = out.get(j, _F.zero) + a * c2
         return {k: v for k, v in out.items() if v}
@@ -385,13 +300,34 @@ def _close_under_lowering(datum, lam, hw, apply):
     return echelons
 
 
-def _columns(mat):
-    """Column lists {col: [(row, x), ...]} of a sparse matrix."""
-    cols = {}
+def _transpose(mat):
+    """The transpose of a sparse matrix: its column dicts as rows."""
+    out = {}
     for r_, row in mat.items():
         for c_, x in row.items():
-            cols.setdefault(c_, []).append((r_, x))
-    return cols
+            out.setdefault(c_, {})[r_] = x
+    return out
+
+
+def _weight_order(datum, lam, weights):
+    """The weights below lam sorted by depth (the height of lam - nu in the
+    simple roots), then by the weight itself."""
+    def key(nu):
+        return (sum(datum.alpha_coords(tuple(a - b for a, b in
+                                             zip(lam, nu)))), nu)
+    return sorted(weights, key=key)
+
+
+def _check_character(datum, lam, dims):
+    """Check weight multiplicities against the Freudenthal recursion and
+    the dimension against the Weyl formula."""
+    if dims != freudenthal_oracle(datum, lam):
+        raise ModuleCheckError(
+            f"weight multiplicities {dims} of {lam} disagree with the "
+            "Freudenthal recursion")
+    if sum(dims.values()) != weyl_dim_oracle(datum, lam):
+        raise ModuleCheckError(f"dimension of {lam} disagrees with the Weyl "
+                               "dimension formula")
 
 
 def _ktilde_diag(module, i, sign):
@@ -404,15 +340,10 @@ def _ktilde_diag(module, i, sign):
     return out
 
 
-# the Gram-quotient construction enumerates all lowering words in the
-# truncation window, which grows combinatorially with the window size; past
-# this bound the tensor realization is used instead
-_VERMA_WINDOW_BOUND = 7
-
-
-class WindowTooLargeError(ValueError):
-    """Raised for a fundamental weight whose truncation window exceeds the
-    Gram-quotient bound: the tensor path would need the same module."""
+# a weight taller than this that is not fundamental is built inside a tensor
+# product of two smaller modules: its echelon basis keeps the span closures
+# of the algebra faster than the word basis does
+_TENSOR_HEIGHT = 7
 
 
 _module_cache = {}
@@ -430,23 +361,17 @@ def weyl_module(datum, lam):
 
 def _construct(datum, lam):
     lam = tuple(lam)
-    low = datum.antidominant(lam)
-    bounds = datum.alpha_coords(tuple(a - b for a, b in zip(lam, low)))
     identity_pairing = all(
         datum.pairing[a][b] == (1 if a == b else 0)
         for a in range(datum.rank_y) for b in range(datum.rank_x))
-    if sum(bounds) <= _VERMA_WINDOW_BOUND or not identity_pairing:
-        return WeylModule(datum, lam)
-    j = max(k for k, c in enumerate(lam) if c > 0)
-    fund = tuple(1 if k == j else 0 for k in range(len(lam)))
-    if fund == lam:
-        raise WindowTooLargeError(
-            f"highest weight {lam} is fundamental and its truncation window "
-            f"has size {int(sum(bounds))} > {_VERMA_WINDOW_BOUND}; no "
-            "supported construction")
-    rest = tuple(c - 1 if k == j else c for k, c in enumerate(lam))
-    return TensorModule(datum, lam,
-                        weyl_module(datum, rest), weyl_module(datum, fund))
+    if datum.height(lam) > _TENSOR_HEIGHT and identity_pairing:
+        j = max(k for k, c in enumerate(lam) if c > 0)
+        fund = tuple(1 if k == j else 0 for k in range(len(lam)))
+        if fund != lam:
+            rest = tuple(c - f for c, f in zip(lam, fund))
+            return TensorModule(datum, lam, weyl_module(datum, rest),
+                                weyl_module(datum, fund))
+    return WeylModule(datum, lam)
 
 
 # -- independent oracles ----------------------------------------------------
@@ -475,10 +400,7 @@ def freudenthal_oracle(datum, lam):
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    dominants = sorted(
-        datum.saturate([lam]).elements,
-        key=lambda mu: (sum(datum.alpha_coords(
-            tuple(a - b for a, b in zip(lam, mu)))), mu))
+    dominants = _weight_order(datum, lam, datum.saturate([lam]).elements)
     # only weights <= lam occur; dominants[0] == lam
     mult = {}
     pos = datum.positive_roots()

@@ -250,20 +250,22 @@ class TestExitCodes:
         assert code == 2
         assert "ring" in err
 
-    def test_fundamental_weight_past_window_bound_exits_2(self, tmp_path):
-        # A8 omega_1 has truncation window 8 > 7 and is fundamental, so
-        # neither module construction applies
-        rows = ";".join(",".join(str(2 if i == j else -1 if abs(i - j) == 1
-                                     else 0) for j in range(8))
-                        for i in range(8))
-        bad = tmp_path / "a8.qs"
-        bad.write_text(f"datum matrix {rows}\npi gens [(1,0,0,0,0,0,0,0)]\n"
-                       "task dims\n")
-        code, _, err = run_cli(["dims", "--spec", str(bad)], tmp_path)
-        assert code == 2
-        assert err.startswith("error: ")
-        assert "(1, 0, 0, 0, 0, 0, 0, 0)" in err
-        assert "window has size 8" in err
+    def test_tall_fundamental_weight_is_built(self, tmp_path):
+        # the first fundamental weight of A8 and A10 has height 8 and 10,
+        # past the tensor threshold, but a fundamental weight is lowered
+        for n in (8, 10):
+            rows = ";".join(",".join(str(2 if i == j else -1 if abs(i - j)
+                                         == 1 else 0) for j in range(n))
+                            for i in range(n))
+            lam = ",".join(str(int(k == 0)) for k in range(n))
+            spec = tmp_path / f"a{n}.qs"
+            spec.write_text(f"datum matrix {rows}\npi gens [({lam})]\n"
+                            "task dims\n")
+            code, out, _ = run_cli(["dims", "--spec", str(spec), "--format",
+                                    "json"], tmp_path)
+            assert code == 0, n
+            result = json.loads(out)["result"]
+            assert result["dimension"] == (n + 1) ** 2, n
 
     @pytest.mark.parametrize("value", ["foo", "-3"])
     def test_bad_probe_height_exits_2(self, tmp_path, value):

@@ -5,9 +5,10 @@ import itertools
 
 import pytest
 
-from qschur.intspec import (LatticeError, kernel_probe_RU, lattice_basis,
-                            r_truncation_map, specialize_schur)
-from qschur.laurent import qint
+from qschur import intspec
+from qschur.intspec import (LatticeBasis, LatticeError, kernel_probe_RU,
+                            lattice_basis, r_truncation_map, specialize_schur)
+from qschur.laurent import RatFunc, qint
 from qschur.linalg import SparseEchelon
 from qschur.rings import RingPoint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
@@ -54,6 +55,27 @@ class TestLatticeBases:
                 for row in mat.values():
                     for x in row.values():
                         assert x.coeffs == {} or min(x.coeffs) > -100
+
+    def test_sublattice_selection_is_refused(self, monkeypatch):
+        # scaling one vector of the reverse selection by [2] spans a
+        # sublattice of index [2]: the transition matrix stays integral,
+        # but its determinant is no unit of Z[v,v^-1]
+        greedy = intspec._greedy_select
+        two = RatFunc.from_poly(qint(2))
+
+        def spoiled(module, reverse=False):
+            chosen = greedy(module, reverse)
+            if reverse:
+                mono, vec = chosen[module.lam][0]
+                chosen[module.lam][0] = (
+                    mono, {k: two * x for k, x in vec.items()})
+            return chosen
+
+        module = weyl_module(preset("A1"), (2,))
+        LatticeBasis(module)
+        monkeypatch.setattr(intspec, "_greedy_select", spoiled)
+        with pytest.raises(LatticeError, match="not a unit"):
+            LatticeBasis(module)
 
 
 class TestSpecializedDimensions:

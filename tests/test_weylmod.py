@@ -1,15 +1,20 @@
 """Highest-weight modules: dimensions and multiplicities against the two
-independent character oracles, generator relations, divided powers."""
+independent character oracles, generator relations, divided powers, and
+the module matrices pinned by digest."""
+
+import hashlib
+import json
 
 import pytest
 
+from qschur.cache import serialize_algebra
 from qschur.laurent import LaurentPoly, RatFunc, qbinom, qint
 from qschur.linalg import sparse_add, sparse_mul, sparse_scale, sparse_sub
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import SchurAlgebra, build_schur
 from qschur.weylmod import (HighestWeightModule, ModuleCheckError,
-                            TensorModule, TruncatedVerma, WeylModule,
+                            TensorModule, WeylModule,
                             freudenthal_oracle, weyl_dim_oracle, weyl_module)
 
 ALL_PRESETS = list(PRESET_NAMES)
@@ -84,17 +89,14 @@ class TestModuleConstruction:
                 assert m.dims[lam] == 1
 
     def test_gram_radical_kills_reducible_verma_layer(self):
-        # on the A2 Verma side the weight omega1 - alpha2 lies outside
-        # Delta(omega1): its Gram matrix is singular
+        # the Verma module of omega1 has a vector F_2 m at omega1 - alpha2,
+        # but E_2 F_2 m = [<h_2, omega1>] m = 0: the weight lies outside
+        # Delta(omega1), and F_2 kills the highest vector
         a2 = preset("A2")
-        tv = TruncatedVerma(a2, (1, 0))
         nu = (2, -2)                     # omega1 - alpha2
-        gram = tv.gram(nu)
-        if gram is not None:
-            # all pairings vanish: the layer dies in the quotient
-            assert all(x.is_zero() for row in gram for x in row)
         m = weyl_module(a2, (1, 0))
         assert nu not in m.dims
+        assert all(0 not in row for row in m.f[1].values())
 
 
 def _serre_sum(m, sign, i, j, n):
@@ -201,8 +203,8 @@ class TestRelationsOnModules:
 
 
 class TestTensorPath:
-    """The tensor realization, built directly for weights that the Gram
-    quotient also builds."""
+    """The tensor realization, built directly for weights that the
+    lowering construction also builds."""
 
     @pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("A2", (2, 1)),
                                           ("B2", (1, 1))])
@@ -213,9 +215,9 @@ class TestTensorPath:
         rest = tuple(c - f for c, f in zip(lam, fund))
         tensor = TensorModule(datum, lam, weyl_module(datum, rest),
                               weyl_module(datum, fund))
-        gram = WeylModule(datum, lam)
-        assert tensor.weights == gram.weights
-        assert tensor.dims == gram.dims
+        lowered = WeylModule(datum, lam)
+        assert tensor.weights == lowered.weights
+        assert tensor.dims == lowered.dims
         _check_commutator(datum, tensor)
         _check_serre(datum, tensor)
 
@@ -231,3 +233,27 @@ class TestTensorPath:
         e[0][0] = {c: x + x for c, x in e[0][0].items()}
         with pytest.raises(ModuleCheckError, match="commutator"):
             HighestWeightModule(m.datum, m.lam, m.weights, m.dims, e, m.f)
+
+
+# SHA-256 of the compact JSON of `cache.serialize_algebra(build_schur(pi))`,
+# taken from the truncated-Verma Gram quotient that built these modules
+# before the lowering construction replaced it
+MATRIX_DIGESTS = [
+    ("A2", (2, 1),
+     "db19dc53244654d67b06ee1e1f78a2a6a85c2281fdbfb8059b0e6275f29da477"),
+    ("B2", (1, 1),
+     "f1b3dfd4fdcf957b30aa3fb7fd2d009eeefd9b30f9b4426e79f3f1c1797f1f8c"),
+    ("A1adj", (2,),
+     "baff1da545793d2af1560f082752c8cf9bc99aed33b2a5db9e1b4fd7e71953e6"),
+    ("A1xA1", (2, 2),
+     "7ff60bfbf6786c9c5d83db1783ab41e343c261a0c73f2545a13ba5d9d1b6dab7"),
+]
+
+
+@pytest.mark.parametrize("name,lam,digest", MATRIX_DIGESTS,
+                         ids=[f"{n}-{lam}" for n, lam, _ in MATRIX_DIGESTS])
+def test_module_matrices_are_pinned(name, lam, digest):
+    pi = preset(name).saturate([lam])
+    text = json.dumps(serialize_algebra(build_schur(pi)), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
