@@ -37,10 +37,9 @@ def load_or_build(pi, cache_dir, notes):
     return alg
 
 
-def _chain(spec):
+def _chain(pi0):
     """Deterministic nested chain pi0 < pi1 < pi2 used by the map-level and
     limit-level tasks."""
-    pi0 = spec.pi()
     datum = pi0.datum
     top = list(pi0)[-1]
     mu1 = tuple(sum(xs) + t for xs, t in zip(zip(*list(pi0)), top))
@@ -54,8 +53,7 @@ def _summarize(report_rows, key="ok"):
     return all(row[key] for row in report_rows)
 
 
-def task_build(spec, cache_dir, params, notes):
-    pi = spec.pi()
+def task_build(spec, pi, cache_dir, params, notes):
     alg = load_or_build(pi, cache_dir, notes)
     dim = alg.dimension()
     result = {
@@ -67,8 +65,7 @@ def task_build(spec, cache_dir, params, notes):
     return result, [], dim == alg.expected_dim
 
 
-def task_dims(spec, cache_dir, params, notes):
-    pi = spec.pi()
+def task_dims(spec, pi, cache_dir, params, notes):
     alg = load_or_build(pi, cache_dir, notes)
     datum = pi.datum
     per_module = []
@@ -86,8 +83,7 @@ def task_dims(spec, cache_dir, params, notes):
     return result, [], ok and dim == alg.expected_dim
 
 
-def task_verify(spec, cache_dir, params, notes):
-    pi = spec.pi()
+def task_verify(spec, pi, cache_dir, params, notes):
     alg = load_or_build(pi, cache_dir, notes)
     report = alg.verify_presentation()
     witnesses = [row for row in report if not row["ok"]]
@@ -96,8 +92,8 @@ def task_verify(spec, cache_dir, params, notes):
     return result, witnesses, _summarize(report)
 
 
-def task_maps(spec, cache_dir, params, notes):
-    pi0, pi1, pi2 = _chain(spec)
+def task_maps(spec, pi, cache_dir, params, notes):
+    pi0, pi1, pi2 = _chain(pi)
     f10 = TruncationMap(pi0, pi1)
     f21 = TruncationMap(pi1, pi2)
     f20 = TruncationMap(pi0, pi2)
@@ -133,8 +129,8 @@ def task_maps(spec, cache_dir, params, notes):
     return result, witnesses, ok
 
 
-def task_limit(spec, cache_dir, params, notes):
-    pi0, pi1, pi2 = _chain(spec)
+def task_limit(spec, pi, cache_dir, params, notes):
+    pi0, pi1, pi2 = _chain(pi)
     datum = pi0.datum
     chain = [pi0, pi1, pi2]
     kh = check_Kh_identity(pi0)
@@ -162,9 +158,9 @@ def task_limit(spec, cache_dir, params, notes):
     return result, witnesses, ok
 
 
-def task_probe(spec, cache_dir, params, notes):
+def task_probe(spec, pi, cache_dir, params, notes):
     height = params.get("height", 4)
-    datum = spec.pi().datum
+    datum = pi.datum
     exprs = []
     for lam in spec.pi_gens:
         exprs.append((f"1_{list(lam)}", WordExpr.idem(lam)))
@@ -192,11 +188,11 @@ def task_probe(spec, cache_dir, params, notes):
     return result, [], True
 
 
-def task_specialize(spec, cache_dir, params, notes):
+def task_specialize(spec, pi, cache_dir, params, notes):
     point = spec.ring_point()
     if point is None:
         raise SpecParseError("the specialize task needs a ring statement")
-    pi0, pi1, _ = _chain(spec)
+    pi0, pi1, _ = _chain(pi)
     S = specialize_schur(pi0, point)
     report = S.verify_relations()
     tmap = r_truncation_map(pi0, pi1, point)
@@ -292,7 +288,7 @@ def run(argv=None, out=None, err=None):
         return 2
     try:
         spec = parse_spec(text)
-        spec.pi()  # validate datum and generators eagerly
+        pi = spec.pi()  # resolved once: validates datum and generators
         params = dict()
         for name, p in spec.tasks:
             if name == args.task:
@@ -300,7 +296,7 @@ def run(argv=None, out=None, err=None):
         cache_dir = args.cache_dir or default_cache_dir()
         notes = []
         result, witnesses, passed = TASKS[args.task](
-            spec, cache_dir, params, notes)
+            spec, pi, cache_dir, params, notes)
     except SpecParseError as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -316,8 +312,8 @@ def run(argv=None, out=None, err=None):
     for note in notes:
         print(f"note: {note}", file=err)
     report = {
-        "datum": spec.datum().name,
-        "pi": [list(lam) for lam in spec.pi()],
+        "datum": pi.datum.name,
+        "pi": [list(lam) for lam in pi],
         "task": args.task,
         "result": result,
         "witnesses": witnesses,

@@ -5,8 +5,7 @@ kernel probes."""
 from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFuncField, is_integral
-from .linalg import (SparseEchelon, det_unit_check, identity, mat_mul, rref,
-                     sparse_from_dense, sparse_map, sparse_mul)
+from .linalg import SparseEchelon, sparse_map, sparse_mul
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
 from .schur import BlockAlgebra, TruncationMap
@@ -27,8 +26,10 @@ class LatticeBasis:
     indices, applied right to left to the highest-weight vector.
 
     Two independent greedy selections (differing in enumeration order) must
-    span the same lattice with a unit transition determinant; this pins the
-    lattice itself, not just a spanning set.
+    span the same lattice: each must express in the other with entries in
+    Z[v,v^-1].  Then the transition matrix T and its inverse are integral,
+    so det T det T^-1 = 1 makes det T a unit; this pins the lattice itself,
+    not just a spanning set.
     """
 
     def __init__(self, module):
@@ -37,33 +38,20 @@ class LatticeBasis:
         # deterministic order: module weight order, monomials as discovered
         self.monomials = [mono for nu in module.weights
                           for mono, _ in chosen[nu]]
-        # change of basis C: lattice coords -> module coords (columns)
-        C = _columns(module, chosen)
-        c_inv = _invert(C)
-        self._c = sparse_from_dense(C)
-        self._c_inv = sparse_from_dense(c_inv)
+        self._vectors = _flatten(module, chosen)
+        self._coords = _coordinates(module, self._vectors,
+                                    "unsupported lattice")
         self._integral_cache = {}
-        self._verify_unit_transition(c_inv)
+        self._verify_unit_transition()
 
-    def _verify_unit_transition(self, c_inv):
-        """An alternate greedy selection must express in this basis with
-        entries in Z[v,v^-1] and unit determinant."""
+    def _verify_unit_transition(self):
         module = self.module
-        C2 = _columns(module, _greedy_select(module, reverse=True))
-        T = mat_mul(c_inv, C2, _F)
-        for r_, row in enumerate(T):
-            for c_, x in enumerate(row):
-                if is_integral(x) is None:
-                    raise LatticeError(
-                        "unsupported lattice: alternate-basis transition "
-                        f"entry ({r_},{c_}) is {x.to_string()}, not in "
-                        "Z[v,v^-1]")
-        det = det_unit_check(T, _F)
-        p = is_integral(det)
-        if p is None or not p.is_unit():
-            raise LatticeError(
-                f"transition determinant {det.to_string()} is not a unit "
-                "of Z[v,v^-1]")
+        other = _flatten(module, _greedy_select(module, reverse=True))
+        _integral_columns(self._coords, other,
+                          "unsupported lattice: alternate-basis transition")
+        unit = "transition determinant is not a unit of Z[v,v^-1]"
+        _integral_columns(_coordinates(module, other, unit), self._vectors,
+                          unit + ": inverse transition")
 
     def nilpotency(self, sign, i):
         """Largest k with a nonzero k-th divided power (0 for the zero
@@ -82,18 +70,9 @@ class LatticeBasis:
         if out is not None:
             return out
         mat = self.module.divided_power(sign, i, k)
-        latt = sparse_mul(self._c_inv, sparse_mul(mat, self._c))
-        out = {}
-        for r_, row in latt.items():
-            orow = out[r_] = {}
-            for c_, x in row.items():
-                p = is_integral(x)
-                if p is None:
-                    raise LatticeError(
-                        "unsupported lattice: entry "
-                        f"({r_},{c_}) of E^({k}) (sign {key[0]}, index {i}) "
-                        f"is {x.to_string()}, not in Z[v,v^-1]")
-                orow[c_] = p
+        out = _integral_columns(
+            self._coords, [_apply(mat, vec) for vec in self._vectors],
+            f"unsupported lattice: E^({k}) (sign {key[0]}, index {i})")
         self._integral_cache[key] = out
         return out
 
@@ -166,32 +145,49 @@ def _greedy_select(module, reverse=False):
 
 def _apply(mat, vec):
     """A sparse matrix times a sparse vector."""
+    col = sparse_mul(mat, {c_: {0: x} for c_, x in vec.items()})
+    return {r_: row[0] for r_, row in col.items()}
+
+
+def _flatten(module, chosen):
+    """The chosen vectors in module weight order."""
+    return [vec for nu in module.weights for _, vec in chosen[nu]]
+
+
+def _coordinates(module, vectors, what):
+    """The coordinates of every module basis vector e_p in `vectors`, as
+    sparse rows {p: {n: x}}; the coordinates of w are sum_p w[p] * row p.
+    Raises LatticeError, prefixed by `what`, unless `vectors` is a basis.
+
+    Vector n enters one echelon with the unit tag dim + n, past every module
+    index (weight spaces have disjoint supports, so one echelon serves every
+    weight).  For a basis every module index is a pivot, and its fully
+    reduced row is e_p plus the coordinates of e_p on the tags."""
+    off = module.dim
+    ech = SparseEchelon(_F)
+    for n, vec in enumerate(vectors):
+        ech.insert({**vec, off + n: _F.one})
+    if set(ech.pivots) != set(range(off)):
+        raise LatticeError(f"{what}: the selected vectors are not a basis")
+    return {p: {k - off: x for k, x in row.items() if k >= off}
+            for p, row in ech.pivots.items()}
+
+
+def _integral_columns(coords, columns, what):
+    """The sparse matrix whose column c holds the coordinates of
+    columns[c] (given the coordinate rows from `_coordinates`), with entries
+    in Z[v,v^-1]; raises LatticeError, prefixed by `what`, on an entry
+    outside Z[v,v^-1]."""
     out = {}
-    for r_, row in mat.items():
-        acc = _F.zero
-        for c_, x in vec.items():
-            y = row.get(c_)
-            if y is not None:
-                acc = acc + y * x
-        if acc:
-            out[r_] = acc
+    for c_, col in sparse_mul(dict(enumerate(columns)), coords).items():
+        for r_, x in col.items():
+            p = is_integral(x)
+            if p is None:
+                raise LatticeError(
+                    f"{what}: entry ({r_},{c_}) is {x.to_string()}, not in "
+                    "Z[v,v^-1]")
+            out.setdefault(r_, {})[c_] = p
     return out
-
-
-def _columns(module, chosen):
-    """Dense matrix whose columns are the chosen vectors, in module weight
-    order."""
-    cols = [vec for nu in module.weights for _, vec in chosen[nu]]
-    return [[col.get(i, _F.zero) for col in cols] for i in range(module.dim)]
-
-
-def _invert(mat):
-    n = len(mat)
-    aug = [row[:] + identity(n, _F)[i] for i, row in enumerate(mat)]
-    rows, pivots = rref(aug, _F)
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in rows]
 
 
 _lattice_cache = {}

@@ -8,7 +8,7 @@ immutable and canonical, so structural equality is mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 
 class LaurentPoly:
@@ -299,8 +299,6 @@ def _poly_gcd_int(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                         r.pop(ne, None)
             fa, fb = fb, r
         # clear denominators, make primitive
-        from math import lcm
-
         den = lcm(*[c.denominator for c in fa.values()]) if fa else 1
         ints = {e: int(c * den) for e, c in fa.items()}
         g = LaurentPoly(ints)

@@ -1,16 +1,23 @@
-"""Dense and sparse exact linear algebra over any exact field.
+"""Sparse exact linear algebra over any exact field, and the one exact
+elimination.
 
 A field object only needs `zero`, `one` attributes and elements supporting
 +, -, *, / and equality; Q(v), Q, and cyclotomic fields all qualify.
 
-Dense matrices are lists of rows; the lattice change of basis and the
-root-datum solvers use them.  Sparse matrices are row dicts
-`{row: {col: x}}` that store nonzero entries only (no zero entry, no
-empty row); the module matrices are sparse, and algebra elements keep one
-per block, so every operation touches only nonzeros.  The sparse
-helpers test entries by truth value and never mutate their arguments.
-Because the scalars are canonical, two sparse matrices are equal exactly
-when their dicts are.
+Sparse matrices are row dicts `{row: {col: x}}` that store nonzero entries
+only (no zero entry, no empty row); the module matrices are sparse, and
+algebra elements keep one per block, so every operation touches only
+nonzeros.  The sparse helpers test entries by truth value and never mutate
+their arguments.  Because the scalars are canonical, two sparse matrices
+are equal exactly when their dicts are.
+
+`SparseEchelon` is the one elimination: span closures, module bases,
+lattice coordinates, kernel probes and the root-datum solvers all run
+through it.  Coordinates come from tags: when every inserted vector
+carries a unit entry at its own tag index past all vector indices, a
+vector in their span reduces to minus its coordinates on the tags.  The dense
+`mat_mul` and `mat_sub` remain as test references for the sparse product
+and difference.
 """
 
 from __future__ import annotations
@@ -40,84 +47,7 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def identity(n, field):
-    return [[field.one if i == j else field.zero for j in range(n)]
-            for i in range(n)]
-
-
-def rref(matrix, field):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    zero, one = field.zero, field.one
-    rows = [row[:] for row in matrix]
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = None
-        for i in range(r, n):
-            if rows[i][c] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != one:
-            inv = one / pv
-            rows[r] = [inv * x for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots
-
-
-def det_unit_check(matrix, field):
-    """Determinant via fraction-free-ish Gaussian elimination over the field.
-
-    Returns the determinant (a field element); intended for unit checks on
-    change-of-basis matrices.
-    """
-    zero, one = field.zero, field.one
-    n = len(matrix)
-    rows = [row[:] for row in matrix]
-    det = one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            return zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det = det * pv
-        inv = one / pv
-        for i in range(c + 1, n):
-            if rows[i][c] != zero:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
 # -- sparse row matrices -------------------------------------------------
-
-
-def sparse_from_dense(mat):
-    out = {}
-    for i, row in enumerate(mat):
-        srow = {j: x for j, x in enumerate(row) if x}
-        if srow:
-            out[i] = srow
-    return out
 
 
 def sparse_map(f, a):

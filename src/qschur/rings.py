@@ -35,15 +35,8 @@ def cyclotomic_coeffs(n):
 
 
 def _polydiv_exact(a, b):
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        f = a[i] / b[db]
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] -= f * b[j]
-    assert all(c == 0 for c in a), "inexact cyclotomic division"
+    q, r = _polydivmod(a, b)
+    assert not any(r), "inexact cyclotomic division"
     return q
 
 
@@ -246,14 +239,9 @@ class RingPoint:
     def __init__(self, field, xi):
         self.field = field
         self.xi = xi
-        if isinstance(field, QField):
-            if xi == 0:
-                raise ValueError("xi must be invertible")
-            self._xi_inv = Fraction(1) / Fraction(xi)
-        else:
-            if not xi:
-                raise ValueError("xi must be invertible")
-            self._xi_inv = xi.inverse()
+        if not xi:
+            raise ValueError("xi must be invertible")
+        self._xi_inv = field.one / xi
         self._pow_cache = {0: field.one, 1: self.xi, -1: self._xi_inv}
 
     @staticmethod
@@ -290,7 +278,7 @@ def evaluate(f: RatFunc, point: RingPoint):
     den = f.den.evaluate(point.xi_pow)
     if den is None:
         den = point.field.one
-    if den == 0 or (hasattr(den, "is_zero") and den.is_zero()):
+    if not den:
         raise PoleError(
             f"denominator {f.den.to_string()} vanishes at xi={point.xi!r}")
     num = f.num.evaluate(point.xi_pow)

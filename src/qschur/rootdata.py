@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .linalg import rref
+from .linalg import SparseEchelon
 from .rings import QField
 
 
@@ -340,32 +340,37 @@ def _solver(rows):
     x has Fraction entries, 0 at the free unknowns, and is None when the
     system has no rational solution.
 
-    One reduction [A | I] -> [R | T] with R = T A in reduced row echelon
-    form: A x = b is solvable iff T b vanishes past the pivot rows of R,
-    and T b then holds x at the pivot columns."""
+    The rows of [A | I] go into one echelon, whose fully reduced rows are
+    the reduced form [R | T] with R = T A: A x = b is solvable iff T b
+    vanishes on the rows whose pivot lies past A, and T b then holds x at
+    the pivots of R."""
     n = len(rows[0])
-    aug = [[Fraction(x) for x in row]
-           + [Fraction(int(i == k)) for k in range(len(rows))]
-           for i, row in enumerate(rows)]
-    red, pivots = rref(aug, QField)
-    T = [row[n:] for row in red]
-    pivots = [c for c in pivots if c < n]
+    ech = SparseEchelon(QField)
+    for i, row in enumerate(rows):
+        ech.insert({**_sparse(row), n + i: QField.one})
+    T = [(p, {k - n: t for k, t in row.items() if k >= n})
+         for p, row in ech.pivots.items()]
 
     def solve(b):
-        tb = [sum(t * x for t, x in zip(row, b)) for row in T]
-        if any(tb[len(pivots):]):
-            return None
-        x = [Fraction(0)] * n
-        for r_, c in enumerate(pivots):
-            x[c] = tb[r_]
+        x = [QField.zero] * n
+        for p, t in T:
+            tb = sum(y * b[k] for k, y in t.items())
+            if p < n:
+                x[p] = tb
+            elif tb:
+                return None
         return tuple(x)
 
     return solve
 
 
 def _rank_of(vectors):
-    mat = [[Fraction(x) for x in v] for v in vectors]
-    return len(rref(mat, QField)[1])
+    ech = SparseEchelon(QField)
+    return sum(ech.insert(_sparse(v)) for v in vectors)
+
+
+def _sparse(vec):
+    return {k: Fraction(x) for k, x in enumerate(vec) if x}
 
 
 def _box(bounds):

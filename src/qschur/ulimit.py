@@ -110,13 +110,20 @@ def theta_dot(datum, expr: WordExpr, point=None):
         raise ValueError("expression is not in the modified form: some word "
                          "carries no idempotent")
     if point is None:
-        return LimitElement(datum,
-                            lambda pi: build_schur(pi).evaluate_expr(expr))
+        return theta(datum, expr)
     return LimitElement(
         datum, lambda pi: specialize_schur(pi, point).evaluate_expr(expr))
 
 
 # -- coherence ---------------------------------------------------------------
+
+
+def _link_holds(element, small, large, point=None):
+    """Truncation of the evaluation at `large` equals the evaluation at
+    `small`, over Q(v) or in the specializations at `point`."""
+    f = (truncation_map(small, large) if point is None
+         else r_truncation_map(small, large, point))
+    return f.apply(element.at(large)) == element.at(small)
 
 
 def verify_coherence(element, chain, point=None):
@@ -128,11 +135,7 @@ def verify_coherence(element, chain, point=None):
     for small, large in zip(chain, chain[1:]):
         if not small.issubset(large):
             raise ValueError("chain is not nested")
-        f = (truncation_map(small, large) if point is None
-             else r_truncation_map(small, large, point))
-        lhs = f.apply(element.at(large))
-        rhs = element.at(small)
-        passed = lhs == rhs
+        passed = _link_holds(element, small, large, point)
         witness = None
         if not passed:
             ok = False
@@ -150,15 +153,13 @@ def cofinal_consistency(element, chain1, chain2):
     ok = True
     for a in chain1:
         for b in chain2:
-            small = large = None
             if a.issubset(b):
                 small, large = a, b
             elif b.issubset(a):
                 small, large = b, a
-            if small is None:
+            else:
                 continue
-            f = truncation_map(small, large)
-            passed = f.apply(element.at(large)) == element.at(small)
+            passed = _link_holds(element, small, large)
             ok = ok and passed
             comparisons.append({"pi": list(small), "pi_prime": list(large),
                                 "ok": passed})

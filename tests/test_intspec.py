@@ -1,7 +1,9 @@
 """Integral lattice bases, specialization at rational points and roots of
 unity, the specialized inverse system, and kernel probes."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -225,3 +227,32 @@ class TestKernelProbe:
         r2 = kernel_probe_RU(a1, 2, 4, XI_I)
         assert [h["kernel_dim"] for h in r2["history"]] \
             == [30, 26, 20, 11, 8]
+
+
+# SHA-256 of the compact JSON of the monomials and of every integral matrix
+# that `check_integrality()` checks, taken from the dense change of basis
+# and its rref inverse before the echelon coordinates replaced them
+LATTICE_DIGESTS = [
+    ("A2", (2, 1),
+     "854d74effc6571b8d197f8bd6366b37b223792183047266c23d342702e35d1c7"),
+    ("B2", (1, 1),
+     "b90942699eef1bd5991931bfc4cf98d74889d75916fca0abf17e2a30dd5280d0"),
+    ("A1adj", (2,),
+     "0b3cb963bf7841701dbba692a42112fdcb97e3c74aabe42c246f2a719939fe35"),
+    ("A1xA1", (1, 1),
+     "217307749c811d2b40656f9d4b9a3e6d8e08fc3ca50fbd6cff8f1d661337de72"),
+]
+
+
+@pytest.mark.parametrize("name,lam,digest", LATTICE_DIGESTS,
+                         ids=[f"{n}-{lam}" for n, lam, _ in LATTICE_DIGESTS])
+def test_lattice_matrices_are_pinned(name, lam, digest):
+    lb = lattice_basis(weyl_module(preset(name), lam))
+    mats = [[sign, i, k,
+             sorted([r, c, sorted(x.coeffs.items())]
+                    for r, row in lb.integral_matrix(sign, i, k).items()
+                    for c, x in row.items())]
+            for sign, i, k in lb.check_integrality()]
+    text = json.dumps({"monomials": lb.monomials, "matrices": mats},
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur.rootdata import (CartanDatum, PRESET_NAMES, RootDatum,
-                             SaturatedSet, _bareiss, _int_det,
-                             _weight_from_pairings,
+                             SaturatedSet, _bareiss, _int_det, _rank_of,
+                             _solver, _weight_from_pairings,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
 
@@ -81,6 +81,17 @@ class TestRootDatum:
     def test_preset_validation(self):
         for name in PRESET_NAMES:
             assert preset(name).validate() == []
+
+    def test_dependent_simple_roots_are_reported(self):
+        cartan = CartanDatum(((2, 0), (0, 2)))
+        ident = ((1, 0), (0, 1))
+        report = RootDatum(cartan, ident, [(2, 0), (4, 0)], ident).validate()
+        assert "simple roots not linearly independent" in report
+        assert "simple coroots not linearly independent" not in report
+        report = RootDatum(cartan, ident, [(2, 0), (0, 2)],
+                           [(1, 0), (1, 0)]).validate()
+        assert "simple coroots not linearly independent" in report
+        assert "simple roots not linearly independent" not in report
 
     def test_pairing_against_simple_roots(self):
         # <h_i, alpha_j> is the Cartan matrix
@@ -247,6 +258,46 @@ def test_dominant_sum_dominates_both_orders(a, b, c, d):
     assert a2.is_dominant(s)
     # the orbit of the sum has height >= each summand's
     assert a2.height(s) >= max(a2.height(lam), a2.height(mu))
+
+
+@st.composite
+def _systems(draw):
+    """An integer system A x = b of size up to 4 x 4: the rows of A are
+    combinations of k <= rows random vectors, so A is often rank-deficient,
+    and b is either random or A y for a random y."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(1, m))
+    small = st.integers(-3, 3)
+    gens = [[draw(small) for _ in range(n)] for _ in range(k)]
+    rows = []
+    for _ in range(m):
+        coeffs = [draw(small) for _ in range(k)]
+        rows.append([sum(c * g[j] for c, g in zip(coeffs, gens))
+                     for j in range(n)])
+    if draw(st.booleans()):
+        b = [draw(small) for _ in range(m)]
+    else:
+        y = [draw(small) for _ in range(n)]
+        b = [sum(a * t for a, t in zip(row, y)) for row in rows]
+    return rows, b
+
+
+@given(_systems())
+@settings(max_examples=150, deadline=None)
+def test_solver_solves_exactly_the_consistent_systems(system):
+    rows, b = system
+    x = _solver(rows)(b)
+    augmented = [row + [t] for row, t in zip(rows, b)]
+    assert (x is None) == (_rank_of(augmented) > _rank_of(rows))
+    if x is None:
+        return
+    assert [sum(a * t for a, t in zip(row, x)) for row in rows] == b
+    # column j is free when it does not raise the rank of the columns
+    # before it; the solver sets the free unknowns to 0
+    for j in range(len(rows[0])):
+        if _rank_of([row[:j + 1] for row in rows]) \
+                == _rank_of([row[:j] for row in rows]):
+            assert x[j] == 0
 
 
 def test_simply_connected_from_matrix_matches_preset():
