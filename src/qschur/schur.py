@@ -4,14 +4,30 @@ system.
 
 An element keeps one sparse row matrix per block (see `linalg`), with
 entries in the field of its algebra: Q(v) here, the target field of a
-specialization in `intspec`, which uses the same element type."""
+specialization in `intspec`, which uses the same element type.
+
+The algebra of a saturated set pi is all of the sum of End L(lam) over lam
+in pi, of dimension sum d^2.  `SchurAlgebra.basis()` proves this before it
+returns the block matrix units.  The proof is a modular rank: at a prime p
+and a unit a of F_p where no denominator of a generator entry vanishes,
+evaluation v -> a is a ring homomorphism on the entries, so the F_p-rank of
+the span closure of the images of the generators is at most the Q(v)-rank,
+which is at most sum d^2; reaching sum d^2 mod p proves density.  A few fixed
+points are tried; if every one hits a pole or falls short, the exact Q(v)
+span closure decides, and raises when density fails."""
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
-from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_mul,
-                     sparse_neg, sparse_scale, sparse_sub)
+from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
+                     sparse_mul, sparse_neg, sparse_scale, sparse_sub)
+from .rings import PoleError, RingPoint, evaluate
 from .weylmod import weyl_module
+
+# the (p, a) points of the modular density certificate, tried in order:
+# primes below 2^31 and the image a of v in F_p
+_MODULAR_POINTS = ((2147483629, 91831), (2147483587, 48271),
+                   (2147483579, 16807))
 
 
 class SchurElement:
@@ -131,6 +147,11 @@ class BlockAlgebra:
 
     def generator(self, sign, i):
         return self.divided_power(sign, i, 1)
+
+    def simple_generators(self):
+        """E_i and F_i for every simple root i."""
+        return [self.generator(s, i)
+                for s in (1, -1) for i in range(self.datum.rank)]
 
     def idempotent(self, lam):
         """The weight projector; the zero element when lam is outside the
@@ -303,6 +324,7 @@ class SchurAlgebra(BlockAlgebra):
     the highest-weight modules indexed by a finite saturated set."""
 
     field = RatFuncField
+    certificate = None  # set by basis(): ("modular", p, a) or ("exact",)
 
     def __init__(self, pi, modules=None):
         if modules is None:
@@ -320,28 +342,81 @@ class SchurAlgebra(BlockAlgebra):
 
     _poly = staticmethod(RatFunc.from_poly)
 
-    # -- dimension by span closure ----------------------------------------
+    # -- density certificate and basis ------------------------------------
 
     def basis(self):
-        """Echelonized spanning basis of the realized algebra, computed by
-        closing the span of the idempotents under left multiplication by the
-        generators."""
+        """The block matrix units, a basis once density is proved: by a
+        modular rank at the first point of `_MODULAR_POINTS` where it
+        reaches the sum of squared block dimensions, else by the exact
+        closure."""
         if self._basis is None:
-            self._basis = self._closure([
-                self.generator(s, i)
-                for s in (1, -1) for i in range(self.datum.rank)])
+            self.certificate = self._certify()
+            self._basis = self._matrix_units()
             self._dimension = len(self._basis)
-            if self._dimension != self.expected_dim:
-                raise RuntimeError(
-                    f"density violated: span closure rank {self._dimension} "
-                    f"!= sum of squared block dimensions {self.expected_dim}")
         return self._basis
+
+    def _certify(self):
+        for p, a in _MODULAR_POINTS:
+            try:
+                rank = _ModularImage(self, RingPoint.modular(p, a)).rank()
+            except PoleError:
+                continue
+            if rank == self.expected_dim:
+                return ("modular", p, a)
+        self._exact_closure()
+        return ("exact",)
+
+    def _exact_closure(self):
+        """Echelonized spanning basis of the realized algebra over Q(v),
+        computed by closing the span of the idempotents under left
+        multiplication by the generators; raises RuntimeError unless its
+        rank is the sum of squared block dimensions."""
+        basis = self._closure(self.simple_generators())
+        if len(basis) != self.expected_dim:
+            raise RuntimeError(
+                f"density violated: span closure rank {len(basis)} "
+                f"!= sum of squared block dimensions {self.expected_dim}")
+        return basis
+
+    def _matrix_units(self):
+        """The units e_ij of every block, block by block, row by row."""
+        one = self.field.one
+        units = []
+        for k, d in enumerate(self.block_dims):
+            blocks = [{} for _ in self.block_dims]
+            for i in range(d):
+                for j in range(d):
+                    blocks[k] = {i: {j: one}}
+                    units.append(SchurElement(self, blocks))
+        return units
 
     def key(self):
         return self.pi.key()
 
     def __repr__(self):
         return f"SchurAlgebra(pi={list(self.pi)})"
+
+
+class _ModularImage(BlockAlgebra):
+    """The images of the generators of a SchurAlgebra under v -> a in F_p,
+    for the density certificate."""
+
+    def __init__(self, algebra, point):
+        super().__init__(algebra.pi, algebra.modules)
+        self.point = point
+        self.field = point.field
+
+    def _divided_power_blocks(self, sign, i, k):
+        return [sparse_map(self._scalar, m.divided_power(sign, i, k))
+                for m in self.modules]
+
+    def _scalar(self, c):
+        return evaluate(c, self.point)
+
+    def rank(self):
+        """The F_p-rank of the span closure of the images; raises PoleError
+        when a denominator of a generator entry vanishes at the point."""
+        return len(self._closure(self.simple_generators()))
 
 
 _algebra_cache = {}
@@ -406,11 +481,9 @@ class TruncationMap:
         entry("unit", self.apply(src.one()) == tgt.one())
 
         if self.multiplicative_sample:
-            gens = [src.generator(s, i)
-                    for s in (1, -1) for i in range(src.datum.rank)]
             basis = src.basis()
             ok_mul = True
-            for g in gens:
+            for g in src.simple_generators():
                 for b in basis:
                     if not (self.apply(g * b)
                             == self.apply(g) * self.apply(b)):

@@ -21,7 +21,8 @@ from qschur.linalg import SparseEchelon
 from qschur.rings import RingPoint
 from qschur.rootdata import (PRESET_NAMES, dominant_weights_up_to_height,
                              preset)
-from qschur.schur import TruncationMap, build_schur
+from qschur.schur import (_MODULAR_POINTS, SchurAlgebra, TruncationMap,
+                          _ModularImage, build_schur)
 from qschur.ulimit import (check_Kh_identity, check_u_relations,
                            check_uhat_relations, separation_probe)
 from qschur.weylmod import freudenthal_oracle, weyl_dim_oracle, weyl_module
@@ -88,6 +89,18 @@ def test_criterion_1_dimension_identities():
     report(1, elapsed < 60,
            f"5 realized dimensions match the squared-Weyl-formula oracle "
            f"exactly in {elapsed:.1f}s")
+
+
+def test_modular_certificate_agrees_with_exact_closure():
+    """The modular rank of the density certificate and the exact Q(v)
+    closure, its fallback, both reach the oracle on the criterion-1 sets."""
+    for name, gens, expect in DIMENSION_CASES:
+        S = SchurAlgebra(preset(name).saturate(gens))
+        for p, a in _MODULAR_POINTS:
+            assert _ModularImage(S, RingPoint.modular(p, a)).rank() \
+                == expect, (name, gens, p, a)
+        assert len(S._exact_closure()) == expect, (name, gens)
+        assert S.dimension() == expect and S.certificate[0] == "modular"
 
 
 def test_criterion_2_presentation_suite():

@@ -1,6 +1,8 @@
 """Truncated algebras: realized dimensions, defining relations, word
 evaluation, truncation maps."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from qschur.intspec import specialize_schur
 from qschur.laurent import LaurentPoly, RatFunc, qint
 from qschur.linalg import mat_mul, mat_sub
-from qschur.rings import RingPoint
+from qschur import schur
+from qschur.rings import PoleError, RingPoint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import SchurAlgebra, TruncationMap, build_schur, \
@@ -159,6 +162,82 @@ class TestPresentation:
         S.expected_dim += 1
         with pytest.raises(RuntimeError, match="density"):
             S.basis()
+
+
+def exact_closure_calls(monkeypatch):
+    """Counts the runs of the exact Q(v) closure from now on."""
+    calls = []
+    exact = SchurAlgebra._exact_closure
+
+    def spy(self):
+        calls.append(self)
+        return exact(self)
+    monkeypatch.setattr(SchurAlgebra, "_exact_closure", spy)
+    return calls
+
+
+def assert_matrix_units(S):
+    """basis() is the list of block matrix units e_ij, in block, row and
+    column order."""
+    want = [(k, i, j) for k, d in enumerate(S.block_dims)
+            for i in range(d) for j in range(d)]
+    got = []
+    for b in S.basis():
+        (k, block), = [(k, blk) for k, blk in enumerate(b.blocks) if blk]
+        (i, row), = block.items()
+        (j, x), = row.items()
+        assert x == S.field.one
+        got.append((k, i, j))
+    assert got == want and S.dimension() == len(want)
+
+
+class TestDensityCertificate:
+    def test_large_set_certifies_without_the_exact_closure(self,
+                                                           monkeypatch):
+        calls = exact_closure_calls(monkeypatch)
+        S = SchurAlgebra(sat("B2", [(2, 1)]))
+        assert S.dimension() == S.expected_dim == 2272
+        assert S.certificate == ("modular",) + schur._MODULAR_POINTS[0]
+        assert calls == []
+
+    def test_fallback_when_every_point_misses(self, monkeypatch):
+        S = SchurAlgebra(sat("A2", [(1, 1)]))
+        # v^2 + 1, a denominator of an E/F entry, vanishes at (5, 2); at
+        # (3, 1) the rank falls short
+        with pytest.raises(PoleError):
+            schur._ModularImage(S, RingPoint.modular(5, 2)).rank()
+        assert schur._ModularImage(S, RingPoint.modular(3, 1)).rank() == 57
+        monkeypatch.setattr(schur, "_MODULAR_POINTS", ((5, 2), (3, 1)))
+        calls = exact_closure_calls(monkeypatch)
+        assert S.dimension() == 65
+        assert S.certificate == ("exact",) and calls == [S]
+        assert_matrix_units(S)
+
+    def test_corrupted_generator_is_refused_on_both_paths(self,
+                                                          monkeypatch):
+        pi = sat("A1", [(1,)])
+        module = copy.copy(build_schur(pi).modules[0])
+        module.f = [{}]          # F had one entry; the block is now reducible
+        module._dp_cache = {}
+
+        def corrupted():
+            return SchurAlgebra(pi, [module])
+        for p, a in schur._MODULAR_POINTS:
+            image = schur._ModularImage(corrupted(), RingPoint.modular(p, a))
+            assert image.rank() == 3
+        with pytest.raises(RuntimeError, match="density violated") as exact:
+            corrupted()._exact_closure()
+        calls = exact_closure_calls(monkeypatch)
+        S = corrupted()
+        with pytest.raises(RuntimeError, match="density violated") as got:
+            S.basis()
+        assert str(got.value) == str(exact.value)
+        assert calls == [S]
+
+    def test_basis_is_the_matrix_units(self):
+        S = build_schur(sat("A1", [(1,), (2,)]))
+        assert_matrix_units(S)
+        assert S.certificate[0] == "modular"
 
 
 # five 3-chains per preset, each given by a seed and two enlargement steps;
