@@ -3,12 +3,18 @@
 LaurentPoly is the coefficient ring of all integral-form computations;
 RatFunc is the ground field Q(v) of the generic theory.  Both are
 immutable and canonical, so structural equality is mathematical equality.
+
+All arithmetic is over the integers: a gcd in Z[v, v^-1] is the primitive
+pseudo-remainder sequence (Collins, Brown) in Z[v] times the gcd of the
+contents, and exact division is integer long division.  RatFunc products
+and sums follow Henrici (Knuth, TAOCP 4.5.1): a product cancels each
+numerator against the other denominator, and a sum reduces only against
+the gcd of the denominators, so reduced operands give a reduced result.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 
 
 class LaurentPoly:
@@ -23,8 +29,11 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, a in coeffs.items():
-                if a:
-                    c[int(e)] = int(a)
+                n = int(a)
+                if n != a:
+                    raise ValueError(f"non-integer coefficient {a!r}")
+                if n:
+                    c[int(e)] = n
         self.coeffs = c
         self._hash = None
 
@@ -103,15 +112,22 @@ class LaurentPoly:
             out.coeffs = {e: a * other for e, a in self.coeffs.items()}
             out._hash = None
             return out
-        c = {}
-        for e1, a1 in self.coeffs.items():
-            for e2, a2 in other.coeffs.items():
-                e = e1 + e2
-                s = c.get(e, 0) + a1 * a2
-                if s:
-                    c[e] = s
-                else:
-                    del c[e]
+        x, y = self.coeffs, other.coeffs
+        if len(x) < len(y):
+            x, y = y, x
+        if len(y) == 1:
+            [(k, b)] = y.items()
+            c = {e + k: a * b for e, a in x.items()}
+        else:
+            c = {}
+            for e1, a1 in x.items():
+                for e2, a2 in y.items():
+                    e = e1 + e2
+                    s = c.get(e, 0) + a1 * a2
+                    if s:
+                        c[e] = s
+                    else:
+                        del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.coeffs = c
         out._hash = None
@@ -147,10 +163,7 @@ class LaurentPoly:
         return LaurentPoly({-e: a for e, a in self.coeffs.items()})
 
     def content(self):
-        g = 0
-        for a in self.coeffs.values():
-            g = int_gcd(g, abs(a))
-        return g
+        return int_gcd(*self.coeffs.values())
 
     def is_unit(self):
         """True when the polynomial is +-v^k."""
@@ -166,53 +179,29 @@ class LaurentPoly:
 
     # -- division -------------------------------------------------------
 
-    def divmod_poly(self, other):
-        """Quotient and remainder when both sides are shifted into Z[v].
-
-        Performs pseudo-free division only when exact; returns (q, r) with
-        self = q*other + r as Laurent polynomials, computed by fraction
-        division over Q then verified integral by the caller if needed.
-        """
+    def exact_div(self, other):
+        """The Laurent polynomial self / other, by integer long division from
+        the top coefficient; ValueError when a leading coefficient does not
+        divide or a remainder is left."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
-        # work over Q[v] after clearing the v-valuation
-        s_min = self.min_exp() if self.coeffs else 0
-        o_min = other.min_exp()
-        a = {e - s_min: Fraction(c) for e, c in self.coeffs.items()}
-        b = {e - o_min: Fraction(c) for e, c in other.coeffs.items()}
-        db = max(b)
-        lb = b[db]
+        if not self.coeffs:
+            return ZERO
+        a, b = _dense(self), _dense(other)
+        n, lb = len(b), b[-1]
         q = {}
-        while a:
-            da = max(a)
-            if da < db:
-                break
-            f = a[da] / lb
-            q[da - db] = f
-            for e, c in b.items():
-                ne = e + da - db
-                s = a.get(ne, Fraction(0)) - f * c
-                if s:
-                    a[ne] = s
-                else:
-                    a.pop(ne, None)
-        shift = s_min - o_min
-        qq = {e + shift: c for e, c in q.items()}
-        rr = {e + s_min: c for e, c in a.items()}
-        return qq, rr
-
-    def exact_div(self, other):
-        """Exact division; raises ValueError when the division is not exact."""
-        q, r = self.divmod_poly(other)
-        if r:
-            raise ValueError("inexact Laurent polynomial division")
-        out = {}
-        for e, c in q.items():
-            if c.denominator != 1:
-                raise ValueError("quotient not integral")
+        for k in range(len(a) - n, -1, -1):
+            c = a[k + n - 1]
             if c:
-                out[e] = int(c)
-        return LaurentPoly(out)
+                f, r = divmod(c, lb)
+                if r:
+                    raise ValueError("quotient not integral")
+                q[k] = f
+                for i, y in enumerate(b):
+                    a[k + i] -= f * y
+        if any(a):
+            raise ValueError("inexact Laurent polynomial division")
+        return _sparse(q.items(), self.min_exp() - other.min_exp())
 
     # -- printing -------------------------------------------------------
 
@@ -270,48 +259,86 @@ ONE = LaurentPoly.const(1)
 V = LaurentPoly.monomial(1, 1)
 
 
+def _dense(p):
+    """The coefficients of p / v^min_exp(p), lowest degree first."""
+    m = min(p.coeffs)
+    out = [0] * (max(p.coeffs) - m + 1)
+    for e, a in p.coeffs.items():
+        out[e - m] = a
+    return out
+
+
+def _sparse(terms, shift=0):
+    """The Laurent polynomial sum of a*v^(e + shift) over (e, a) in terms."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.coeffs = {e + shift: a for e, a in terms if a}
+    out._hash = None
+    return out
+
+
+def _primitive_prem(f, g):
+    """The primitive part of a pseudo-remainder of f by g in Z[v] (dense,
+    len(f) >= len(g)); [] when g divides f."""
+    r, n, lg = f[:], len(g), g[-1]
+    while len(r) >= n:
+        h = int_gcd(r[-1], lg)
+        s, t = lg // h, r[-1] // h
+        if s != 1:
+            r = [s * x for x in r]
+        for i, y in enumerate(g, len(r) - n):
+            r[i] -= t * y
+        while r and not r[-1]:
+            r.pop()
+    c = int_gcd(*r) if r else 1
+    return [x // c for x in r] if c != 1 else r
+
+
 def _poly_gcd_int(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """GCD in Z[v, v^-1], normalized with min exponent 0 and positive leading
-    coefficient.  Computed by monic Euclid over Q[v] plus content bookkeeping.
+    coefficient.  Computed by the primitive pseudo-remainder sequence in Z[v]
+    on the primitive parts, times the gcd of the contents.
     """
-    if a.is_zero():
-        g = b
-    elif b.is_zero():
-        g = a
+    if a.is_zero() or b.is_zero():
+        g = b if a.is_zero() else a
+        if g.is_zero():
+            return g
+        g = _dense(g)
     else:
         ca, cb = a.content(), b.content()
-        fa = {e - a.min_exp(): Fraction(c) for e, c in a.coeffs.items()}
-        fb = {e - b.min_exp(): Fraction(c) for e, c in b.coeffs.items()}
-        while fb:
-            # fa mod fb
-            db = max(fb)
-            lb = fb[db]
-            r = dict(fa)
-            while r and max(r) >= db:
-                da = max(r)
-                f = r[da] / lb
-                for e, c in fb.items():
-                    ne = e + da - db
-                    s = r.get(ne, Fraction(0)) - f * c
-                    if s:
-                        r[ne] = s
-                    else:
-                        r.pop(ne, None)
-            fa, fb = fb, r
-        # clear denominators, make primitive
-        den = lcm(*[c.denominator for c in fa.values()]) if fa else 1
-        ints = {e: int(c * den) for e, c in fa.items()}
-        g = LaurentPoly(ints)
-        cg = g.content()
-        if cg > 1:
-            g = LaurentPoly({e: c // cg for e, c in g.coeffs.items()})
-        g = int_gcd(ca, cb) * g
-    if g.is_zero():
-        return g
-    g = g.shift(-g.min_exp())
-    if g.leading_coeff() < 0:
-        g = -g
-    return g
+        f, g = [x // ca for x in _dense(a)], [x // cb for x in _dense(b)]
+        if len(f) < len(g):
+            f, g = g, f
+        while len(g) > 1:
+            r = _primitive_prem(f, g)
+            if not r:
+                break
+            f, g = g, r
+        c = int_gcd(ca, cb)
+        if c != 1:
+            g = [c * x for x in g]
+    if g[-1] < 0:
+        g = [-x for x in g]
+    return _sparse(enumerate(g))
+
+
+def _normalize(num, den):
+    """num/den with den shifted to min exponent 0 and positive leading
+    coefficient."""
+    e = den.min_exp()
+    if e:
+        num, den = num.shift(-e), den.shift(-e)
+    if den.leading_coeff() < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def _rat(num, den):
+    """The RatFunc num/den of a pair already in canonical form."""
+    out = RatFunc.__new__(RatFunc)
+    out.num = num
+    out.den = den
+    out._hash = None
+    return out
 
 
 class RatFunc:
@@ -323,7 +350,7 @@ class RatFunc:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __init__(self, num, den=None):
         if isinstance(num, int):
             num = LaurentPoly.const(num)
         if den is None:
@@ -332,46 +359,22 @@ class RatFunc:
             den = LaurentPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in Q(v)")
-        if not _reduced:
-            num, den = self._reduce(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = self._reduce(num, den)
         self._hash = None
 
     @staticmethod
     def _reduce(num, den):
         if num.is_zero():
             return ZERO, ONE
-        if den.is_unit():
-            e = den.min_exp()
-            c = den.coeffs[e]
-            num = num.shift(-e)
-            if c < 0:
-                num = -num
-            return num, ONE
-        g = _poly_gcd_int(num, den)
-        if not g.is_one():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        # normalize denominator: min exponent 0, positive leading coefficient
-        e = den.min_exp()
-        if e:
-            den = den.shift(-e)
-            num = num.shift(-e)
-        if den.leading_coeff() < 0:
-            den = -den
-            num = -num
-        if den.is_unit():
-            return RatFunc._reduce(num, den)
-        return num, den
+        if not den.is_unit():
+            g = _poly_gcd_int(num, den)
+            if not g.is_one():
+                num, den = num.exact_div(g), den.exact_div(g)
+        return _normalize(num, den)
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RatFunc":
-        out = RatFunc.__new__(RatFunc)
-        out.num = p
-        out.den = ONE
-        out._hash = None
-        return out
+        return _rat(p, ONE)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -395,12 +398,28 @@ class RatFunc:
         return self._hash
 
     def __add__(self, other):
+        """Henrici's sum: with g = gcd(d1, d2), t = a*(d2/g) + c*(d1/g) is
+        prime to (d1/g)*(d2/g), so t is reduced against g only."""
         if isinstance(other, int):
             other = RatFunc(other)
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_poly(self.num + other.num)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        d1, d2 = self.den, other.den
+        if d1.is_one() and d2.is_one():
+            return _rat(self.num + other.num, ONE)
+        if d1 == d2:
+            g, e1, e2 = d1, ONE, ONE
+        elif d1.is_one() or d2.is_one():
+            g, e1, e2 = ONE, d1, d2
+        else:
+            g = _poly_gcd_int(d1, d2)
+            e1, e2 = d1.exact_div(g), d2.exact_div(g)
+        t = self.num * e2 + other.num * e1
+        if not t:
+            return R_ZERO
+        if not g.is_one():
+            h = _poly_gcd_int(t, g)
+            if not h.is_one():
+                t, g = t.exact_div(h), g.exact_div(h)
+        return _rat(t, e1 * e2 * g)
 
     __radd__ = __add__
 
@@ -420,26 +439,40 @@ class RatFunc:
         return RatFunc(other) + (-self)
 
     def __mul__(self, other):
+        """Henrici's product: cancel each numerator against the other
+        denominator; the factors are reduced, so the product is."""
         if isinstance(other, int):
             other = RatFunc(other)
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_poly(self.num * other.num)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, d1, c, d2 = self.num, self.den, other.num, other.den
+        if d1.is_one() and d2.is_one():
+            return _rat(a * c, ONE)
+        if not (a and c):
+            return R_ZERO
+        if not d2.is_one():
+            g = _poly_gcd_int(a, d2)
+            if not g.is_one():
+                a, d2 = a.exact_div(g), d2.exact_div(g)
+        if not d1.is_one():
+            g = _poly_gcd_int(c, d1)
+            if not g.is_one():
+                c, d1 = c.exact_div(g), d1.exact_div(g)
+        return _rat(a * c, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, int):
             other = RatFunc(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(v)")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return RatFunc(other) / self
 
     def inverse(self):
-        return RatFunc(self.den, self.num)
+        """den/num is in lowest terms: only sign and shift are normalized."""
+        if self.num.is_zero():
+            raise ZeroDivisionError("division by zero in Q(v)")
+        return _rat(*_normalize(self.den, self.num))
 
     def __repr__(self):
         return f"RatFunc({self.to_string()!r})"

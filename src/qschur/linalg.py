@@ -109,14 +109,20 @@ def sparse_scale(c, a):
 
 
 def sparse_mul(a, b):
+    """a * b; each row of a meets the rows of b in the smaller of the two
+    key sets (a matrix unit b has one row)."""
     out = {}
+    if not b:
+        return out
+    bk = b.keys()
     for i, ra in a.items():
+        common = ra.keys() & bk
+        if not common:
+            continue
         acc = {}
-        for t, x in ra.items():
-            rb = b.get(t)
-            if rb is None:
-                continue
-            for j, y in rb.items():
+        for t in common:
+            x = ra[t]
+            for j, y in b[t].items():
                 s = acc.get(j)
                 acc[j] = x * y if s is None else s + x * y
         row = {j: s for j, s in acc.items() if s}
