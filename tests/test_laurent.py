@@ -1,13 +1,57 @@
 """Exact Laurent polynomial and rational function arithmetic."""
 
 from fractions import Fraction
+from math import gcd as int_gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur.laurent import (LaurentPoly, ONE, RatFunc, V, ZERO, is_integral,
-                            qbinom, qfact, qint)
+from qschur.laurent import (LaurentPoly, ONE, RatFunc, V, ZERO, _poly_gcd_int,
+                            is_integral, qbinom, qfact, qint)
+
+
+def _fraction_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The reference gcd: the earlier monic Euclid over Q[v] with Fraction
+    coefficients, kept unchanged as the oracle for the integer-only one."""
+    if a.is_zero():
+        g = b
+    elif b.is_zero():
+        g = a
+    else:
+        ca, cb = a.content(), b.content()
+        fa = {e - a.min_exp(): Fraction(c) for e, c in a.coeffs.items()}
+        fb = {e - b.min_exp(): Fraction(c) for e, c in b.coeffs.items()}
+        while fb:
+            # fa mod fb
+            db = max(fb)
+            lb = fb[db]
+            r = dict(fa)
+            while r and max(r) >= db:
+                da = max(r)
+                f = r[da] / lb
+                for e, c in fb.items():
+                    ne = e + da - db
+                    s = r.get(ne, Fraction(0)) - f * c
+                    if s:
+                        r[ne] = s
+                    else:
+                        r.pop(ne, None)
+            fa, fb = fb, r
+        # clear denominators, make primitive
+        den = lcm(*[c.denominator for c in fa.values()]) if fa else 1
+        ints = {e: int(c * den) for e, c in fa.items()}
+        g = LaurentPoly(ints)
+        cg = g.content()
+        if cg > 1:
+            g = LaurentPoly({e: c // cg for e, c in g.coeffs.items()})
+        g = int_gcd(ca, cb) * g
+    if g.is_zero():
+        return g
+    g = g.shift(-g.min_exp())
+    if g.leading_coeff() < 0:
+        g = -g
+    return g
 
 
 class TestLaurentPoly:
@@ -163,3 +207,195 @@ class TestQuantumNumbers:
         f = RatFunc(1) * RatFunc.from_poly(qint(2)).inverse()
         assert is_integral(f) is None
         assert is_integral(RatFunc.from_poly(V)) == V
+
+
+# -- integer-only arithmetic against references ----------------------------
+
+polys = st.builds(LaurentPoly, st.dictionaries(
+    st.integers(-4, 4), st.integers(-6, 6), max_size=4))
+nonzero_polys = polys.filter(bool)
+rats = st.builds(RatFunc, polys, nonzero_polys)
+nonzero_rats = rats.filter(bool)
+PROPERTY = settings(max_examples=50, deadline=None)
+
+
+def _full(num, den):
+    """The canonical form through the general reduction of RatFunc."""
+    return RatFunc(num, den).to_string()
+
+
+class TestIntegerGcd:
+    @given(polys, polys, nonzero_polys)
+    @PROPERTY
+    def test_matches_the_fraction_gcd(self, a, b, h):
+        # a common factor h makes the gcd nontrivial
+        for x, y in ((a, b), (a * h, b * h), (h, a * h)):
+            assert _poly_gcd_int(x, y) == _fraction_gcd(x, y)
+
+    def test_content_and_normalization(self):
+        two = LaurentPoly.const(2)
+        assert _poly_gcd_int(two * (V + ONE), LaurentPoly.const(-4)) == two
+        assert _poly_gcd_int(-V.shift(3) * (V - ONE), V - ONE) == V - ONE
+        assert _poly_gcd_int(ZERO, -(V + ONE).shift(-2)) == V + ONE
+        assert _poly_gcd_int(ZERO, ZERO) == ZERO
+
+
+class TestExactDivision:
+    @given(polys, nonzero_polys)
+    @PROPERTY
+    def test_inverts_multiplication(self, p, q):
+        assert (p * q).exact_div(q) == p
+
+    @given(nonzero_polys, nonzero_polys, st.integers(2, 5))
+    @PROPERTY
+    def test_non_integral_quotient_raises(self, p, q, k):
+        p = LaurentPoly({e: a // p.content() for e, a in p.coeffs.items()})
+        with pytest.raises(ValueError):
+            (p * q).exact_div(q * k)
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ValueError):
+            (V + LaurentPoly.const(2)).exact_div(V + ONE)
+        with pytest.raises(ValueError):
+            ONE.exact_div(V + ONE)
+        with pytest.raises(ValueError):
+            (V + ONE).exact_div(LaurentPoly({1: 2, 0: 2}))
+        with pytest.raises(ZeroDivisionError):
+            ONE.exact_div(ZERO)
+
+
+class TestFastPaths:
+    """Every shortcut of +, *, / and inverse gives the canonical form of the
+    general reduction of the unreduced result."""
+
+    @given(rats, rats)
+    @PROPERTY
+    def test_sum_and_product(self, x, y):
+        assert (x + y).to_string() == _full(x.num * y.den + y.num * x.den,
+                                            x.den * y.den)
+        assert (x * y).to_string() == _full(x.num * y.num, x.den * y.den)
+        assert (x - y).to_string() == _full(x.num * y.den - y.num * x.den,
+                                            x.den * y.den)
+
+    @given(polys, polys, nonzero_polys)
+    @PROPERTY
+    def test_polynomial_and_shared_denominators(self, a, c, d):
+        x, y, p = RatFunc(a, d), RatFunc(c, d), RatFunc.from_poly(c)
+        assert (x + y).to_string() == _full(a + c, d)
+        assert (x + p).to_string() == _full(a + c * d, d)
+        assert (p + x).to_string() == _full(a + c * d, d)
+        assert (x * p).to_string() == _full(a * c, d)
+
+    @given(nonzero_rats, rats)
+    @PROPERTY
+    def test_inverse_and_quotient(self, x, y):
+        assert x.inverse().to_string() == _full(x.den, x.num)
+        assert (y / x).to_string() == _full(y.num * x.den, y.den * x.num)
+
+    def test_each_sum_branch(self):
+        d = V * V - ONE
+        cases = [
+            (RatFunc(ONE, d), RatFunc(V, d)),            # shared, cancels
+            (RatFunc(ONE, V * V + ONE), RatFunc(V, V * V + ONE)),  # shared
+            (RatFunc(ONE, V + ONE), RatFunc(ONE, V - ONE)),  # coprime
+            (RatFunc(ONE, d), RatFunc(-ONE, V + ONE)),   # common factor
+            (RatFunc(V, d), RatFunc(-V, d)),             # sum is zero
+            (RatFunc(2, 3), RatFunc(ONE, LaurentPoly.const(6))),
+        ]
+        for x, y in cases:
+            assert (x + y).to_string() == _full(
+                x.num * y.den + y.num * x.den, x.den * y.den)
+        assert (RatFunc(ONE, d) + RatFunc(V, d)) == RatFunc(ONE, V - ONE)
+
+    def test_integer_operands(self):
+        x = RatFunc(V, LaurentPoly.const(6))
+        assert (x * 3).to_string() == "(v)/(2)"
+        assert (2 * x + 1).to_string() == "(v + 3)/(3)"
+        assert (x / 2).to_string() == "(v)/(12)"
+        assert (1 - x).to_string() == "(-v + 6)/(6)"
+
+
+class TestRingAxioms:
+    @given(polys, polys, polys)
+    @PROPERTY
+    def test_laurent_polynomials(self, a, b, c):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + ZERO == a and a * ONE == a and (a - a).is_zero()
+
+    @given(rats, rats, rats)
+    @PROPERTY
+    def test_rational_functions(self, x, y, z):
+        zero, one = RatFunc(0), RatFunc(1)
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + zero == x and x * one == x and (x - x) == zero
+        if x:
+            assert (x * x.inverse()).is_one()
+
+
+class TestStringRoundTrip:
+    @given(polys)
+    @PROPERTY
+    def test_laurent_polynomials(self, p):
+        assert LaurentPoly.parse(p.to_string()) == p
+
+    @given(rats)
+    @PROPERTY
+    def test_rational_functions(self, f):
+        assert RatFunc.parse(f.to_string()) == f
+
+
+class TestCoefficientsAreIntegers:
+    def test_non_integer_coefficients_are_refused(self):
+        with pytest.raises(ValueError):
+            LaurentPoly({0: Fraction(1, 2)})
+        with pytest.raises(ValueError):
+            LaurentPoly({0: 1, 1: 2.7})
+
+    def test_integral_values_are_kept_as_ints(self):
+        p = LaurentPoly({0: Fraction(4, 2), 1: 3.0, 2: 0})
+        assert p.coeffs == {0: 2, 1: 3}
+        assert all(type(a) is int for a in p.coeffs.values())
+
+
+class TestAgainstSympy:
+    """The canonical form against sympy's cancel and the gcd against
+    sympy.gcd, both over Z[v] after clearing powers of v."""
+
+    @staticmethod
+    def _poly(p):
+        """p / v^min_exp(p) as a sympy Poly over Z."""
+        sympy = pytest.importorskip("sympy")
+        m = p.min_exp()
+        return sympy.Poly.from_dict({(e - m,): a for e, a in p.coeffs.items()},
+                                    sympy.Symbol("v"))
+
+    @staticmethod
+    def _laurent(poly, shift=0):
+        return LaurentPoly({e + shift: int(c) for (e,), c in poly.terms()})
+
+    @given(nonzero_polys, nonzero_polys)
+    @settings(max_examples=30, deadline=None)
+    def test_canonical_form_matches_cancel(self, a, b):
+        n, d = self._poly(a).cancel(self._poly(b), include=True)
+        num = self._laurent(n, a.min_exp() - b.min_exp())
+        den = self._laurent(d)
+        if den.leading_coeff() < 0:
+            num, den = -num, -den
+        f = RatFunc(a, b)
+        assert (f.num, f.den) == (num, den)
+
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=30, deadline=None)
+    def test_gcd_matches_sympy(self, a, b, h):
+        sympy = pytest.importorskip("sympy")
+        a, b = a * h, b * h
+        want = self._laurent(sympy.gcd(self._poly(a), self._poly(b)))
+        if want.leading_coeff() < 0:
+            want = -want
+        assert _poly_gcd_int(a, b) == want
