@@ -4,7 +4,7 @@ Files are named by a digest of the root datum, the saturated set, and a
 format version; each file carries its own checksum and is written
 atomically (temp file then rename).  A loaded module is rebuilt as the
 `weylmod.HighestWeightModule` record, so it meets the same checks as a
-built one.  A corrupt or stale file, or one whose modules fail those
+built one, Laurent entries included.  A corrupt or stale file, or one whose modules fail those
 checks, is reported and ignored, never trusted.
 """
 
@@ -20,7 +20,7 @@ from .laurent import RatFunc
 from .schur import SchurAlgebra
 from .weylmod import HighestWeightModule, ModuleCheckError, weyl_dim_oracle
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def default_cache_dir():

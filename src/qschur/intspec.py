@@ -1,57 +1,37 @@
-"""Integral forms over Z[v,v^-1] via verified lattice bases, exact
-specialization v -> xi, the specialized inverse system, and empirical
-kernel probes."""
+"""Integral forms over Z[v,v^-1]: the divided powers of each simple module
+as Laurent matrices in its lattice basis, exact specialization v -> xi,
+the specialized inverse system, and empirical kernel probes."""
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, RatFuncField, is_integral
-from .linalg import SparseEchelon, sparse_map, sparse_mul
+from .laurent import LaurentPoly, is_integral
+from .linalg import SparseEchelon, sparse_map
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
 from .schur import BlockAlgebra, TruncationMap
 from .weylmod import weyl_module
 
-_F = RatFuncField
-
 
 class LatticeError(ValueError):
-    """Raised when a module admits no supported integral lattice basis."""
+    """Raised when a divided power has an entry outside Z[v,v^-1]."""
 
 
 class LatticeBasis:
-    """A basis of divided-power monomial images with verified unit
-    transition determinant and integral generator matrices.
+    """The divided powers of a `weylmod.WeylModule` as Laurent matrices in
+    the module's own basis.
 
-    A monomial is a tuple of (index, exponent) pairs with distinct adjacent
-    indices, applied right to left to the highest-weight vector.
-
-    Two independent greedy selections (differing in enumeration order) must
-    span the same lattice: each must express in the other with entries in
-    Z[v,v^-1].  Then the transition matrix T and its inverse are integral,
-    so det T det T^-1 = 1 makes det T a unit; this pins the lattice itself,
-    not just a spanning set.
+    The module is lowered with divided powers, so its basis is a
+    Z[v,v^-1]-basis of the Lusztig form V_A = U_A^- v_lam, and `monomials`
+    are its words: a monomial is a tuple of (index, exponent) pairs with
+    distinct adjacent indices, applied right to left to the highest-weight
+    vector.  What is left to prove is that every divided power maps V_A to
+    itself, which `check_integrality` does entry by entry.
     """
 
     def __init__(self, module):
         self.module = module
-        chosen = _greedy_select(module, reverse=False)
-        # deterministic order: module weight order, monomials as discovered
-        self.monomials = [mono for nu in module.weights
-                          for mono, _ in chosen[nu]]
-        self._vectors = _flatten(module, chosen)
-        self._coords = _coordinates(module, self._vectors,
-                                    "unsupported lattice")
+        self.monomials = list(module.words)
         self._integral_cache = {}
-        self._verify_unit_transition()
-
-    def _verify_unit_transition(self):
-        module = self.module
-        other = _flatten(module, _greedy_select(module, reverse=True))
-        _integral_columns(self._coords, other,
-                          "unsupported lattice: alternate-basis transition")
-        unit = "transition determinant is not a unit of Z[v,v^-1]"
-        _integral_columns(_coordinates(module, other, unit), self._vectors,
-                          unit + ": inverse transition")
 
     def nilpotency(self, sign, i):
         """Largest k with a nonzero k-th divided power (0 for the zero
@@ -67,13 +47,18 @@ class LatticeBasis:
         entry."""
         key = (1 if sign > 0 else -1, i, k)
         out = self._integral_cache.get(key)
-        if out is not None:
-            return out
-        mat = self.module.divided_power(sign, i, k)
-        out = _integral_columns(
-            self._coords, [_apply(mat, vec) for vec in self._vectors],
-            f"unsupported lattice: E^({k}) (sign {key[0]}, index {i})")
-        self._integral_cache[key] = out
+        if out is None:
+            out = {}
+            for r_, row in self.module.divided_power(sign, i, k).items():
+                for c_, x in row.items():
+                    p = is_integral(x)
+                    if p is None:
+                        raise LatticeError(
+                            f"E^({k}) (sign {key[0]}, index {i}): entry "
+                            f"({r_},{c_}) is {x.to_string()}, not in "
+                            "Z[v,v^-1]")
+                    out.setdefault(r_, {})[c_] = p
+            self._integral_cache[key] = out
         return out
 
     def check_integrality(self, max_power=None):
@@ -89,105 +74,6 @@ class LatticeBasis:
                     self.integral_matrix(sign, i, k)
                     checked.append((sign, i, k))
         return checked
-
-
-def _greedy_select(module, reverse=False):
-    """Greedy rank-extending selection of divided-power monomial images
-    (sparse vectors), grouped by weight.  `reverse` flips the generator
-    enumeration order to produce an independent second selection."""
-    datum = module.datum
-    r = datum.rank
-    chosen = {nu: [] for nu in module.weights}
-    picked = 0
-    echelons = {nu: SparseEchelon(_F) for nu in module.weights}
-
-    hw = {module.offsets[module.lam]: _F.one}
-    frontier = [((), hw, module.lam)]
-    echelons[module.lam].insert(hw)
-    chosen[module.lam].append(((), hw))
-    picked += 1
-    indices = list(range(r))
-    if reverse:
-        indices.reverse()
-    while frontier:
-        nxt = []
-        for mono, vec, nu in sorted(frontier, key=lambda t: t[0]):
-            for i in indices:
-                if mono and mono[0][0] == i:
-                    continue
-                alpha = datum.simple_roots[i]
-                steps = []
-                a = 1
-                while True:
-                    target = tuple(x - a * al for x, al in zip(nu, alpha))
-                    if target not in module.offsets:
-                        break
-                    nv = _apply(module.divided_power(-1, i, a), vec)
-                    if not nv:
-                        break
-                    steps.append((a, target, nv))
-                    a += 1
-                if reverse:
-                    steps.reverse()
-                for a, target, nv in steps:
-                    nm = ((i, a),) + mono
-                    nxt.append((nm, nv, target))
-                    if echelons[target].insert(nv):
-                        chosen[target].append((nm, nv))
-                        picked += 1
-        frontier = nxt
-    if picked != module.dim:
-        raise LatticeError(
-            f"monomial images span rank {picked} < dim {module.dim} "
-            f"for highest weight {module.lam}")
-    return chosen
-
-
-def _apply(mat, vec):
-    """A sparse matrix times a sparse vector."""
-    col = sparse_mul(mat, {c_: {0: x} for c_, x in vec.items()})
-    return {r_: row[0] for r_, row in col.items()}
-
-
-def _flatten(module, chosen):
-    """The chosen vectors in module weight order."""
-    return [vec for nu in module.weights for _, vec in chosen[nu]]
-
-
-def _coordinates(module, vectors, what):
-    """The coordinates of every module basis vector e_p in `vectors`, as
-    sparse rows {p: {n: x}}; the coordinates of w are sum_p w[p] * row p.
-    Raises LatticeError, prefixed by `what`, unless `vectors` is a basis.
-
-    Vector n enters one echelon with the unit tag dim + n, past every module
-    index (weight spaces have disjoint supports, so one echelon serves every
-    weight).  For a basis every module index is a pivot, and its fully
-    reduced row is e_p plus the coordinates of e_p on the tags."""
-    off = module.dim
-    ech = SparseEchelon(_F)
-    for n, vec in enumerate(vectors):
-        ech.insert({**vec, off + n: _F.one})
-    if set(ech.pivots) != set(range(off)):
-        raise LatticeError(f"{what}: the selected vectors are not a basis")
-    return {p: {k - off: x for k, x in row.items() if k >= off}
-            for p, row in ech.pivots.items()}
-
-
-def _integral_columns(coords, columns, what):
-    """The sparse matrix whose column c holds the coordinates of
-    columns[c] (given the coordinate rows from `_coordinates`), with entries
-    in Z[v,v^-1]; raises LatticeError, prefixed by `what`, on an entry
-    outside Z[v,v^-1]."""
-    out = {}
-    for c_, col in sparse_mul(dict(enumerate(columns)), coords).items():
-        for r_, x in col.items():
-            p = is_integral(x)
-            if p is None:
-                raise LatticeError(
-                    f"{what}: entry ({r_},{c_}) is {x.to_string()}, not in "
-                    "Z[v,v^-1]")
-            out.setdefault(r_, {})[c_] = p
-    return out
 
 
 _lattice_cache = {}

@@ -129,7 +129,16 @@ class RootDatum:
                    for a in range(self.rank_y) for b in range(self.rank_x))
 
     def pair_i(self, i, lam):
-        return self.pair(self.simple_coroots[i], lam)
+        return sum(c * x for c, x in zip(self._coroot_rows[i], lam))
+
+    @cached_property
+    def _coroot_rows(self):
+        """The row h_i . pairing of every simple coroot h_i, so that
+        <h_i, lam> is one dot product."""
+        return tuple(tuple(sum(h[a] * self.pairing[a][b]
+                               for a in range(self.rank_y))
+                           for b in range(self.rank_x))
+                     for h in self.simple_coroots)
 
     def is_dominant(self, lam):
         return all(self.pair_i(i, lam) >= 0 for i in range(self.rank))
@@ -183,10 +192,7 @@ class RootDatum:
     @cached_property
     def _pairing_solver(self):
         """Solves <h_i, lam> = n_i for a rational weight lam."""
-        return _solver([[sum(h[a] * self.pairing[a][b]
-                             for a in range(self.rank_y))
-                         for b in range(self.rank_x)]
-                        for h in self.simple_coroots])
+        return _solver([list(row) for row in self._coroot_rows])
 
     def alpha_coords(self, vec):
         """Coordinates of vec in the simple-root basis, or None when vec is

@@ -8,20 +8,21 @@ specialization in `intspec`, which uses the same element type.
 
 The algebra of a saturated set pi is all of the sum of End L(lam) over lam
 in pi, of dimension sum d^2.  `SchurAlgebra.basis()` proves this before it
-returns the block matrix units.  The proof is a modular rank: at a prime p
-and a unit a of F_p where no denominator of a generator entry vanishes,
-evaluation v -> a is a ring homomorphism on the entries, so the F_p-rank of
-the span closure of the images of the generators is at most the Q(v)-rank,
-which is at most sum d^2; reaching sum d^2 mod p proves density.  A few fixed
-points are tried; if every one hits a pole or falls short, the exact Q(v)
-span closure decides, and raises when density fails."""
+returns the block matrix units.  The proof is a modular rank: every
+generator entry lies in Z[v,v^-1] (the module record asserts it), so at a
+prime p and a unit a of F_p evaluation v -> a is a ring homomorphism on the
+entries, and the F_p-rank of the span closure of the images of the
+generators is at most the Q(v)-rank, which is at most sum d^2; reaching
+sum d^2 mod p proves density.  A few fixed points are tried; if every one
+falls short, the exact Q(v) span closure decides, and raises when density
+fails."""
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
 from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
                      sparse_mul, sparse_neg, sparse_scale, sparse_sub)
-from .rings import PoleError, RingPoint, evaluate
+from .rings import RingPoint, evaluate
 from .weylmod import weyl_module
 
 # the (p, a) points of the modular density certificate, tried in order:
@@ -357,11 +358,8 @@ class SchurAlgebra(BlockAlgebra):
 
     def _certify(self):
         for p, a in _MODULAR_POINTS:
-            try:
-                rank = _ModularImage(self, RingPoint.modular(p, a)).rank()
-            except PoleError:
-                continue
-            if rank == self.expected_dim:
+            if _ModularImage(self, RingPoint.modular(p, a)).rank() \
+                    == self.expected_dim:
                 return ("modular", p, a)
         self._exact_closure()
         return ("exact",)
@@ -414,8 +412,7 @@ class _ModularImage(BlockAlgebra):
         return evaluate(c, self.point)
 
     def rank(self):
-        """The F_p-rank of the span closure of the images; raises PoleError
-        when a denominator of a generator entry vanishes at the point."""
+        """The F_p-rank of the span closure of the images."""
         return len(self._closure(self.simple_generators()))
 
 

@@ -1,18 +1,21 @@
 """Highest-weight modules over Q(v), as one record of exact sparse action
-matrices.
+matrices with entries in Z[v,v^-1].
 
-The simple module of highest weight lam is built weight by weight from
-its highest vector by the lowering operators, or, for tall weights, inside
-a tensor product of two smaller modules.  Two independent classical
-oracles (Weyl dimension formula, Freudenthal recursion) check the result,
-and the record checks the commutator relation.
+The simple module of highest weight lam is built weight by weight from its
+highest vector by the divided powers of the lowering operators, in a basis
+of its Lusztig lattice.  Two independent classical oracles (Weyl dimension
+formula, Freudenthal recursion) check the result, and the record checks
+that every entry is a Laurent polynomial and the commutator relation.  A
+tensor-product realization is kept as an independent check of the
+lowering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
+from .laurent import (LaurentPoly, RatFunc, RatFuncField, is_integral, qbinom,
+                      qint)
 from .linalg import (SparseEchelon, sparse_diagonal, sparse_mul,
                      sparse_scale, sparse_sub)
 
@@ -25,7 +28,8 @@ def _qint_r(n, d):
 
 class ModuleCheckError(RuntimeError):
     """Raised when a module fails a consistency check: the commutator
-    tripwire, a character oracle, or a generator image outside the span."""
+    tripwire, a character oracle, a generator image outside the span, or
+    an entry or lattice coordinate outside Z[v,v^-1]."""
 
 
 def _offsets(weights, dims):
@@ -44,8 +48,9 @@ class HighestWeightModule:
     holds the `dims[nu]` indices from `offsets[nu]` on.  `e[i]` and `f[i]`
     are the matrices of E_i and F_i, sparse row dicts in the `linalg`
     format, acting on coordinate columns.  Every construction ends here:
-    the constructor refuses a highest weight space that is not a line and
-    checks [E_i, F_j] = delta_ij [<h_i, nu>]_i on every weight space.
+    the constructor refuses a highest weight space that is not a line or an
+    entry outside Z[v,v^-1], and checks [E_i, F_j] = delta_ij [<h_i, nu>]_i
+    on every weight space.
     """
 
     def __init__(self, datum, lam, weights, dims, e, f):
@@ -61,6 +66,12 @@ class HighestWeightModule:
         if self.dims.get(self.lam) != 1:
             raise ModuleCheckError(
                 f"highest weight space of {self.lam} is not one dimensional")
+        for x in (x for mat in self.e + self.f for row in mat.values()
+                  for x in row.values()):
+            if is_integral(x) is None:
+                raise ModuleCheckError(
+                    f"E/F entry {x.to_string()} of the module of highest "
+                    f"weight {self.lam} is not in Z[v,v^-1]")
         self._check_commutators()
 
     def _check_commutators(self):
@@ -105,16 +116,23 @@ class HighestWeightModule:
 
 class WeylModule(HighestWeightModule):
     """The simple highest-weight module L(lam), lowered from its highest
-    vector weight by weight, from the top down.
+    vector weight by weight with divided powers, from the top down.  Its
+    basis is a Z[v,v^-1]-basis of the Lusztig form V_A = U_A^- v_lam
+    (Lusztig, Introduction to Quantum Groups, 23 and 29), and `words` holds
+    the word of each basis vector.
 
-    The candidates at weight nu are the vectors F_i b, one for each basis
-    vector b at nu + alpha_i, with the word (i,) + word(b), taken in word
-    order.  Below the top a weight vector of a simple module is zero
-    exactly when every E_j kills it, so candidates are compared through
-    their E-images, E_j F_i b = F_i E_j b + delta_ij [<h_i, nu + alpha_i>]_i b,
+    The candidates at weight nu are the vectors F_i^(a) b, for every a >= 1
+    and every basis vector b at mu = nu + a alpha_i whose word does not
+    start with i, with the word ((i, a),) + word(b), taken in `_word_order`.
+    Below the top a weight vector of a simple module is zero exactly when
+    every E_j kills it, so candidates are compared through their E-images,
+        E_j F_i^(a) b = F_i^(a) E_j b + delta_ij [<h_i, mu> - a + 1]_i F_i^(a-1) b,
     which need only the matrices already built.  The basis of nu is the
-    first independent candidates: the lexicographically first F-words that
-    are independent in L(lam).
+    first independent candidates.  A basis vector b = F_i^(c) b' gives
+    F_i^(a) b = [a+c choose a]_i F_i^(a+c) b', so the candidates span V_A
+    at nu over Z[v,v^-1], and the basis is a lattice basis exactly when
+    every candidate has Laurent coordinates in it; the construction checks
+    that and raises ModuleCheckError otherwise.
     """
 
     def __init__(self, datum, lam):
@@ -123,84 +141,115 @@ class WeylModule(HighestWeightModule):
             raise ValueError(f"highest weight {lam} is not dominant")
         r = datum.rank
         roots = datum.simple_roots
-        words = {lam: [()]}           # nu -> basis words, in word order
-        offsets = {lam: 0}
-        dim = 1
+        words = {lam: [()]}           # nu -> basis words
+        index = {(): 0}               # word -> basis index
         e = [{} for _ in range(r)]    # column dicts while building
-        f = [{} for _ in range(r)]
+        fdp = {}                      # (i, a) -> columns of F_i^(a)
         level = [lam]
         while level:                  # the weights one step further down
             below = {tuple(x - a for x, a in zip(nu, roots[i]))
                      for nu in level for i in range(r)}
             level = []
             for nu in _weight_order(datum, lam, below):
-                basis = _lower(datum, nu, dim, words, offsets, e, f)
+                basis = _lower(datum, lam, nu, words, index, e, fdp)
                 if basis:
                     words[nu] = basis
-                    offsets[nu] = dim
-                    dim += len(basis)
                     level.append(nu)
         dims = {nu: len(ws) for nu, ws in words.items()}
         _check_character(datum, lam, dims)
+        self.words = list(index)
         super().__init__(datum, lam, list(words), dims,
                          [_transpose(m) for m in e],
-                         [_transpose(m) for m in f])
+                         [_transpose(fdp.get((i, 1), {})) for i in range(r)])
 
 
-def _lower(datum, nu, off, words, offsets, e, f):
+def _word_order(word):
+    """The order of the candidates: shortest word first, then by word.  In
+    plain word order 18 of the A2 and B2 weights of height at most 10 choose
+    a vector that is not primitive in the lattice, and `_lower` refuses
+    them (on A2 (2,0), at weight (0,-2), a coordinate is v/(v^2+1))."""
+    return len(word), word
+
+
+def _lower(datum, lam, nu, words, index, e, fdp):
     """Build weight nu of L(lam) below the top, given every weight above it;
-    its basis gets the indices from off on.  Fills the columns of E_j and of
-    F_i on those indices and returns the basis words."""
-    roots = datum.simple_roots
+    its basis gets the next indices.  Fills the columns of E_j and of every
+    F_i^(a) on the weights above, and returns the basis words."""
+    off = len(index)
     cands = []
+    rest = []                         # F_i^(a) b with b = F_i^(c) b'
     for i in range(datum.rank):
-        mu = tuple(x + a for x, a in zip(nu, roots[i]))
-        for k, w in enumerate(words.get(mu, ())):
-            cands.append(((i,) + w, i, offsets[mu] + k, mu))
-    cands.sort()
+        a = 1
+        while True:
+            mu = tuple(x + a * y for x, y in zip(nu, datum.simple_roots[i]))
+            if mu not in words:       # the i-string above nu ends here
+                break
+            for w in words[mu]:
+                if w and w[0][0] == i:
+                    rest.append((i, a, w))
+                else:
+                    cands.append((((i, a),) + w, i, a, mu, index[w]))
+            a += 1
+    cands.sort(key=lambda cand: _word_order(cand[0]))
     # one echelon of the E-images; candidate n carries the unit tag off + n,
     # past every image index, so the residue of a dependent candidate is its
     # own tag minus its coordinates on the tags of the basis candidates
     ech = SparseEchelon(_F)
     basis = []
-    pos = {}                          # tag of a basis candidate -> index
-    for n, (word, i, b, mu) in enumerate(cands):
+    pos = {}                          # tag of a basis candidate -> its index
+    for n, (word, i, a, mu, b) in enumerate(cands):
+        fa = fdp.get((i, a), {})
         images = []
         for j in range(datum.rank):
             img = {}
             for t, x in e[j].get(b, {}).items():
-                for u, y in f[i].get(t, {}).items():
+                for u, y in fa.get(t, {}).items():
                     img[u] = img.get(u, _F.zero) + x * y
             if i == j:
-                img[b] = img.get(b, _F.zero) + _qint_r(
-                    datum.pair_i(i, mu), datum.cartan.d(i))
+                c = _qint_r(datum.pair_i(i, mu) - a + 1, datum.cartan.d(i))
+                if c:
+                    prev = {b: _F.one} if a == 1 else fdp[i, a - 1].get(b, {})
+                    for u, y in prev.items():
+                        img[u] = img.get(u, _F.zero) + c * y
             images.append({k: x for k, x in img.items() if x})
         vec = {k: x for img in images for k, x in img.items()}
         vec[off + n] = _F.one
         res = ech.reduce(vec)
         if min(res) < off:
             ech.insert(res)
-            pos[off + n] = len(basis)
-            col = off + len(basis)
+            pos[off + n] = index[word] = p = off + len(basis)
             basis.append(word)
-            f[i][b] = {col: _F.one}
+            fdp.setdefault((i, a), {})[b] = {p: _F.one}
             for j, img in enumerate(images):
                 if img:
-                    e[j][col] = img
+                    e[j][p] = img
         else:
-            col = {off + pos[t]: -x for t, x in res.items() if t != off + n}
-            if col:
-                f[i][b] = col
+            coords = {pos[t]: -x for t, x in res.items() if t != off + n}
+            for x in coords.values():
+                if is_integral(x) is None:
+                    raise ModuleCheckError(
+                        f"candidate {word} at weight {nu} of L({lam}) has "
+                        f"the coordinate {x.to_string()}, not in Z[v,v^-1]")
+            if coords:
+                fdp.setdefault((i, a), {})[b] = coords
+    for i, a, w in rest:
+        (_, c), w0 = w[0], w[1:]
+        src = fdp.get((i, a + c), {}).get(index[w0])
+        if src:
+            k = RatFunc.from_poly(qbinom(a + c, a, datum.cartan.d(i)))
+            fdp.setdefault((i, a), {})[index[w]] = {
+                u: k * y for u, y in src.items()}
     return basis
 
 
 class TensorModule(HighestWeightModule):
-    """A tall highest-weight module realized as the submodule generated by
-    the product of the highest vectors inside (left tensor right), with the
+    """A highest-weight module realized as the submodule generated by the
+    product of the highest vectors inside (left tensor right), with the
     usual coproduct action E -> E x 1 + K~ x E, F -> F x K~^{-1} + 1 x F.
 
-    Independent of the lowering construction; dimensions and weight
-    multiplicities are checked against both character oracles on build.
+    Independent of the lowering construction, which builds every module;
+    this one only checks it.  Dimensions and weight multiplicities are
+    checked against both character oracles on build.
     The basis of each weight space is the fully reduced echelon basis of
     the closure, ordered by pivot: every row has entry 1 at its pivot and 0
     at the other pivots, so the coordinates of a vector in the span are its
@@ -340,12 +389,6 @@ def _ktilde_diag(module, i, sign):
     return out
 
 
-# a weight taller than this that is not fundamental is built inside a tensor
-# product of two smaller modules: its echelon basis keeps the span closures
-# of the algebra faster than the word basis does
-_TENSOR_HEIGHT = 7
-
-
 _module_cache = {}
 
 
@@ -354,24 +397,9 @@ def weyl_module(datum, lam):
     key = (datum.key(), tuple(lam))
     mod = _module_cache.get(key)
     if mod is None:
-        mod = _construct(datum, lam)
+        mod = WeylModule(datum, lam)
         _module_cache[key] = mod
     return mod
-
-
-def _construct(datum, lam):
-    lam = tuple(lam)
-    identity_pairing = all(
-        datum.pairing[a][b] == (1 if a == b else 0)
-        for a in range(datum.rank_y) for b in range(datum.rank_x))
-    if datum.height(lam) > _TENSOR_HEIGHT and identity_pairing:
-        j = max(k for k, c in enumerate(lam) if c > 0)
-        fund = tuple(1 if k == j else 0 for k in range(len(lam)))
-        if fund != lam:
-            rest = tuple(c - f for c, f in zip(lam, fund))
-            return TensorModule(datum, lam, weyl_module(datum, rest),
-                                weyl_module(datum, fund))
-    return WeylModule(datum, lam)
 
 
 # -- independent oracles ----------------------------------------------------

@@ -97,6 +97,11 @@ def _move_out_of_range(entry):
     entry[0] = 99
 
 
+def _divide_by_v_plus_2(entry):
+    x = RatFunc.parse(entry[2])
+    entry[2] = (x / RatFunc.parse("v + 2")).to_string()
+
+
 class TestCache:
     def test_round_trip_structural_equality(self, tmp_path):
         pi = preset("A1").saturate([(2,)])
@@ -128,7 +133,8 @@ class TestCache:
         assert any("checksum" in w for w in warns)
 
     @pytest.mark.parametrize("tamper,reason", [
-        (_double_value, "module check"), (_move_out_of_range, "unreadable")])
+        (_double_value, "module check"), (_move_out_of_range, "unreadable"),
+        (_divide_by_v_plus_2, "not in Z[v,v^-1]")])
     def test_wrong_content_under_a_valid_checksum_is_rebuilt(
             self, tmp_path, tamper, reason):
         # one E entry changed and the checksum recomputed: the file is
@@ -258,8 +264,8 @@ class TestExitCodes:
         assert "ring" in err
 
     def test_tall_fundamental_weight_is_built(self, tmp_path):
-        # the first fundamental weight of A8 and A10 has height 8 and 10,
-        # past the tensor threshold, but a fundamental weight is lowered
+        # the first fundamental weight of A8 and A10 has height 8 and 10;
+        # its module is lowered like every other
         for n in (8, 10):
             rows = ";".join(",".join(str(2 if i == j else -1 if abs(i - j)
                                          == 1 else 0) for j in range(n))

@@ -7,17 +7,18 @@ import json
 
 import pytest
 
-from qschur import intspec
-from qschur.intspec import (LatticeBasis, LatticeError, kernel_probe_RU,
-                            lattice_basis, r_truncation_map, specialize_schur)
-from qschur.laurent import RatFunc, qint
-from qschur.linalg import SparseEchelon
+from qschur import weylmod
+from qschur.intspec import (LatticeError, kernel_probe_RU, lattice_basis,
+                            r_truncation_map, specialize_schur)
+from qschur.laurent import RatFuncField, is_integral, qint
+from qschur.linalg import SparseEchelon, sparse_mul
 from qschur.rings import RingPoint
-from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
-    preset
+from qschur.rootdata import (PRESET_NAMES, CartanDatum,
+                             dominant_weights_up_to_height, preset,
+                             simply_connected)
 from qschur.schur import build_schur
 from qschur.ulimit import theta_dot, verify_coherence
-from qschur.weylmod import weyl_module
+from qschur.weylmod import ModuleCheckError, WeylModule, weyl_module
 from qschur.words import WordExpr
 
 XI_ONE = RingPoint.rational(1)
@@ -58,26 +59,32 @@ class TestLatticeBases:
                     for x in row.values():
                         assert x.coeffs == {} or min(x.coeffs) > -100
 
-    def test_sublattice_selection_is_refused(self, monkeypatch):
-        # scaling one vector of the reverse selection by [2] spans a
-        # sublattice of index [2]: the transition matrix stays integral,
-        # but its determinant is no unit of Z[v,v^-1]
-        greedy = intspec._greedy_select
-        two = RatFunc.from_poly(qint(2))
+    def test_integrality_sweep(self):
+        # every preset to height 8, and small weights of rank-3 types and G2
+        # (symmetrized Cartan forms, simply connected data)
+        data = [(preset(name), 8) for name in PRESET_NAMES]
+        for form, bound in [
+                (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 10),     # A3
+                (((4, -2, 0), (-2, 4, -2), (0, -2, 2)), 10),     # B3
+                (((2, -1, 0), (-1, 2, -2), (0, -2, 4)), 10),     # C3
+                (((6, -3), (-3, 2)), 12)]:                      # G2
+            data.append((simply_connected(CartanDatum(form)), bound))
+        for datum, bound in data:
+            for lam in dominant_weights_up_to_height(datum, bound):
+                m = weyl_module(datum, lam)
+                assert all(is_integral(x) is not None
+                           for mat in m.e + m.f for row in mat.values()
+                           for x in row.values()), (datum.name, lam)
+                lattice_basis(m).check_integrality()
 
-        def spoiled(module, reverse=False):
-            chosen = greedy(module, reverse)
-            if reverse:
-                mono, vec = chosen[module.lam][0]
-                chosen[module.lam][0] = (
-                    mono, {k: two * x for k, x in vec.items()})
-            return chosen
-
-        module = weyl_module(preset("A1"), (2,))
-        LatticeBasis(module)
-        monkeypatch.setattr(intspec, "_greedy_select", spoiled)
-        with pytest.raises(LatticeError, match="not a unit"):
-            LatticeBasis(module)
+    def test_plain_word_order_is_refused(self, monkeypatch):
+        # in plain word order the construction picks, at weight (0, -2) of
+        # A2 (2,0), a vector outside the lattice: a coordinate of another
+        # candidate is v/(v^2+1)
+        WeylModule(preset("A2"), (2, 0))
+        monkeypatch.setattr(weylmod, "_word_order", lambda word: word)
+        with pytest.raises(ModuleCheckError, match=r"\(0, -2\).*\(2, 0\)"):
+            WeylModule(preset("A2"), (2, 0))
 
 
 class TestSpecializedDimensions:
@@ -256,3 +263,117 @@ def test_lattice_matrices_are_pinned(name, lam, digest):
     text = json.dumps({"monomials": lb.monomials, "matrices": mats},
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- the greedy lattice selection, kept as an oracle -------------------------
+#
+# Before the construction lowered with divided powers, the lattice was found
+# after the fact: two greedy selections of divided-power monomial images,
+# each expressed in the other with Laurent entries.  Both selections must
+# still express in the module basis, and it in them, with Laurent entries.
+
+_F = RatFuncField
+
+
+def _greedy_select(module, reverse=False):
+    """Greedy rank-extending selection of divided-power monomial images
+    (sparse vectors), grouped by weight.  `reverse` flips the generator
+    enumeration order to produce an independent second selection."""
+    datum = module.datum
+    r = datum.rank
+    chosen = {nu: [] for nu in module.weights}
+    picked = 0
+    echelons = {nu: SparseEchelon(_F) for nu in module.weights}
+
+    hw = {module.offsets[module.lam]: _F.one}
+    frontier = [((), hw, module.lam)]
+    echelons[module.lam].insert(hw)
+    chosen[module.lam].append(((), hw))
+    picked += 1
+    indices = list(range(r))
+    if reverse:
+        indices.reverse()
+    while frontier:
+        nxt = []
+        for mono, vec, nu in sorted(frontier, key=lambda t: t[0]):
+            for i in indices:
+                if mono and mono[0][0] == i:
+                    continue
+                alpha = datum.simple_roots[i]
+                steps = []
+                a = 1
+                while True:
+                    target = tuple(x - a * al for x, al in zip(nu, alpha))
+                    if target not in module.offsets:
+                        break
+                    nv = _apply(module.divided_power(-1, i, a), vec)
+                    if not nv:
+                        break
+                    steps.append((a, target, nv))
+                    a += 1
+                if reverse:
+                    steps.reverse()
+                for a, target, nv in steps:
+                    nm = ((i, a),) + mono
+                    nxt.append((nm, nv, target))
+                    if echelons[target].insert(nv):
+                        chosen[target].append((nm, nv))
+                        picked += 1
+        frontier = nxt
+    if picked != module.dim:
+        raise LatticeError(
+            f"monomial images span rank {picked} < dim {module.dim} "
+            f"for highest weight {module.lam}")
+    return chosen
+
+
+def _apply(mat, vec):
+    """A sparse matrix times a sparse vector."""
+    col = sparse_mul(mat, {c_: {0: x} for c_, x in vec.items()})
+    return {r_: row[0] for r_, row in col.items()}
+
+
+def _flatten(module, chosen):
+    """The chosen vectors in module weight order."""
+    return [vec for nu in module.weights for _, vec in chosen[nu]]
+
+
+def _coordinates(module, vectors, what):
+    """The coordinates of every module basis vector e_p in `vectors`, as
+    sparse rows {p: {n: x}}; the coordinates of w are sum_p w[p] * row p.
+    Raises LatticeError, prefixed by `what`, unless `vectors` is a basis.
+
+    Vector n enters one echelon with the unit tag dim + n, past every module
+    index (weight spaces have disjoint supports, so one echelon serves every
+    weight).  For a basis every module index is a pivot, and its fully
+    reduced row is e_p plus the coordinates of e_p on the tags."""
+    off = module.dim
+    ech = SparseEchelon(_F)
+    for n, vec in enumerate(vectors):
+        ech.insert({**vec, off + n: _F.one})
+    if set(ech.pivots) != set(range(off)):
+        raise LatticeError(f"{what}: the selected vectors are not a basis")
+    return {p: {k - off: x for k, x in row.items() if k >= off}
+            for p, row in ech.pivots.items()}
+
+
+GREEDY_SETS = [(name, lam) for name, lam, _ in LATTICE_DIGESTS]
+
+
+@pytest.mark.parametrize("name,lam", GREEDY_SETS,
+                         ids=[f"{n}-{lam}" for n, lam in GREEDY_SETS])
+def test_greedy_selections_span_the_module_lattice(name, lam):
+    datum = preset(name)
+    # lam and every dominant weight below it
+    for mu in datum.saturate([lam]):
+        module = weyl_module(datum, mu)
+        for reverse in (False, True):
+            vectors = _flatten(module, _greedy_select(module, reverse))
+            # the selection in the module basis, and the module basis in it
+            for vec in vectors:
+                assert all(is_integral(x) is not None
+                           for x in vec.values()), (name, mu, reverse)
+            coords = _coordinates(module, vectors, "oracle")
+            assert all(is_integral(x) is not None
+                       for row in coords.values() for x in row.values()), \
+                (name, mu, reverse)

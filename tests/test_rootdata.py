@@ -1,5 +1,6 @@
 """Cartan data, root data, Weyl orbits, dominance order, saturated sets."""
 
+import itertools
 import random
 import time
 
@@ -101,6 +102,14 @@ class TestRootDatum:
                 for j in range(datum.rank):
                     assert datum.pair_i(i, datum.simple_roots[j]) \
                         == datum.cartan.cartan_entry(i, j)
+
+    def test_pair_i_is_pair_with_the_simple_coroot(self):
+        for name in PRESET_NAMES:
+            datum = preset(name)
+            for lam in itertools.product(range(-2, 3), repeat=datum.rank_x):
+                for i in range(datum.rank):
+                    assert datum.pair_i(i, lam) \
+                        == datum.pair(datum.simple_coroots[i], lam)
 
     def test_a1_orbit_and_antidominant(self):
         a1 = preset("A1")

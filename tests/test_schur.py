@@ -11,7 +11,7 @@ from qschur.intspec import specialize_schur
 from qschur.laurent import LaurentPoly, RatFunc, qint
 from qschur.linalg import mat_mul, mat_sub
 from qschur import schur
-from qschur.rings import PoleError, RingPoint
+from qschur.rings import RingPoint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import SchurAlgebra, TruncationMap, build_schur, \
@@ -202,12 +202,11 @@ class TestDensityCertificate:
 
     def test_fallback_when_every_point_misses(self, monkeypatch):
         S = SchurAlgebra(sat("A2", [(1, 1)]))
-        # v^2 + 1, a denominator of an E/F entry, vanishes at (5, 2); at
-        # (3, 1) the rank falls short
-        with pytest.raises(PoleError):
-            schur._ModularImage(S, RingPoint.modular(5, 2)).rank()
-        assert schur._ModularImage(S, RingPoint.modular(3, 1)).rank() == 57
-        monkeypatch.setattr(schur, "_MODULAR_POINTS", ((5, 2), (3, 1)))
+        # the rank falls short at both units of F_3
+        for a in (1, 2):
+            assert schur._ModularImage(S, RingPoint.modular(3, a)).rank() \
+                == 57
+        monkeypatch.setattr(schur, "_MODULAR_POINTS", ((3, 1), (3, 2)))
         calls = exact_closure_calls(monkeypatch)
         assert S.dimension() == 65
         assert S.certificate == ("exact",) and calls == [S]
