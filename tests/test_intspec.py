@@ -237,17 +237,18 @@ class TestKernelProbe:
 
 
 # SHA-256 of the compact JSON of the monomials and of every integral matrix
-# that `check_integrality()` checks, taken from the dense change of basis
-# and its rref inverse before the echelon coordinates replaced them
+# that `check_integrality()` checks, taken from the module's own basis once
+# the lowering with divided powers made it the lattice basis (A1adj kept its
+# digest: its word basis was already the lattice)
 LATTICE_DIGESTS = [
     ("A2", (2, 1),
-     "854d74effc6571b8d197f8bd6366b37b223792183047266c23d342702e35d1c7"),
+     "7fe666a7930b3ce19949739beaa7ca4d1aff5231f678e08a60a0b883b4e32b05"),
     ("B2", (1, 1),
-     "b90942699eef1bd5991931bfc4cf98d74889d75916fca0abf17e2a30dd5280d0"),
+     "822f3a085b3042c2d5eef0e6107d8d2cf96dcb65070df54c2577f3ca57ac7dca"),
     ("A1adj", (2,),
      "0b3cb963bf7841701dbba692a42112fdcb97e3c74aabe42c246f2a719939fe35"),
     ("A1xA1", (1, 1),
-     "217307749c811d2b40656f9d4b9a3e6d8e08fc3ca50fbd6cff8f1d661337de72"),
+     "e5fc83eb44eef0fff6395f3309bfdfdc725e7d75fef343bbc24d1478647bf9e7"),
 ]
 
 

@@ -235,18 +235,18 @@ class TestTensorPath:
             HighestWeightModule(m.datum, m.lam, m.weights, m.dims, e, m.f)
 
 
-# SHA-256 of the compact JSON of `cache.serialize_algebra(build_schur(pi))`,
-# taken from the truncated-Verma Gram quotient that built these modules
-# before the lowering construction replaced it
+# SHA-256 of the compact JSON of `cache.serialize_algebra(build_schur(pi))`
+# (cache format 3), taken from the lowering with divided powers, whose basis
+# is the Lusztig lattice
 MATRIX_DIGESTS = [
     ("A2", (2, 1),
-     "db19dc53244654d67b06ee1e1f78a2a6a85c2281fdbfb8059b0e6275f29da477"),
+     "16c03cf141b72dd1dc9336cf3b7834400141f53110d52dd1af9fee9070237fae"),
     ("B2", (1, 1),
-     "f1b3dfd4fdcf957b30aa3fb7fd2d009eeefd9b30f9b4426e79f3f1c1797f1f8c"),
+     "8d5588a5a3e4d4a37346ff54a96666a52035da68393c6c35f1f2623a2a8d6657"),
     ("A1adj", (2,),
-     "baff1da545793d2af1560f082752c8cf9bc99aed33b2a5db9e1b4fd7e71953e6"),
+     "9ef5684830b3b131839f952857ed9cf37650f5633cab79d61e78704907efa8ab"),
     ("A1xA1", (2, 2),
-     "7ff60bfbf6786c9c5d83db1783ab41e343c261a0c73f2545a13ba5d9d1b6dab7"),
+     "f5a8e9f62003ec910107661b3e01d38c6b3ebb7f7c877936da65ced3339b7533"),
 ]
 
 
