@@ -4,8 +4,8 @@ Files are named by a digest of the root datum, the saturated set, and a
 format version; each file carries its own checksum and is written
 atomically (temp file then rename).  A loaded module is rebuilt as the
 `weylmod.HighestWeightModule` record, so it meets the same checks as a
-built one, Laurent entries included.  A corrupt or stale file, or one whose modules fail those
-checks, is reported and ignored, never trusted.
+built one, Laurent entries included.  A corrupt or stale file, or one whose
+modules fail those checks, is reported and ignored, never trusted.
 """
 
 from __future__ import annotations

@@ -126,7 +126,8 @@ class WeylModule(HighestWeightModule):
     start with i, with the word ((i, a),) + word(b), taken in `_word_order`.
     Below the top a weight vector of a simple module is zero exactly when
     every E_j kills it, so candidates are compared through their E-images,
-        E_j F_i^(a) b = F_i^(a) E_j b + delta_ij [<h_i, mu> - a + 1]_i F_i^(a-1) b,
+        E_j F_i^(a) b = F_i^(a) E_j b
+                        + delta_ij [<h_i, mu> - a + 1]_i F_i^(a-1) b,
     which need only the matrices already built.  The basis of nu is the
     first independent candidates.  A basis vector b = F_i^(c) b' gives
     F_i^(a) b = [a+c choose a]_i F_i^(a+c) b', so the candidates span V_A
