@@ -15,18 +15,16 @@ import json
 import sys
 import time
 
-from .cache import cache_load, cache_store, default_cache_dir
-from .intspec import r_truncation_map, specialize_schur
 from .jobspec import TASK_NAMES, SpecParseError, parse_spec
 from .rings import PoleError
-from .schur import SchurAlgebra, TruncationMap, build_schur
-from .ulimit import (check_Kh_identity, check_u_relations, hat_K, hat_one,
-                     probe_schedule, separation_probe, verify_coherence)
-from .weylmod import weyl_dim_oracle
-from .words import WordExpr
+
+# each task imports the layers it runs, so a job loads no others
 
 
 def load_or_build(pi, cache_dir, notes):
+    from .cache import cache_load, cache_store, default_cache_dir
+    from .schur import SchurAlgebra
+    cache_dir = cache_dir or default_cache_dir()
     alg = cache_load(pi, cache_dir, warn=notes.append)
     if alg is None:
         alg = SchurAlgebra(pi)
@@ -66,6 +64,7 @@ def task_build(spec, pi, cache_dir, params, notes):
 
 
 def task_dims(spec, pi, cache_dir, params, notes):
+    from .weylmod import weyl_dim_oracle
     alg = load_or_build(pi, cache_dir, notes)
     datum = pi.datum
     per_module = []
@@ -93,6 +92,7 @@ def task_verify(spec, pi, cache_dir, params, notes):
 
 
 def task_maps(spec, pi, cache_dir, params, notes):
+    from .schur import TruncationMap, build_schur
     pi0, pi1, pi2 = _chain(pi)
     f10 = TruncationMap(pi0, pi1)
     f21 = TruncationMap(pi1, pi2)
@@ -130,6 +130,8 @@ def task_maps(spec, pi, cache_dir, params, notes):
 
 
 def task_limit(spec, pi, cache_dir, params, notes):
+    from .ulimit import (check_Kh_identity, check_u_relations, hat_K,
+                         hat_one, verify_coherence)
     pi0, pi1, pi2 = _chain(pi)
     datum = pi0.datum
     chain = [pi0, pi1, pi2]
@@ -159,6 +161,8 @@ def task_limit(spec, pi, cache_dir, params, notes):
 
 
 def task_probe(spec, pi, cache_dir, params, notes):
+    from .ulimit import probe_schedule, separation_probe
+    from .words import WordExpr
     height = params.get("height", 4)
     datum = pi.datum
     exprs = []
@@ -189,6 +193,7 @@ def task_probe(spec, pi, cache_dir, params, notes):
 
 
 def task_specialize(spec, pi, cache_dir, params, notes):
+    from .intspec import r_truncation_map, specialize_schur
     point = spec.ring_point()
     if point is None:
         raise SpecParseError("the specialize task needs a ring statement")
@@ -293,10 +298,9 @@ def run(argv=None, out=None, err=None):
         for name, p in spec.tasks:
             if name == args.task:
                 params.update(p)
-        cache_dir = args.cache_dir or default_cache_dir()
         notes = []
         result, witnesses, passed = TASKS[args.task](
-            spec, pi, cache_dir, params, notes)
+            spec, pi, args.cache_dir, params, notes)
     except SpecParseError as exc:
         print(f"error: {exc}", file=err)
         return 2

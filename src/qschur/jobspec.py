@@ -12,7 +12,6 @@ Grammar (statements separated by newlines or " / "):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rings import RingPoint
@@ -35,12 +34,13 @@ class SpecParseError(ValueError):
         self.column = column
 
 
-@dataclass
 class JobSpec:
-    datum_spec: tuple = None          # ("preset", name) | ("matrix", rows)
-    pi_gens: list = field(default_factory=list)
-    tasks: list = field(default_factory=list)   # [(name, params dict)]
-    ring_spec: tuple = None           # ("rational", Fraction) | ("cyclo", n)
+    def __init__(self, datum_spec=None, pi_gens=None, tasks=None,
+                 ring_spec=None):
+        self.datum_spec = datum_spec  # ("preset", name) | ("matrix", rows)
+        self.pi_gens = pi_gens or []
+        self.tasks = tasks or []      # [(name, params dict)]
+        self.ring_spec = ring_spec    # ("rational", Fraction) | ("cyclo", n)
 
     # -- resolution -------------------------------------------------------
 

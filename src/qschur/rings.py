@@ -64,9 +64,23 @@ class QField:
         return hash("QField")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 @lru_cache(maxsize=None)
 def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Miller-Rabin with the first 13 primes as bases, which is exact below
+    3317044064679887385961981 (Sorenson and Webster, 2015); trial
+    division above that."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    if n >= 3317044064679887385961981:
+        return all(n % d for d in range(43, isqrt(n) + 1, 2))
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << j, n) == n - 1 for j in range(s))
+               for a in _MR_BASES)
 
 
 class ModP:

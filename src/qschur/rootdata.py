@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
+from math import lcm
 
 from .linalg import SparseEchelon
 from .rings import QField
@@ -119,7 +121,7 @@ class RootDatum:
                                     for h in simple_coroots)
         self.rank = cartan.rank
         self.name = name
-        self._positive_roots = None
+        self._alpha_memo = {}       # vec -> alpha_coords(vec)
 
     # -- pairing and reflections ---------------------------------------
 
@@ -131,14 +133,21 @@ class RootDatum:
     def pair_i(self, i, lam):
         return sum(c * x for c, x in zip(self._coroot_rows[i], lam))
 
+    def _row(self, h):
+        """The row h . pairing, so that <h, lam> is one dot product."""
+        return tuple(sum(h[a] * self.pairing[a][b] for a in range(self.rank_y))
+                     for b in range(self.rank_x))
+
     @cached_property
     def _coroot_rows(self):
-        """The row h_i . pairing of every simple coroot h_i, so that
-        <h_i, lam> is one dot product."""
-        return tuple(tuple(sum(h[a] * self.pairing[a][b]
-                               for a in range(self.rank_y))
-                           for b in range(self.rank_x))
-                     for h in self.simple_coroots)
+        return tuple(map(self._row, self.simple_coroots))
+
+    @cached_property
+    def _root_cols(self):
+        """The column pairing . alpha_i of every simple root alpha_i."""
+        return tuple(tuple(sum(x * y for x, y in zip(row, alpha))
+                           for row in self.pairing)
+                     for alpha in self.simple_roots)
 
     def is_dominant(self, lam):
         return all(self.pair_i(i, lam) >= 0 for i in range(self.rank))
@@ -149,8 +158,7 @@ class RootDatum:
         return tuple(x - c * a for x, a in zip(lam, alpha))
 
     def reflect_coweight(self, i, h):
-        c = sum(h[a] * self.pairing[a][b] * self.simple_roots[i][b]
-                for a in range(self.rank_y) for b in range(self.rank_x))
+        c = sum(x * y for x, y in zip(h, self._root_cols[i]))
         hi = self.simple_coroots[i]
         return tuple(x - c * a for x, a in zip(h, hi))
 
@@ -196,24 +204,31 @@ class RootDatum:
 
     def alpha_coords(self, vec):
         """Coordinates of vec in the simple-root basis, or None when vec is
-        outside the rational span.  Entries are Fractions."""
-        return self._alpha_solver(vec)
+        outside the rational span.  Entries are Fractions; memoized."""
+        vec = tuple(vec)
+        if vec not in self._alpha_memo:
+            self._alpha_memo[vec] = self._alpha_solver(vec)
+        return self._alpha_memo[vec]
+
+    def root_coords(self, vec):
+        """The alpha-coordinates of vec as ints, or None when vec is outside
+        the root lattice."""
+        coords = self.alpha_coords(vec)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            return None
+        return tuple(c.numerator for c in coords)
 
     def dominance_leq(self, lam, mu):
         """lam <= mu in the dominance order."""
-        diff = tuple(m - l for l, m in zip(lam, mu))
-        coords = self.alpha_coords(diff)
-        if coords is None:
-            return False
-        return all(c.denominator == 1 and c >= 0 for c in coords)
+        coords = self.root_coords(tuple(m - l for l, m in zip(lam, mu)))
+        return coords is not None and all(c >= 0 for c in coords)
 
     def height(self, lam):
         """Sum of alpha-coordinates of lam - w0(lam), for dominant lam."""
         w0 = self.antidominant(lam)
-        diff = tuple(a - b for a, b in zip(lam, w0))
-        coords = self.alpha_coords(diff)
-        total = sum(coords)
-        assert total.denominator == 1
+        total = sum(self.alpha_coords(tuple(a - b for a, b in zip(lam, w0))))
+        if total.denominator != 1:
+            raise ValueError(f"height {total} of {lam} is not an integer")
         return int(total)
 
     # -- Weyl orbits -----------------------------------------------------
@@ -257,63 +272,71 @@ class RootDatum:
 
     # -- positive roots ---------------------------------------------------
 
-    def positive_roots(self):
-        """All positive (root, coroot) pairs, ordered by height then lex."""
-        if self._positive_roots is not None:
-            return self._positive_roots
-        pairs = {(self.simple_roots[i], self.simple_coroots[i])
-                 for i in range(self.rank)}
-        frontier = list(pairs)
+    @cached_property
+    def _positive_roots(self):
+        """The positive (root, coroot) pairs, ordered by height then lex,
+        found from the simple roots by simple reflections; s_i lowers the
+        i-th alpha-coordinate of a root by <h_i, root>."""
+        coords = {(self.simple_roots[i], self.simple_coroots[i]):
+                  tuple(int(j == i) for j in range(self.rank))
+                  for i in range(self.rank)}
+        frontier = list(coords)
         while frontier:
             nxt = []
             for root, coroot in frontier:
+                c = coords[root, coroot]
                 for i in range(self.rank):
+                    n = self.pair_i(i, root)
+                    if n == 0 or n > c[i]:      # fixed, or not positive
+                        continue
                     cand = (self.reflect(i, root),
                             self.reflect_coweight(i, coroot))
-                    if cand not in pairs:
-                        coords = self.alpha_coords(cand[0])
-                        if coords and all(c >= 0 for c in coords):
-                            pairs.add(cand)
-                            nxt.append(cand)
+                    if cand not in coords:
+                        coords[cand] = c[:i] + (c[i] - n,) + c[i + 1:]
+                        nxt.append(cand)
             frontier = nxt
+        return sorted(coords, key=lambda pair: (sum(coords[pair]), pair[0]))
 
-        def key(pair):
-            coords = self.alpha_coords(pair[0])
-            return (sum(coords), pair[0])
-
-        self._positive_roots = sorted(pairs, key=key)
+    def positive_roots(self):
+        """All positive (root, coroot) pairs, ordered by height then lex."""
         return self._positive_roots
+
+    @cached_property
+    def two_rho(self):
+        """The sum of the positive roots, an integral weight."""
+        return tuple(sum(root[k] for root, _ in self._positive_roots)
+                     for k in range(self.rank_x))
 
     def rho(self):
         """Half-sum of positive roots, with Fraction coordinates."""
-        total = [Fraction(0)] * self.rank_x
-        for root, _ in self.positive_roots():
-            for k, x in enumerate(root):
-                total[k] += Fraction(x, 2)
-        return tuple(total)
+        return tuple(Fraction(x, 2) for x in self.two_rho)
+
+    @cached_property
+    def positive_coroot_rows(self):
+        """The row of every positive coroot, in `positive_roots` order."""
+        return [self._row(h) for _, h in self._positive_roots]
 
     # -- saturation --------------------------------------------------------
 
     def saturate(self, generators):
-        """The smallest saturated subset of X+ containing the generators."""
+        """The smallest saturated subset of X+ containing the generators:
+        below a dominant mu, every dominant weight is reached from mu by
+        dominant steps down by a positive root (Stembridge 1998)."""
         gens = [tuple(g) for g in generators]
         for g in gens:
             if not self.is_dominant(g):
                 raise ValueError(f"generator {g} is not dominant")
-        out = set()
-        for mu in gens:
-            w0mu = self.antidominant(mu)
-            bounds = self.alpha_coords(
-                tuple(a - b for a, b in zip(mu, w0mu)))
-            ibounds = [int(b) for b in bounds]
-            for ns in _box(ibounds):
-                lam = list(mu)
-                for i, n in enumerate(ns):
-                    for k, a in enumerate(self.simple_roots[i]):
-                        lam[k] -= n * a
-                lam = tuple(lam)
-                if self.is_dominant(lam):
-                    out.add(lam)
+        out = set(gens)
+        frontier = list(out)
+        while frontier:
+            nxt = []
+            for mu in frontier:
+                for root, _ in self._positive_roots:
+                    lam = tuple(x - a for x, a in zip(mu, root))
+                    if lam not in out and self.is_dominant(lam):
+                        out.add(lam)
+                        nxt.append(lam)
+            frontier = nxt
         return SaturatedSet(self, out)
 
     # -- invariant form ----------------------------------------------------
@@ -349,23 +372,26 @@ def _solver(rows):
     The rows of [A | I] go into one echelon, whose fully reduced rows are
     the reduced form [R | T] with R = T A: A x = b is solvable iff T b
     vanishes on the rows whose pivot lies past A, and T b then holds x at
-    the pivots of R."""
+    the pivots of R.  T is scaled to integers by one common denominator,
+    so only the output is made of Fractions."""
     n = len(rows[0])
     ech = SparseEchelon(QField)
     for i, row in enumerate(rows):
         ech.insert({**_sparse(row), n + i: QField.one})
-    T = [(p, {k - n: t for k, t in row.items() if k >= n})
+    den = lcm(*(t.denominator for row in ech.pivots.values()
+                for t in row.values()))
+    T = [(p, {k - n: int(t * den) for k, t in row.items() if k >= n})
          for p, row in ech.pivots.items()]
 
     def solve(b):
-        x = [QField.zero] * n
+        x = [0] * n
         for p, t in T:
             tb = sum(y * b[k] for k, y in t.items())
             if p < n:
                 x[p] = tb
             elif tb:
                 return None
-        return tuple(x)
+        return tuple(Fraction(y, den) for y in x)
 
     return solve
 
@@ -377,15 +403,6 @@ def _rank_of(vectors):
 
 def _sparse(vec):
     return {k: Fraction(x) for k, x in enumerate(vec) if x}
-
-
-def _box(bounds):
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in _box(bounds[1:]):
-            yield (head,) + tail
 
 
 class SaturatedSet:
@@ -522,7 +539,7 @@ def dominant_weights_up_to_height(datum, bound):
     # is unique since the pairing is perfect and rank_x == r for all presets
     # of full rank; general data are handled by solving the linear system.
     max_n = bound  # heights are >= the pairing values for these data
-    for ns in _box([max_n] * r):
+    for ns in product(range(max_n + 1), repeat=r):
         lam = _weight_from_pairings(datum, ns)
         if lam is None:
             continue

@@ -12,8 +12,6 @@ lowering.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import (LaurentPoly, RatFunc, RatFuncField, is_integral, qbinom,
                       qint)
 from .linalg import (SparseEchelon, sparse_diagonal, sparse_mul,
@@ -363,8 +361,8 @@ def _weight_order(datum, lam, weights):
     """The weights below lam sorted by depth (the height of lam - nu in the
     simple roots), then by the weight itself."""
     def key(nu):
-        return (sum(datum.alpha_coords(tuple(a - b for a, b in
-                                             zip(lam, nu)))), nu)
+        return (sum(datum.root_coords(tuple(a - b for a, b in
+                                            zip(lam, nu)))), nu)
     return sorted(weights, key=key)
 
 
@@ -407,62 +405,69 @@ def weyl_module(datum, lam):
 
 
 def weyl_dim_oracle(datum, lam):
-    """Weyl dimension formula via positive coroots."""
+    """Weyl dimension formula: the product over the positive coroots h of
+    <h, 2 lam + 2 rho> / <h, 2 rho>, in integers."""
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    rho = datum.rho()
-    num = Fraction(1)
-    den = Fraction(1)
-    lam_rho = tuple(Fraction(x) + r for x, r in zip(lam, rho))
-    for _, coroot in datum.positive_roots():
-        num *= datum.pair(coroot, lam_rho)
-        den *= datum.pair(coroot, rho)
-    out = num / den
-    assert out.denominator == 1
-    return int(out)
+    shifted = tuple(2 * x + t for x, t in zip(lam, datum.two_rho))
+    num = den = 1
+    for row in datum.positive_coroot_rows:
+        num *= sum(c * x for c, x in zip(row, shifted))
+        den *= sum(c * x for c, x in zip(row, datum.two_rho))
+    dim, rest = divmod(num, den)
+    if rest:
+        raise ModuleCheckError(
+            f"Weyl quotient {num}/{den} of {lam} is not an integer")
+    return dim
+
+
+def _form(datum, x, coords):
+    """The invariant form (x, y) for y with the integer alpha-coordinates
+    `coords` (see `RootDatum.invariant_form`)."""
+    return sum(c * datum.cartan.d(j) * datum.pair_i(j, x)
+               for j, c in enumerate(coords) if c)
 
 
 def freudenthal_oracle(datum, lam):
     """Weight multiplicities of the module of highest weight lam, as a dict
-    weight -> positive integer, by the Freudenthal recursion."""
+    weight -> positive integer, by the Freudenthal recursion, in integers:
+    every form has one argument in the root lattice."""
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     dominants = _weight_order(datum, lam, datum.saturate([lam]).elements)
     # only weights <= lam occur; dominants[0] == lam
     mult = {}
-    pos = datum.positive_roots()
-    rho = datum.rho()
-    two_rho = tuple(2 * r for r in rho)
+    pos = [(root, datum.root_coords(root))
+           for root, _ in datum.positive_roots()]
     for mu in dominants:
-        if not datum.dominance_leq(mu, lam):
+        diff = datum.root_coords(tuple(a - b for a, b in zip(lam, mu)))
+        if diff is None or any(c < 0 for c in diff):
             continue
         if mu == lam:
-            mult[mu] = Fraction(1)
+            mult[mu] = 1
             continue
-        total = Fraction(0)
-        for root, _ in pos:
+        total = 0
+        for root, coords in pos:
             k = 1
             while True:
                 nu = tuple(x + k * a for x, a in zip(mu, root))
-                rep = datum.dominant_representative(nu)
-                m = mult.get(rep)
+                m = mult.get(datum.dominant_representative(nu))
                 if m is None:
                     break
-                total += m * datum.invariant_form(nu, root)
+                total += m * _form(datum, nu, coords)
                 k += 1
-        # denominator (lam+mu+2rho, lam-mu); lam-mu lies in the root span
-        sum_vec = tuple(Fraction(a + b) + t
-                        for a, b, t in zip(lam, mu, two_rho))
-        diff = tuple(a - b for a, b in zip(lam, mu))
-        den = datum.invariant_form(sum_vec, diff)
-        assert den != 0
-        mult[mu] = 2 * total / den
+        # denominator (lam+mu+2rho, lam-mu); lam-mu lies in the root lattice
+        den = _form(datum, tuple(a + b + t for a, b, t in
+                                 zip(lam, mu, datum.two_rho)), diff)
+        if den == 0 or 2 * total % den:
+            raise ModuleCheckError(
+                f"Freudenthal multiplicity {2 * total}/{den} of {mu} in "
+                f"the module of highest weight {lam} is not an integer")
+        mult[mu] = 2 * total // den
     out = {}
     for mu, m in mult.items():
-        assert m.denominator == 1
-        m = int(m)
         if m > 0:
             for nu in datum.weyl_orbit(mu):
                 out[nu] = m
