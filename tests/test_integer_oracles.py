@@ -17,11 +17,11 @@ from math import isqrt
 import pytest
 
 import qschur
+from qschur.linalg import SparseEchelon
 from qschur.rings import QField, _is_prime
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
-from qschur.linalg import SparseEchelon
 from qschur.schur import _MODULAR_POINTS
 from qschur.weylmod import (ModuleCheckError, freudenthal_oracle,
                             weyl_dim_oracle)
