@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 from .laurent import RatFunc
 
@@ -70,12 +69,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 @lru_cache(maxsize=None)
 def _is_prime(n):
     """Miller-Rabin with the first 13 primes as bases, which is exact below
-    3317044064679887385961981 (Sorenson and Webster, 2015); trial
-    division above that."""
+    3317044064679887385961981 (Sorenson and Webster, 2015); larger n are
+    refused."""
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"{n} is past the bound of the Miller-Rabin test")
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
-    if n >= 3317044064679887385961981:
-        return all(n % d for d in range(43, isqrt(n) + 1, 2))
     s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = 2^s d, d odd
     d = (n - 1) >> s
     return all(pow(a, d, n) == 1

@@ -342,16 +342,14 @@ class RootDatum:
     # -- invariant form ----------------------------------------------------
 
     def invariant_form(self, lam, mu):
-        """W-invariant form on the rational span, normalized so that
-        (alpha_i, alpha_j) = (i, j)."""
-        coords = self.alpha_coords(mu)
-        if coords is not None:
-            return sum(c * self.cartan.d(j) * self.pair_i(j, lam)
-                       for j, c in enumerate(coords))
-        coords = self.alpha_coords(lam)
-        if coords is not None:
-            return sum(c * self.cartan.d(j) * self.pair_i(j, mu)
-                       for j, c in enumerate(coords))
+        """W-invariant form on the rational span of the roots, normalized so
+        that (alpha_i, alpha_j) = (i, j); an int when mu lies in the root
+        lattice."""
+        for x, y in ((lam, mu), (mu, lam)):
+            coords = self.root_coords(y) or self.alpha_coords(y)
+            if coords is not None:
+                return sum(c * self.cartan.d(j) * self.pair_i(j, x)
+                           for j, c in enumerate(coords) if c)
         raise ValueError("form undetermined: neither argument lies in the "
                          "span of the simple roots")
 

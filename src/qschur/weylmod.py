@@ -422,13 +422,6 @@ def weyl_dim_oracle(datum, lam):
     return dim
 
 
-def _form(datum, x, coords):
-    """The invariant form (x, y) for y with the integer alpha-coordinates
-    `coords` (see `RootDatum.invariant_form`)."""
-    return sum(c * datum.cartan.d(j) * datum.pair_i(j, x)
-               for j, c in enumerate(coords) if c)
-
-
 def freudenthal_oracle(datum, lam):
     """Weight multiplicities of the module of highest weight lam, as a dict
     weight -> positive integer, by the Freudenthal recursion, in integers:
@@ -439,28 +432,27 @@ def freudenthal_oracle(datum, lam):
     dominants = _weight_order(datum, lam, datum.saturate([lam]).elements)
     # only weights <= lam occur; dominants[0] == lam
     mult = {}
-    pos = [(root, datum.root_coords(root))
-           for root, _ in datum.positive_roots()]
+    pos = datum.positive_roots()
     for mu in dominants:
-        diff = datum.root_coords(tuple(a - b for a, b in zip(lam, mu)))
-        if diff is None or any(c < 0 for c in diff):
+        if not datum.dominance_leq(mu, lam):
             continue
         if mu == lam:
             mult[mu] = 1
             continue
         total = 0
-        for root, coords in pos:
+        for root, _ in pos:
             k = 1
             while True:
                 nu = tuple(x + k * a for x, a in zip(mu, root))
                 m = mult.get(datum.dominant_representative(nu))
                 if m is None:
                     break
-                total += m * _form(datum, nu, coords)
+                total += m * datum.invariant_form(nu, root)
                 k += 1
         # denominator (lam+mu+2rho, lam-mu); lam-mu lies in the root lattice
-        den = _form(datum, tuple(a + b + t for a, b, t in
-                                 zip(lam, mu, datum.two_rho)), diff)
+        den = datum.invariant_form(
+            tuple(a + b + t for a, b, t in zip(lam, mu, datum.two_rho)),
+            tuple(a - b for a, b in zip(lam, mu)))
         if den == 0 or 2 * total % den:
             raise ModuleCheckError(
                 f"Freudenthal multiplicity {2 * total}/{den} of {mu} in "

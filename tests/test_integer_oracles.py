@@ -1,16 +1,15 @@
 """The root-datum combinatorics and the character oracles run in integers.
-Their Fraction versions (the solver, the positive roots, rho, the Weyl
-dimension formula and the Freudenthal recursion), the box enumeration of a
-saturated set and trial division are kept here as oracles.  Also: the
-exactness checks raise instead of asserting, and importing the CLI loads
-only the layers that every task needs."""
+Their Fraction versions (the solver, the positive roots, rho, the invariant
+form, the Weyl dimension formula and the Freudenthal recursion), the box
+enumeration of a saturated set and trial division are kept here as oracles.
+Also: the exactness checks raise instead of asserting, and importing the CLI
+loads only the layers that every task needs."""
 
 import functools
 import itertools
 import os
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from math import isqrt
 
@@ -18,7 +17,7 @@ import pytest
 
 import qschur
 from qschur.linalg import SparseEchelon
-from qschur.rings import QField, _is_prime
+from qschur.rings import PrimeField, QField, _is_prime
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
@@ -149,12 +148,21 @@ def _box_saturate(datum, gens):
     return out
 
 
+def _fraction_form(datum, x, y):
+    """The invariant form on the rational span of the roots, for x or y in
+    that span."""
+    coords = _fraction_alpha(datum)
+    if coords(y) is None:
+        x, y = y, x
+    return sum(c * datum.cartan.d(j) * datum.pair_i(j, x)
+               for j, c in enumerate(coords(y)))
+
+
 def _fraction_freudenthal(datum, lam):
     coords = _fraction_alpha(datum)
 
-    def form(x, y):                 # y lies in the span of the roots
-        return sum(c * datum.cartan.d(j) * datum.pair_i(j, x)
-                   for j, c in enumerate(coords(y)))
+    def form(x, y):
+        return _fraction_form(datum, x, y)
 
     def depth(nu):
         return sum(coords(tuple(a - b for a, b in zip(lam, nu))))
@@ -216,6 +224,18 @@ def test_roots_rho_and_alpha_coords_match_fractions(name):
 
 
 @pytest.mark.parametrize("name", sorted(DATA))
+def test_invariant_form_matches_fractions(name):
+    datum = DATA[name]
+    roots = [root for root, _ in datum.positive_roots()]
+    weights = list(_weights(name)) + roots
+    for x in weights:
+        for y in roots:
+            assert datum.invariant_form(x, y) == datum.invariant_form(y, x) \
+                == _fraction_form(datum, x, y), (x, y)
+            assert type(datum.invariant_form(x, y)) is int
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
 def test_character_oracles_match_fractions(name):
     datum = DATA[name]
     for lam in _weights(name):
@@ -242,12 +262,18 @@ def test_saturate_matches_box_enumeration():
             assert set(datum.saturate([mu])) == _box_saturate(datum, [mu])
 
 
-def test_a12_fundamental_weight_saturates_quickly():
-    # the box below omega_1 - w0(omega_1) has 2^12 points
+def test_a12_fundamental_weight_saturates_without_the_box(monkeypatch):
+    # the box below omega_1 - w0(omega_1) has 2^12 points; the walk tests
+    # the generator, one step per positive root from each weight it reaches,
+    # and each weight once more when the saturated set checks its elements
     datum = simply_connected(CartanDatum(_type_a(12)))
-    t0 = time.perf_counter()
-    assert list(datum.saturate([_unit(12, 0)])) == [_unit(12, 0)]
-    assert time.perf_counter() - t0 < 0.05
+    calls = []
+    is_dominant = datum.is_dominant
+    monkeypatch.setattr(datum, "is_dominant",
+                        lambda lam: calls.append(lam) or is_dominant(lam))
+    result = list(datum.saturate([_unit(12, 0)]))
+    assert result == [_unit(12, 0)]
+    assert len(calls) <= 1 + (len(datum.positive_roots()) + 1) * len(result)
 
 
 def test_is_prime_matches_trial_division():
@@ -262,6 +288,14 @@ def test_is_prime_matches_trial_division():
     for n in (3215031751, 3825123056546413051,
               318665857834031151167461):
         assert not _is_prime(n)
+
+
+def test_is_prime_refuses_past_its_bound():
+    for n in (3317044064679887385961981, 2 ** 127 - 1):
+        with pytest.raises(ValueError, match="Miller-Rabin"):
+            _is_prime(n)
+        with pytest.raises(ValueError, match="Miller-Rabin"):
+            PrimeField(n)
 
 
 # -- exactness checks raise ---------------------------------------------------
