@@ -95,8 +95,11 @@ class SpecializedSchur(BlockAlgebra):
     """The realized image of the integral form of a truncated algebra after
     specializing v to xi.
 
-    At a root of unity the realized algebra may be a proper quotient of the
-    base-changed integral form; only the realized dimension is computed and
+    The shared density check runs over the target field on the
+    divided-power blocks.  At a root of unity a module may not stay simple;
+    there the check fails, and the realized algebra, a proper quotient of
+    the base-changed integral form, is the span closure of the idempotents
+    under every divided power.  Only its dimension is computed and
     reported, never identified with the abstract base change.
     """
 
@@ -120,24 +123,15 @@ class SpecializedSchur(BlockAlgebra):
         return [sparse_map(self._poly, lb.integral_matrix(sign, i, k))
                 for lb in self.lattices]
 
-    # -- dimension --------------------------------------------------------
-
-    def _generators(self):
+    def _generators(self, sign):
+        """Every nonzero divided power E_i^(k) (sign > 0) or F_i^(k): at a
+        root of unity they are not products of E_i or F_i."""
         gens = []
-        for sign in (1, -1):
-            for i in range(self.datum.rank):
-                kmax = max(lb.nilpotency(sign, i) for lb in self.lattices)
-                for k in range(1, kmax + 1):
-                    gens.append(self.divided_power(sign, i, k))
+        for i in range(self.datum.rank):
+            kmax = max(lb.nilpotency(sign, i) for lb in self.lattices)
+            for k in range(1, kmax + 1):
+                gens.append(self.divided_power(sign, i, k))
         return gens
-
-    def basis(self):
-        """Span closure over R, seeded with the idempotents and closed under
-        left multiplication by all divided powers."""
-        if self._basis is None:
-            self._basis = self._closure(self._generators())
-            self._dimension = len(self._basis)
-        return self._basis
 
     # the defining relations, checked over R by the shared suite
     verify_relations = BlockAlgebra.verify_presentation

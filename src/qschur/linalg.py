@@ -15,36 +15,10 @@ are equal exactly when their dicts are.
 lattice coordinates, kernel probes and the root-datum solvers all run
 through it.  Coordinates come from tags: when every inserted vector
 carries a unit entry at its own tag index past all vector indices, a
-vector in their span reduces to minus its coordinates on the tags.  The dense
-`mat_mul` and `mat_sub` remain as test references for the sparse product
-and difference.
+vector in their span reduces to minus its coordinates on the tags.
 """
 
 from __future__ import annotations
-
-
-def mat_mul(a, b, field):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    zero = field.zero
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x == zero:
-                continue
-            bt = b[t]
-            for j in range(m):
-                y = bt[j]
-                if y != zero:
-                    oi[j] = oi[j] + x * y
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # -- sparse row matrices -------------------------------------------------
@@ -92,6 +66,15 @@ def sparse_add(a, b):
             out[i] = row
         else:
             del out[i]
+    return out
+
+
+def sparse_transpose(a):
+    """The transpose of a sparse matrix: its column dicts as rows."""
+    out = {}
+    for i, row in a.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
     return out
 
 

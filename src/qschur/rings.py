@@ -1,10 +1,8 @@
-"""Exact specialization targets: the rational field, cyclotomic fields and
-prime fields.
+"""Exact specialization targets: the rational field and cyclotomic fields.
 
 A RingPoint bundles a field with an invertible element xi, the image of v.
 Cyclotomic arithmetic is done in Q[x] modulo the n-th cyclotomic polynomial,
-so evaluation at roots of unity stays exact.  A prime field F_p serves the
-modular density certificate of `schur`.
+so evaluation at roots of unity stays exact.
 """
 
 from __future__ import annotations
@@ -61,92 +59,6 @@ class QField:
 
     def __hash__(self):
         return hash("QField")
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-@lru_cache(maxsize=None)
-def _is_prime(n):
-    """Miller-Rabin with the first 13 primes as bases, which is exact below
-    3317044064679887385961981 (Sorenson and Webster, 2015); larger n are
-    refused."""
-    if n >= 3317044064679887385961981:
-        raise ValueError(f"{n} is past the bound of the Miller-Rabin test")
-    if n < 2 or any(n % b == 0 for b in _MR_BASES):
-        return n in _MR_BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = 2^s d, d odd
-    d = (n - 1) >> s
-    return all(pow(a, d, n) == 1
-               or any(pow(a, d << j, n) == n - 1 for j in range(s))
-               for a in _MR_BASES)
-
-
-class ModP:
-    """A residue mod a prime p, kept as its representative in [0, p); int
-    operands stand for their residues."""
-
-    __slots__ = ("n", "p")
-
-    def __init__(self, n, p):
-        self.n = n
-        self.p = p
-
-    def __bool__(self):
-        return self.n != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.n == other % self.p
-        if not isinstance(other, ModP):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p
-
-    def __add__(self, other):
-        p = self.p
-        m = other if type(other) is int else other.n
-        return ModP((self.n + m) % p, p)
-
-    def __neg__(self):
-        return ModP(-self.n % self.p, self.p)
-
-    def __sub__(self, other):
-        p = self.p
-        m = other if type(other) is int else other.n
-        return ModP((self.n - m) % p, p)
-
-    def __mul__(self, other):
-        p = self.p
-        m = other if type(other) is int else other.n
-        return ModP(self.n * m % p, p)
-
-    def __truediv__(self, other):
-        p = self.p
-        m = other % p if type(other) is int else other.n
-        if not m:
-            raise ZeroDivisionError("division by zero mod p")
-        return ModP(self.n * pow(m, -1, p) % p, p)
-
-    def __repr__(self):
-        return f"ModP({self.n}, p={self.p})"
-
-
-class PrimeField:
-    """The prime field F_p."""
-
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not a prime")
-        self.p = p
-        self.name = f"prime({p})"
-        self.zero = ModP(0, p)
-        self.one = ModP(1, p)
-
-    def from_int(self, n):
-        return ModP(n % self.p, self.p)
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 class CycloElement:
@@ -344,12 +256,6 @@ class RingPoint:
         for _ in range(power % order if order else power):
             z = z * xi
         return RingPoint(field, z if power != 1 else xi)
-
-    @staticmethod
-    def modular(p, a):
-        """v -> a in the prime field F_p."""
-        field = PrimeField(p)
-        return RingPoint(field, field.from_int(a))
 
     def xi_pow(self, e):
         cache = self._pow_cache

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 from math import lcm
 
 from .linalg import SparseEchelon
@@ -526,29 +525,30 @@ PRESET_NAMES = ("A1", "A1adj", "A1xA1", "A2", "B2")
 def dominant_weights_up_to_height(datum, bound):
     """All dominant weights of height <= bound, sorted by (height, lex).
 
-    Enumerates nonnegative fundamental-weight-like combinations by breadth:
-    a dominant weight is determined by its pairings with the simple coroots,
-    which are bounded once the height is bounded.
+    A dominant weight is sum n_i omega_i over its pairings n_i = <h_i, lam>
+    >= 0, with the fundamental weights omega_i (rational when X is not the
+    weight lattice).  Its height, the height of lam - w0(lam), is
+    <2 rho^vee, lam> = sum n_i ht_i, where 2 rho^vee is the sum of the
+    positive coroots and ht_i = <2 rho^vee, omega_i> is a positive integer.
+    So the n are walked depth first, pruned once the height passes the
+    bound, and lam is kept when it is integral.
     """
-    out = []
-    # search over pairing vectors (n_1..n_r); height grows with each n_i
     r = datum.rank
-    # map a pairing vector to a weight: solve <h_i, lam> = n_i; the solution
-    # is unique since the pairing is perfect and rank_x == r for all presets
-    # of full rank; general data are handled by solving the linear system.
-    max_n = bound  # heights are >= the pairing values for these data
-    for ns in product(range(max_n + 1), repeat=r):
-        lam = _weight_from_pairings(datum, ns)
-        if lam is None:
-            continue
-        if datum.height(lam) <= bound:
-            out.append(lam)
-    return sorted(set(out), key=lambda w: (datum.height(w), w))
+    fund = [datum._pairing_solver(tuple(int(i == j) for j in range(r)))
+            for i in range(r)]
+    hts = [sum(sum(c * x for c, x in zip(row, w))
+               for row in datum.positive_coroot_rows) for w in fund]
+    out = []
 
+    def walk(i, height, lam):
+        if i == r:
+            if all(x.denominator == 1 for x in lam):
+                out.append((height, tuple(int(x) for x in lam)))
+            return
+        while height <= bound:
+            walk(i + 1, height, lam)
+            height += hts[i]
+            lam = tuple(x + w for x, w in zip(lam, fund[i]))
 
-def _weight_from_pairings(datum, ns):
-    """An integral weight lam with <h_i, lam> = ns[i], or None."""
-    lam = datum._pairing_solver(ns)
-    if lam is None or any(x.denominator != 1 for x in lam):
-        return None
-    return tuple(int(x) for x in lam)
+    walk(0, 0, (Fraction(0),) * datum.rank_x)
+    return [lam for _, lam in sorted(out)]

@@ -6,29 +6,42 @@ An element keeps one sparse row matrix per block (see `linalg`), with
 entries in the field of its algebra: Q(v) here, the target field of a
 specialization in `intspec`, which uses the same element type.
 
-The algebra of a saturated set pi is all of the sum of End L(lam) over lam
-in pi, of dimension sum d^2.  `SchurAlgebra.basis()` proves this before it
-returns the block matrix units.  The proof is a modular rank: every
-generator entry lies in Z[v,v^-1] (the module record asserts it), so at a
-prime p and a unit a of F_p evaluation v -> a is a ring homomorphism on the
-entries, and the F_p-rank of the span closure of the images of the
-generators is at most the Q(v)-rank, which is at most sum d^2; reaching
-sum d^2 mod p proves density.  A few fixed points are tried; if every one
-falls short, the exact Q(v) span closure decides, and raises when density
-fails."""
+The algebra A of a saturated set pi is generated by the weight idempotents
+and by raising and lowering generators: E_i and F_i over Q(v), every
+divided power at a specialization.  `density_defect` decides whether A is
+all of the sum of End L(lam) over lam in pi (density), of dimension
+sum d^2, by the spin and dual spin of Norton's irreducibility test in the
+MeatAxe (Parker 1984; Holt and Rees 1994).  It checks three things:
+  (i)   the highest vector v_lam spins to all of L(lam) under the lowering
+        matrices;
+  (ii)  the highest covector spins to all of the dual of L(lam) under the
+        raising matrices (a row vector times each matrix);
+  (iii) the modules have pairwise different weight multiplicities.
+They give density.  A holds the idempotents, so every submodule W of L(lam)
+is graded: a sum of weight spaces.  For a nonzero weight vector w of W,
+(ii) gives a word X in the raising matrices for which X w has a nonzero
+v_lam coordinate.  The lam component of X w lies in W, and the top weight
+space is a line, so v_lam is in W, and by (i) W is everything: L(lam) is
+simple.  An endomorphism keeps the top line, so it scales v_lam and, by
+(i), all of L(lam): its endomorphisms are the field.  An isomorphism keeps
+the weight spaces, so by (iii) the modules are pairwise non-isomorphic,
+and the Jacobson density theorem makes A all of the sum of End L(lam).
+Conversely, by the triangular decomposition U = U^- U^0 U^+, v_lam and its
+covector generate only what (i) and (ii) spin, so on a simple module both
+hold, and distinct highest weights have distinct weight multiplicities.
+So the check decides density exactly.  Over Q(v) a failure means a faulty
+module record, and `SchurAlgebra` raises; at a specialization a module
+need not stay simple (at roots of unity), and the realized algebra is the
+span closure."""
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
-from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
-                     sparse_mul, sparse_neg, sparse_scale, sparse_sub)
-from .rings import RingPoint, evaluate
-from .weylmod import weyl_module
+from functools import cached_property
 
-# the (p, a) points of the modular density certificate, tried in order:
-# primes below 2^31 and the image a of v in F_p
-_MODULAR_POINTS = ((2147483629, 91831), (2147483587, 48271),
-                   (2147483579, 16807))
+from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
+from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_mul,
+                     sparse_neg, sparse_scale, sparse_sub, sparse_transpose)
+from .weylmod import weyl_module
 
 
 class SchurElement:
@@ -102,15 +115,52 @@ class SchurElement:
         return f"SchurElement(pi={list(self.algebra.pi)})"
 
 
+def density_defect(modules, raising, lowering, field):
+    """None when the weight idempotents and the raising and lowering
+    generators, each given by its blocks (one sparse matrix per module),
+    generate all of the sum of End over the modules; else which of the
+    checks (i)-(iii) of the module docstring fails.  Each module spins from
+    its highest vector at `offsets[lam]`, wherever the order of its weights
+    puts it."""
+    if len({frozenset(m.dims.items()) for m in modules}) < len(modules):
+        return "two modules have the same weight multiplicities"
+    for k, m in enumerate(modules):
+        top = {m.offsets[m.lam]: field.one}
+        if not _spins(top, [sparse_transpose(g[k]) for g in lowering],
+                      field, m.dim):
+            return (f"the highest vector of L({m.lam}) does not spin to "
+                    "the whole module")
+        if not _spins(top, [g[k] for g in raising], field, m.dim):
+            return (f"the highest covector of L({m.lam}) does not spin to "
+                    "the whole dual")
+    return None
+
+
+def _spins(start, mats, field, dim):
+    """Whether the row vector `start` times every word in `mats` spans a
+    space of dimension `dim`."""
+    ech = SparseEchelon(field)
+    ech.insert(start)
+    queue = [start]
+    for vec in queue:       # the queue grows while it is walked
+        if ech.rank == dim:
+            break
+        for mat in mats:
+            img = sparse_mul({0: vec}, mat).get(0)
+            if img and ech.insert(img):
+                queue.append(img)
+    return ech.rank == dim
+
+
 class BlockAlgebra:
     """What the generic and the specialized algebras share: one block per
     module of the saturated set `pi`, in the weight order of the module.
 
     A subclass sets `field` and provides `_divided_power_blocks` (the
-    blocks of E_i^(k) or F_i^(k)), `basis`, `key` (equal exactly when two
-    algebras have the same saturated set and the same scalars), `_scalar`
-    (the image in `field` of a Q(v) coefficient of a word expression) and
-    `_poly` (the image of a Laurent polynomial)."""
+    blocks of E_i^(k) or F_i^(k)), `key` (equal exactly when two algebras
+    have the same saturated set and the same scalars), `_scalar` (the image
+    in `field` of a Q(v) coefficient of a word expression) and `_poly` (the
+    image of a Laurent polynomial)."""
 
     def __init__(self, pi, modules):
         self.pi = pi
@@ -120,7 +170,6 @@ class BlockAlgebra:
         self.block_dims = [m.dim for m in modules]
         self.expected_dim = sum(d * d for d in self.block_dims)
         self._basis = None
-        self._dimension = None
         self._dp_cache = {}
         self._idem_cache = {}
 
@@ -153,6 +202,11 @@ class BlockAlgebra:
         """E_i and F_i for every simple root i."""
         return [self.generator(s, i)
                 for s in (1, -1) for i in range(self.datum.rank)]
+
+    def _generators(self, sign):
+        """The raising (sign > 0) or the lowering generators, which with
+        the idempotents generate the algebra: E_i or F_i here."""
+        return [self.generator(sign, i) for i in range(self.datum.rank)]
 
     def idempotent(self, lam):
         """The weight projector; the zero element when lam is outside the
@@ -223,10 +277,49 @@ class BlockAlgebra:
                     basis.append(prod)
         return basis
 
+    # -- density, basis and dimension --------------------------------------
+
+    @cached_property
+    def _density_defect(self):
+        """None once density is proved, else why it fails (see
+        `density_defect`)."""
+        return density_defect(self.modules,
+                              [g.blocks for g in self._generators(1)],
+                              [g.blocks for g in self._generators(-1)],
+                              self.field)
+
+    def basis(self):
+        """The block matrix units once density is proved, else the basis
+        of `_realized_span`."""
+        if self._basis is None:
+            defect = self._density_defect
+            self._basis = (self._matrix_units() if defect is None
+                           else self._realized_span(defect))
+        return self._basis
+
     def dimension(self):
-        if self._dimension is None:
-            self.basis()
-        return self._dimension
+        """The sum of squared block dimensions once density is proved,
+        without building the matrix units."""
+        if self._density_defect is None:
+            return self.expected_dim
+        return len(self.basis())
+
+    def _realized_span(self, defect):
+        """A basis of the algebra where it is not dense: the closure
+        under all generators."""
+        return self._closure(self._generators(1) + self._generators(-1))
+
+    def _matrix_units(self):
+        """The units e_ij of every block, block by block, row by row."""
+        one = self.field.one
+        units = []
+        for k, d in enumerate(self.block_dims):
+            blocks = [{} for _ in self.block_dims]
+            for i in range(d):
+                for j in range(d):
+                    blocks[k] = {i: {j: one}}
+                    units.append(SchurElement(self, blocks))
+        return units
 
     # -- presentation checks -----------------------------------------------
 
@@ -294,15 +387,23 @@ class BlockAlgebra:
         if ok_c:
             entry("c:commutator", True)
 
-        # (d) quantum Serre relations in divided-power form
-        ok_d = True
+        report.extend(self.verify_serre())
+        return report
+
+    def verify_serre(self):
+        """The quantum Serre relations in divided-power form, as entries of
+        the `verify_presentation` report."""
+        datum = self.datum
+        r = datum.rank
+        ok = True
+        report = []
         for i in range(r):
             for j in range(r):
                 if i == j:
                     continue
                 n = 1 - datum.pair_i(i, datum.simple_roots[j])
                 for sign in (1, -1):
-                    total_s = self.zero()
+                    total = self.zero()
                     for s in range(n + 1):
                         sp = n - s
                         term = (self.divided_power(sign, i, s)
@@ -310,13 +411,15 @@ class BlockAlgebra:
                                 * self.divided_power(sign, i, sp))
                         if sp % 2 == 1:
                             term = -term
-                        total_s = total_s + term
-                    if not total_s.is_zero():
-                        ok_d = False
-                        entry("d:serre", False,
-                              {"i": i, "j": j, "sign": sign})
-        if ok_d:
-            entry("d:serre", True)
+                        total = total + term
+                    if not total.is_zero():
+                        ok = False
+                        report.append({"relation": "d:serre", "ok": False,
+                                       "witness": {"i": i, "j": j,
+                                                   "sign": sign}})
+        if ok:
+            report.append({"relation": "d:serre", "ok": True,
+                           "witness": None})
         return report
 
 
@@ -325,7 +428,6 @@ class SchurAlgebra(BlockAlgebra):
     the highest-weight modules indexed by a finite saturated set."""
 
     field = RatFuncField
-    certificate = None  # set by basis(): ("modular", p, a) or ("exact",)
 
     def __init__(self, pi, modules=None):
         if modules is None:
@@ -343,77 +445,16 @@ class SchurAlgebra(BlockAlgebra):
 
     _poly = staticmethod(RatFunc.from_poly)
 
-    # -- density certificate and basis ------------------------------------
-
-    def basis(self):
-        """The block matrix units, a basis once density is proved: by a
-        modular rank at the first point of `_MODULAR_POINTS` where it
-        reaches the sum of squared block dimensions, else by the exact
-        closure."""
-        if self._basis is None:
-            self.certificate = self._certify()
-            self._basis = self._matrix_units()
-            self._dimension = len(self._basis)
-        return self._basis
-
-    def _certify(self):
-        for p, a in _MODULAR_POINTS:
-            if _ModularImage(self, RingPoint.modular(p, a)).rank() \
-                    == self.expected_dim:
-                return ("modular", p, a)
-        self._exact_closure()
-        return ("exact",)
-
-    def _exact_closure(self):
-        """Echelonized spanning basis of the realized algebra over Q(v),
-        computed by closing the span of the idempotents under left
-        multiplication by the generators; raises RuntimeError unless its
-        rank is the sum of squared block dimensions."""
-        basis = self._closure(self.simple_generators())
-        if len(basis) != self.expected_dim:
-            raise RuntimeError(
-                f"density violated: span closure rank {len(basis)} "
-                f"!= sum of squared block dimensions {self.expected_dim}")
-        return basis
-
-    def _matrix_units(self):
-        """The units e_ij of every block, block by block, row by row."""
-        one = self.field.one
-        units = []
-        for k, d in enumerate(self.block_dims):
-            blocks = [{} for _ in self.block_dims]
-            for i in range(d):
-                for j in range(d):
-                    blocks[k] = {i: {j: one}}
-                    units.append(SchurElement(self, blocks))
-        return units
+    @staticmethod
+    def _realized_span(defect):
+        # over Q(v) the check decides density, so a module record failed
+        raise RuntimeError(f"density violated: {defect}")
 
     def key(self):
         return self.pi.key()
 
     def __repr__(self):
         return f"SchurAlgebra(pi={list(self.pi)})"
-
-
-class _ModularImage(BlockAlgebra):
-    """The images of the generators of a SchurAlgebra under v -> a in F_p,
-    for the density certificate."""
-
-    def __init__(self, algebra, point):
-        super().__init__(algebra.pi, algebra.modules)
-        self.point = point
-        self.field = point.field
-
-    def _divided_power_blocks(self, sign, i, k):
-        return [sparse_map(self._scalar, m.divided_power(sign, i, k))
-                for m in self.modules]
-
-    def _scalar(self, c):
-        return evaluate(c, self.point)
-
-    def rank(self):
-        """The F_p-rank of the span closure of the images."""
-        return len(self._closure(self.simple_generators()))
 
 
 _algebra_cache = {}

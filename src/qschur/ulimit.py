@@ -62,11 +62,6 @@ class LimitElement:
         if self.datum.key() != other.datum.key():
             raise ValueError("limit elements over different root data")
 
-    def eq_up_to(self, other, pi):
-        """Equality after projection to the algebra of pi.  Equality in the
-        limit itself is only semidecidable and is deliberately not offered."""
-        return self.at(pi) == other.at(pi)
-
     def __repr__(self):
         return f"LimitElement(datum={self.datum!r})"
 
@@ -268,8 +263,7 @@ def check_u_relations(pi):
         entry("c:commutator", True)
 
     # (d) Serre, shared with the truncated presentation
-    serre = [e for e in S.verify_presentation() if e["relation"] == "d:serre"]
-    report.extend(serre)
+    report.extend(S.verify_serre())
     return report
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .laurent import (LaurentPoly, RatFunc, RatFuncField, is_integral, qbinom,
                       qint)
 from .linalg import (SparseEchelon, sparse_diagonal, sparse_mul,
-                     sparse_scale, sparse_sub)
+                     sparse_scale, sparse_sub, sparse_transpose)
 
 _F = RatFuncField
 
@@ -158,8 +158,9 @@ class WeylModule(HighestWeightModule):
         _check_character(datum, lam, dims)
         self.words = list(index)
         super().__init__(datum, lam, list(words), dims,
-                         [_transpose(m) for m in e],
-                         [_transpose(fdp.get((i, 1), {})) for i in range(r)])
+                         [sparse_transpose(m) for m in e],
+                         [sparse_transpose(fdp.get((i, 1), {}))
+                          for i in range(r)])
 
 
 def _word_order(word):
@@ -303,8 +304,8 @@ def _coproduct_action(datum, left, right):
     polynomial entries (on A1, F acts by powers of v)."""
     d1 = left.dim
     r = datum.rank
-    cols = {(sign, i): (_transpose(left.divided_power(sign, i, 1)),
-                        _transpose(right.divided_power(sign, i, 1)))
+    cols = {(sign, i): (sparse_transpose(left.divided_power(sign, i, 1)),
+                        sparse_transpose(right.divided_power(sign, i, 1)))
             for sign in (1, -1) for i in range(r)}
     k1 = [_ktilde_diag(left, i, 1) for i in range(r)]
     k2inv = [_ktilde_diag(right, i, -1) for i in range(r)]
@@ -346,15 +347,6 @@ def _close_under_lowering(datum, lam, hw, apply):
             if ech.insert(img):
                 queue.append((target, img))
     return echelons
-
-
-def _transpose(mat):
-    """The transpose of a sparse matrix: its column dicts as rows."""
-    out = {}
-    for r_, row in mat.items():
-        for c_, x in row.items():
-            out.setdefault(c_, {})[r_] = x
-    return out
 
 
 def _weight_order(datum, lam, weights):

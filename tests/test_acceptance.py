@@ -21,8 +21,7 @@ from qschur.linalg import SparseEchelon
 from qschur.rings import RingPoint
 from qschur.rootdata import (PRESET_NAMES, dominant_weights_up_to_height,
                              preset)
-from qschur.schur import (_MODULAR_POINTS, SchurAlgebra, TruncationMap,
-                          _ModularImage, build_schur)
+from qschur.schur import SchurAlgebra, TruncationMap, build_schur
 from qschur.ulimit import (check_Kh_identity, check_u_relations,
                            check_uhat_relations, separation_probe)
 from qschur.weylmod import freudenthal_oracle, weyl_dim_oracle, weyl_module
@@ -91,16 +90,32 @@ def test_criterion_1_dimension_identities():
            f"exactly in {elapsed:.1f}s")
 
 
-def test_modular_certificate_agrees_with_exact_closure():
-    """The modular rank of the density certificate and the exact Q(v)
-    closure, its fallback, both reach the oracle on the criterion-1 sets."""
-    for name, gens, expect in DIMENSION_CASES:
-        S = SchurAlgebra(preset(name).saturate(gens))
-        for p, a in _MODULAR_POINTS:
-            assert _ModularImage(S, RingPoint.modular(p, a)).rank() \
-                == expect, (name, gens, p, a)
-        assert len(S._exact_closure()) == expect, (name, gens)
-        assert S.dimension() == expect and S.certificate[0] == "modular"
+# the specialization points of the spin check: 1, 2 and the roots of unity
+# i, w3 and -1
+SPIN_POINTS = (RingPoint.rational(1), RingPoint.rational(2),
+               RingPoint.cyclotomic(4), RingPoint.cyclotomic(3),
+               RingPoint.cyclotomic(4, power=2))
+
+
+def test_spin_verdict_agrees_with_exact_closure():
+    """The spin check proves density exactly where the exact span closure
+    reaches the sum of squared block dimensions: over Q(v) on every preset
+    set up to height 4, and at each point of SPIN_POINTS."""
+    misses = 0
+    for name in PRESET_NAMES:
+        _, pis = corpus(name, 4)
+        for pi in pis:
+            S = SchurAlgebra(pi)
+            assert len(S._closure(S.simple_generators())) == S.expected_dim
+            assert S._density_defect is None, (name, pi)
+            for point in SPIN_POINTS:
+                R = specialize_schur(pi, point)
+                closed = len(R._closure(R._generators(1) + R._generators(-1)))
+                assert (R._density_defect is None) \
+                    == (closed == R.expected_dim), (name, pi, point)
+                assert R.dimension() == closed, (name, pi, point)
+                misses += closed < R.expected_dim
+    assert misses > 0     # the roots of unity do reach a reducible module
 
 
 def test_criterion_2_presentation_suite():

@@ -48,3 +48,24 @@ def test_specialized_truncation_has_its_own_span():
     # without its own `verify`, the specialized map would run the wrapped
     # `TruncationMap.verify` and record its time as `schur.truncation`
     assert "verify" in _module("intspec").RTruncationMap.__dict__
+
+
+def test_generic_and_specialized_basis_have_separate_spans():
+    # `basis` is defined once, on `BlockAlgebra`, and the spans wrap it per
+    # subclass: wrapping it on one must leave the other's alone, or the
+    # specialized closure would be recorded as `schur.closure`
+    layers = _layers()
+    schur, intspec = _module("schur"), _module("intspec")
+    generic, specialized = schur.SchurAlgebra, intspec.SpecializedSchur
+    shared = schur.BlockAlgebra.basis
+    try:
+        layers._set(generic, "basis", lambda self: "schur.closure")
+        assert specialized.basis is shared
+        layers._set(specialized, "basis", lambda self: "intspec.spec_closure")
+        assert generic.basis(None) == "schur.closure"
+        assert specialized.basis(None) == "intspec.spec_closure"
+    finally:
+        for cls in (generic, specialized):
+            if "basis" in vars(cls):
+                delattr(cls, "basis")
+    assert generic.basis is specialized.basis is shared

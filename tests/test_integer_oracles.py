@@ -1,7 +1,7 @@
 """The root-datum combinatorics and the character oracles run in integers.
 Their Fraction versions (the solver, the positive roots, rho, the invariant
-form, the Weyl dimension formula and the Freudenthal recursion), the box
-enumeration of a saturated set and trial division are kept here as oracles.
+form, the Weyl dimension formula and the Freudenthal recursion) and the box
+enumeration of a saturated set are kept here as oracles.
 Also: the exactness checks raise instead of asserting, and importing the CLI
 loads only the layers that every task needs."""
 
@@ -11,17 +11,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
 import qschur
 from qschur.linalg import SparseEchelon
-from qschur.rings import PrimeField, QField, _is_prime
+from qschur.rings import QField
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
-from qschur.schur import _MODULAR_POINTS
 from qschur.weylmod import (ModuleCheckError, freudenthal_oracle,
                             weyl_dim_oracle)
 
@@ -200,10 +198,6 @@ def _fraction_freudenthal(datum, lam):
     return out
 
 
-def _trial_division(n):
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
 # -- integer versions against the oracles -------------------------------------
 
 
@@ -274,28 +268,6 @@ def test_a12_fundamental_weight_saturates_without_the_box(monkeypatch):
     result = list(datum.saturate([_unit(12, 0)]))
     assert result == [_unit(12, 0)]
     assert len(calls) <= 1 + (len(datum.positive_roots()) + 1) * len(result)
-
-
-def test_is_prime_matches_trial_division():
-    assert [n for n in range(10 ** 5)
-            if _is_prime(n) != _trial_division(n)] == []
-    for p, _ in _MODULAR_POINTS:
-        assert _is_prime(p) and _trial_division(p)
-    # Carmichael numbers (6k+1)(12k+1)(18k+1) without a factor below 43
-    for n in (56052361, 118901521, 172947529):
-        assert not _is_prime(n) and not _trial_division(n)
-    # strong pseudoprimes to the first 4, 9 and 12 prime bases
-    for n in (3215031751, 3825123056546413051,
-              318665857834031151167461):
-        assert not _is_prime(n)
-
-
-def test_is_prime_refuses_past_its_bound():
-    for n in (3317044064679887385961981, 2 ** 127 - 1):
-        with pytest.raises(ValueError, match="Miller-Rabin"):
-            _is_prime(n)
-        with pytest.raises(ValueError, match="Miller-Rabin"):
-            PrimeField(n)
 
 
 # -- exactness checks raise ---------------------------------------------------

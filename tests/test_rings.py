@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qschur.laurent import LaurentPoly, RatFunc, qint
-from qschur.rings import (PoleError, PrimeField, RingPoint, cyclotomic_coeffs,
-                          evaluate)
+from qschur.rings import PoleError, RingPoint, cyclotomic_coeffs, evaluate
 
 
 class TestCyclotomicPolynomials:
@@ -58,41 +57,6 @@ class TestRationalPoint:
     def test_generic_rational(self):
         p = RingPoint.rational(Fraction(2))
         assert qint(2).evaluate(p.xi_pow) == Fraction(5, 2)
-
-
-class TestPrimeField:
-    def test_arithmetic_matches_integers_mod_p(self):
-        F = PrimeField(7)
-        for a in range(7):
-            x = F.from_int(a)
-            assert bool(x) == (a != 0)
-            assert x == a + 7 and -x == -a
-            for b in range(-8, 9):
-                y = F.from_int(b)
-                assert x + y == x + b == a + b
-                assert x - y == x - b == a - b
-                assert x * y == x * b == a * b
-                if b % 7:
-                    assert (x / y) * b == x / b * y == a
-                else:
-                    with pytest.raises(ZeroDivisionError):
-                        x / y
-
-    def test_rejects_a_composite_modulus(self):
-        with pytest.raises(ValueError):
-            PrimeField(2147483647 * 3)
-        with pytest.raises(ValueError):
-            RingPoint.modular(15, 2)
-
-    def test_modular_point(self):
-        p = RingPoint.modular(5, 2)         # 2^2 = -1 mod 5: [2] vanishes
-        assert p.xi_pow(-1) == 3
-        assert qint(3).evaluate(p.xi_pow) == 4 + 1 + 4
-        with pytest.raises(PoleError):
-            evaluate(RatFunc.from_poly(qint(2)).inverse(), p)
-        f = (RatFunc.from_poly(qint(4))
-             * RatFunc.from_poly(qint(2)).inverse())   # = v^2 + v^-2
-        assert evaluate(f, p) == 4 + 4
 
 
 class TestEvaluate:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from qschur.rootdata import (CartanDatum, PRESET_NAMES, RootDatum,
                              SaturatedSet, _bareiss, _int_det, _rank_of,
-                             _solver, _weight_from_pairings,
-                             dominant_weights_up_to_height, preset,
+                             _solver, dominant_weights_up_to_height, preset,
                              simply_connected)
 
 
@@ -236,12 +235,58 @@ class TestSaturatedSets:
                 assert pi.is_saturated()
 
 
+def _weight_from_pairings(datum, ns):
+    """An integral weight lam with <h_i, lam> = ns[i], or None."""
+    lam = datum._pairing_solver(ns)
+    if lam is None or any(x.denominator != 1 for x in lam):
+        return None
+    return tuple(int(x) for x in lam)
+
+
+def _box_dominant_weights(datum, bound):
+    """The dominant weights of height <= bound from the box of pairing
+    vectors with every entry at most the bound, one solve per vector."""
+    out = set()
+    for ns in itertools.product(range(bound + 1), repeat=datum.rank):
+        lam = _weight_from_pairings(datum, ns)
+        if lam is not None and datum.height(lam) <= bound:
+            out.add(lam)
+    return sorted(out, key=lambda w: (datum.height(w), w))
+
+
 class TestDominantEnumeration:
     def test_pairings_without_integral_weight_give_none(self):
         # on A1adj the simple coroot pairs to 2 * lam, so odd n has none
         a1adj = preset("A1adj")
         assert _weight_from_pairings(a1adj, (3,)) is None
         assert _weight_from_pairings(a1adj, (4,)) == (2,)
+        assert dominant_weights_up_to_height(a1adj, 5) == [(0,), (1,), (2,)]
+
+    def test_walk_matches_the_box(self):
+        for name in PRESET_NAMES:
+            datum = preset(name)
+            for bound in range(7):
+                assert dominant_weights_up_to_height(datum, bound) \
+                    == _box_dominant_weights(datum, bound), (name, bound)
+        for n in range(1, 7):
+            datum = simply_connected(CartanDatum(_type_a_form(n)))
+            for bound in range(5 if n < 5 else 3):
+                assert dominant_weights_up_to_height(datum, bound) \
+                    == _box_dominant_weights(datum, bound), (n, bound)
+
+    def test_a6_walk_solves_once_per_fundamental_weight(self, monkeypatch):
+        # the fundamental weights of A6 have heights 6, 10, 12, 12, 10, 6,
+        # so below height 4 the walk meets only n = 0, where the box has
+        # 5^6 pairing vectors and solves for each
+        datum = simply_connected(CartanDatum(_type_a_form(6)))
+        calls = []
+        solve = datum._pairing_solver
+        monkeypatch.setattr(datum, "_pairing_solver",
+                            lambda ns: calls.append(ns) or solve(ns))
+        assert dominant_weights_up_to_height(datum, 4) == [(0,) * 6]
+        assert len(calls) == 6
+        assert len(dominant_weights_up_to_height(datum, 12)) == 10
+        assert len(calls) == 12
 
     def test_a1_window(self):
         a1 = preset("A1")

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from qschur.intspec import specialize_schur
 from qschur.laurent import LaurentPoly, RatFunc, qint
-from qschur.linalg import mat_mul, mat_sub
-from qschur import schur
 from qschur.rings import RingPoint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import SchurAlgebra, TruncationMap, build_schur, \
     truncation_map
+from qschur.weylmod import HighestWeightModule
 from qschur.words import WordExpr
 
 
@@ -111,6 +110,23 @@ def combination(S, terms):
     return out
 
 
+def mat_mul(a, b, field):
+    """The dense product, a reference for the sparse one."""
+    zero = field.zero
+    out = [[zero] * len(b[0]) for _ in a]
+    for ai, oi in zip(a, out):
+        for x, bt in zip(ai, b):
+            if x != zero:
+                for j, y in enumerate(bt):
+                    if y != zero:
+                        oi[j] = oi[j] + x * y
+    return out
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def dense(S, el):
     zero = S.field.zero
     return [[[b.get(i, {}).get(j, zero) for j in range(n)] for i in range(n)]
@@ -158,21 +174,32 @@ class TestPresentation:
             assert not bad, (name, mu, bad)
 
     def test_density_check_trips_on_tampered_algebra(self):
-        S = SchurAlgebra(sat("A1", [(1,)]))
-        S.expected_dim += 1
+        # without F_1 the highest vector of L(1,0) spins to 2 of 3 weights
+        pi = sat("A2", [(1, 0)])
+        module = build_schur(pi).modules[0]
+        S = SchurAlgebra(pi, [tampered(pi, f=[module.f[0], {}])])
         with pytest.raises(RuntimeError, match="density"):
             S.basis()
 
 
-def exact_closure_calls(monkeypatch):
-    """Counts the runs of the exact Q(v) closure from now on."""
-    calls = []
-    exact = SchurAlgebra._exact_closure
+def tampered(pi, e=None, f=None):
+    """A copy of the one module of pi with E or F replaced."""
+    module = copy.copy(build_schur(pi).modules[0])
+    module.e = module.e if e is None else e
+    module.f = module.f if f is None else f
+    module._dp_cache = {}
+    return module
 
-    def spy(self):
+
+def closure_calls(monkeypatch):
+    """Counts the span closures from now on."""
+    calls = []
+    closure = SchurAlgebra._closure
+
+    def spy(self, gens):
         calls.append(self)
-        return exact(self)
-    monkeypatch.setattr(SchurAlgebra, "_exact_closure", spy)
+        return closure(self, gens)
+    monkeypatch.setattr(SchurAlgebra, "_closure", spy)
     return calls
 
 
@@ -191,52 +218,76 @@ def assert_matrix_units(S):
     assert got == want and S.dimension() == len(want)
 
 
+def reordered(module):
+    """The same module with its weights listed lowest first: the basis
+    vectors move with their weights, and E and F with them."""
+    weights = module.weights[::-1]
+    new = {}
+    off = 0
+    for nu in weights:
+        for k in range(module.dims[nu]):
+            new[module.offsets[nu] + k] = off + k
+        off += module.dims[nu]
+
+    def move(mat):
+        return {new[r]: {new[c]: x for c, x in row.items()}
+                for r, row in mat.items()}
+    return HighestWeightModule(module.datum, module.lam, weights, module.dims,
+                               map(move, module.e), map(move, module.f))
+
+
 class TestDensityCertificate:
     def test_large_set_certifies_without_the_exact_closure(self,
                                                            monkeypatch):
-        calls = exact_closure_calls(monkeypatch)
+        calls = closure_calls(monkeypatch)
         S = SchurAlgebra(sat("B2", [(2, 1)]))
         assert S.dimension() == S.expected_dim == 2272
-        assert S.certificate == ("modular",) + schur._MODULAR_POINTS[0]
         assert calls == []
 
-    def test_fallback_when_every_point_misses(self, monkeypatch):
-        S = SchurAlgebra(sat("A2", [(1, 1)]))
-        # the rank falls short at both units of F_3
-        for a in (1, 2):
-            assert schur._ModularImage(S, RingPoint.modular(3, a)).rank() \
-                == 57
-        monkeypatch.setattr(schur, "_MODULAR_POINTS", ((3, 1), (3, 2)))
-        calls = exact_closure_calls(monkeypatch)
-        assert S.dimension() == 65
-        assert S.certificate == ("exact",) and calls == [S]
-        assert_matrix_units(S)
-
-    def test_corrupted_generator_is_refused_on_both_paths(self,
+    def test_a2_44_dimension_builds_no_unit_and_no_closure(self,
                                                           monkeypatch):
-        pi = sat("A1", [(1,)])
-        module = copy.copy(build_schur(pi).modules[0])
-        module.f = [{}]          # F had one entry; the block is now reducible
-        module._dp_cache = {}
+        calls = closure_calls(monkeypatch)
+        monkeypatch.setattr(SchurAlgebra, "_matrix_units",
+                            lambda self: calls.append("units"))
+        S = SchurAlgebra(sat("A2", [(4, 4)]))
+        assert S.dimension() == S.expected_dim == 37855
+        assert calls == []
 
-        def corrupted():
-            return SchurAlgebra(pi, [module])
-        for p, a in schur._MODULAR_POINTS:
-            image = schur._ModularImage(corrupted(), RingPoint.modular(p, a))
-            assert image.rank() == 3
-        with pytest.raises(RuntimeError, match="density violated") as exact:
-            corrupted()._exact_closure()
-        calls = exact_closure_calls(monkeypatch)
-        S = corrupted()
-        with pytest.raises(RuntimeError, match="density violated") as got:
-            S.basis()
-        assert str(got.value) == str(exact.value)
-        assert calls == [S]
+    def test_corrupted_generator_is_refused_on_both_paths(self):
+        # F had one entry and E had one: with either emptied, the block is
+        # reducible, and the lowering or the raising spin falls short
+        pi = sat("A1", [(1,)])
+        for module, side in ((tampered(pi, f=[{}]), "vector"),
+                             (tampered(pi, e=[{}]), "covector")):
+            S = SchurAlgebra(pi, [module])
+            with pytest.raises(RuntimeError, match="density violated: "
+                               f"the highest {side} of L"):
+                S.dimension()
+            assert len(S._closure(S.simple_generators())) == 3
+
+    def test_equal_weight_multiplicities_are_refused(self):
+        # two copies of one simple module are not separated by the algebra
+        pi = sat("A2", [(1, 1)])
+        trivial, adjoint = build_schur(pi).modules
+        with pytest.raises(RuntimeError, match="same weight multiplicities"):
+            SchurAlgebra(pi, [adjoint, adjoint]).dimension()
+        assert SchurAlgebra(pi, [trivial, adjoint]).dimension() == 65
+
+    def test_weights_in_another_order_still_prove_density(self,
+                                                          monkeypatch):
+        pi = sat("A2", [(1, 1)])
+        trivial, adjoint = build_schur(pi).modules
+        moved = reordered(adjoint)
+        assert moved.offsets[moved.lam] == moved.dim - 1
+        calls = closure_calls(monkeypatch)
+        S = SchurAlgebra(pi, [trivial, moved])
+        assert S.dimension() == 65 and calls == []
+        assert S.verify_presentation() \
+            == build_schur(pi).verify_presentation()
 
     def test_basis_is_the_matrix_units(self):
         S = build_schur(sat("A1", [(1,), (2,)]))
         assert_matrix_units(S)
-        assert S.certificate[0] == "modular"
 
 
 # five 3-chains per preset, each given by a seed and two enlargement steps;
