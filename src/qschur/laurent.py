@@ -14,6 +14,9 @@ the gcd of the denominators, so reduced operands give a reduced result.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache
 from math import gcd as int_gcd
 
 
@@ -118,7 +121,7 @@ class LaurentPoly:
         if len(y) == 1:
             [(k, b)] = y.items()
             c = {e + k: a * b for e, a in x.items()}
-        else:
+        elif len(y) < _PACKED_MIN or (c := _packed_mul(x, y)) is None:
             c = {}
             for e1, a1 in x.items():
                 for e2, a2 in y.items():
@@ -274,6 +277,50 @@ def _sparse(terms, shift=0):
     out.coeffs = {e + shift: a for e, a in terms if a}
     out._hash = None
     return out
+
+
+# a product of operands with at least this many terms each is one integer
+# product (Kronecker substitution) when its coefficients fit 64-bit slots,
+# rather than a double loop over the terms
+_PACKED_MIN = 12
+_HALF = 1 << 63
+
+
+def _offset(n):
+    """The packing of n slots that each hold 2^63."""
+    return _HALF * ((1 << 64 * n) - 1) // ((1 << 64) - 1)
+
+
+def _pack(c, e0, g):
+    """The integer sum of a * 2^(64 k) over the terms a*v^(e0 + g k) of the
+    coefficient dict c."""
+    n = (max(c) - e0) // g + 1
+    digits = [_HALF] * n
+    for e, a in c.items():
+        digits[(e - e0) // g] = a + _HALF
+    words = array("Q", digits)
+    if sys.byteorder != "little":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little") - _offset(n)
+
+
+def _packed_mul(x, y):
+    """The product of two coefficient dicts from one integer product at
+    v^g = 2^64, g their common exponent stride, or None when a coefficient
+    of the product might not lie in [-2^63, 2^63), where a slot holds it."""
+    if (max(map(abs, x.values())) * max(map(abs, y.values()))
+            * min(len(x), len(y)) >= _HALF):
+        return None
+    ex, ey = min(x), min(y)
+    g = int_gcd(*(e - ex for e in x), *(e - ey for e in y))
+    n = (max(x) - ex + max(y) - ey) // g + 1
+    words = array("Q")
+    words.frombytes((_pack(x, ex, g) * _pack(y, ey, g)
+                     + _offset(n)).to_bytes(8 * n, "little"))
+    if sys.byteorder != "little":
+        words.byteswap()
+    return {ex + ey + g * k: d - _HALF for k, d in enumerate(words)
+            if d != _HALF}
 
 
 def _primitive_prem(f, g):
@@ -509,6 +556,7 @@ class RatFuncField:
 # -- quantum integers ---------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
 def qint(n, d=1):
     """[n] with v replaced by v^d: (v^{dn} - v^{-dn}) / (v^d - v^{-d})."""
     if n == 0:
@@ -530,6 +578,7 @@ def qfact(n, d=1):
     return out
 
 
+@lru_cache(maxsize=1024)
 def qbinom(a, t, d=1):
     """Gaussian binomial, an element of Z[v, v^-1] for any integer a, t >= 0.
 

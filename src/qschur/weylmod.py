@@ -8,26 +8,33 @@ formula, Freudenthal recursion) check the result, and the record checks
 that every entry is a Laurent polynomial and the commutator relation.  A
 tensor-product realization is kept as an independent check of the
 lowering.
+
+The lowering takes no fraction: the basis of each weight space is chosen
+over F_p, where rank cannot exceed the rank over Q(v), and every other
+candidate gets Laurent coordinates on the chosen ones before it, checked
+on every column; that proves the choice equal to the greedy choice over
+Q(v) (see `WeylModule`), which stays as the fallback and the test oracle.
 """
 
 from __future__ import annotations
 
-from .laurent import (LaurentPoly, RatFunc, RatFuncField, is_integral, qbinom,
-                      qint)
-from .linalg import (SparseEchelon, sparse_diagonal, sparse_mul,
-                     sparse_scale, sparse_sub, sparse_transpose)
+from .laurent import (ONE, R_ONE, ZERO, LaurentPoly, RatFunc, RatFuncField,
+                      is_integral, qbinom, qint)
+from .linalg import (SparseEchelon, sparse_diagonal, sparse_map, sparse_mul,
+                     sparse_sub, sparse_transpose)
 
 _F = RatFuncField
-
-
-def _qint_r(n, d):
-    return RatFunc.from_poly(qint(n, d))
 
 
 class ModuleCheckError(RuntimeError):
     """Raised when a module fails a consistency check: the commutator
     tripwire, a character oracle, a generator image outside the span, or
     an entry or lattice coordinate outside Z[v,v^-1]."""
+
+
+def _numerators(mat):
+    """The Laurent numerators of a sparse matrix over Q(v)."""
+    return sparse_map(lambda x: x.num, mat)
 
 
 def _offsets(weights, dims):
@@ -73,26 +80,31 @@ class HighestWeightModule:
         self._check_commutators()
 
     def _check_commutators(self):
+        """[E_i, F_j] on the Laurent numerators; the constructor has
+        refused every entry with a denominator."""
         datum = self.datum
+        e = [_numerators(m) for m in self.e]
+        f = [_numerators(m) for m in self.f]
         for i in range(datum.rank):
             d = datum.cartan.d(i)
             cartan = {}
             for nu in self.weights:
-                c = _qint_r(datum.pair_i(i, nu), d)
+                c = qint(datum.pair_i(i, nu), d)
                 if c:
                     off = self.offsets[nu]
                     for k in range(off, off + self.dims[nu]):
                         cartan[k] = {k: c}
             for j in range(datum.rank):
-                comm = sparse_sub(sparse_mul(self.e[i], self.f[j]),
-                                  sparse_mul(self.f[j], self.e[i]))
+                comm = sparse_sub(sparse_mul(e[i], f[j]),
+                                  sparse_mul(f[j], e[i]))
                 if comm != (cartan if i == j else {}):
                     raise ModuleCheckError(
                         f"commutator [E_{i}, F_{j}] fails on the module of "
                         f"highest weight {self.lam}")
 
     def divided_power(self, sign, i, k):
-        """Sparse matrix of E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i."""
+        """Sparse matrix of E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i,
+        computed in Z[v,v^-1] as (X_i^(k-1) X_i) / [k]_i."""
         key = (sign > 0, i, k)
         mat = self._dp_cache.get(key)
         if mat is None:
@@ -101,10 +113,17 @@ class HighestWeightModule:
             elif k == 1:
                 mat = (self.e if sign > 0 else self.f)[i]
             else:
-                qk = _qint_r(k, self.datum.cartan.d(i))
-                mat = sparse_scale(qk.inverse(), sparse_mul(
-                    self.divided_power(sign, i, k - 1),
-                    self.divided_power(sign, i, 1)))
+                qk = qint(k, self.datum.cartan.d(i))
+                prod = sparse_mul(
+                    _numerators(self.divided_power(sign, i, k - 1)),
+                    _numerators(self.divided_power(sign, i, 1)))
+                try:
+                    mat = sparse_map(
+                        lambda x: RatFunc.from_poly(x.exact_div(qk)), prod)
+                except ValueError:
+                    raise ModuleCheckError(
+                        f"{'E' if sign > 0 else 'F'}_{i}^({k}) on L({self.lam})"
+                        " is not in Z[v,v^-1]") from None
             self._dp_cache[key] = mat
         return mat
 
@@ -132,6 +151,16 @@ class WeylModule(HighestWeightModule):
     at nu over Z[v,v^-1], and the basis is a lattice basis exactly when
     every candidate has Laurent coordinates in it; the construction checks
     that and raises ModuleCheckError otherwise.
+
+    They are found without fractions (`_choose_mod_p`).  Candidates
+    independent mod p at v = a are independent over Q(v): rank cannot rise
+    under v -> a.  Each other candidate y gets Laurent coordinates x on the
+    chosen ones from a fraction-free solve, and x must be supported on
+    candidates before y and give sum x_t c_t = y on every column.  So every
+    rejected candidate lies in the span of the chosen ones before it: the
+    choice is the greedy choice over Q(v).  Where a check fails at every
+    point of `_POINTS`, that greedy choice itself (`_choose_exact`) redoes
+    the weight and raises ModuleCheckError on a non-Laurent coordinate.
     """
 
     def __init__(self, datum, lam):
@@ -140,6 +169,7 @@ class WeylModule(HighestWeightModule):
             raise ValueError(f"highest weight {lam} is not dominant")
         r = datum.rank
         roots = datum.simple_roots
+        mult = freudenthal_oracle(datum, lam)
         words = {lam: [()]}           # nu -> basis words
         index = {(): 0}               # word -> basis index
         e = [{} for _ in range(r)]    # column dicts while building
@@ -150,17 +180,18 @@ class WeylModule(HighestWeightModule):
                      for nu in level for i in range(r)}
             level = []
             for nu in _weight_order(datum, lam, below):
-                basis = _lower(datum, lam, nu, words, index, e, fdp)
+                basis = _lower(datum, lam, nu, mult.get(nu, 0), words,
+                               index, e, fdp)
                 if basis:
                     words[nu] = basis
                     level.append(nu)
         dims = {nu: len(ws) for nu, ws in words.items()}
-        _check_character(datum, lam, dims)
+        _check_character(datum, lam, dims, mult)
         self.words = list(index)
+        f = [fdp.get((i, 1), {}) for i in range(r)]
         super().__init__(datum, lam, list(words), dims,
-                         [sparse_transpose(m) for m in e],
-                         [sparse_transpose(fdp.get((i, 1), {}))
-                          for i in range(r)])
+                         *([sparse_map(RatFunc.from_poly, sparse_transpose(m))
+                            for m in mats] for mats in (e, f)))
 
 
 def _word_order(word):
@@ -171,10 +202,11 @@ def _word_order(word):
     return len(word), word
 
 
-def _lower(datum, lam, nu, words, index, e, fdp):
-    """Build weight nu of L(lam) below the top, given every weight above it;
-    its basis gets the next indices.  Fills the columns of E_j and of every
-    F_i^(a) on the weights above, and returns the basis words."""
+def _lower(datum, lam, nu, mult, words, index, e, fdp):
+    """Build weight nu of L(lam) below the top, of multiplicity mult, given
+    every weight above it; its basis gets the next indices.  Fills the
+    columns of E_j and of every F_i^(a) on the weights above, and returns
+    the basis words."""
     off = len(index)
     cands = []
     rest = []                         # F_i^(a) b with b = F_i^(c) b'
@@ -191,55 +223,173 @@ def _lower(datum, lam, nu, words, index, e, fdp):
                     cands.append((((i, a),) + w, i, a, mu, index[w]))
             a += 1
     cands.sort(key=lambda cand: _word_order(cand[0]))
-    # one echelon of the E-images; candidate n carries the unit tag off + n,
-    # past every image index, so the residue of a dependent candidate is its
-    # own tag minus its coordinates on the tags of the basis candidates
-    ech = SparseEchelon(_F)
+    images = [_e_images(datum, e, fdp, *cand[1:]) for cand in cands]
+    vecs = [{k: x for img in imgs for k, x in img.items()} for imgs in images]
+    for point in _POINTS:
+        sol = _choose_mod_p(vecs, mult, *point)
+        if sol is not None:
+            break
+    else:
+        sol = _choose_exact(vecs, off, lam, nu, [cand[0] for cand in cands])
     basis = []
-    pos = {}                          # tag of a basis candidate -> its index
-    for n, (word, i, a, mu, b) in enumerate(cands):
-        fa = fdp.get((i, a), {})
-        images = []
-        for j in range(datum.rank):
-            img = {}
-            for t, x in e[j].get(b, {}).items():
-                for u, y in fa.get(t, {}).items():
-                    img[u] = img.get(u, _F.zero) + x * y
-            if i == j:
-                c = _qint_r(datum.pair_i(i, mu) - a + 1, datum.cartan.d(i))
-                if c:
-                    prev = {b: _F.one} if a == 1 else fdp[i, a - 1].get(b, {})
-                    for u, y in prev.items():
-                        img[u] = img.get(u, _F.zero) + c * y
-            images.append({k: x for k, x in img.items() if x})
-        vec = {k: x for img in images for k, x in img.items()}
-        vec[off + n] = _F.one
-        res = ech.reduce(vec)
-        if min(res) < off:
-            ech.insert(res)
-            pos[off + n] = index[word] = p = off + len(basis)
+    for n, ((word, i, a, mu, b), x) in enumerate(zip(cands, sol)):
+        if x is None:
+            index[word] = p = off + len(basis)
             basis.append(word)
-            fdp.setdefault((i, a), {})[b] = {p: _F.one}
-            for j, img in enumerate(images):
+            fdp.setdefault((i, a), {})[b] = {p: ONE}
+            for j, img in enumerate(images[n]):
                 if img:
                     e[j][p] = img
-        else:
-            coords = {pos[t]: -x for t, x in res.items() if t != off + n}
-            for x in coords.values():
-                if is_integral(x) is None:
-                    raise ModuleCheckError(
-                        f"candidate {word} at weight {nu} of L({lam}) has "
-                        f"the coordinate {x.to_string()}, not in Z[v,v^-1]")
-            if coords:
-                fdp.setdefault((i, a), {})[b] = coords
+        elif x:
+            fdp.setdefault((i, a), {})[b] = {index[cands[t][0]]: y
+                                             for t, y in x.items()}
     for i, a, w in rest:
         (_, c), w0 = w[0], w[1:]
         src = fdp.get((i, a + c), {}).get(index[w0])
         if src:
-            k = RatFunc.from_poly(qbinom(a + c, a, datum.cartan.d(i)))
+            k = qbinom(a + c, a, datum.cartan.d(i))
             fdp.setdefault((i, a), {})[index[w]] = {
                 u: k * y for u, y in src.items()}
     return basis
+
+
+def _e_images(datum, e, fdp, i, a, mu, b):
+    """The E_j-images of the candidate F_i^(a) b, one column dict per j."""
+    fa = fdp.get((i, a), {})
+    images = []
+    for j in range(datum.rank):
+        img = {}
+        for t, x in e[j].get(b, {}).items():
+            for u, y in fa.get(t, {}).items():
+                img[u] = img.get(u, ZERO) + x * y
+        if i == j:
+            c = qint(datum.pair_i(i, mu) - a + 1, datum.cartan.d(i))
+            if c:
+                prev = {b: ONE} if a == 1 else fdp[i, a - 1].get(b, {})
+                for u, y in prev.items():
+                    img[u] = img.get(u, ZERO) + c * y
+        images.append({k: x for k, x in img.items() if x})
+    return images
+
+
+# the points (p, a) where the basis of a weight space is chosen, tried in
+# order: primes below 2^31 and the image a of v in F_p
+_POINTS = ((2147483629, 91831), (2147483587, 48271), (2147483579, 16807))
+
+
+def _choose_mod_p(vecs, mult, p, a):
+    """The greedy choice among the image vectors, chosen over F_p at v = a
+    and proved over Q(v) as `WeylModule` says, or None where the proof
+    fails.  Returns a list with None for a chosen vector and, for any
+    other, its coordinates {t: x}, x in Z[v,v^-1], on the chosen t."""
+    powers = {}
+
+    def residue(x):
+        return sum(c * (powers.get(k) or powers.setdefault(k, pow(a, k, p)))
+                   for k, c in x.coeffs.items()) % p
+
+    rows, chosen = [], []             # (pivot, row mod p with 1 there)
+    for n, vec in enumerate(vecs):
+        r = {k: residue(x) for k, x in vec.items()}
+        for q, row in rows:
+            f = r.get(q)
+            if f:
+                for k, c in row.items():
+                    r[k] = (r.get(k, 0) - f * c) % p
+        r = {k: c for k, c in r.items() if c}
+        if r:
+            q = min(r)
+            inv = pow(r[q], -1, p)
+            rows.append((q, {k: c * inv % p for k, c in r.items()}))
+            chosen.append(n)
+    m = len(chosen)
+    if m != mult:
+        return None
+    # rows in pivot order, columns in choice order: every leading minor is
+    # a unit mod p, so no pivot of the elimination vanishes
+    cols = chosen + [n for n in range(len(vecs)) if n not in chosen]
+    mat = _bareiss([{c: vecs[t][q] for c, t in enumerate(cols)
+                     if q in vecs[t]} for q, _ in rows])
+    sol = [None] * len(vecs)
+    for col, n in enumerate(cols[m:], m):
+        x = {}                        # back substitution, in Z[v,v^-1]
+        for i in range(m - 1, -1, -1):
+            row = mat[i]
+            s = row.get(col, ZERO)
+            for j, y in x.items():
+                if j in row:
+                    s = s - row[j] * y
+            if s:
+                if chosen[i] > n:     # only chosen vectors before n
+                    return None
+                try:
+                    x[i] = s.exact_div(row[i])
+                except ValueError:
+                    return None
+        acc = {}
+        for i, y in x.items():
+            for k, z in vecs[chosen[i]].items():
+                acc[k] = acc.get(k, ZERO) + y * z
+        if {k: z for k, z in acc.items() if z} != vecs[n]:
+            return None
+        sol[n] = {chosen[i]: y for i, y in x.items()}
+    return sol
+
+
+def _bareiss(rows):
+    """Fraction-free elimination (Bareiss 1968) of sparse rows over
+    Z[v,v^-1] whose leading principal minors p_1, ..., p_m are nonzero:
+    row i comes out zero before column i, a multiple of its equation.
+    Step k maps each row r below k to (p_k r - r_k row_k) / p_(k-1),
+    exactly; where r_k = 0 that is a rescaling, so row i is left at the
+    last step done[i] that changed it until a step needs it."""
+    minor, done = [ONE], [0] * len(rows)
+    for k, top in enumerate(rows):
+        top = rows[k] = _rescale(top, minor[k], minor[done[k]])
+        pk, prev = top[k], minor[k]
+        for i in range(k + 1, len(rows)):
+            if k in rows[i]:
+                row = _rescale(rows[i], prev, minor[done[i]])
+                f = row[k]
+                new = ((j, (pk * row.get(j, ZERO) - f * top.get(j, ZERO))
+                        .exact_div(prev)) for j in row.keys() | top.keys()
+                       if j != k)
+                rows[i] = {j: y for j, y in new if y}
+                done[i] = k + 1
+        minor.append(pk)
+    return rows
+
+
+def _rescale(row, new, old):
+    """row * new / old, entry by entry."""
+    if new == old:
+        return row
+    return {j: (y * new).exact_div(old) for j, y in row.items()}
+
+
+def _choose_exact(vecs, off, lam, nu, words):
+    """The greedy choice over Q(v), as `_choose_mod_p` returns it, by one
+    echelon: vector n carries the unit tag off + n, past every image
+    index, so the residue of a dependent vector is its tag minus its
+    coordinates on the tags of the chosen ones.  Raises ModuleCheckError
+    on a coordinate outside Z[v,v^-1]."""
+    ech = SparseEchelon(RatFuncField)
+    sol = []
+    for n, vec in enumerate(vecs):
+        res = ech.reduce({**{k: RatFunc.from_poly(x) for k, x in vec.items()},
+                          off + n: R_ONE})
+        if min(res) < off:
+            ech.insert(res)
+            sol.append(None)
+            continue
+        x = {t - off: -y for t, y in res.items() if t != off + n}
+        for y in x.values():
+            if is_integral(y) is None:
+                raise ModuleCheckError(
+                    f"candidate {words[n]} at weight {nu} of L({lam}) has "
+                    f"the coordinate {y.to_string()}, not in Z[v,v^-1]")
+        sol.append({t: y.num for t, y in x.items()})
+    return sol
 
 
 class TensorModule(HighestWeightModule):
@@ -262,7 +412,7 @@ class TensorModule(HighestWeightModule):
         hw = right.offsets[right.lam] * left.dim + left.offsets[left.lam]
         echelons = _close_under_lowering(datum, lam, hw, apply)
         got = {nu: ech.rank for nu, ech in echelons.items()}
-        _check_character(datum, lam, got)
+        _check_character(datum, lam, got, freudenthal_oracle(datum, lam))
         weights = _weight_order(datum, lam, echelons)
         offsets = _offsets(weights, got)
         pivots = {nu: sorted(ech.pivots) for nu, ech in echelons.items()}
@@ -358,10 +508,10 @@ def _weight_order(datum, lam, weights):
     return sorted(weights, key=key)
 
 
-def _check_character(datum, lam, dims):
-    """Check weight multiplicities against the Freudenthal recursion and
-    the dimension against the Weyl formula."""
-    if dims != freudenthal_oracle(datum, lam):
+def _check_character(datum, lam, dims, mult):
+    """Check weight multiplicities against mult, from the Freudenthal
+    recursion, and the dimension against the Weyl formula."""
+    if dims != mult:
         raise ModuleCheckError(
             f"weight multiplicities {dims} of {lam} disagree with the "
             "Freudenthal recursion")

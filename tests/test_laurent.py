@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur.laurent import (LaurentPoly, ONE, RatFunc, V, ZERO, _poly_gcd_int,
-                            is_integral, qbinom, qfact, qint)
+from qschur.laurent import (LaurentPoly, ONE, RatFunc, V, ZERO, _PACKED_MIN,
+                            _poly_gcd_int, is_integral, qbinom, qfact, qint)
 
 
 def _fraction_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -262,6 +262,52 @@ class TestExactDivision:
             (V + ONE).exact_div(LaurentPoly({1: 2, 0: 2}))
         with pytest.raises(ZeroDivisionError):
             ONE.exact_div(ZERO)
+
+
+def _schoolbook(a, b):
+    """The product by the double loop over the terms, kept as the oracle of
+    the packed (Kronecker substitution) product."""
+    c = {}
+    for e1, x in a.coeffs.items():
+        for e2, y in b.coeffs.items():
+            c[e1 + e2] = c.get(e1 + e2, 0) + x * y
+    return LaurentPoly(c)
+
+
+@st.composite
+def long_polys(draw):
+    """Laurent polynomials with fewer and with more terms than the packed
+    product needs, negative exponents, an exponent stride of 1 to 3 and
+    coefficients up to 10^30."""
+    n = draw(st.integers(1, 2 * _PACKED_MIN + 2))
+    bound = draw(st.sampled_from([9, 2 ** 15, 2 ** 40, 10 ** 30]))
+    stride = draw(st.integers(1, 3))
+    shift = draw(st.integers(-30, 30))
+    terms = draw(st.dictionaries(st.integers(-2 * n, 2 * n),
+                                 st.integers(-bound, bound).filter(bool),
+                                 min_size=n, max_size=n))
+    return LaurentPoly({shift + stride * e: a for e, a in terms.items()})
+
+
+class TestPackedProduct:
+    @given(long_polys(), long_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_schoolbook_and_divides_back(self, a, b):
+        assert a * b == _schoolbook(a, b)
+        assert (a * b).exact_div(b) == a
+        if len(b.coeffs) > 1:
+            # b divides no monomial, so a*b + v^k has no quotient by b
+            with pytest.raises(ValueError):
+                (a * b + V).exact_div(b)
+
+    def test_both_sides_of_the_cutoff(self):
+        for n in (_PACKED_MIN - 1, _PACKED_MIN):
+            a = LaurentPoly({2 * k - n: k - 3 for k in range(n + 1)
+                             if k != 3})
+            b = LaurentPoly({k: 10 ** 30 + k for k in range(-4, n - 4)})
+            assert len(b.coeffs) == n
+            assert a * b == _schoolbook(a, b)
+            assert (a * b).exact_div(a) == b
 
 
 class TestFastPaths:

@@ -4,20 +4,23 @@ the module matrices pinned by digest."""
 
 import hashlib
 import json
+from math import isqrt
 
 import pytest
 
+from qschur import laurent, schur, weylmod
 from qschur.cache import serialize_algebra
 from qschur.laurent import LaurentPoly, RatFunc, qbinom, qint
 from qschur.linalg import sparse_add, sparse_mul, sparse_scale, sparse_sub
-from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
-    preset
+from qschur.rootdata import PRESET_NAMES, CartanDatum, \
+    dominant_weights_up_to_height, preset, simply_connected
 from qschur.schur import SchurAlgebra, build_schur
 from qschur.weylmod import (HighestWeightModule, ModuleCheckError,
                             TensorModule, WeylModule,
                             freudenthal_oracle, weyl_dim_oracle, weyl_module)
 
 ALL_PRESETS = list(PRESET_NAMES)
+G2 = simply_connected(CartanDatum(((2, -3), (-3, 6))))
 
 
 def modules_up_to_height(name, bound):
@@ -250,10 +253,120 @@ MATRIX_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("name,lam,digest", MATRIX_DIGESTS,
-                         ids=[f"{n}-{lam}" for n, lam, _ in MATRIX_DIGESTS])
-def test_module_matrices_are_pinned(name, lam, digest):
+def _matrix_digest(name, lam):
     pi = preset(name).saturate([lam])
     text = json.dumps(serialize_algebra(build_schur(pi)), sort_keys=True,
                       separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,lam,digest", MATRIX_DIGESTS,
+                         ids=[f"{n}-{lam}" for n, lam, _ in MATRIX_DIGESTS])
+def test_module_matrices_are_pinned(name, lam, digest):
+    assert _matrix_digest(name, lam) == digest
+
+
+def _spy(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestModularChoice:
+    """The basis chosen over F_p and filled fraction-free, against the
+    greedy choice over Q(v) that it replaces."""
+
+    @staticmethod
+    def _same_as_exact_echelon(monkeypatch, datum, lam):
+        with monkeypatch.context() as patch:
+            exact = _spy(patch, weylmod, "_choose_exact")
+            fast = WeylModule(datum, lam)
+            assert exact == [], lam
+            patch.setattr(weylmod, "_POINTS", ())
+            oracle = WeylModule(datum, lam)
+        assert fast.words == oracle.words, lam
+        assert fast.e == oracle.e, lam
+        assert fast.f == oracle.f, lam
+
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    def test_presets_match_the_exact_echelon(self, monkeypatch, name):
+        for datum, lam in modules_up_to_height(name, 6):
+            self._same_as_exact_echelon(monkeypatch, datum, lam)
+
+    def test_g2_matches_the_exact_echelon(self, monkeypatch):
+        lams = [(a, b) for a in range(5) for b in range(3)
+                if weyl_dim_oracle(G2, (a, b)) <= 200]
+        assert len(lams) == 9
+        for lam in lams:
+            self._same_as_exact_echelon(monkeypatch, G2, lam)
+
+    def test_fallback_keeps_the_digests(self, monkeypatch):
+        # at v = 5 in F_13, 5^2 = -1, so [2] = v + v^-1 vanishes and the
+        # rank mod 13 falls short wherever an E-image is a multiple of [2]
+        assert (5 * 5 + 1) % 13 == 0
+        monkeypatch.setattr(weylmod, "_POINTS", ((13, 5),))
+        monkeypatch.setattr(weylmod, "_module_cache", {})
+        monkeypatch.setattr(schur, "_algebra_cache", {})
+        exact = _spy(monkeypatch, weylmod, "_choose_exact")
+        for name, lam, digest in MATRIX_DIGESTS:
+            assert _matrix_digest(name, lam) == digest, (name, lam)
+        assert exact
+
+    def test_each_check_refuses_a_wrong_choice(self):
+        # v^2 + 1 vanishes at v = 5 mod 13, and nowhere at a shipped point
+        s = LaurentPoly({2: 1, 0: 1})
+        one = LaurentPoly.const(1)
+        good = weylmod._POINTS[0]
+        # the rank mod 13 is 0, short of the multiplicity 1
+        assert weylmod._choose_mod_p([{0: s}], 1, 13, 5) is None
+        assert weylmod._choose_mod_p([{0: s}], 1, *good) == [None]
+        # mod 13 the second vector is chosen, and the first is s times it:
+        # Laurent, but on a later vector; over Q(v) the first is chosen,
+        # and the second is 1/s times it, which is not Laurent
+        vecs = [{0: s}, {0: one}]
+        assert weylmod._choose_mod_p(vecs, 1, 13, 5) is None
+        assert weylmod._choose_mod_p(vecs, 1, *good) is None
+        with pytest.raises(ModuleCheckError, match="not in Z"):
+            weylmod._choose_exact(vecs, 1, (0,), (0,), ["w0", "w1"])
+        # both vectors are e_0 mod 13, but they differ on column 1: the
+        # coordinate from the pivot column fails the check on every column
+        vecs = [{0: one, 1: s}, {0: one}]
+        assert weylmod._choose_mod_p(vecs, 1, 13, 5) is None
+        assert weylmod._choose_mod_p(vecs, 2, *good) == [None, None]
+        # a dependent vector gets its Laurent coordinates
+        vecs = [{0: one, 1: s}, {0: s, 1: s * s}]
+        assert weylmod._choose_mod_p(vecs, 1, *good) == [None, {0: s}]
+
+    def test_shipped_points_are_primes(self):
+        assert len(weylmod._POINTS) == 3
+        for p, a in weylmod._POINTS:
+            assert all(p % q for q in range(2, isqrt(p) + 1)), p
+            assert 0 < a < p
+
+    def test_lowering_takes_no_polynomial_gcd(self, monkeypatch):
+        calls = _spy(monkeypatch, laurent, "_poly_gcd_int")
+        for datum, lam in [(preset("B2"), (3, 3)), (G2, (1, 1)),
+                           (preset("A2"), (4, 4))]:
+            WeylModule(datum, lam)
+        assert len(calls) == 0
+
+    def test_divided_power_refuses_a_non_laurent_entry(self):
+        # L(2) of A1 on the basis b, F b, F F b = [2] F^(2) b: every entry
+        # of E and F is Laurent, but F^(2) b = (F F b) / [2] is not
+        a1 = preset("A1")
+        q2 = RatFunc.from_poly(qint(2))
+        one = RatFunc(1)
+        m = HighestWeightModule(a1, (2,), [(2,), (0,), (-2,)],
+                                {(2,): 1, (0,): 1, (-2,): 1},
+                                [{0: {1: q2}, 1: {2: q2}}],
+                                [{1: {0: one}, 2: {1: one}}])
+        assert m.divided_power(-1, 0, 1)
+        with pytest.raises(ModuleCheckError, match=r"F_0\^\(2\).*\(2,\)"):
+            m.divided_power(-1, 0, 2)
