@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from qschur.intspec import specialize_schur
 from qschur.laurent import LaurentPoly, RatFunc, qint
 from qschur.rings import RingPoint
+from qschur import schur
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import SchurAlgebra, TruncationMap, build_schur, \
     truncation_map
+from qschur.ulimit import check_u_relations
 from qschur.weylmod import HighestWeightModule
 from qschur.words import WordExpr
 
@@ -180,6 +182,57 @@ class TestPresentation:
         S = SchurAlgebra(pi, [tampered(pi, f=[module.f[0], {}])])
         with pytest.raises(RuntimeError, match="density"):
             S.basis()
+
+
+class TestFailingRows:
+    """The exact rows of every report on L(1,0) of A2 with one entry of
+    E_i doubled for each i in `doubled`: the module record is copied, so
+    its commutator tripwire never sees the change."""
+
+    @staticmethod
+    def doubled_algebra(pi, doubled, monkeypatch):
+        module = build_schur(pi).modules[0]
+        e = []
+        for i, mat in enumerate(module.e):
+            (r, row), = mat.items()
+            (c, x), = row.items()
+            e.append({r: {c: x + x if i in doubled else x}})
+        S = SchurAlgebra(pi, [tampered(pi, e=e)])
+        # the limit checks and the truncation maps find it by its set
+        monkeypatch.setitem(schur._algebra_cache, pi.key(), S)
+        return S
+
+    @pytest.mark.parametrize("doubled", [(0,), (0, 1)])
+    def test_exact_rows(self, doubled, monkeypatch):
+        pi = sat("A2", [(1, 0)])
+        S = self.doubled_algebra(pi, doubled, monkeypatch)
+        commutator = [{"relation": "c:commutator", "ok": False,
+                       "witness": {"i": i, "j": i}} for i in doubled]
+        passing = [{"relation": name, "ok": True, "witness": None}
+                   for name in ("a:orthogonality", "a:completeness",
+                                "b:intertwine")]
+        serre = [{"relation": "d:serre", "ok": True, "witness": None}]
+        assert S.verify_presentation() == passing + commutator + serre
+
+        k_rows = [{"relation": name, "ok": True, "witness": None}
+                  for name in ("a:K-group-law", "a:K-zero", "a:K-inverse",
+                               "b:K-E-intertwine")]
+        assert check_u_relations(pi) == k_rows + commutator + serre
+
+        # restricting the honest algebra of a larger set misses the
+        # doubled entries
+        f = TruncationMap(pi, sat("A2", [(2, 1)]))
+        assert f.source is not S and f.target is S
+        checks = [{"check": f"generator({s}{i})",
+                   "ok": not (s == "+" and i in doubled), "witness": None}
+                  for s in "+-" for i in range(2)]
+        checks += [{"check": f"idempotent{lam}", "ok": True, "witness": None}
+                   for lam in sorted(f.source.orbit)]
+        checks += [{"check": name, "ok": True, "witness": None}
+                   for name in ("unit", "multiplicative")]
+        checks.append({"check": "surjective", "ok": True,
+                       "witness": {"image_rank": 9, "target_dim": 9}})
+        assert f.verify() == checks
 
 
 def tampered(pi, e=None, f=None):
