@@ -47,8 +47,11 @@ def _chain(pi0):
     return pi0, pi1, pi2
 
 
-def _summarize(report_rows, key="ok"):
-    return all(row[key] for row in report_rows)
+def _project(report, key):
+    """The {key, ok} rows of a report and its failing rows, the witnesses;
+    the report passes when it has none."""
+    return ([{key: row[key], "ok": row["ok"]} for row in report],
+            [row for row in report if not row["ok"]])
 
 
 def task_build(spec, pi, cache_dir, params, notes):
@@ -84,11 +87,8 @@ def task_dims(spec, pi, cache_dir, params, notes):
 
 def task_verify(spec, pi, cache_dir, params, notes):
     alg = load_or_build(pi, cache_dir, notes)
-    report = alg.verify_presentation()
-    witnesses = [row for row in report if not row["ok"]]
-    result = {"relations": [{"relation": r["relation"], "ok": r["ok"]}
-                            for r in report]}
-    return result, witnesses, _summarize(report)
+    rows, witnesses = _project(alg.verify_presentation(), "relation")
+    return {"relations": rows}, witnesses, not witnesses
 
 
 def task_maps(spec, pi, cache_dir, params, notes):
@@ -97,36 +97,22 @@ def task_maps(spec, pi, cache_dir, params, notes):
     f10 = TruncationMap(pi0, pi1)
     f21 = TruncationMap(pi1, pi2)
     f20 = TruncationMap(pi0, pi2)
-    reports = {
-        "f10": f10.verify(),
-        "f21": f21.verify(),
-        "f20": f20.verify(),
-    }
+    maps, witnesses = {}, []
+    for name, f in sorted({"f10": f10, "f21": f21, "f20": f20}.items()):
+        maps[name], failing = _project(f.verify(), "check")
+        witnesses += ({"map": name, **row} for row in failing)
     # composition law on a spanning family of the top algebra
-    comp_ok = True
-    for b in build_schur(pi2).basis():
-        if f10.apply(f21.apply(b)) != f20.apply(b):
-            comp_ok = False
-    ident_ok = True
+    comp_ok = all(f10.apply(f21.apply(b)) == f20.apply(b)
+                  for b in build_schur(pi2).basis())
     fid = TruncationMap(pi0, pi0)
-    S0 = build_schur(pi0)
-    for b in S0.basis():
-        if fid.apply(b) != b:
-            ident_ok = False
-    ok = comp_ok and ident_ok and all(
-        _summarize(r) for r in reports.values())
-    witnesses = []
-    for name, rep in sorted(reports.items()):
-        witnesses.extend({"map": name, **row}
-                         for row in rep if not row["ok"])
+    ident_ok = all(fid.apply(b) == b for b in build_schur(pi0).basis())
     result = {
         "chain": [[list(lam) for lam in p] for p in (pi0, pi1, pi2)],
-        "maps": {name: [{"check": r["check"], "ok": r["ok"]} for r in rep]
-                 for name, rep in reports.items()},
+        "maps": maps,
         "composition": comp_ok,
         "identity": ident_ok,
     }
-    return result, witnesses, ok
+    return result, witnesses, not witnesses and comp_ok and ident_ok
 
 
 def task_limit(spec, pi, cache_dir, params, notes):
@@ -135,8 +121,8 @@ def task_limit(spec, pi, cache_dir, params, notes):
     pi0, pi1, pi2 = _chain(pi)
     datum = pi0.datum
     chain = [pi0, pi1, pi2]
-    kh = check_Kh_identity(pi0)
-    urel = check_u_relations(pi0)
+    kh, kh_failing = _project(check_Kh_identity(pi0), "relation")
+    urel, urel_failing = _project(check_u_relations(pi0), "relation")
     coherence = []
     for h in datum.simple_coroots:
         coherence.append({"element": f"K{list(h)}",
@@ -144,20 +130,15 @@ def task_limit(spec, pi, cache_dir, params, notes):
     for lam in pi0:
         coherence.append({"element": f"1_{list(lam)}",
                           **verify_coherence(hat_one(datum, lam), chain)})
-    ok = (_summarize(kh) and _summarize(urel)
-          and all(c["ok"] for c in coherence))
-    witnesses = ([r for r in kh + urel if not r["ok"]]
-                 + [c for c in coherence if not c["ok"]])
+    coh, coh_failing = _project(coherence, "element")
     result = {
         "chain": [[list(lam) for lam in p] for p in chain],
-        "k_idempotent_sums": [{"relation": r["relation"], "ok": r["ok"]}
-                              for r in kh],
-        "relations": [{"relation": r["relation"], "ok": r["ok"]}
-                      for r in urel],
-        "coherence": [{"element": c["element"], "ok": c["ok"]}
-                      for c in coherence],
+        "k_idempotent_sums": kh,
+        "relations": urel,
+        "coherence": coh,
     }
-    return result, witnesses, ok
+    witnesses = kh_failing + urel_failing + coh_failing
+    return result, witnesses, not witnesses
 
 
 def task_probe(spec, pi, cache_dir, params, notes):
@@ -199,34 +180,26 @@ def task_specialize(spec, pi, cache_dir, params, notes):
         raise SpecParseError("the specialize task needs a ring statement")
     pi0, pi1, _ = _chain(pi)
     S = specialize_schur(pi0, point)
-    report = S.verify_relations()
+    relations, rel_failing = _project(S.verify_relations(), "relation")
     tmap = r_truncation_map(pi0, pi1, point)
-    tmap_report = tmap.verify()
+    truncation, trunc_failing = _project(tmap.verify(), "check")
     # project-then-specialize against specialize-then-project on the
     # divided powers of the larger algebra
     big = specialize_schur(pi1, point)
-    commute_ok = True
-    for sign in (1, -1):
-        for i in range(S.datum.rank):
-            for k in (1, 2):
-                if tmap.apply(big.divided_power(sign, i, k)) \
-                        != S.divided_power(sign, i, k):
-                    commute_ok = False
-    ok = (_summarize(report) and _summarize(tmap_report, "ok")
-          and commute_ok)
-    witnesses = ([r for r in report if not r["ok"]]
-                 + [r for r in tmap_report if not r["ok"]])
+    commute_ok = all(
+        tmap.apply(big.divided_power(sign, i, k))
+        == S.divided_power(sign, i, k)
+        for sign in (1, -1) for i in range(S.datum.rank) for k in (1, 2))
     result = {
         "ring": repr(point),
         "dimension": S.dimension(),
         "generic_dimension": S.generic_dim,
-        "relations": [{"relation": r["relation"], "ok": r["ok"]}
-                      for r in report],
-        "truncation": [{"check": r["check"], "ok": r["ok"]}
-                       for r in tmap_report],
+        "relations": relations,
+        "truncation": truncation,
         "projection_commutes": commute_ok,
     }
-    return result, witnesses, ok
+    witnesses = rel_failing + trunc_failing
+    return result, witnesses, not witnesses and commute_ok
 
 
 TASKS = {

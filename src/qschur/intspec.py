@@ -137,7 +137,7 @@ class SpecializedSchur(BlockAlgebra):
     verify_relations = BlockAlgebra.verify_presentation
 
     def key(self):
-        return (self.pi.key(), repr(self.point))
+        return _spec_key(self.pi, self.point)
 
     def __repr__(self):
         return f"SpecializedSchur(pi={list(self.pi)}, {self.point!r})"
@@ -146,9 +146,14 @@ class SpecializedSchur(BlockAlgebra):
 _spec_cache = {}
 
 
+def _spec_key(pi, point):
+    """The identity of the specialization of pi at point: fields compare by
+    value, so equal points built anew share one algebra."""
+    return (pi.key(), point.field, repr(point.xi))
+
+
 def specialize_schur(pi, point):
-    # fields compare by value, so equal points built anew share one algebra
-    key = (pi.key(), point.field, repr(point.xi))
+    key = _spec_key(pi, point)
     alg = _spec_cache.get(key)
     if alg is None:
         alg = SpecializedSchur(pi, point)

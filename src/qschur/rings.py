@@ -251,11 +251,10 @@ class RingPoint:
     @staticmethod
     def cyclotomic(order, power=1):
         field = CycloField(order)
-        xi = field.zeta()
-        z = field.one
-        for _ in range(power % order if order else power):
-            z = z * xi
-        return RingPoint(field, z if power != 1 else xi)
+        xi = field.one
+        for _ in range(power % order):
+            xi = xi * field.zeta()
+        return RingPoint(field, xi)
 
     def xi_pow(self, e):
         cache = self._pow_cache

@@ -223,12 +223,10 @@ class RootDatum:
         return coords is not None and all(c >= 0 for c in coords)
 
     def height(self, lam):
-        """Sum of alpha-coordinates of lam - w0(lam), for dominant lam."""
-        w0 = self.antidominant(lam)
-        total = sum(self.alpha_coords(tuple(a - b for a, b in zip(lam, w0))))
-        if total.denominator != 1:
-            raise ValueError(f"height {total} of {lam} is not an integer")
-        return int(total)
+        """Sum of alpha-coordinates of lam - w0(lam), for dominant lam:
+        <rho^vee, alpha_i> = 1, so it is <rho^vee, lam - w0(lam)> =
+        <2 rho^vee, lam>, an integer."""
+        return sum(c * x for c, x in zip(self.two_rho_vee_row, lam))
 
     # -- Weyl orbits -----------------------------------------------------
 
@@ -246,18 +244,6 @@ class RootDatum:
                         nxt.append(nu)
             frontier = nxt
         return seen
-
-    def antidominant(self, lam):
-        """The minimal element of the orbit (image under the longest Weyl
-        element when lam is dominant)."""
-        mu = tuple(lam)
-        while True:
-            for i in range(self.rank):
-                if self.pair_i(i, mu) > 0:
-                    mu = self.reflect(i, mu)
-                    break
-            else:
-                return mu
 
     def dominant_representative(self, lam):
         mu = tuple(lam)
@@ -314,6 +300,11 @@ class RootDatum:
     def positive_coroot_rows(self):
         """The row of every positive coroot, in `positive_roots` order."""
         return [self._row(h) for _, h in self._positive_roots]
+
+    @cached_property
+    def two_rho_vee_row(self):
+        """The row of 2 rho^vee, the sum of the positive coroots."""
+        return tuple(map(sum, zip(*self.positive_coroot_rows)))
 
     # -- saturation --------------------------------------------------------
 
@@ -536,8 +527,7 @@ def dominant_weights_up_to_height(datum, bound):
     r = datum.rank
     fund = [datum._pairing_solver(tuple(int(i == j) for j in range(r)))
             for i in range(r)]
-    hts = [sum(sum(c * x for c, x in zip(row, w))
-               for row in datum.positive_coroot_rows) for w in fund]
+    hts = [datum.height(w) for w in fund]
     out = []
 
     def walk(i, height, lam):

@@ -152,6 +152,15 @@ def _spins(start, mats, field, dim):
     return ech.rank == dim
 
 
+def relation_rows(name, witnesses, key="relation"):
+    """The report rows of one check: a failing {key: name, ok, witness} row
+    per witness, in order, or a single passing row when there is none.  A
+    check that names no witness fails with the witness list [None]."""
+    if not witnesses:
+        return [{key: name, "ok": True, "witness": None}]
+    return [{key: name, "ok": False, "witness": w} for w in witnesses]
+
+
 class BlockAlgebra:
     """What the generic and the specialized algebras share: one block per
     module of the saturated set `pi`, in the weight order of the module.
@@ -324,51 +333,39 @@ class BlockAlgebra:
     # -- presentation checks -----------------------------------------------
 
     def verify_presentation(self):
-        """Exact checks of the defining relations; returns a list of
-        {relation, ok, witness} entries."""
-        report = []
+        """Exact checks of the defining relations, as `relation_rows`."""
         datum = self.datum
         r = datum.rank
         orbit = sorted(self.orbit)
-
-        def entry(name, ok, witness=None):
-            report.append({"relation": name, "ok": bool(ok),
-                           "witness": witness})
+        idem = self.idempotent
 
         # (a) orthogonal idempotents summing to the identity
+        bad = []
         total = self.zero()
-        ok_a = True
         for lam in orbit:
-            total = total + self.idempotent(lam)
+            total = total + idem(lam)
             for mu in orbit:
-                prod = self.idempotent(lam) * self.idempotent(mu)
-                expect = self.idempotent(lam) if lam == mu else self.zero()
-                if not (prod == expect):
-                    ok_a = False
-                    entry("a:orthogonality", False, {"lam": lam, "mu": mu})
-        if ok_a:
-            entry("a:orthogonality", True)
-        entry("a:completeness", total == self.one())
+                expect = idem(lam) if lam == mu else self.zero()
+                if idem(lam) * idem(mu) != expect:
+                    bad.append({"lam": lam, "mu": mu})
+        report = relation_rows("a:orthogonality", bad)
+        report += relation_rows("a:completeness",
+                                [] if total == self.one() else [None])
 
         # (b)/(b') idempotent intertwining with the convention outside W.pi
-        ok_b = True
+        bad = []
         for i in range(r):
             alpha = datum.simple_roots[i]
             for sign in (1, -1):
                 g = self.generator(sign, i)
                 for lam in orbit:
                     shifted = tuple(x + sign * a for x, a in zip(lam, alpha))
-                    lhs = g * self.idempotent(lam)
-                    rhs = self.idempotent(shifted) * g
-                    if not (lhs == rhs):
-                        ok_b = False
-                        entry("b:intertwine", False,
-                              {"i": i, "sign": sign, "lam": lam})
-        if ok_b:
-            entry("b:intertwine", True)
+                    if g * idem(lam) != idem(shifted) * g:
+                        bad.append({"i": i, "sign": sign, "lam": lam})
+        report += relation_rows("b:intertwine", bad)
 
         # (c) commutator identity
-        ok_c = True
+        bad = []
         for i in range(r):
             for j in range(r):
                 lhs = (self.generator(1, i) * self.generator(-1, j)
@@ -379,26 +376,20 @@ class BlockAlgebra:
                     for lam in orbit:
                         n = datum.pair_i(i, lam)
                         if n != 0:
-                            rhs = rhs + self.idempotent(lam).scale(
+                            rhs = rhs + idem(lam).scale(
                                 self._poly(qint(n, d)))
-                if not (lhs == rhs):
-                    ok_c = False
-                    entry("c:commutator", False, {"i": i, "j": j})
-        if ok_c:
-            entry("c:commutator", True)
-
-        report.extend(self.verify_serre())
-        return report
+                if lhs != rhs:
+                    bad.append({"i": i, "j": j})
+        report += relation_rows("c:commutator", bad)
+        return report + self.verify_serre()
 
     def verify_serre(self):
-        """The quantum Serre relations in divided-power form, as entries of
-        the `verify_presentation` report."""
+        """The quantum Serre relations in divided-power form, as the
+        `relation_rows` of `verify_presentation`."""
         datum = self.datum
-        r = datum.rank
-        ok = True
-        report = []
-        for i in range(r):
-            for j in range(r):
+        bad = []
+        for i in range(datum.rank):
+            for j in range(datum.rank):
                 if i == j:
                     continue
                 n = 1 - datum.pair_i(i, datum.simple_roots[j])
@@ -413,14 +404,8 @@ class BlockAlgebra:
                             term = -term
                         total = total + term
                     if not total.is_zero():
-                        ok = False
-                        report.append({"relation": "d:serre", "ok": False,
-                                       "witness": {"i": i, "j": j,
-                                                   "sign": sign}})
-        if ok:
-            report.append({"relation": "d:serre", "ok": True,
-                           "witness": None})
-        return report
+                        bad.append({"i": i, "j": j, "sign": sign})
+        return relation_rows("d:serre", bad)
 
 
 class SchurAlgebra(BlockAlgebra):
@@ -501,39 +486,34 @@ class TruncationMap:
         return self._verify()
 
     def _verify(self):
-        report = []
         src, tgt = self.source, self.target
-
-        def entry(name, ok, witness=None):
-            report.append({"check": name, "ok": bool(ok), "witness": witness})
-
-        for sign in (1, -1):
-            for i in range(src.datum.rank):
-                ok = self.apply(src.generator(sign, i)) == tgt.generator(
-                    sign, i)
-                entry(f"generator({'+' if sign > 0 else '-'}{i})", ok)
-        for lam in sorted(src.orbit):
-            image = self.apply(src.idempotent(lam))
-            expect = tgt.idempotent(lam)  # zero when lam leaves the orbit
-            entry(f"idempotent{lam}", image == expect)
-        entry("unit", self.apply(src.one()) == tgt.one())
+        pairs = [(f"generator({'+' if sign > 0 else '-'}{i})",
+                  self.apply(src.generator(sign, i)), tgt.generator(sign, i))
+                 for sign in (1, -1) for i in range(src.datum.rank)]
+        # the target idempotent is zero when lam leaves its orbit
+        pairs += [(f"idempotent{lam}", self.apply(src.idempotent(lam)),
+                   tgt.idempotent(lam)) for lam in sorted(src.orbit)]
+        pairs.append(("unit", self.apply(src.one()), tgt.one()))
+        report = []
+        for name, image, expect in pairs:
+            report += relation_rows(name, [] if image == expect else [None],
+                                    key="check")
 
         if self.multiplicative_sample:
-            basis = src.basis()
-            ok_mul = True
-            for g in src.simple_generators():
-                for b in basis:
-                    if not (self.apply(g * b)
-                            == self.apply(g) * self.apply(b)):
-                        ok_mul = False
-            entry("multiplicative", ok_mul)
+            ok = all(self.apply(g * b) == self.apply(g) * self.apply(b)
+                     for g in src.simple_generators() for b in src.basis())
+            report += relation_rows("multiplicative", [] if ok else [None],
+                                    key="check")
 
-        # surjectivity: images of the source basis span the target
+        # surjectivity: images of the source basis span the target; the
+        # row keeps the ranks whether or not it passes
         ech = SparseEchelon(src.field)
         for b in src.basis():
             ech.insert(self.apply(b).flatten())
-        entry("surjective", ech.rank == tgt.dimension(),
-              {"image_rank": ech.rank, "target_dim": tgt.dimension()})
+        report.append({"check": "surjective",
+                       "ok": ech.rank == tgt.dimension(),
+                       "witness": {"image_rank": ech.rank,
+                                   "target_dim": tgt.dimension()}})
         return report
 
 

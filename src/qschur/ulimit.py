@@ -9,7 +9,7 @@ from .intspec import r_truncation_map, specialize_schur
 from .laurent import LaurentPoly, RatFunc, RatFuncField
 from .linalg import SparseEchelon
 from .rootdata import dominant_weights_up_to_height
-from .schur import build_schur, truncation_map
+from .schur import build_schur, relation_rows, truncation_map
 from .words import WordExpr
 
 
@@ -126,18 +126,14 @@ def verify_coherence(element, chain, point=None):
     sets, over Q(v) or in the specializations at `point`; returns a report
     with witnesses for failures."""
     links = []
-    ok = True
     for small, large in zip(chain, chain[1:]):
         if not small.issubset(large):
             raise ValueError("chain is not nested")
         passed = _link_holds(element, small, large, point)
-        witness = None
-        if not passed:
-            ok = False
-            witness = {"pi": list(small), "pi_prime": list(large)}
-        links.append({"pi": list(small), "pi_prime": list(large),
-                      "ok": passed, "witness": witness})
-    return {"ok": ok, "links": links}
+        link = {"pi": list(small), "pi_prime": list(large)}
+        links.append({**link, "ok": passed,
+                      "witness": None if passed else link})
+    return {"ok": all(link["ok"] for link in links), "links": links}
 
 
 def cofinal_consistency(element, chain1, chain2):
@@ -145,7 +141,6 @@ def cofinal_consistency(element, chain1, chain2):
     another (across chains), truncation must reproduce the smaller
     evaluation."""
     comparisons = []
-    ok = True
     for a in chain1:
         for b in chain2:
             if a.issubset(b):
@@ -154,11 +149,10 @@ def cofinal_consistency(element, chain1, chain2):
                 small, large = b, a
             else:
                 continue
-            passed = _link_holds(element, small, large)
-            ok = ok and passed
             comparisons.append({"pi": list(small), "pi_prime": list(large),
-                                "ok": passed})
-    return {"ok": ok, "comparisons": comparisons}
+                                "ok": _link_holds(element, small, large)})
+    return {"ok": all(c["ok"] for c in comparisons),
+            "comparisons": comparisons}
 
 
 # -- relation checks at truncations ------------------------------------------
@@ -170,17 +164,12 @@ def check_Kh_identity(pi):
     S = build_schur(pi)
     datum = S.datum
     report = []
-    coweights = [h for h in datum.simple_coroots]
-    coweights += [tuple(-x for x in h) for h in datum.simple_coroots]
-    for h in coweights:
+    for h in _coweights(datum):
         rhs = S.zero()
         for lam in sorted(S.orbit):
-            n = datum.pair(h, lam)
-            rhs = rhs + S.idempotent(lam).scale(
-                RatFunc.from_poly(LaurentPoly.monomial(1, n)))
-        ok = S.k_element(h) == rhs
-        report.append({"relation": f"K_h=sum(v^<h,lam> 1_lam), h={h}",
-                       "ok": ok, "witness": None})
+            rhs = rhs + S.idempotent(lam).scale(_v_power(datum.pair(h, lam)))
+        report += relation_rows(f"K_h=sum(v^<h,lam> 1_lam), h={h}",
+                                [] if S.k_element(h) == rhs else [None])
     return report
 
 
@@ -196,53 +185,34 @@ def check_u_relations(pi):
     S = build_schur(pi)
     datum = S.datum
     r = datum.rank
-    report = []
-
-    def entry(name, ok, witness=None):
-        report.append({"relation": name, "ok": bool(ok), "witness": witness})
-
-    coweights = list(datum.simple_coroots)
-    coweights += [tuple(-x for x in h) for h in datum.simple_coroots]
+    K = S.k_element
+    coweights = _coweights(datum)
 
     # (a) group law and unit
-    ok = True
+    bad = []
     for h in coweights:
         for hp in coweights:
-            hsum = tuple(a + b for a, b in zip(h, hp))
-            if not (S.k_element(h) * S.k_element(hp) == S.k_element(hsum)):
-                ok = False
-                entry("a:K-group-law", False, {"h": h, "h'": hp})
-    if ok:
-        entry("a:K-group-law", True)
-    entry("a:K-zero", S.k_element((0,) * datum.rank_y) == S.one())
-    ok = True
-    for h in coweights:
-        neg = tuple(-x for x in h)
-        if not (S.k_element(h) * S.k_element(neg) == S.one()):
-            ok = False
-            entry("a:K-inverse", False, {"h": h})
-    if ok:
-        entry("a:K-inverse", True)
+            if K(h) * K(hp) != K(tuple(a + b for a, b in zip(h, hp))):
+                bad.append({"h": h, "h'": hp})
+    report = relation_rows("a:K-group-law", bad)
+    zero = K((0,) * datum.rank_y)
+    report += relation_rows("a:K-zero", [] if zero == S.one() else [None])
+    bad = [{"h": h} for h in coweights if K(h) * K(_neg(h)) != S.one()]
+    report += relation_rows("a:K-inverse", bad)
 
     # (b) K E K^{-1} = v^{+-<h,alpha_i>} E
-    ok = True
+    bad = []
     for h in coweights:
-        neg = tuple(-x for x in h)
         for i in range(r):
             n = datum.pair(h, datum.simple_roots[i])
             for sign in (1, -1):
-                lhs = S.k_element(h) * S.generator(sign, i) * S.k_element(neg)
-                rhs = S.generator(sign, i).scale(
-                    RatFunc.from_poly(LaurentPoly.monomial(1, sign * n)))
-                if not (lhs == rhs):
-                    ok = False
-                    entry("b:K-E-intertwine", False,
-                          {"h": h, "i": i, "sign": sign})
-    if ok:
-        entry("b:K-E-intertwine", True)
+                g = S.generator(sign, i)
+                if K(h) * g * K(_neg(h)) != g.scale(_v_power(sign * n)):
+                    bad.append({"h": h, "i": i, "sign": sign})
+    report += relation_rows("b:K-E-intertwine", bad)
 
     # (c) commutator against (K_i - K_{-i})/(v_i - v_i^{-1})
-    ok = True
+    bad = []
     for i in range(r):
         for j in range(r):
             lhs = (S.generator(1, i) * S.generator(-1, j)
@@ -250,21 +220,28 @@ def check_u_relations(pi):
             rhs = S.zero()
             if i == j:
                 d = datum.cartan.d(i)
-                hi = datum.simple_coroots[i]
-                ktilde_p = S.k_element(tuple(d * x for x in hi))
-                ktilde_m = S.k_element(tuple(-d * x for x in hi))
-                denom = RatFunc.from_poly(LaurentPoly.monomial(1, d)
-                                          - LaurentPoly.monomial(1, -d))
-                rhs = (ktilde_p - ktilde_m).scale(denom.inverse())
-            if not (lhs == rhs):
-                ok = False
-                entry("c:commutator", False, {"i": i, "j": j})
-    if ok:
-        entry("c:commutator", True)
+                hi = tuple(d * x for x in datum.simple_coroots[i])
+                rhs = (K(hi) - K(_neg(hi))).scale(
+                    (_v_power(d) - _v_power(-d)).inverse())
+            if lhs != rhs:
+                bad.append({"i": i, "j": j})
+    report += relation_rows("c:commutator", bad)
 
     # (d) Serre, shared with the truncated presentation
-    report.extend(S.verify_serre())
-    return report
+    return report + S.verify_serre()
+
+
+def _coweights(datum):
+    """The simple coroots and their negatives."""
+    return list(datum.simple_coroots) + list(map(_neg, datum.simple_coroots))
+
+
+def _neg(h):
+    return tuple(-x for x in h)
+
+
+def _v_power(n):
+    return RatFunc.from_poly(LaurentPoly.monomial(1, n))
 
 
 # -- probes ------------------------------------------------------------------
@@ -305,16 +282,13 @@ def coherent_basis_check(datum, exprs, pi):
     S = build_schur(pi)
     ech = SparseEchelon(RatFuncField)
     nonzero = 0
-    independent = True
     for expr in exprs:
         img = S.evaluate_expr(expr)
-        if img.is_zero():
-            continue
-        nonzero += 1
-        if not ech.insert(img.flatten()):
-            independent = False
+        if not img.is_zero():
+            nonzero += 1
+            ech.insert(img.flatten())
     return {"nonzero_images": nonzero,
             "rank": ech.rank,
-            "independent": independent,
+            "independent": ech.rank == nonzero,
             "spanning": ech.rank == S.dimension(),
             "dimension": S.dimension()}

@@ -1,7 +1,8 @@
 """The root-datum combinatorics and the character oracles run in integers.
 Their Fraction versions (the solver, the positive roots, rho, the invariant
-form, the Weyl dimension formula and the Freudenthal recursion) and the box
-enumeration of a saturated set are kept here as oracles.
+form, the Weyl dimension formula and the Freudenthal recursion), the height
+by the walk to w0(lam) and the box enumeration of a saturated set are kept
+here as oracles.
 Also: the exactness checks raise instead of asserting, and importing the CLI
 loads only the layers that every task needs."""
 
@@ -129,6 +130,25 @@ def _fraction_weyl_dim(datum, lam):
     return int(out)
 
 
+def _antidominant(datum, lam):
+    """The minimal element of the orbit of lam, by simple reflections: the
+    image under the longest Weyl element when lam is dominant."""
+    mu = tuple(lam)
+    while True:
+        for i in range(datum.rank):
+            if datum.pair_i(i, mu) > 0:
+                mu = datum.reflect(i, mu)
+                break
+        else:
+            return mu
+
+
+def _fraction_height(datum, lam):
+    """The sum of the alpha-coordinates of lam - w0(lam)."""
+    return sum(_fraction_alpha(datum)(
+        tuple(a - b for a, b in zip(lam, _antidominant(datum, lam)))))
+
+
 def _box_saturate(datum, gens):
     """Every lam = mu - sum n_i alpha_i in the box below mu - w0(mu) that
     is dominant."""
@@ -136,7 +156,7 @@ def _box_saturate(datum, gens):
     out = set()
     for mu in gens:
         bounds = coords(tuple(a - b for a, b in
-                              zip(mu, datum.antidominant(mu))))
+                              zip(mu, _antidominant(datum, mu))))
         for ns in itertools.product(*(range(int(b) + 1) for b in bounds)):
             lam = tuple(x - sum(n * a[k] for n, a in
                                 zip(ns, datum.simple_roots))
@@ -215,6 +235,18 @@ def test_roots_rho_and_alpha_coords_match_fractions(name):
     for vec in sorted(vectors):
         assert datum.alpha_coords(vec) == coords(vec), vec
         assert all(type(c) is Fraction for c in datum.alpha_coords(vec))
+
+
+@pytest.mark.parametrize("name", sorted(DATA) + ["B3"])
+def test_height_is_the_alpha_sum_of_lam_minus_w0_lam(name):
+    datum = DATA.get(name) or simply_connected(
+        CartanDatum(((4, -2, 0), (-2, 4, -2), (0, -2, 2))), name="B3")
+    weights = (dominant_weights_up_to_height(datum, 16) if datum.rank <= 3
+               else _weights(name))
+    assert len(weights) > datum.rank
+    for lam in weights:
+        assert datum.height(lam) == _fraction_height(datum, lam), lam
+        assert type(datum.height(lam)) is int
 
 
 @pytest.mark.parametrize("name", sorted(DATA))
@@ -296,13 +328,6 @@ def test_zero_freudenthal_denominator_raises():
     a1.two_rho = (-2,)          # (lam + mu + 2 rho, lam - mu) = 0 at mu = 0
     with pytest.raises(ModuleCheckError, match="Freudenthal"):
         freudenthal_oracle(a1, (2,))
-
-
-def test_non_integral_height_raises(monkeypatch):
-    a1 = _fresh_a1()
-    monkeypatch.setattr(a1, "alpha_coords", lambda vec: (Fraction(1, 2),))
-    with pytest.raises(ValueError, match="not an integer"):
-        a1.height((1,))
 
 
 # -- the CLI imports only what every task needs -------------------------------

@@ -8,8 +8,8 @@ import json
 import pytest
 
 from qschur import weylmod
-from qschur.intspec import (LatticeError, kernel_probe_RU, lattice_basis,
-                            r_truncation_map, specialize_schur)
+from qschur.intspec import (LatticeError, SpecializedSchur, kernel_probe_RU,
+                            lattice_basis, r_truncation_map, specialize_schur)
 from qschur.laurent import RatFuncField, is_integral, qint
 from qschur.linalg import SparseEchelon, sparse_mul
 from qschur.rings import RingPoint
@@ -134,6 +134,19 @@ class TestSpecializedDimensions:
         minus_one = specialize_schur(pi, RingPoint.cyclotomic(4, power=2))
         assert minus_one is not first
         assert minus_one.point.xi == -1
+
+    def test_an_algebra_built_anew_mixes_exactly_with_its_memo(self):
+        # the memo key and the key of an algebra are one identity
+        pi = preset("A1").saturate([(1,)])
+        points = [RingPoint.cyclotomic(4), RingPoint.cyclotomic(4, power=2),
+                  RingPoint.cyclotomic(3), RingPoint.cyclotomic(2),
+                  RingPoint.rational(1), RingPoint.rational(-1)]
+        for p in points:
+            anew = SpecializedSchur(pi, p)
+            for q in points:
+                memo = specialize_schur(pi, q)
+                same = specialize_schur(pi, p) is memo
+                assert anew.same_algebra(memo) is same, (p, q)
 
     def test_elements_of_different_rings_do_not_mix(self):
         pi = preset("A1").saturate([(2,)])

@@ -34,6 +34,14 @@ class TestCycloField:
         # xi + xi^-1 = 0 at order 4, i.e. [2] specializes to zero
         assert p.xi_pow(1) + p.xi_pow(-1) == f.zero
 
+    def test_power_picks_that_power_of_the_primitive_root(self):
+        for n in (1, 2, 3, 4, 6):
+            zeta = RingPoint.cyclotomic(n)
+            for power in range(-n - 1, 2 * n + 1):
+                xi = RingPoint.cyclotomic(n, power).xi
+                assert xi == zeta.xi_pow(power), (n, power)
+                assert repr(xi) == repr(zeta.xi_pow(power % n)), (n, power)
+
     def test_inverse(self):
         p = RingPoint.cyclotomic(12)
         z = p.xi

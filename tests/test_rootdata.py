@@ -113,7 +113,7 @@ class TestRootDatum:
     def test_a1_orbit_and_antidominant(self):
         a1 = preset("A1")
         assert set(a1.weyl_orbit((3,))) == {(3,), (-3,)}
-        assert a1.antidominant((3,)) == (-3,)
+        assert a1.reflect(0, (3,)) == (-3,)     # w0 is the one reflection
 
     def test_a2_orbit_sizes(self):
         a2 = preset("A2")

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qschur.intspec import specialize_schur
 from qschur.laurent import LaurentPoly, RatFunc, qint
 from qschur.rings import RingPoint
-from qschur import schur
+from qschur import cli, schur
+from qschur.jobspec import parse_spec
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import SchurAlgebra, TruncationMap, build_schur, \
@@ -233,6 +234,32 @@ class TestFailingRows:
         checks.append({"check": "surjective", "ok": True,
                        "witness": {"image_rank": 9, "target_dim": 9}})
         assert f.verify() == checks
+
+    @pytest.mark.parametrize("doubled", [(0,), (0, 1)])
+    def test_cli_witnesses_are_the_failing_rows(self, doubled, monkeypatch):
+        pi = sat("A2", [(1, 0)])
+        self.doubled_algebra(pi, doubled, monkeypatch)
+        monkeypatch.setattr(cli, "load_or_build",
+                            lambda pi, cache_dir, notes: build_schur(pi))
+        spec = parse_spec("datum preset A2\npi gens [(1,0)]\n")
+        commutator = [{"relation": "c:commutator", "ok": False,
+                       "witness": {"i": i, "j": i}} for i in doubled]
+
+        result, witnesses, passed = cli.task_verify(spec, pi, None, {}, [])
+        assert (witnesses, passed) == (commutator, False)
+        assert result["relations"] == [
+            {"relation": row["relation"], "ok": row["ok"]}
+            for row in build_schur(pi).verify_presentation()]
+
+        # the K_h sums and the coherence of K and 1_lam still hold
+        _, witnesses, passed = cli.task_limit(spec, pi, None, {}, [])
+        assert (witnesses, passed) == (commutator, False)
+
+        result, witnesses, passed = cli.task_maps(spec, pi, None, {}, [])
+        assert witnesses == [{"map": name, "check": f"generator(+{i})",
+                              "ok": False, "witness": None}
+                             for name in ("f10", "f20") for i in doubled]
+        assert not passed and result["composition"] and result["identity"]
 
 
 def tampered(pi, e=None, f=None):
