@@ -2,10 +2,12 @@
 
 Files are named by a digest of the root datum, the saturated set, and a
 format version; each file carries its own checksum and is written
-atomically (temp file then rename).  A loaded module is rebuilt as the
-`weylmod.HighestWeightModule` record, so it meets the same checks as a
-built one, Laurent entries included.  A corrupt or stale file, or one whose
-modules fail those checks, is reported and ignored, never trusted.
+atomically (temp file then rename).  An entry is written as a Laurent
+polynomial and read back as an element of Q(v), which must lie in
+Z[v,v^-1]; a loaded module is rebuilt as the `weylmod.HighestWeightModule`
+record, so it meets the same checks as a built one.  A corrupt or stale
+file, or one whose modules fail those checks, is reported and ignored,
+never trusted.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import tempfile
 
 from .laurent import RatFunc
 from .schur import SchurAlgebra
-from .weylmod import HighestWeightModule, ModuleCheckError, weyl_dim_oracle
+from .weylmod import (HighestWeightModule, ModuleCheckError, laurent_matrix,
+                      weyl_dim_oracle)
 
 FORMAT_VERSION = 3
 
@@ -42,14 +45,14 @@ def _to_triples(mat):
             for r in sorted(mat) for c in sorted(mat[r])]
 
 
-def _from_triples(triples, dim):
+def _from_triples(triples, dim, lam):
     mat = {}
     for r, c, x in triples:
         x = RatFunc.parse(x)
         if not (0 <= r < dim and 0 <= c < dim) or not x:
             raise ValueError(f"bad matrix entry {[r, c, x.to_string()]}")
         mat.setdefault(r, {})[c] = x
-    return mat
+    return laurent_matrix(mat, lam)
 
 
 def serialize_algebra(algebra):
@@ -148,8 +151,8 @@ def _rebuild(pi, body):
         dim = sum(mrec["dims"])
         m = HighestWeightModule(
             datum, lam, weights, dict(zip(weights, mrec["dims"])),
-            [_from_triples(t, dim) for t in mrec["e"]],
-            [_from_triples(t, dim) for t in mrec["f"]])
+            [_from_triples(t, dim, lam) for t in mrec["e"]],
+            [_from_triples(t, dim, lam) for t in mrec["f"]])
         if m.dim != weyl_dim_oracle(datum, lam):
             raise ModuleCheckError(
                 f"module {lam} has dimension {m.dim}, the Weyl formula "

@@ -4,76 +4,37 @@ the specialized inverse system, and empirical kernel probes."""
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, is_integral
-from .linalg import SparseEchelon, sparse_map
+from .laurent import LaurentPoly
+from .linalg import SparseEchelon
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
 from .schur import BlockAlgebra, TruncationMap
 from .weylmod import weyl_module
 
 
-class LatticeError(ValueError):
-    """Raised when a divided power has an entry outside Z[v,v^-1]."""
-
-
 class LatticeBasis:
-    """The divided powers of a `weylmod.WeylModule` as Laurent matrices in
-    the module's own basis.
+    """The lattice basis of a `weylmod.WeylModule`: the module's own basis.
 
     The module is lowered with divided powers, so its basis is a
     Z[v,v^-1]-basis of the Lusztig form V_A = U_A^- v_lam, and `monomials`
     are its words: a monomial is a tuple of (index, exponent) pairs with
     distinct adjacent indices, applied right to left to the highest-weight
     vector.  What is left to prove is that every divided power maps V_A to
-    itself, which `check_integrality` does entry by entry.
+    itself, which `check_integrality` does.
     """
 
     def __init__(self, module):
         self.module = module
         self.monomials = list(module.words)
-        self._integral_cache = {}
 
-    def nilpotency(self, sign, i):
-        """Largest k with a nonzero k-th divided power (0 for the zero
-        action)."""
-        k = 0
-        while self.module.divided_power(sign, i, k + 1):
-            k += 1
-        return k
-
-    def integral_matrix(self, sign, i, k):
-        """The k-th divided power in the lattice basis, as a sparse matrix
-        with entries in Z[v,v^-1]; raises LatticeError on an offending
-        entry."""
-        key = (1 if sign > 0 else -1, i, k)
-        out = self._integral_cache.get(key)
-        if out is None:
-            out = {}
-            for r_, row in self.module.divided_power(sign, i, k).items():
-                for c_, x in row.items():
-                    p = is_integral(x)
-                    if p is None:
-                        raise LatticeError(
-                            f"E^({k}) (sign {key[0]}, index {i}): entry "
-                            f"({r_},{c_}) is {x.to_string()}, not in "
-                            "Z[v,v^-1]")
-                    out.setdefault(r_, {})[c_] = p
-            self._integral_cache[key] = out
-        return out
-
-    def check_integrality(self, max_power=None):
-        """Verify every divided-power generator matrix has entries in
-        Z[v,v^-1]; returns the list of checked (sign, i, k) triples."""
-        checked = []
-        for sign in (1, -1):
-            for i in range(self.module.datum.rank):
-                kmax = self.nilpotency(sign, i)
-                if max_power is not None:
-                    kmax = min(kmax, max_power)
-                for k in range(1, kmax + 1):
-                    self.integral_matrix(sign, i, k)
-                    checked.append((sign, i, k))
-        return checked
+    def check_integrality(self):
+        """Compute every nonzero divided power of the module in Z[v,v^-1]:
+        `divided_power` divides exactly and raises ModuleCheckError where
+        an entry is not Laurent.  Returns the checked (sign, i, k)
+        triples."""
+        m = self.module
+        return [(sign, i, k) for sign in (1, -1) for i in range(m.datum.rank)
+                for k in range(1, m.nilpotency(sign, i) + 1)]
 
 
 _lattice_cache = {}
@@ -107,9 +68,6 @@ class SpecializedSchur(BlockAlgebra):
         super().__init__(pi, [weyl_module(pi.datum, lam) for lam in pi])
         self.point = point
         self.field = point.field
-        # the lattice basis keeps the weight order of its module, so the
-        # shared idempotents and K elements apply to it unchanged
-        self.lattices = [lattice_basis(m) for m in self.modules]
         self.generic_dim = self.expected_dim
 
     def _poly(self, poly: LaurentPoly):
@@ -119,16 +77,12 @@ class SpecializedSchur(BlockAlgebra):
     def _scalar(self, c):
         return evaluate(c, self.point)
 
-    def _divided_power_blocks(self, sign, i, k):
-        return [sparse_map(self._poly, lb.integral_matrix(sign, i, k))
-                for lb in self.lattices]
-
     def _generators(self, sign):
         """Every nonzero divided power E_i^(k) (sign > 0) or F_i^(k): at a
         root of unity they are not products of E_i or F_i."""
         gens = []
         for i in range(self.datum.rank):
-            kmax = max(lb.nilpotency(sign, i) for lb in self.lattices)
+            kmax = max(m.nilpotency(sign, i) for m in self.modules)
             for k in range(1, kmax + 1):
                 gens.append(self.divided_power(sign, i, k))
         return gens

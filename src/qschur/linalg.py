@@ -1,5 +1,5 @@
-"""Sparse exact linear algebra over any exact field, and the one exact
-elimination.
+"""Sparse exact linear algebra over any exact field, and the elimination
+over a field.
 
 A field object only needs `zero`, `one` attributes and elements supporting
 +, -, *, / and equality; Q(v), Q, and cyclotomic fields all qualify.
@@ -11,11 +11,16 @@ nonzeros.  The sparse helpers test entries by truth value and never mutate
 their arguments.  Because the scalars are canonical, two sparse matrices
 are equal exactly when their dicts are.
 
-`SparseEchelon` is the one elimination: span closures, module bases,
-lattice coordinates, kernel probes and the root-datum solvers all run
-through it.  Coordinates come from tags: when every inserted vector
-carries a unit entry at its own tag index past all vector indices, a
-vector in their span reduces to minus its coordinates on the tags.
+`SparseEchelon` is the elimination over a field: span closures, the
+density spins, kernel probes, the root-datum solvers over Q and the Q(v)
+fallbacks of module construction run through it.  Coordinates come from
+tags: when every inserted vector carries a unit entry at its own tag index
+past all vector indices, a vector in their span reduces to minus its
+coordinates on the tags.  Two fraction-free eliminations live beside it:
+module bases are chosen mod p and solved in Z[v,v^-1] by
+`weylmod._bareiss`, and `rootdata._bareiss` reads the minors and the
+determinant of an integer Cartan form.  No lattice coordinates are
+computed: the lowering builds each module in its lattice basis.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ def cyclotomic_coeffs(n):
 
 def _polydiv_exact(a, b):
     q, r = _polydivmod(a, b)
-    assert not any(r), "inexact cyclotomic division"
+    if any(r):
+        raise ArithmeticError("inexact cyclotomic division")
     return q
 
 
@@ -69,7 +70,9 @@ class CycloElement:
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = tuple(coeffs)
-        assert len(self.coeffs) == field.degree
+        if len(self.coeffs) != field.degree:
+            raise ValueError(f"{len(self.coeffs)} coefficients for "
+                             f"{field.name} of degree {field.degree}")
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)

@@ -39,8 +39,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
-from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_mul,
-                     sparse_neg, sparse_scale, sparse_sub, sparse_transpose)
+from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
+                     sparse_mul, sparse_neg, sparse_scale, sparse_sub,
+                     sparse_transpose)
 from .weylmod import weyl_module
 
 
@@ -165,11 +166,11 @@ class BlockAlgebra:
     """What the generic and the specialized algebras share: one block per
     module of the saturated set `pi`, in the weight order of the module.
 
-    A subclass sets `field` and provides `_divided_power_blocks` (the
-    blocks of E_i^(k) or F_i^(k)), `key` (equal exactly when two algebras
-    have the same saturated set and the same scalars), `_scalar` (the image
-    in `field` of a Q(v) coefficient of a word expression) and `_poly` (the
-    image of a Laurent polynomial)."""
+    A subclass sets `field` and provides `key` (equal exactly when two
+    algebras have the same saturated set and the same scalars), `_scalar`
+    (the image in `field` of a Q(v) coefficient of a word expression) and
+    `_poly` (the image of a Laurent polynomial).  The module matrices have
+    Laurent entries, and `_poly` is where they enter `field`."""
 
     def __init__(self, pi, modules):
         self.pi = pi
@@ -200,7 +201,9 @@ class BlockAlgebra:
         key = (1 if sign > 0 else -1, i, k)
         el = self._dp_cache.get(key)
         if el is None:
-            el = SchurElement(self, self._divided_power_blocks(sign, i, k))
+            el = SchurElement(self, [
+                sparse_map(self._poly, m.divided_power(sign, i, k))
+                for m in self.modules])
             self._dp_cache[key] = el
         return el
 
@@ -419,11 +422,6 @@ class SchurAlgebra(BlockAlgebra):
             modules = [weyl_module(pi.datum, lam) for lam in pi]
         super().__init__(pi, modules)
 
-    # -- elements ---------------------------------------------------------
-
-    def _divided_power_blocks(self, sign, i, k):
-        return [m.divided_power(sign, i, k) for m in self.modules]
-
     @staticmethod
     def _scalar(c):
         return c
@@ -515,7 +513,3 @@ class TruncationMap:
                        "witness": {"image_rank": ech.rank,
                                    "target_dim": tgt.dimension()}})
         return report
-
-
-def truncation_map(target_pi, source_pi):
-    return TruncationMap(target_pi, source_pi)

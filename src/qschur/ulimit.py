@@ -9,7 +9,7 @@ from .intspec import r_truncation_map, specialize_schur
 from .laurent import LaurentPoly, RatFunc, RatFuncField
 from .linalg import SparseEchelon
 from .rootdata import dominant_weights_up_to_height
-from .schur import build_schur, relation_rows, truncation_map
+from .schur import TruncationMap, build_schur, relation_rows
 from .words import WordExpr
 
 
@@ -116,7 +116,7 @@ def theta_dot(datum, expr: WordExpr, point=None):
 def _link_holds(element, small, large, point=None):
     """Truncation of the evaluation at `large` equals the evaluation at
     `small`, over Q(v) or in the specializations at `point`."""
-    f = (truncation_map(small, large) if point is None
+    f = (TruncationMap(small, large) if point is None
          else r_truncation_map(small, large, point))
     return f.apply(element.at(large)) == element.at(small)
 

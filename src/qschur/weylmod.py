@@ -5,9 +5,8 @@ The simple module of highest weight lam is built weight by weight from its
 highest vector by the divided powers of the lowering operators, in a basis
 of its Lusztig lattice.  Two independent classical oracles (Weyl dimension
 formula, Freudenthal recursion) check the result, and the record checks
-that every entry is a Laurent polynomial and the commutator relation.  A
-tensor-product realization is kept as an independent check of the
-lowering.
+the commutator relation.  A tensor-product realization is kept as an
+independent check of the lowering.
 
 The lowering takes no fraction: the basis of each weight space is chosen
 over F_p, where rank cannot exceed the rank over Q(v), and every other
@@ -32,9 +31,19 @@ class ModuleCheckError(RuntimeError):
     an entry or lattice coordinate outside Z[v,v^-1]."""
 
 
-def _numerators(mat):
-    """The Laurent numerators of a sparse matrix over Q(v)."""
-    return sparse_map(lambda x: x.num, mat)
+def laurent_matrix(mat, lam):
+    """A sparse matrix over Q(v) with Laurent entries, as the Laurent
+    matrix of the module of highest weight lam; raises ModuleCheckError on
+    an entry outside Z[v,v^-1].  Only a cache file and the Q(v) echelon of
+    `TensorModule` can hold such an entry."""
+    def num(x):
+        p = is_integral(x)
+        if p is None:
+            raise ModuleCheckError(
+                f"E/F entry {x.to_string()} of the module of highest "
+                f"weight {lam} is not in Z[v,v^-1]")
+        return p
+    return sparse_map(num, mat)
 
 
 def _offsets(weights, dims):
@@ -52,10 +61,10 @@ class HighestWeightModule:
     The basis is grouped by weight in the order of `weights`; weight nu
     holds the `dims[nu]` indices from `offsets[nu]` on.  `e[i]` and `f[i]`
     are the matrices of E_i and F_i, sparse row dicts in the `linalg`
-    format, acting on coordinate columns.  Every construction ends here:
-    the constructor refuses a highest weight space that is not a line or an
-    entry outside Z[v,v^-1], and checks [E_i, F_j] = delta_ij [<h_i, nu>]_i
-    on every weight space.
+    format with entries in Z[v,v^-1], acting on coordinate columns.  Every
+    construction ends here: the constructor refuses a highest weight space
+    that is not a line, and checks [E_i, F_j] = delta_ij [<h_i, nu>]_i on
+    every weight space.
     """
 
     def __init__(self, datum, lam, weights, dims, e, f):
@@ -71,20 +80,10 @@ class HighestWeightModule:
         if self.dims.get(self.lam) != 1:
             raise ModuleCheckError(
                 f"highest weight space of {self.lam} is not one dimensional")
-        for x in (x for mat in self.e + self.f for row in mat.values()
-                  for x in row.values()):
-            if is_integral(x) is None:
-                raise ModuleCheckError(
-                    f"E/F entry {x.to_string()} of the module of highest "
-                    f"weight {self.lam} is not in Z[v,v^-1]")
         self._check_commutators()
 
     def _check_commutators(self):
-        """[E_i, F_j] on the Laurent numerators; the constructor has
-        refused every entry with a denominator."""
         datum = self.datum
-        e = [_numerators(m) for m in self.e]
-        f = [_numerators(m) for m in self.f]
         for i in range(datum.rank):
             d = datum.cartan.d(i)
             cartan = {}
@@ -95,8 +94,8 @@ class HighestWeightModule:
                     for k in range(off, off + self.dims[nu]):
                         cartan[k] = {k: c}
             for j in range(datum.rank):
-                comm = sparse_sub(sparse_mul(e[i], f[j]),
-                                  sparse_mul(f[j], e[i]))
+                comm = sparse_sub(sparse_mul(self.e[i], self.f[j]),
+                                  sparse_mul(self.f[j], self.e[i]))
                 if comm != (cartan if i == j else {}):
                     raise ModuleCheckError(
                         f"commutator [E_{i}, F_{j}] fails on the module of "
@@ -109,23 +108,29 @@ class HighestWeightModule:
         mat = self._dp_cache.get(key)
         if mat is None:
             if k == 0:
-                mat = sparse_diagonal(dict.fromkeys(range(self.dim), _F.one))
+                mat = sparse_diagonal(dict.fromkeys(range(self.dim), ONE))
             elif k == 1:
                 mat = (self.e if sign > 0 else self.f)[i]
             else:
                 qk = qint(k, self.datum.cartan.d(i))
-                prod = sparse_mul(
-                    _numerators(self.divided_power(sign, i, k - 1)),
-                    _numerators(self.divided_power(sign, i, 1)))
+                prod = sparse_mul(self.divided_power(sign, i, k - 1),
+                                  self.divided_power(sign, i, 1))
                 try:
-                    mat = sparse_map(
-                        lambda x: RatFunc.from_poly(x.exact_div(qk)), prod)
+                    mat = sparse_map(lambda x: x.exact_div(qk), prod)
                 except ValueError:
                     raise ModuleCheckError(
                         f"{'E' if sign > 0 else 'F'}_{i}^({k}) on L({self.lam})"
                         " is not in Z[v,v^-1]") from None
             self._dp_cache[key] = mat
         return mat
+
+    def nilpotency(self, sign, i):
+        """Largest k with a nonzero k-th divided power (0 for the zero
+        action)."""
+        k = 0
+        while self.divided_power(sign, i, k + 1):
+            k += 1
+        return k
 
     def __repr__(self):
         return f"{type(self).__name__}(lam={self.lam}, dim={self.dim})"
@@ -190,8 +195,7 @@ class WeylModule(HighestWeightModule):
         self.words = list(index)
         f = [fdp.get((i, 1), {}) for i in range(r)]
         super().__init__(datum, lam, list(words), dims,
-                         *([sparse_map(RatFunc.from_poly, sparse_transpose(m))
-                            for m in mats] for mats in (e, f)))
+                         *(map(sparse_transpose, mats) for mats in (e, f)))
 
 
 def _word_order(word):
@@ -437,15 +441,14 @@ class TensorModule(HighestWeightModule):
                                 offsets[nu] + col] = x
             return mat
 
-        r = datum.rank
         super().__init__(datum, lam, weights, got,
-                         [matrix(i, 1) for i in range(r)],
-                         [matrix(i, -1) for i in range(r)])
+                         *([laurent_matrix(matrix(i, sign), lam)
+                            for i in range(datum.rank)] for sign in (1, -1)))
 
 
 def _coproduct_action(datum, left, right):
-    """The action of E_i (sign > 0) and F_i on sparse vectors of
-    left (x) right, indexed q * left.dim + p.
+    """The action of E_i (sign > 0) and F_i on sparse vectors over Q(v)
+    of left (x) right, indexed q * left.dim + p.
 
     With the right factor as the major index, the pivot (smallest index)
     of a closure vector falls, where it can, on a component whose right
@@ -454,8 +457,10 @@ def _coproduct_action(datum, left, right):
     polynomial entries (on A1, F acts by powers of v)."""
     d1 = left.dim
     r = datum.rank
-    cols = {(sign, i): (sparse_transpose(left.divided_power(sign, i, 1)),
-                        sparse_transpose(right.divided_power(sign, i, 1)))
+    cols = {(sign, i): tuple(
+                sparse_transpose(sparse_map(RatFunc.from_poly,
+                                            m.divided_power(sign, i, 1)))
+                for m in (left, right))
             for sign in (1, -1) for i in range(r)}
     k1 = [_ktilde_diag(left, i, 1) for i in range(r)]
     k2inv = [_ktilde_diag(right, i, -1) for i in range(r)]

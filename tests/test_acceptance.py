@@ -223,7 +223,7 @@ def test_criterion_7_integrality():
         datum = preset(name)
         for lam in dominant_weights_up_to_height(datum, 4):
             lb = lattice_basis(weyl_module(datum, lam))
-            entries = lb.check_integrality()   # raises LatticeError if not
+            entries = lb.check_integrality()   # raises if not
             if any(lam):
                 assert entries, (name, lam)
             checked += 1

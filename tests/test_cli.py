@@ -6,16 +6,19 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur import cache
 from qschur.cache import (algebras_equal, cache_load, cache_store)
 from qschur.laurent import RatFunc
 from qschur.cli import run
-from qschur.jobspec import JobSpec, SpecParseError, parse_spec
-from qschur.rootdata import preset
+from qschur.jobspec import (TASK_NAMES, TASK_PARAMS, JobSpec, SpecParseError,
+                            parse_spec)
+from qschur.rootdata import PRESET_NAMES, preset
 from qschur.schur import SchurAlgebra
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -82,10 +85,52 @@ class TestParsing:
         again = parse_spec(spec.serialize())
         assert spec == again
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_serialize_round_trip_property(self, data):
+        spec = data.draw(job_specs())
+        assert parse_spec(spec.serialize()) == spec
+        if spec.ring_spec and spec.ring_spec[0] == "rational":
+            # the same point written as a fraction that is not reduced
+            xi = spec.ring_spec[1]
+            k = data.draw(st.integers(-5, 5).filter(bool))
+            text = f"ring rational xi {xi.numerator * k}/{xi.denominator * k}"
+            assert parse_spec(text).ring_spec == spec.ring_spec
+
     def test_comments_and_blank_lines_are_skipped(self):
         spec = parse_spec("# header\n\ndatum preset A1\npi gens [1]\n"
                           "task build\n")
         assert spec.datum_spec == ("preset", "A1")
+
+
+nonzero = st.integers(-30, 30).filter(bool)
+
+
+@st.composite
+def job_specs(draw):
+    """A job description: preset or matrix datum, weights of rank 1 and
+    more, a signed rational or cyclotomic ring, tasks with parameters;
+    every part may be missing."""
+    datum = draw(st.one_of(
+        st.none(),
+        st.tuples(st.just("preset"), st.sampled_from(PRESET_NAMES)),
+        st.integers(1, 4).flatmap(lambda n: st.tuples(
+            st.just("matrix"),
+            st.lists(st.tuples(*[st.integers(-9, 9)] * n),
+                     min_size=n, max_size=n).map(tuple)))))
+    weights = draw(st.lists(
+        st.lists(st.integers(-20, 20), min_size=1, max_size=4).map(tuple),
+        max_size=4))
+    ring = draw(st.one_of(
+        st.none(),
+        st.tuples(st.just("rational"), st.builds(Fraction, nonzero, nonzero)),
+        st.tuples(st.just("cyclo"), st.integers(1, 60))))
+    tasks = draw(st.lists(st.sampled_from(TASK_NAMES).flatmap(
+        lambda name: st.tuples(st.just(name), st.fixed_dictionaries(
+            {}, optional={k: st.integers(0, 99)
+                          for k in TASK_PARAMS.get(name, ())}))),
+        max_size=4))
+    return JobSpec(datum, weights, tasks, ring)
 
 
 def _double_value(entry):

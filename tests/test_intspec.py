@@ -8,10 +8,11 @@ import json
 import pytest
 
 from qschur import weylmod
-from qschur.intspec import (LatticeError, SpecializedSchur, kernel_probe_RU,
-                            lattice_basis, r_truncation_map, specialize_schur)
-from qschur.laurent import RatFuncField, is_integral, qint
-from qschur.linalg import SparseEchelon, sparse_mul
+from qschur.intspec import (SpecializedSchur, kernel_probe_RU, lattice_basis,
+                            r_truncation_map, specialize_schur)
+from qschur.laurent import (LaurentPoly, RatFunc, RatFuncField, is_integral,
+                            qint)
+from qschur.linalg import SparseEchelon, sparse_map, sparse_mul
 from qschur.rings import RingPoint
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
@@ -43,20 +44,20 @@ class TestLatticeBases:
 
     def test_nilpotency_matches_string_lengths(self):
         a1 = preset("A1")
-        lb = lattice_basis(weyl_module(a1, (3,)))
-        assert lb.nilpotency(1, 0) == 3
-        assert lb.nilpotency(-1, 0) == 3
+        m = lattice_basis(weyl_module(a1, (3,))).module
+        assert m.nilpotency(1, 0) == 3
+        assert m.nilpotency(-1, 0) == 3
 
     def test_integral_entries_really_are_integral(self):
         a2 = preset("A2")
         lb = lattice_basis(weyl_module(a2, (1, 1)))
         for sign in (1, -1):
             for i in range(2):
-                mat = lb.integral_matrix(sign, i, 1)
-                # entries are Laurent polynomials by construction; a
-                # denominator would have raised LatticeError
+                mat = lb.module.divided_power(sign, i, 1)
+                # entries are Laurent polynomials by construction
                 for row in mat.values():
                     for x in row.values():
+                        assert isinstance(x, LaurentPoly)
                         assert x.coeffs == {} or min(x.coeffs) > -100
 
     def test_integrality_sweep(self):
@@ -72,10 +73,12 @@ class TestLatticeBases:
         for datum, bound in data:
             for lam in dominant_weights_up_to_height(datum, bound):
                 m = weyl_module(datum, lam)
-                assert all(is_integral(x) is not None
-                           for mat in m.e + m.f for row in mat.values()
+                mats = m.e + m.f + [
+                    m.divided_power(sign, i, k)
+                    for sign, i, k in lattice_basis(m).check_integrality()]
+                assert all(isinstance(x, LaurentPoly)
+                           for mat in mats for row in mat.values()
                            for x in row.values()), (datum.name, lam)
-                lattice_basis(m).check_integrality()
 
     def test_plain_word_order_is_refused(self, monkeypatch):
         # in plain word order the construction picks, at weight (0, -2) of
@@ -271,7 +274,7 @@ def test_lattice_matrices_are_pinned(name, lam, digest):
     lb = lattice_basis(weyl_module(preset(name), lam))
     mats = [[sign, i, k,
              sorted([r, c, sorted(x.coeffs.items())]
-                    for r, row in lb.integral_matrix(sign, i, k).items()
+                    for r, row in lb.module.divided_power(sign, i, k).items()
                     for c, x in row.items())]
             for sign, i, k in lb.check_integrality()]
     text = json.dumps({"monomials": lb.monomials, "matrices": mats},
@@ -285,8 +288,13 @@ def test_lattice_matrices_are_pinned(name, lam, digest):
 # after the fact: two greedy selections of divided-power monomial images,
 # each expressed in the other with Laurent entries.  Both selections must
 # still express in the module basis, and it in them, with Laurent entries.
+# The oracle works over Q(v), so it lifts the module matrices there.
 
 _F = RatFuncField
+
+
+class LatticeError(ValueError):
+    """Raised when a selection is not a basis of the module."""
 
 
 def _greedy_select(module, reverse=False):
@@ -320,7 +328,9 @@ def _greedy_select(module, reverse=False):
                     target = tuple(x - a * al for x, al in zip(nu, alpha))
                     if target not in module.offsets:
                         break
-                    nv = _apply(module.divided_power(-1, i, a), vec)
+                    nv = _apply(sparse_map(RatFunc.from_poly,
+                                           module.divided_power(-1, i, a)),
+                                vec)
                     if not nv:
                         break
                     steps.append((a, target, nv))

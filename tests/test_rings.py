@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qschur.laurent import LaurentPoly, RatFunc, qint
-from qschur.rings import PoleError, RingPoint, cyclotomic_coeffs, evaluate
+from qschur.rings import (CycloElement, CycloField, PoleError, RingPoint,
+                          _polydiv_exact, cyclotomic_coeffs, evaluate)
 
 
 class TestCyclotomicPolynomials:
@@ -85,3 +88,74 @@ class TestEvaluate:
         f = (RatFunc.from_poly(qint(4))
              * RatFunc.from_poly(qint(2)).inverse())   # = [4]/[2] = v^2+v^-2
         assert evaluate(f, p) == p.field.from_int(-2)
+
+
+class TestExactnessChecksRaise:
+    """The checks stay on under `python -O`, which strips asserts."""
+
+    def test_inexact_cyclotomic_division_raises(self):
+        # x^2 + 1 = (x - 1)(x + 1) + 2
+        one = Fraction(1)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            _polydiv_exact([one, Fraction(0), one], [one, one])
+
+    def test_wrong_coefficient_count_raises(self):
+        field = CycloField(4)
+        with pytest.raises(ValueError, match="degree 2"):
+            CycloElement(field, [Fraction(1)])
+        with pytest.raises(ValueError, match="degree 2"):
+            CycloElement(field, [Fraction(1)] * 3)
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def cyclo_pairs(draw):
+    """A field Q(zeta_n), n <= 12, and two of its elements."""
+    field = CycloField(draw(st.integers(1, 12)))
+    elems = [CycloElement(field, draw(st.lists(
+        fractions, min_size=field.degree, max_size=field.degree)))
+        for _ in range(2)]
+    return field, *elems
+
+
+class TestCycloAgainstSympy:
+    """Products and inverses against sympy's remainder modulo the
+    cyclotomic polynomial."""
+
+    @staticmethod
+    def _sympy(field):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        return sympy, x, sympy.cyclotomic_poly(field.order, x, polys=True)
+
+    @staticmethod
+    def _coeffs(sympy, x, poly, degree):
+        """The coefficients of a sympy polynomial of degree < `degree`,
+        lowest first, as Fractions."""
+        got = sympy.Poly(poly, x, domain="QQ").all_coeffs()[::-1]
+        got = [Fraction(int(c.p), int(c.q)) for c in got]
+        return tuple(got + [Fraction(0)] * (degree - len(got)))
+
+    @staticmethod
+    def _poly(sympy, x, a):
+        return sympy.Poly(list(reversed(a.coeffs)), x, domain="QQ")
+
+    @given(cyclo_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_product_is_the_remainder(self, pair):
+        field, a, b = pair
+        sympy, x, phi = self._sympy(field)
+        want = (self._poly(sympy, x, a) * self._poly(sympy, x, b)).rem(phi)
+        assert (a * b).coeffs == self._coeffs(sympy, x, want, field.degree)
+
+    @given(cyclo_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_is_the_inverse_remainder(self, pair):
+        field, a, _ = pair
+        assume(a)
+        sympy, x, phi = self._sympy(field)
+        want = sympy.invert(self._poly(sympy, x, a), phi)
+        assert a.inverse().coeffs == self._coeffs(sympy, x, want,
+                                                   field.degree)

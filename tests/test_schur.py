@@ -14,8 +14,7 @@ from qschur import cli, schur
 from qschur.jobspec import parse_spec
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
-from qschur.schur import SchurAlgebra, TruncationMap, build_schur, \
-    truncation_map
+from qschur.schur import SchurAlgebra, TruncationMap, build_schur
 from qschur.ulimit import check_u_relations
 from qschur.weylmod import HighestWeightModule
 from qschur.words import WordExpr
@@ -413,12 +412,12 @@ class TestTruncationMaps:
 
     def test_map_requires_nesting(self):
         with pytest.raises(ValueError):
-            truncation_map(sat("A1", [(3,)]), sat("A1", [(2,)]))
+            TruncationMap(sat("A1", [(3,)]), sat("A1", [(2,)]))
 
     def test_idempotent_dies_outside_smaller_orbit(self):
         pi0 = sat("A1", [(2,)])
         pi1 = sat("A1", [(4,)])
-        f = truncation_map(pi0, pi1)
+        f = TruncationMap(pi0, pi1)
         big = build_schur(pi1)
         assert f.apply(big.idempotent((4,))).is_zero()
         assert f.apply(big.idempotent((2,))) \

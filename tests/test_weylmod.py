@@ -123,7 +123,7 @@ def _check_commutator(datum, m):
             if i == j:
                 d = datum.cartan.d(i)
                 for nu in m.weights:
-                    c = RatFunc.from_poly(qint(datum.pair_i(i, nu), d))
+                    c = qint(datum.pair_i(i, nu), d)
                     off = m.offsets[nu]
                     for a in range(off, off + m.dims[nu]):
                         if c:
@@ -165,9 +165,7 @@ class TestRelationsOnModules:
                                              m.divided_power(sign, i, b))
                             rhs = m.divided_power(sign, i, a + b)
                             if rhs:
-                                rhs = sparse_scale(
-                                    RatFunc.from_poly(qbinom(a + b, a, d)),
-                                    rhs)
+                                rhs = sparse_scale(qbinom(a + b, a, d), rhs)
                             assert lhs == rhs, (name, lam, i, sign, a, b)
 
     def test_nilpotency_window(self):
@@ -361,8 +359,8 @@ class TestModularChoice:
         # L(2) of A1 on the basis b, F b, F F b = [2] F^(2) b: every entry
         # of E and F is Laurent, but F^(2) b = (F F b) / [2] is not
         a1 = preset("A1")
-        q2 = RatFunc.from_poly(qint(2))
-        one = RatFunc(1)
+        q2 = qint(2)
+        one = LaurentPoly.const(1)
         m = HighestWeightModule(a1, (2,), [(2,), (0,), (-2,)],
                                 {(2,): 1, (0,): 1, (-2,): 1},
                                 [{0: {1: q2}, 1: {2: q2}}],
