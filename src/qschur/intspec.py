@@ -4,6 +4,8 @@ the specialized inverse system, and empirical kernel probes."""
 
 from __future__ import annotations
 
+from functools import cache
+
 from .laurent import LaurentPoly
 from .linalg import SparseEchelon
 from .rings import RingPoint, evaluate
@@ -37,16 +39,11 @@ class LatticeBasis:
                 for k in range(1, m.nilpotency(sign, i) + 1)]
 
 
-_lattice_cache = {}
-
-
+@cache
 def lattice_basis(module):
-    key = (module.datum.key(), module.lam)
-    lb = _lattice_cache.get(key)
-    if lb is None:
-        lb = LatticeBasis(module)
-        _lattice_cache[key] = lb
-    return lb
+    """Memoized per module record, so a second record of the same highest
+    weight gets its own proof."""
+    return LatticeBasis(module)
 
 
 # -- specialized algebras ----------------------------------------------------
@@ -91,28 +88,16 @@ class SpecializedSchur(BlockAlgebra):
     verify_relations = BlockAlgebra.verify_presentation
 
     def key(self):
-        return _spec_key(self.pi, self.point)
+        return (self.pi, self.point)
 
     def __repr__(self):
         return f"SpecializedSchur(pi={list(self.pi)}, {self.point!r})"
 
 
-_spec_cache = {}
-
-
-def _spec_key(pi, point):
-    """The identity of the specialization of pi at point: fields compare by
-    value, so equal points built anew share one algebra."""
-    return (pi.key(), point.field, repr(point.xi))
-
-
+@cache
 def specialize_schur(pi, point):
-    key = _spec_key(pi, point)
-    alg = _spec_cache.get(key)
-    if alg is None:
-        alg = SpecializedSchur(pi, point)
-        _spec_cache[key] = alg
-    return alg
+    """Memoized: equal points built anew share one algebra."""
+    return SpecializedSchur(pi, point)
 
 
 class RTruncationMap(TruncationMap):

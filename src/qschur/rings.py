@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .laurent import RatFunc
+from .laurent import LaurentPoly, RatFunc
 
 
 class PoleError(ArithmeticError):
@@ -21,24 +22,16 @@ class PoleError(ArithmeticError):
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n):
     """Integer coefficient tuple (low to high) of the n-th cyclotomic
-    polynomial, by repeated exact division of x^n - 1."""
+    polynomial: x^n - 1 divided by Phi_d for every proper divisor d.  Each
+    Phi_d is monic, so the division stays in the integers."""
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
-    # start from x^n - 1 and divide out Phi_d for proper divisors d
-    poly = [Fraction(0)] * (n + 1)
-    poly[0], poly[n] = Fraction(-1), Fraction(1)
+    poly = LaurentPoly({0: -1, n: 1})
     for d in range(1, n):
         if n % d == 0:
-            phi_d = [Fraction(c) for c in cyclotomic_coeffs(d)]
-            poly = _polydiv_exact(poly, phi_d)
-    return tuple(int(c) for c in poly)
-
-
-def _polydiv_exact(a, b):
-    q, r = _polydivmod(a, b)
-    if any(r):
-        raise ArithmeticError("inexact cyclotomic division")
-    return q
+            poly = poly.exact_div(
+                LaurentPoly(dict(enumerate(cyclotomic_coeffs(d)))))
+    return tuple(poly[e] for e in range(poly.max_exp() + 1))
 
 
 class QField:
@@ -133,7 +126,7 @@ class CycloField:
 
     def __init__(self, order):
         self.order = order
-        self.modulus = [Fraction(c) for c in cyclotomic_coeffs(order)]
+        self.modulus = cyclotomic_coeffs(order)
         self.degree = len(self.modulus) - 1
         self.name = f"cyclotomic({order})"
         self.zero = CycloElement(self, [Fraction(0)] * self.degree)
@@ -184,56 +177,21 @@ class CycloField:
         return self._reduce(out)
 
     def _inverse(self, a):
+        """The product of the Galois conjugates of a other than a, divided
+        by the norm (a times that product, a rational number).  The
+        conjugate for k prime to n sends x to x^k, and x^n = 1."""
         if a.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # extended Euclid in Q[x] against the modulus
-        r0, r1 = list(self.modulus), list(a.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 is the gcd, a nonzero constant (modulus irreducible)
-        lead = next(c for c in reversed(r0) if c != 0)
-        inv = [c / lead for c in s0]
-        inv += [Fraction(0)] * (2 * self.degree - len(inv))
-        return self._reduce(inv)
-
-
-def _polydivmod(a, b):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    bb = list(b)
-    while bb and bb[-1] == 0:
-        bb.pop()
-    db = len(bb) - 1
-    if len(a) - 1 < db:
-        return [Fraction(0)], a
-    q = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        f = a[i] / bb[db]
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] -= f * bb[j]
-    return q, a[:db] if db else [Fraction(0)]
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
+        n = self.order
+        rest = self.one
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                c = [Fraction(0)] * n
+                for j, x in enumerate(a.coeffs):
+                    c[j * k % n] += x
+                rest = rest * self._reduce(c)
+        norm = (a * rest).coeffs[0]
+        return CycloElement(self, [x / norm for x in rest.coeffs])
 
 
 class RingPoint:
@@ -269,6 +227,13 @@ class RingPoint:
             out = out * base
         cache[e] = out
         return out
+
+    def __eq__(self, other):
+        return (isinstance(other, RingPoint)
+                and (self.field, self.xi) == (other.field, other.xi))
+
+    def __hash__(self):
+        return hash((self.field, self.xi))
 
     def __repr__(self):
         return f"RingPoint({self.field.name}, xi={self.xi!r})"

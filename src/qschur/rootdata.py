@@ -121,6 +121,7 @@ class RootDatum:
         self.rank = cartan.rank
         self.name = name
         self._alpha_memo = {}       # vec -> alpha_coords(vec)
+        self._hash = hash(self.key())
 
     # -- pairing and reflections ---------------------------------------
 
@@ -347,9 +348,18 @@ class RootDatum:
         return f"RootDatum({self.name or 'custom'})"
 
     def key(self):
-        """Deterministic identity for caching and memo tables."""
+        """Deterministic identity: equal data have equal keys, whatever
+        their names."""
         return (self.cartan.form, self.pairing, self.simple_roots,
                 self.simple_coroots)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, RootDatum)
+                                 and self._hash == other._hash
+                                 and self.key() == other.key())
+
+    def __hash__(self):
+        return self._hash
 
 
 def _solver(rows):
@@ -421,11 +431,11 @@ class SaturatedSet:
 
     def __eq__(self, other):
         return (isinstance(other, SaturatedSet)
-                and self.datum.key() == other.datum.key()
+                and self.datum == other.datum
                 and self._members == other._members)
 
     def __hash__(self):
-        return hash((self.datum.key(), self._members))
+        return hash((self.datum, self._members))
 
     def issubset(self, other):
         return self._members <= other._members
@@ -454,9 +464,6 @@ class SaturatedSet:
 
     def height(self):
         return max(self.datum.height(lam) for lam in self.elements)
-
-    def key(self):
-        return (self.datum.key(), self.elements)
 
     def __repr__(self):
         return f"SaturatedSet({list(self.elements)})"

@@ -36,7 +36,7 @@ span closure."""
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
 from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
@@ -434,23 +434,16 @@ class SchurAlgebra(BlockAlgebra):
         raise RuntimeError(f"density violated: {defect}")
 
     def key(self):
-        return self.pi.key()
+        return self.pi
 
     def __repr__(self):
         return f"SchurAlgebra(pi={list(self.pi)})"
 
 
-_algebra_cache = {}
-
-
+@cache
 def build_schur(pi):
-    """Cached pure construction of the algebra for a saturated set."""
-    key = pi.key()
-    alg = _algebra_cache.get(key)
-    if alg is None:
-        alg = SchurAlgebra(pi)
-        _algebra_cache[key] = alg
-    return alg
+    """Memoized pure construction of the algebra for a saturated set."""
+    return SchurAlgebra(pi)
 
 
 class TruncationMap:

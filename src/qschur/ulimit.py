@@ -5,6 +5,8 @@ and probes that live at the limit level."""
 
 from __future__ import annotations
 
+from functools import cache
+
 from .intspec import r_truncation_map, specialize_schur
 from .laurent import LaurentPoly, RatFunc, RatFuncField
 from .linalg import SparseEchelon
@@ -30,11 +32,9 @@ class LimitElement:
         self.memo = {}
 
     def at(self, pi):
-        key = pi.key()
-        val = self.memo.get(key)
+        val = self.memo.get(pi)
         if val is None:
-            val = self._evaluator(pi)
-            self.memo[key] = val
+            val = self.memo[pi] = self._evaluator(pi)
         return val
 
     def __add__(self, other):
@@ -59,7 +59,7 @@ class LimitElement:
         return LimitElement(self.datum, lambda pi: -self.at(pi))
 
     def _check(self, other):
-        if self.datum.key() != other.datum.key():
+        if self.datum != other.datum:
             raise ValueError("limit elements over different root data")
 
     def __repr__(self):
@@ -247,23 +247,17 @@ def _v_power(n):
 # -- probes ------------------------------------------------------------------
 
 
-_schedule_cache = {}
-
-
+@cache
 def probe_schedule(datum, height_bound):
     """Default schedule of saturated sets: the downward closures of single
     dominant weights, enumerated by height.  Cofinal in the full system.
     Memoized per (datum, height_bound); the schedule is a tuple."""
-    key = (datum.key(), height_bound)
-    sched = _schedule_cache.get(key)
-    if sched is None:
-        out = []
-        for mu in dominant_weights_up_to_height(datum, height_bound):
-            pi = datum.saturate([mu])
-            if pi not in out:
-                out.append(pi)
-        sched = _schedule_cache[key] = tuple(out)
-    return sched
+    out = []
+    for mu in dominant_weights_up_to_height(datum, height_bound):
+        pi = datum.saturate([mu])
+        if pi not in out:
+            out.append(pi)
+    return tuple(out)
 
 
 def separation_probe(datum, expr: WordExpr, height_bound):

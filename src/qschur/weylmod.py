@@ -17,6 +17,8 @@ Q(v) (see `WeylModule`), which stays as the fallback and the test oracle.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .laurent import (ONE, R_ONE, ZERO, LaurentPoly, RatFunc, RatFuncField,
                       is_integral, qbinom, qint)
 from .linalg import (SparseEchelon, sparse_diagonal, sparse_map, sparse_mul,
@@ -535,17 +537,11 @@ def _ktilde_diag(module, i, sign):
     return out
 
 
-_module_cache = {}
-
-
+@cache
 def weyl_module(datum, lam):
-    """Cached construction; a pure function of (datum, lam)."""
-    key = (datum.key(), tuple(lam))
-    mod = _module_cache.get(key)
-    if mod is None:
-        mod = WeylModule(datum, lam)
-        _module_cache[key] = mod
-    return mod
+    """Memoized construction; a pure function of the datum and the weight
+    tuple lam."""
+    return WeylModule(datum, lam)
 
 
 # -- independent oracles ----------------------------------------------------

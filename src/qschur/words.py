@@ -133,11 +133,6 @@ class WordExpr:
         the expression is nonzero-compatible with the modified algebra)."""
         return all(any(sym[0] == "1" for sym in w) for w in self.terms)
 
-    def key(self):
-        """Deterministic serialization-friendly identity."""
-        return tuple(sorted((w, c.to_string())
-                            for w, c in self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "WordExpr(0)"

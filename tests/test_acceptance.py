@@ -11,11 +11,8 @@ import json
 import os
 import time
 
-import pytest
-
 from qschur.cli import run as cli_run
-from qschur.intspec import (kernel_probe_RU, lattice_basis, r_truncation_map,
-                            specialize_schur)
+from qschur.intspec import lattice_basis, r_truncation_map, specialize_schur
 from qschur.laurent import qint
 from qschur.linalg import SparseEchelon
 from qschur.rings import RingPoint

@@ -1,0 +1,64 @@
+"""Source hygiene, read from the syntax trees with the standard library
+only: no `assert` statement in the library, where `python -O` would strip
+the check, and no import that its file never uses."""
+
+import ast
+import functools
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "qschur")
+TESTS = os.path.join(ROOT, "tests")
+
+
+@functools.cache
+def _scan(folder):
+    """Per Python file of the folder, in one walk of its syntax tree: the
+    lines of its `assert` statements and its unused imports."""
+    out = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            out[os.path.relpath(path, ROOT)] = _findings(tree)
+    return out
+
+
+def _findings(tree):
+    """The lines of the `assert` statements, and the (line, name) of every
+    name an import binds and nothing reads."""
+    asserts, imported, used = [], {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            asserts.append(node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in used)
+    return asserts, unused
+
+
+def test_no_assert_statement_in_the_library():
+    found = [f"{path}:{line}" for path, (asserts, _) in _scan(SRC).items()
+             for line in asserts]
+    assert found == []
+
+
+def test_every_import_is_used():
+    found = [f"{path}:{line} {name}"
+             for folder in (SRC, TESTS)
+             for path, (_, unused) in _scan(folder).items()
+             for line, name in unused]
+    assert found == []
+
+
+def test_the_scan_sees_an_unused_import_and_an_assert():
+    tree = ast.parse("from __future__ import annotations\nimport os\n"
+                     "from a import b as c, d\nassert d\n")
+    assert _findings(tree) == ([4], [(2, "os"), (3, "c")])

@@ -1,6 +1,7 @@
 """Integral lattice bases, specialization at rational points and roots of
 unity, the specialized inverse system, and kernel probes."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -80,6 +81,21 @@ class TestLatticeBases:
                            for mat in mats for row in mat.values()
                            for x in row.values()), (datum.name, lam)
 
+    def test_each_module_record_gets_its_own_proof(self):
+        # a copy of L(2) with every entry of E_0 set to 1: E_0^2 / [2] is
+        # not Laurent, and the lattice basis of the honest record, built
+        # first, must not stand in for the copy's
+        honest = weyl_module(preset("A1"), (2,))
+        assert lattice_basis(honest).check_integrality()
+        forged = copy.copy(honest)
+        forged.e = [{r: dict.fromkeys(row, LaurentPoly.const(1))
+                     for r, row in honest.e[0].items()}]
+        forged._dp_cache = {}
+        lb = lattice_basis(forged)
+        assert lb.module is forged
+        with pytest.raises(ModuleCheckError, match=r"E_0\^\(2\)"):
+            lb.check_integrality()
+
     def test_plain_word_order_is_refused(self, monkeypatch):
         # in plain word order the construction picks, at weight (0, -2) of
         # A2 (2,0), a vector outside the lattice: a coordinate of another
@@ -137,6 +153,15 @@ class TestSpecializedDimensions:
         minus_one = specialize_schur(pi, RingPoint.cyclotomic(4, power=2))
         assert minus_one is not first
         assert minus_one.point.xi == -1
+
+    def test_equal_data_built_anew_share_modules_and_algebras(self):
+        form = ((2, -1), (-1, 2))
+        a, b = (simply_connected(CartanDatum(form)) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert weyl_module(a, (1, 1)) is weyl_module(b, (1, 1))
+        pi_a, pi_b = a.saturate([(1, 1)]), b.saturate([(1, 1)])
+        assert pi_a == pi_b and hash(pi_a) == hash(pi_b)
+        assert build_schur(pi_a) is build_schur(pi_b)
 
     def test_an_algebra_built_anew_mixes_exactly_with_its_memo(self):
         # the memo key and the key of an algebra are one identity

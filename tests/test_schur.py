@@ -189,6 +189,11 @@ class TestFailingRows:
     E_i doubled for each i in `doubled`: the module record is copied, so
     its commutator tripwire never sees the change."""
 
+    @pytest.fixture(autouse=True)
+    def _forget_the_doubled_algebra(self):
+        yield
+        build_schur.cache_clear()
+
     @staticmethod
     def doubled_algebra(pi, doubled, monkeypatch):
         module = build_schur(pi).modules[0]
@@ -199,7 +204,10 @@ class TestFailingRows:
             e.append({r: {c: x + x if i in doubled else x}})
         S = SchurAlgebra(pi, [tampered(pi, e=e)])
         # the limit checks and the truncation maps find it by its set
-        monkeypatch.setitem(schur._algebra_cache, pi.key(), S)
+        build_schur.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(schur, "SchurAlgebra", lambda pi: S)
+            build_schur(pi)
         return S
 
     @pytest.mark.parametrize("doubled", [(0,), (0, 1)])

@@ -3,7 +3,6 @@ separation probes."""
 
 import pytest
 
-from qschur.laurent import RatFunc, qint
 from qschur.rootdata import dominant_weights_up_to_height, preset
 from qschur.schur import build_schur
 from qschur.ulimit import (LimitElement, check_Kh_identity, check_u_relations,

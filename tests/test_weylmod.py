@@ -310,8 +310,8 @@ class TestModularChoice:
         # rank mod 13 falls short wherever an E-image is a multiple of [2]
         assert (5 * 5 + 1) % 13 == 0
         monkeypatch.setattr(weylmod, "_POINTS", ((13, 5),))
-        monkeypatch.setattr(weylmod, "_module_cache", {})
-        monkeypatch.setattr(schur, "_algebra_cache", {})
+        weylmod.weyl_module.cache_clear()
+        schur.build_schur.cache_clear()
         exact = _spy(monkeypatch, weylmod, "_choose_exact")
         for name, lam, digest in MATRIX_DIGESTS:
             assert _matrix_digest(name, lam) == digest, (name, lam)
