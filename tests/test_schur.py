@@ -2,21 +2,25 @@
 evaluation, truncation maps."""
 
 import copy
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur.intspec import specialize_schur
+from qschur.intspec import RTruncationMap, SpecializedSchur, \
+    r_truncation_map, specialize_schur
 from qschur.laurent import LaurentPoly, RatFunc, qint
+from qschur.linalg import SparseEchelon
 from qschur.rings import RingPoint
-from qschur import cli, schur
+from qschur import cli, intspec, schur
 from qschur.jobspec import parse_spec
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
-from qschur.schur import SchurAlgebra, TruncationMap, build_schur
+from qschur.schur import BlockAlgebra, SchurAlgebra, SchurElement, \
+    TruncationMap, build_schur, relation_rows
 from qschur.ulimit import check_u_relations
-from qschur.weylmod import HighestWeightModule
+from qschur.weylmod import HighestWeightModule, weyl_module
 from qschur.words import WordExpr
 
 
@@ -242,6 +246,30 @@ class TestFailingRows:
                        "witness": {"image_rank": 9, "target_dim": 9}})
         assert f.verify() == checks
 
+    def test_kept_block_of_another_dimension(self, monkeypatch):
+        # the one block of the target is L(2,0), of dimension 6, where the
+        # source keeps its block L(1,0), of dimension 3
+        pi = sat("A2", [(1, 0)])
+        S = SchurAlgebra(pi, [weyl_module(pi.datum, (2, 0))])
+        build_schur.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(schur, "SchurAlgebra", lambda pi: S)
+            build_schur(pi)
+        f = TruncationMap(pi, sat("A2", [(2, 1)]))
+        assert f.target is S and f.source.block_dims == [3, 6, 15]
+        checks = [{"check": f"generator({s}{i})", "ok": False,
+                   "witness": None} for s in "+-" for i in range(2)]
+        # the image of 1_lam is the weight space of L(1,0), the target's
+        # that of L(2,0): the orbit of (1,0) holds no weight of L(2,0)
+        checks += [{"check": f"idempotent{lam}",
+                    "ok": lam not in [(-1, 1), (0, -1), (1, 0)],
+                    "witness": None} for lam in sorted(f.source.orbit)]
+        checks += [{"check": name, "ok": False, "witness": None}
+                   for name in ("unit", "multiplicative")]
+        checks.append({"check": "surjective", "ok": False,
+                       "witness": {"image_rank": 9, "target_dim": 36}})
+        assert f.verify() == checks
+
     @pytest.mark.parametrize("doubled", [(0,), (0, 1)])
     def test_cli_witnesses_are_the_failing_rows(self, doubled, monkeypatch):
         pi = sat("A2", [(1, 0)])
@@ -278,16 +306,21 @@ def tampered(pi, e=None, f=None):
     return module
 
 
+def spy_calls(monkeypatch, *methods):
+    """Records the name of every call of the (class, name) `methods` from
+    now on."""
+    calls = []
+    for owner, name in methods:
+        def spy(*args, _method=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def closure_calls(monkeypatch):
     """Counts the span closures from now on."""
-    calls = []
-    closure = SchurAlgebra._closure
-
-    def spy(self, gens):
-        calls.append(self)
-        return closure(self, gens)
-    monkeypatch.setattr(SchurAlgebra, "_closure", spy)
-    return calls
+    return spy_calls(monkeypatch, (SchurAlgebra, "_closure"))
 
 
 def assert_matrix_units(S):
@@ -350,7 +383,8 @@ class TestDensityCertificate:
             with pytest.raises(RuntimeError, match="density violated: "
                                f"the highest {side} of L"):
                 S.dimension()
-            assert len(S._closure(S.simple_generators())) == 3
+            gens = S._generators(1) + S._generators(-1)
+            assert len(S._closure(gens)) == 3
 
     def test_equal_weight_multiplicities_are_refused(self):
         # two copies of one simple module are not separated by the algebra
@@ -396,7 +430,123 @@ CHAINS = {
 }
 
 
+def sampled_report(f):
+    """The report of `f.verify()` with its multiplicative row sampled, each
+    simple generator times each source basis element, and its surjective
+    row by an echelon of the images of the source basis: the oracle of the
+    proofs.  A specialized map reports no multiplicative row."""
+    report = [row for row in f.verify()
+              if row["check"] not in ("multiplicative", "surjective")]
+    src, tgt = f.source, f.target
+    if not isinstance(f, RTruncationMap):
+        ok = all(f.apply(g * b) == f.apply(g) * f.apply(b)
+                 for g in src._generators(1) + src._generators(-1)
+                 for b in src.basis())
+        report += relation_rows("multiplicative", [] if ok else [None],
+                                key="check")
+
+    # surjectivity: images of the source basis span the target; the
+    # row keeps the ranks whether or not it passes
+    ech = SparseEchelon(src.field)
+    for b in src.basis():
+        ech.insert(f.apply(b).flatten())
+    report.append({"check": "surjective",
+                   "ok": ech.rank == tgt.dimension(),
+                   "witness": {"image_rank": ech.rank,
+                               "target_dim": tgt.dimension()}})
+    return report
+
+
+def chain_maps(name):
+    """f10, f21 and f20 of every chain of CHAINS[name]."""
+    datum = preset(name)
+    for seed, step1, step2 in CHAINS[name]:
+        pi0 = datum.saturate([seed])
+        pi1 = pi0.union(datum.saturate([step1]))
+        pi2 = pi1.union(datum.saturate([step2]))
+        yield from (TruncationMap(pi0, pi1), TruncationMap(pi1, pi2),
+                    TruncationMap(pi0, pi2))
+
+
 class TestTruncationMaps:
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_proofs_agree_with_the_sampled_oracle(self, name):
+        for f in chain_maps(name):
+            assert f.verify() == sampled_report(f), (name, f._indices)
+
+    @pytest.mark.parametrize("target,source,point,dims,dense", [
+        ((1, 0), (2, 1), RingPoint.cyclotomic(4), (9, 162), False),
+        ((1, 1), (2, 2), RingPoint.cyclotomic(3), (57, 846), False),
+        ((1, 1), (2, 2), RingPoint.rational(1), (65, 994), True),
+    ], ids=["i", "w3", "1"])
+    def test_specialized_proofs_agree_with_the_sampled_oracle(
+            self, target, source, point, dims, dense, monkeypatch):
+        f = r_truncation_map(sat("A2", [target]), sat("A2", [source]), point)
+        assert f.target.dimension() == dims[0]
+        assert (f.source._density_defect is None) == dense
+        # with the target built and the source's density decided, the
+        # proof echelons nothing: the source closure is never built
+        inserts = spy_calls(monkeypatch, (SparseEchelon, "insert"))
+        report = f.verify()
+        assert inserts == []
+        monkeypatch.undo()
+        assert f.source.dimension() == dims[1]
+        assert report == sampled_report(f)
+        assert report[-1]["witness"] == {"image_rank": dims[0],
+                                         "target_dim": dims[0]}
+
+    def test_divided_power_off_the_image_falls_back_to_the_echelon(
+            self, monkeypatch):
+        # at w3, [2] vanishes and E^(2) is no multiple of E^2: add 1 to one
+        # entry of E^(2) on L(3), and E, F and the idempotents still match
+        point = RingPoint.cyclotomic(3)
+        pi = sat("A1", [(3,)])
+        T = SpecializedSchur(pi, point)
+        module = T.modules[-1]
+        module.nilpotency(1, 0)
+        module = copy.copy(module)
+        module._dp_cache = dict(module._dp_cache)
+        mat = {r: dict(row)
+               for r, row in module.divided_power(1, 0, 2).items()}
+        mat[0][2] = mat[0][2] + LaurentPoly.monomial(1, 0)
+        module._dp_cache[(True, 0, 2)] = mat
+        T.modules = T.modules[:-1] + [module]
+        specialize_schur.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(intspec, "SpecializedSchur", lambda pi, point: T)
+                specialize_schur(pi, point)
+            f = r_truncation_map(pi, sat("A1", [(5,)]), point)
+            assert f.target is T and f.source._density_defect is not None
+            report = f.verify()
+            assert [row["check"] for row in report if not row["ok"]] \
+                == ["surjective"]
+            assert report[-1]["witness"] == {"image_rank": 12,
+                                             "target_dim": 20}
+            assert report == sampled_report(f)
+        finally:
+            specialize_schur.cache_clear()
+
+    def test_proofs_make_no_product_echelon_or_basis_call(self,
+                                                          monkeypatch):
+        f = TruncationMap(sat("A2", [(1, 1)]), sat("A2", [(2, 2)]))
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "a1xa1_maps.qs")) as fh:
+            spec = parse_spec(fh.read())
+        pi = spec.pi()
+        # building the algebras proves their density; the maps come after
+        for alg in [f.source, f.target] + list(map(build_schur,
+                                                   cli._chain(pi))):
+            alg.dimension()
+        calls = spy_calls(monkeypatch, (SchurElement, "__mul__"),
+                          (SparseEchelon, "insert"), (BlockAlgebra, "basis"))
+        assert all(row["ok"] for row in f.verify())
+        assert f.verify()[-1]["witness"] == {"image_rank": 65,
+                                             "target_dim": 65}
+        result, witnesses, passed = cli.task_maps(spec, pi, None, {}, [])
+        assert passed and result["composition"] and result["identity"]
+        assert calls == []
+
     @pytest.mark.parametrize("name", sorted(CHAINS))
     def test_five_chains_per_preset(self, name):
         datum = preset(name)
@@ -409,7 +559,7 @@ class TestTruncationMaps:
             f21 = TruncationMap(pi1, pi2)
             f20 = TruncationMap(pi0, pi2)
             for rep in (f10.verify(), f21.verify(), f20.verify()):
-                assert all(r["ok"] for r in rep), (name, mu)
+                assert all(r["ok"] for r in rep), (name, seed)
             # identity law
             fid = TruncationMap(pi0, pi0)
             for b in build_schur(pi0).basis():
