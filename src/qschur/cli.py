@@ -195,7 +195,7 @@ def task_specialize(spec, pi, cache_dir, params, notes):
     result = {
         "ring": repr(point),
         "dimension": S.dimension(),
-        "generic_dimension": S.generic_dim,
+        "generic_dimension": S.expected_dim,
         "relations": relations,
         "truncation": truncation,
         "projection_commutes": commute_ok,

@@ -11,7 +11,6 @@ from .linalg import SparseEchelon
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
 from .schur import BlockAlgebra, TruncationMap
-from .weylmod import weyl_module
 
 
 class LatticeBasis:
@@ -57,15 +56,15 @@ class SpecializedSchur(BlockAlgebra):
     divided-power blocks.  At a root of unity a module may not stay simple;
     there the check fails, and the realized algebra, a proper quotient of
     the base-changed integral form, is the span closure of the idempotents
-    under every divided power.  Only its dimension is computed and
-    reported, never identified with the abstract base change.
+    under the generating divided powers.  Only its dimension is computed
+    and reported, never identified with the abstract base change.
     """
 
     def __init__(self, pi, point: RingPoint):
-        super().__init__(pi, [weyl_module(pi.datum, lam) for lam in pi])
+        super().__init__(pi)
         self.point = point
         self.field = point.field
-        self.generic_dim = self.expected_dim
+        self.generic_dim = self.expected_dim    # the name bench/ reads
 
     def _poly(self, poly: LaurentPoly):
         val = poly.evaluate(self.point.xi_pow)
@@ -73,12 +72,6 @@ class SpecializedSchur(BlockAlgebra):
 
     def _scalar(self, c):
         return evaluate(c, self.point)
-
-    def _powers(self, sign):
-        """Every nonzero divided power E_i^(k) (sign > 0) or F_i^(k): at a
-        root of unity they are not products of E_i or F_i."""
-        return [(i, k) for i in range(self.datum.rank) for k in range(
-            1, max(m.nilpotency(sign, i) for m in self.modules) + 1)]
 
     # the defining relations, checked over R by the shared suite
     verify_relations = BlockAlgebra.verify_presentation

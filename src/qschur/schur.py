@@ -7,8 +7,9 @@ entries in the field of its algebra: Q(v) here, the target field of a
 specialization in `intspec`, which uses the same element type.
 
 The algebra A of a saturated set pi is generated by the weight idempotents
-and by raising and lowering generators: E_i and F_i over Q(v), every
-divided power at a specialization.  `density_defect` decides whether A is
+and the divided powers E_i^(k), F_i^(k) at k = 1 and where [k]_i vanishes in
+the field: E_i^(k-1) E_i = [k]_i E_i^(k) makes every other power a product
+of lower ones.  `density_defect` decides whether A is
 all of the sum of End L(lam) over lam in pi (density), of dimension
 sum d^2, by the spin and dual spin of Norton's irreducibility test in the
 MeatAxe (Parker 1984; Holt and Rees 1994).  It checks three things:
@@ -172,12 +173,12 @@ class BlockAlgebra:
     `_poly` (the image of a Laurent polynomial).  The module matrices have
     Laurent entries, and `_poly` is where they enter `field`."""
 
-    def __init__(self, pi, modules):
+    def __init__(self, pi, modules=None):
         self.pi = pi
         self.datum = pi.datum
-        self.modules = modules
+        self.modules = modules or [weyl_module(pi.datum, lam) for lam in pi]
         self.orbit = pi.orbit_weights()
-        self.block_dims = [m.dim for m in modules]
+        self.block_dims = [m.dim for m in self.modules]
         self.expected_dim = sum(d * d for d in self.block_dims)
         self._basis = None
         self._dp_cache = {}
@@ -216,8 +217,15 @@ class BlockAlgebra:
         return [self.divided_power(sign, i, k) for i, k in self._powers(sign)]
 
     def _powers(self, sign):
-        """(i, k) of each E_i^(k) or F_i^(k): E_i or F_i here."""
-        return [(i, 1) for i in range(self.datum.rank)]
+        """(i, k) of the generating E_i^(k) (sign > 0) or F_i^(k) of the
+        module docstring: just E_i or F_i over Q(v) and at rational points.
+        No i-string is longer than the largest <h_i, nu> over the orbit."""
+        powers = []
+        for i in range(self.datum.rank):
+            top = max(self.datum.pair_i(i, nu) for nu in self.orbit)
+            powers += [(i, 1)] + [(i, k) for k in range(2, top + 1) if not
+                                  self._poly(qint(k, self.datum.cartan.d(i)))]
+        return powers
 
     def idempotent(self, lam):
         """The weight projector; the zero element when lam is outside the
@@ -415,11 +423,6 @@ class SchurAlgebra(BlockAlgebra):
     the highest-weight modules indexed by a finite saturated set."""
 
     field = RatFuncField
-
-    def __init__(self, pi, modules=None):
-        if modules is None:
-            modules = [weyl_module(pi.datum, lam) for lam in pi]
-        super().__init__(pi, modules)
 
     @staticmethod
     def _scalar(c):

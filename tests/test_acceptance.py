@@ -5,6 +5,7 @@ One test per criterion; each prints a single pass/fail line (visible with
 Every comparison is exact; there are no numerical tolerances anywhere.
 """
 
+import contextlib
 import glob
 import io
 import json
@@ -310,3 +311,13 @@ def test_criterion_9_cli_determinism(tmp_path):
     report(9, True,
            f"{len(specs)} golden job descriptions produce byte-identical "
            f"JSON (timing excluded) across cold and warm cache")
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    with open(os.path.join(DATA, os.pardir, os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().split() == ["14", "True", "11"]

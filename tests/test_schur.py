@@ -497,18 +497,21 @@ class TestTruncationMaps:
 
     def test_divided_power_off_the_image_falls_back_to_the_echelon(
             self, monkeypatch):
-        # at w3, [2] vanishes and E^(2) is no multiple of E^2: add 1 to one
-        # entry of E^(2) on L(3), and E, F and the idempotents still match
-        point = RingPoint.cyclotomic(3)
-        pi = sat("A1", [(3,)])
+        # at i, [2] vanishes, so E^(2) is a generator and no multiple of
+        # E^2: add 1 to one entry of E^(2) on L(4), and E, F and the
+        # idempotents still match
+        point = RingPoint.cyclotomic(4)
+        pi = sat("A1", [(4,)])
         T = SpecializedSchur(pi, point)
+        assert (0, 2) in T._powers(1)
         module = T.modules[-1]
+        assert module.lam == (4,)
         module.nilpotency(1, 0)
         module = copy.copy(module)
         module._dp_cache = dict(module._dp_cache)
         mat = {r: dict(row)
                for r, row in module.divided_power(1, 0, 2).items()}
-        mat[0][2] = mat[0][2] + LaurentPoly.monomial(1, 0)
+        mat[1][3] = mat[1][3] + LaurentPoly.monomial(1, 0)
         module._dp_cache[(True, 0, 2)] = mat
         T.modules = T.modules[:-1] + [module]
         specialize_schur.cache_clear()
@@ -516,13 +519,13 @@ class TestTruncationMaps:
             with monkeypatch.context() as m:
                 m.setattr(intspec, "SpecializedSchur", lambda pi, point: T)
                 specialize_schur(pi, point)
-            f = r_truncation_map(pi, sat("A1", [(5,)]), point)
+            f = r_truncation_map(pi, sat("A1", [(6,)]), point)
             assert f.target is T and f.source._density_defect is not None
             report = f.verify()
             assert [row["check"] for row in report if not row["ok"]] \
                 == ["surjective"]
-            assert report[-1]["witness"] == {"image_rank": 12,
-                                             "target_dim": 20}
+            assert report[-1]["witness"] == {"image_rank": 22,
+                                             "target_dim": 25}
             assert report == sampled_report(f)
         finally:
             specialize_schur.cache_clear()
@@ -580,3 +583,66 @@ class TestTruncationMaps:
         assert f.apply(big.idempotent((4,))).is_zero()
         assert f.apply(big.idempotent((2,))) \
             == build_schur(pi0).idempotent((2,))
+
+
+class AllPowers(SpecializedSchur):
+    """The oracle of `_powers`: every nonzero divided power up to the
+    modules' nilpotency."""
+
+    def _powers(self, sign):
+        return [(i, k) for i in range(self.datum.rank) for k in range(
+            1, max(m.nilpotency(sign, i) for m in self.modules) + 1)]
+
+
+ORACLE_POINTS = (RingPoint.rational(1), RingPoint.rational(2),
+                 RingPoint.cyclotomic(3), RingPoint.cyclotomic(4),
+                 RingPoint.cyclotomic(4, power=2), RingPoint.cyclotomic(6),
+                 RingPoint.cyclotomic(8))
+
+
+class TestGeneratingPowers:
+    def test_the_rule_generates_what_every_divided_power_generates(self):
+        cases = fewer = 0
+        for name in PRESET_NAMES:
+            datum = preset(name)
+            pis = {datum.saturate([mu])
+                   for mu in dominant_weights_up_to_height(datum, 4)}
+            for pi in pis:
+                for point in ORACLE_POINTS:
+                    S = specialize_schur(pi, point)
+                    oracle = AllPowers(pi, point)
+                    assert (S._density_defect is None) \
+                        == (oracle._density_defect is None), (pi, point)
+                    assert S.dimension() == oracle.dimension(), (pi, point)
+                    cases += 1
+                    fewer += len(S._powers(1)) < len(oracle._powers(1))
+        assert (cases, fewer) == (224, 109)
+
+    @pytest.mark.parametrize("name,gens,point,ks", [
+        ("A2", [(2, 2)], RingPoint.cyclotomic(4), [[1, 2, 4], [1, 2, 4]]),
+        ("A2", [(2, 2)], RingPoint.cyclotomic(3), [[1, 3], [1, 3]]),
+        # the long root has d = 2, and [k] at v^2 = -1 is +-k, never zero
+        ("B2", [(2, 1)], RingPoint.cyclotomic(4), [[1], [1, 2, 4]]),
+        ("A2", [(2, 2)], RingPoint.rational(1), [[1], [1]]),
+        ("B2", [(2, 1)], RingPoint.rational(1), [[1], [1]]),
+        ("A2", [(2, 2)], RingPoint.rational(2), [[1], [1]]),
+        ("B2", [(2, 1)], RingPoint.rational(2), [[1], [1]]),
+        ("A2", [(2, 2)], None, [[1], [1]]),
+        ("B2", [(2, 1)], None, [[1], [1]]),
+    ])
+    def test_powers_are_one_and_where_the_quantum_integer_vanishes(
+            self, name, gens, point, ks):
+        pi = sat(name, gens)
+        S = build_schur(pi) if point is None else specialize_schur(pi, point)
+        want = [(i, k) for i, row in enumerate(ks) for k in row]
+        assert S._powers(1) == S._powers(-1) == want
+
+    @pytest.mark.parametrize("point", [None, RingPoint.rational(1)],
+                             ids=["Q(v)", "1"])
+    def test_dense_algebras_build_only_e_and_f(self, point, monkeypatch):
+        calls = spy_calls(monkeypatch, (HighestWeightModule, "nilpotency"))
+        pi = sat("A2", [(2, 2)])
+        S = SchurAlgebra(pi) if point is None else SpecializedSchur(pi, point)
+        assert S.dimension() == 994
+        assert calls == []
+        assert {k for _, _, k in S._dp_cache} == {1}
