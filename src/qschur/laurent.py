@@ -553,6 +553,14 @@ class RatFuncField:
         return RatFunc(n)
 
 
+class LaurentRing:
+    """Ring object for Z[v,v^-1], for algebras that never divide."""
+
+    zero = ZERO
+    one = ONE
+    from_int = staticmethod(LaurentPoly.const)
+
+
 # -- quantum integers ---------------------------------------------------
 
 

@@ -56,7 +56,8 @@ class QField:
 
 
 class CycloElement:
-    """An element of Q[x] / Phi_n(x), stored as a coefficient tuple."""
+    """An element of Q[x] / Phi_n(x), stored as a coefficient tuple:
+    `int` coefficients, and a `Fraction` only where an inverse divides."""
 
     __slots__ = ("field", "coeffs")
 
@@ -118,7 +119,8 @@ class CycloElement:
         return self.field._inverse(self)
 
     def __repr__(self):
-        return f"CycloElement(n={self.field.order}, {list(self.coeffs)})"
+        return (f"CycloElement(n={self.field.order}, "
+                f"{list(map(Fraction, self.coeffs))})")
 
 
 class CycloField:
@@ -129,10 +131,8 @@ class CycloField:
         self.modulus = cyclotomic_coeffs(order)
         self.degree = len(self.modulus) - 1
         self.name = f"cyclotomic({order})"
-        self.zero = CycloElement(self, [Fraction(0)] * self.degree)
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self.one = CycloElement(self, one)
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     def __eq__(self, other):
         return isinstance(other, CycloField) and self.order == other.order
@@ -144,18 +144,14 @@ class CycloField:
         return f"CycloField({self.order})"
 
     def from_int(self, n):
-        c = [Fraction(0)] * self.degree
-        c[0] = Fraction(n)
-        return CycloElement(self, c)
+        return CycloElement(self, [n] + [0] * (self.degree - 1))
 
     def zeta(self):
         """The class of x: a primitive root of unity of this order."""
         if self.degree == 1:
             # Phi_1 = x - 1, Phi_2 = x + 1: x reduces to a rational
             return self.from_int(1 if self.order == 1 else -1)
-        c = [Fraction(0)] * self.degree
-        c[1] = Fraction(1)
-        return CycloElement(self, c)
+        return CycloElement(self, [0, 1] + [0] * (self.degree - 2))
 
     def _reduce(self, coeffs):
         c = list(coeffs)
@@ -168,7 +164,7 @@ class CycloField:
         return CycloElement(self, c[:d])
 
     def _mul(self, a, b):
-        out = [Fraction(0)] * (2 * self.degree - 1)
+        out = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
@@ -186,12 +182,14 @@ class CycloField:
         rest = self.one
         for k in range(2, n):
             if gcd(k, n) == 1:
-                c = [Fraction(0)] * n
+                c = [0] * n
                 for j, x in enumerate(a.coeffs):
                     c[j * k % n] += x
                 rest = rest * self._reduce(c)
         norm = (a * rest).coeffs[0]
-        return CycloElement(self, [x / norm for x in rest.coeffs])
+        quots = [Fraction(x) / norm for x in rest.coeffs]
+        return CycloElement(self, [q.numerator if q.denominator == 1 else q
+                                   for q in quots])
 
 
 class RingPoint:

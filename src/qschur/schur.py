@@ -33,13 +33,19 @@ hold, and distinct highest weights have distinct weight multiplicities.
 So the check decides density exactly.  Over Q(v) a failure means a faulty
 module record, and `SchurAlgebra` raises; at a specialization a module
 need not stay simple (at roots of unity), and the realized algebra is the
-span closure."""
+span closure.
+
+The defining relations are identities among the Laurent module matrices,
+so `integral_report` checks them once per module list over Z[v,v^-1].  Its
+report decides Q(v), since Z[v,v^-1] -> Q(v) is injective, and once every
+row passes it proves every specialization, since v -> xi is a ring map."""
 
 from __future__ import annotations
 
+from copy import deepcopy
 from functools import cache, cached_property
 
-from .laurent import LaurentPoly, RatFunc, RatFuncField, qint
+from .laurent import LaurentPoly, LaurentRing, RatFunc, RatFuncField, qint
 from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
                      sparse_mul, sparse_neg, sparse_scale, sparse_sub,
                      sparse_transpose)
@@ -343,7 +349,8 @@ class BlockAlgebra:
     # -- presentation checks -----------------------------------------------
 
     def verify_presentation(self):
-        """Exact checks of the defining relations, as `relation_rows`."""
+        """The direct check of the defining relations over `field`, as
+        `relation_rows`."""
         datum = self.datum
         r = datum.rank
         orbit = sorted(self.orbit)
@@ -391,15 +398,11 @@ class BlockAlgebra:
                 if lhs != rhs:
                     bad.append({"i": i, "j": j})
         report += relation_rows("c:commutator", bad)
-        return report + self.verify_serre()
 
-    def verify_serre(self):
-        """The quantum Serre relations in divided-power form, as the
-        `relation_rows` of `verify_presentation`."""
-        datum = self.datum
+        # (d) quantum Serre relations in divided-power form
         bad = []
-        for i in range(datum.rank):
-            for j in range(datum.rank):
+        for i in range(r):
+            for j in range(r):
                 if i == j:
                     continue
                 n = 1 - datum.pair_i(i, datum.simple_roots[j])
@@ -415,7 +418,24 @@ class BlockAlgebra:
                         total = total + term
                     if not total.is_zero():
                         bad.append({"i": i, "j": j, "sign": sign})
-        return relation_rows("d:serre", bad)
+        return report + relation_rows("d:serre", bad)
+
+
+class IntegralForm(BlockAlgebra):
+    """The blocks of pi over Z[v,v^-1], the module matrices as they are."""
+
+    field = LaurentRing
+    _poly = staticmethod(lambda p: p)
+
+    def key(self):
+        return ("Z[v,v^-1]", self.pi)
+
+
+@cache
+def integral_report(pi, modules):
+    """`verify_presentation` over Z[v,v^-1] for the tuple `modules`, which
+    key the memo by identity; callers hand out copies."""
+    return IntegralForm(pi, list(modules)).verify_presentation()
 
 
 class SchurAlgebra(BlockAlgebra):
@@ -434,6 +454,11 @@ class SchurAlgebra(BlockAlgebra):
     def _realized_span(defect):
         # over Q(v) the check decides density, so a module record failed
         raise RuntimeError(f"density violated: {defect}")
+
+    def verify_presentation(self):
+        """The integral report: Z[v,v^-1] -> Q(v) is injective, so every
+        row and witness is that of the direct check over Q(v)."""
+        return deepcopy(integral_report(self.pi, tuple(self.modules)))
 
     def key(self):
         return self.pi

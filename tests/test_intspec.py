@@ -2,29 +2,34 @@
 unity, the specialized inverse system, and kernel probes."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
 
 import pytest
 
-from qschur import weylmod
+from qschur import cli, intspec, schur, weylmod
 from qschur.intspec import (SpecializedSchur, kernel_probe_RU, lattice_basis,
                             r_truncation_map, specialize_schur)
 from qschur.laurent import (LaurentPoly, RatFunc, RatFuncField, is_integral,
                             qint)
 from qschur.linalg import SparseEchelon, sparse_map, sparse_mul
-from qschur.rings import RingPoint
+from qschur.jobspec import parse_spec
+from qschur.rings import CycloField, RingPoint
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
-from qschur.schur import build_schur
+from qschur.schur import (BlockAlgebra, IntegralForm, SchurAlgebra,
+                          SchurElement, build_schur, integral_report)
 from qschur.ulimit import theta_dot, verify_coherence
 from qschur.weylmod import ModuleCheckError, WeylModule, weyl_module
 from qschur.words import WordExpr
 
 XI_ONE = RingPoint.rational(1)
 XI_I = RingPoint.cyclotomic(4)
+POINTS = [XI_ONE, RingPoint.rational(2), XI_I, RingPoint.cyclotomic(3)]
+POINT_IDS = ["1", "2", "i", "w3"]
 
 
 class TestLatticeBases:
@@ -210,6 +215,158 @@ class TestRelationsOverR:
             S = specialize_schur(datum.saturate([mu]), point)
             report = S.verify_relations()
             assert all(r["ok"] for r in report), (name, mu)
+
+
+def sat(name, gens):
+    return preset(name).saturate([tuple(g) for g in gens])
+
+
+def all_ok(report):
+    return all(row["ok"] for row in report)
+
+
+def tampered(pi, factor):
+    """A copy of the one module of pi with the first entry of E_0 times
+    `factor`; the copy skips the module's commutator tripwire."""
+    module = copy.copy(build_schur(pi).modules[0])
+    e0 = module.e[0]
+    r = min(e0)
+    c = min(e0[r])
+    module.e = [{**e0, r: {**e0[r], c: e0[r][c] * factor}}] + module.e[1:]
+    module._dp_cache = {}
+    return module
+
+
+class TestIntegralReport:
+    """The defining relations are checked once over Z[v,v^-1]; a
+    specialization returns that report when every row passes and runs the
+    direct check over its field otherwise."""
+
+    @pytest.mark.parametrize("point", POINTS, ids=POINT_IDS)
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_the_report_is_the_direct_check(self, name, point):
+        datum = preset(name)
+        for pi in {datum.saturate([mu])
+                   for mu in dominant_weights_up_to_height(datum, 3)}:
+            S = specialize_schur(pi, point)
+            assert S.verify_relations() \
+                == BlockAlgebra.verify_presentation(S), (pi, point)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_the_report_over_q_v_is_the_direct_check(self, name):
+        datum = preset(name)
+        for mu in dominant_weights_up_to_height(datum, 3):
+            S = build_schur(datum.saturate([mu]))
+            assert S.verify_presentation() \
+                == BlockAlgebra.verify_presentation(S), mu
+
+    def test_the_fallback_decides_where_the_integral_report_fails(
+            self, monkeypatch):
+        # [2] = v + v^-1 vanishes at i, so the tampered entry x (1 + [2])
+        # is x again there, and 3x at 1
+        pi = sat("A2", [(1, 0)])
+        bad = tampered(pi, LaurentPoly.const(1) + qint(2))
+        monkeypatch.setattr(schur, "weyl_module", lambda datum, lam: bad)
+        commutator = [{"relation": "c:commutator", "ok": False,
+                       "witness": {"i": 0, "j": 0}}]
+        report = integral_report(pi, (bad,))
+        assert [row for row in report if not row["ok"]] == commutator
+        S = SchurAlgebra(pi)
+        assert S.modules == [bad]
+        assert S.verify_presentation() == report \
+            == BlockAlgebra.verify_presentation(S)
+
+        at_i = SpecializedSchur(pi, XI_I)
+        assert at_i.modules == [bad]
+        direct = BlockAlgebra.verify_presentation(at_i)
+        assert all_ok(direct) and at_i.verify_relations() == direct
+
+        at_one = SpecializedSchur(pi, XI_ONE)
+        report = at_one.verify_relations()
+        assert report == BlockAlgebra.verify_presentation(at_one)
+        assert [row for row in report if not row["ok"]] == commutator
+
+    def test_four_points_share_one_check_and_multiply_nothing_over_r(
+            self, monkeypatch):
+        pi = sat("A2", [(1, 1)])
+        algebras = [SpecializedSchur(pi, point) for point in POINTS]
+        integral_report.cache_clear()
+        checks, fields = [], []
+        check = IntegralForm.verify_presentation
+        monkeypatch.setattr(IntegralForm, "verify_presentation",
+                            lambda self: checks.append(self) or check(self))
+        for name in ("__mul__", "scale"):
+            def spy(self, other, _method=getattr(SchurElement, name)):
+                fields.append(self.algebra.field)
+                return _method(self, other)
+            monkeypatch.setattr(SchurElement, name, spy)
+        cyclo = CycloField._mul
+        monkeypatch.setattr(CycloField, "_mul", lambda *args: fields.append(
+            "cyclotomic") or cyclo(*args))
+        for S in algebras:
+            assert all_ok(S.verify_relations())
+        assert len(checks) == 1 and fields
+        assert set(fields) == {IntegralForm.field}
+        # the warm round makes no product at all
+        fields.clear()
+        assert all_ok(build_schur(pi).verify_presentation())
+        assert all(all_ok(S.verify_relations()) for S in algebras)
+        assert (len(checks), fields) == (1, [])
+
+    def test_callers_may_change_what_they_get(self, monkeypatch):
+        pi = sat("A2", [(1, 0)])
+        bad = SchurAlgebra(pi, [tampered(pi, LaurentPoly.const(2))])
+        for get in (build_schur(pi).verify_presentation,
+                    specialize_schur(pi, XI_I).verify_relations,
+                    bad.verify_presentation):
+            got = get()
+            want = copy.deepcopy(got)
+            for row in got:
+                row["ok"] = not row["ok"]
+                if row["witness"] is not None:
+                    row["witness"]["i"] = 7
+            got.append(got.pop(0))
+            assert get() == want
+
+    def test_a_tampered_module_list_never_reuses_the_honest_verdict(self):
+        pi = sat("A2", [(1, 0)])
+        assert all_ok(build_schur(pi).verify_presentation())
+        misses = integral_report.cache_info().misses
+        # a copy of the honest record is another key, with its own check
+        honest_copy = tampered(pi, LaurentPoly.const(1))
+        assert all_ok(SchurAlgebra(pi, [honest_copy]).verify_presentation())
+        assert integral_report.cache_info().misses == misses + 1
+        bad = tampered(pi, LaurentPoly.const(2))
+        assert not all_ok(SchurAlgebra(pi, [bad]).verify_presentation())
+        assert integral_report.cache_info().misses == misses + 2
+        assert all_ok(build_schur(pi).verify_presentation())
+        assert all_ok(specialize_schur(pi, XI_ONE).verify_relations())
+
+
+class TestProjectionCommutes:
+    def test_a_wrong_generating_power_of_the_larger_algebra_is_caught(
+            self, monkeypatch):
+        # fresh algebras, so the memoized ones never see the wrong power
+        monkeypatch.setattr(intspec, "specialize_schur",
+                            functools.cache(SpecializedSchur))
+        spec = parse_spec("datum preset A1\npi gens [2]\n"
+                          "ring cyclotomic 3\ntask specialize\n")
+        pi, point = spec.pi(), spec.ring_point()
+        result, _, passed = cli.task_specialize(spec, pi, None, {}, [])
+        assert result["projection_commutes"] and passed
+        _, pi1, _ = cli._chain(pi)
+        big = intspec.specialize_schur(pi1, point)
+        small = intspec.specialize_schur(pi, point)
+        # [3] vanishes at w3, so E^(3) generates the larger algebra
+        assert big._powers(1) == [(0, 1), (0, 3)]
+        big._dp_cache[(1, 0, 3)] = (big.divided_power(1, 0, 3)
+                                    + big.idempotent((0,)))
+        f = intspec.r_truncation_map(pi, pi1, point)
+        assert all(f.apply(big.divided_power(sign, 0, k))
+                   == small.divided_power(sign, 0, k)
+                   for sign in (1, -1) for k in (1, 2))
+        result, _, passed = cli.task_specialize(spec, pi, None, {}, [])
+        assert not result["projection_commutes"] and not passed
 
 
 class TestSpecializedTruncation:

@@ -153,3 +153,55 @@ class TestCycloAgainstSympy:
         want = sympy.invert(self._poly(sympy, x, a), phi)
         assert a.inverse().coeffs == self._coeffs(sympy, x, want,
                                                    field.degree)
+
+
+integral_coeffs = st.integers(-6, 6)
+
+
+@st.composite
+def integral_pairs(draw):
+    """A field Q(zeta_n), n <= 12, and two elements with integer
+    coefficients."""
+    field = CycloField(draw(st.integers(1, 12)))
+    return field, *[CycloElement(field, draw(st.lists(
+        integral_coeffs, min_size=field.degree, max_size=field.degree)))
+        for _ in range(2)]
+
+
+class TestIntegerCoefficients:
+    """Cyclotomic coefficients stay `int` until an inverse divides."""
+
+    @staticmethod
+    def all_int(a):
+        return all(type(c) is int for c in a.coeffs)
+
+    @given(integral_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations_keep_int_coefficients(self, pair):
+        field, a, b = pair
+        for c in (a * b, a + b, a - b, -a, a * 3, field.zero, field.one,
+                  field.from_int(-4), field.zeta()):
+            assert self.all_int(c), c
+
+    def test_powers_of_xi_and_quantum_integers_are_integral(self):
+        for order in (3, 4, 6, 8, 12):
+            p = RingPoint.cyclotomic(order)
+            for e in range(-6, 7):
+                assert self.all_int(p.xi_pow(e))
+                assert self.all_int(qint(e).evaluate(p.xi_pow) or p.field.zero)
+
+    def test_the_inverse_is_int_where_its_denominator_is_one(self):
+        field = CycloField(4)
+        i = field.zeta()
+        assert self.all_int(i.inverse()) and i * i.inverse() == field.one
+        half = field.from_int(2).inverse()
+        assert half.coeffs == (Fraction(1, 2), 0)
+        assert type(half.coeffs[0]) is Fraction
+        # 1 + i has norm 2, so its inverse is (1 - i)/2
+        assert (field.one + i).inverse().coeffs == (Fraction(1, 2),
+                                                     Fraction(-1, 2))
+
+    def test_repr_prints_every_coefficient_as_a_fraction(self):
+        assert repr(RingPoint.cyclotomic(4)) == (
+            "RingPoint(cyclotomic(4), xi=CycloElement(n=4, "
+            "[Fraction(0, 1), Fraction(1, 1)]))")
