@@ -1,10 +1,14 @@
 """Coherent families, the two embeddings, limit-level identity checks and
 separation probes."""
 
+import copy
+
 import pytest
 
-from qschur.rootdata import dominant_weights_up_to_height, preset
-from qschur.schur import build_schur
+from qschur import schur, ulimit
+from qschur.laurent import LaurentPoly, qint
+from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, preset
+from qschur.schur import SchurAlgebra, build_schur
 from qschur.ulimit import (LimitElement, check_Kh_identity, check_u_relations,
                            check_uhat_relations, cofinal_consistency,
                            coherent_basis_check, hat_E, hat_K, hat_divided,
@@ -117,6 +121,40 @@ class TestLimitIdentities:
         for mu in dominant_weights_up_to_height(datum, 3):
             report = check_u_relations(datum.saturate([mu]))
             assert all(r["ok"] for r in report), (name, mu)
+
+    @staticmethod
+    def _commutator_and_serre(report):
+        return [row for row in report
+                if row["relation"] in ("c:commutator", "d:serre")]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_commutator_and_serre_rows_are_the_presentation_rows(self, name):
+        datum = preset(name)
+        for pi in {datum.saturate([mu])
+                   for mu in dominant_weights_up_to_height(datum, 4)}:
+            assert self._commutator_and_serre(check_u_relations(pi)) \
+                == self._commutator_and_serre(
+                    build_schur(pi).verify_presentation()), pi
+
+    def test_a_failing_commutator_row_is_the_presentation_row(
+            self, monkeypatch):
+        # the first entry of E_0 on A2 L(1,0) times 1 + [2] breaks (c)
+        pi = preset("A2").saturate([(1, 0)])
+        module = copy.copy(build_schur(pi).modules[0])
+        e0 = module.e[0]
+        r = min(e0)
+        c = min(e0[r])
+        factor = LaurentPoly.const(1) + qint(2)
+        module.e = [{**e0, r: {**e0[r], c: e0[r][c] * factor}}] + module.e[1:]
+        module._dp_cache = {}
+        monkeypatch.setattr(schur, "weyl_module", lambda datum, lam: module)
+        S = SchurAlgebra(pi)
+        monkeypatch.setattr(ulimit, "build_schur", lambda pi: S)
+        rows = self._commutator_and_serre(check_u_relations(pi))
+        assert rows == self._commutator_and_serre(S.verify_presentation())
+        assert [row for row in rows if not row["ok"]] == [
+            {"relation": "c:commutator", "ok": False,
+             "witness": {"i": 0, "j": 0}}]
 
     def test_truncated_presentation_alias(self):
         a1 = preset("A1")
