@@ -187,11 +187,7 @@ def task_specialize(spec, pi, cache_dir, params, notes):
     truncation, trunc_failing = _project(tmap.verify(), "check")
     # project-then-specialize against specialize-then-project on the
     # generating divided powers of the larger algebra
-    big = specialize_schur(pi1, point)
-    commute_ok = all(
-        tmap.apply(big.divided_power(sign, i, k))
-        == S.divided_power(sign, i, k)
-        for sign in (1, -1) for i, k in big._powers(sign))
+    commute_ok = tmap.keeps_generators()
     result = {
         "ring": repr(point),
         "dimension": S.dimension(),

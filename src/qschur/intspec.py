@@ -4,14 +4,13 @@ the specialized inverse system, and empirical kernel probes."""
 
 from __future__ import annotations
 
-from copy import deepcopy
 from functools import cache
 
 from .laurent import LaurentPoly
 from .linalg import SparseEchelon
 from .rings import RingPoint, evaluate
 from .rootdata import dominant_weights_up_to_height
-from .schur import BlockAlgebra, TruncationMap, integral_report
+from .schur import BlockAlgebra, TruncationMap
 
 
 class LatticeBasis:
@@ -74,14 +73,8 @@ class SpecializedSchur(BlockAlgebra):
     def _scalar(self, c):
         return evaluate(c, self.point)
 
-    def verify_relations(self):
-        """The integral report once every row passes: v -> xi is a ring
-        map, so each relation, an identity among Laurent matrices, holds at
-        xi.  Else the direct check over R says what fails here."""
-        report = integral_report(self.pi, tuple(self.modules))
-        if all(row["ok"] for row in report):
-            return deepcopy(report)
-        return self.verify_presentation()
+    # the name bench/ and `qsl specialize` read
+    verify_relations = BlockAlgebra.verify_presentation
 
     def key(self):
         return (self.pi, self.point)

@@ -238,9 +238,7 @@ class LaurentPoly:
             return LaurentPoly()
         coeffs = {}
         text = text.replace("- ", "+ -").replace(" ", "")
-        if text.startswith("-"):
-            text = "-" + text[1:]
-        for chunk in text.replace("+-", "+-").split("+"):
+        for chunk in text.split("+"):
             if not chunk:
                 continue
             neg = chunk.startswith("-")

@@ -462,9 +462,6 @@ class SaturatedSet:
             self._weights = frozenset(out)
         return self._weights
 
-    def height(self):
-        return max(self.datum.height(lam) for lam in self.elements)
-
     def __repr__(self):
         return f"SaturatedSet({list(self.elements)})"
 

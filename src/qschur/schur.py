@@ -36,9 +36,12 @@ need not stay simple (at roots of unity), and the realized algebra is the
 span closure.
 
 The defining relations are identities among the Laurent module matrices,
-so `integral_report` checks them once per module list over Z[v,v^-1].  Its
-report decides Q(v), since Z[v,v^-1] -> Q(v) is injective, and once every
-row passes it proves every specialization, since v -> xi is a ring map."""
+so `integral_report` checks them once per module list over Z[v,v^-1], and
+`verify_presentation` reads that report for every algebra.  Z[v,v^-1] ->
+Q(v) and v -> xi are ring maps, so once every row passes the relations hold
+in every algebra.  Where a row fails, the direct check over the algebra's
+own field says what fails there: over Q(v) the same rows, since Z[v,v^-1]
+-> Q(v) is injective."""
 
 from __future__ import annotations
 
@@ -349,6 +352,15 @@ class BlockAlgebra:
     # -- presentation checks -----------------------------------------------
 
     def verify_presentation(self):
+        """The report of the defining relations, as `relation_rows`: a copy
+        of the integral report when every row passes, else the direct check
+        over `field` (see the module docstring)."""
+        report = integral_report(self.pi, tuple(self.modules))
+        if all(row["ok"] for row in report):
+            return deepcopy(report)
+        return self.direct_presentation()
+
+    def direct_presentation(self):
         """The direct check of the defining relations over `field`, as
         `relation_rows`."""
         datum = self.datum
@@ -433,9 +445,9 @@ class IntegralForm(BlockAlgebra):
 
 @cache
 def integral_report(pi, modules):
-    """`verify_presentation` over Z[v,v^-1] for the tuple `modules`, which
+    """`direct_presentation` over Z[v,v^-1] for the tuple `modules`, which
     key the memo by identity; callers hand out copies."""
-    return IntegralForm(pi, list(modules)).verify_presentation()
+    return IntegralForm(pi, list(modules)).direct_presentation()
 
 
 class SchurAlgebra(BlockAlgebra):
@@ -454,11 +466,6 @@ class SchurAlgebra(BlockAlgebra):
     def _realized_span(defect):
         # over Q(v) the check decides density, so a module record failed
         raise RuntimeError(f"density violated: {defect}")
-
-    def verify_presentation(self):
-        """The integral report: Z[v,v^-1] -> Q(v) is injective, so every
-        row and witness is that of the direct check over Q(v)."""
-        return deepcopy(integral_report(self.pi, tuple(self.modules)))
 
     def key(self):
         return self.pi
@@ -480,7 +487,8 @@ class TruncationMap:
     Products are blockwise, so the map is multiplicative once each kept block
     has its target block's dimension.  On a dense source the matrix units map
     onto the units of the kept blocks; else, once every row passes and the
-    source's `_generators` map onto the target's, the image is the target."""
+    source's generators map onto the target's (`keeps_generators`), the
+    image is the target."""
 
     _algebra = staticmethod(build_schur)
 
@@ -502,6 +510,14 @@ class TruncationMap:
         generators to generators; returns a report list."""
         return self._verify()
 
+    def keeps_generators(self):
+        """Whether the source's generating divided powers (`_powers`) map
+        to the target's."""
+        src, tgt = self.source, self.target
+        return all(self.apply(src.divided_power(sign, i, k))
+                   == tgt.divided_power(sign, i, k)
+                   for sign in (1, -1) for i, k in src._powers(sign))
+
     def _verify(self):
         src, tgt = self.source, self.target
         pairs = [(f"generator({'+' if sign > 0 else '-'}{i})",
@@ -522,10 +538,7 @@ class TruncationMap:
         # the image rank: by a proof of the class docstring, or by echelon
         if src._density_defect is None:
             rank = sum(d * d for d in kept)
-        elif all(row["ok"] for row in report) and all(
-                self.apply(src.divided_power(sign, i, k))
-                == tgt.divided_power(sign, i, k)
-                for sign in (1, -1) for i, k in src._powers(sign)):
+        elif all(row["ok"] for row in report) and self.keeps_generators():
             rank = tgt.dimension()
         else:
             ech = SparseEchelon(src.field)

@@ -6,6 +6,7 @@ benchmark while every other test stays green."""
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
@@ -69,3 +70,35 @@ def test_generic_and_specialized_basis_have_separate_spans():
             if "basis" in vars(cls):
                 delattr(cls, "basis")
     assert generic.basis is specialized.basis is shared
+
+
+def test_every_library_name_the_child_calls_resolves():
+    schur, intspec, rootdata = (_module("schur"), _module("intspec"),
+                                _module("rootdata"))
+    weylmod, words, jobspec = (_module("weylmod"), _module("words"),
+                               _module("jobspec"))
+    for owner, attr in [
+            (schur, "build_schur"), (intspec, "specialize_schur"),
+            (intspec, "r_truncation_map"), (intspec, "kernel_probe_RU"),
+            (weylmod, "weyl_dim_oracle"),
+            (rootdata, "dominant_weights_up_to_height"),
+            (words.WordExpr, "idem"), (words.WordExpr, "divided"),
+            (jobspec, "parse_spec"),
+            (intspec.SpecializedSchur, "verify_relations")]:
+        assert callable(getattr(owner, attr)), (owner, attr)
+    a1 = rootdata.preset("A1")
+    lattice = intspec.lattice_basis(weylmod.weyl_module(a1, (1,)))
+    assert callable(lattice.check_integrality)
+    # an instance attribute, so only a built algebra has it
+    S = intspec.specialize_schur(a1.saturate([(1,)]),
+                                 _module("rings").RingPoint.rational(1))
+    assert S.generic_dim == S.expected_dim
+
+
+def test_qsl_accepts_a_cache_dir(tmp_path):
+    spec = os.path.join(os.path.dirname(BENCH), "tests", "data", "a1_dims.qs")
+    out, err = io.StringIO(), io.StringIO()
+    code = _module("cli").run(["dims", "--spec", spec, "--cache-dir",
+                               str(tmp_path), "--format", "json"],
+                              out=out, err=err)
+    assert code == 0, err.getvalue()

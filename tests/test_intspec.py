@@ -20,8 +20,8 @@ from qschur.rings import CycloField, RingPoint
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
-from qschur.schur import (BlockAlgebra, IntegralForm, SchurAlgebra,
-                          SchurElement, build_schur, integral_report)
+from qschur.schur import (IntegralForm, SchurAlgebra, SchurElement,
+                          build_schur, integral_report)
 from qschur.ulimit import theta_dot, verify_coherence
 from qschur.weylmod import ModuleCheckError, WeylModule, weyl_module
 from qschur.words import WordExpr
@@ -250,7 +250,7 @@ class TestIntegralReport:
                    for mu in dominant_weights_up_to_height(datum, 3)}:
             S = specialize_schur(pi, point)
             assert S.verify_relations() \
-                == BlockAlgebra.verify_presentation(S), (pi, point)
+                == S.direct_presentation(), (pi, point)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_the_report_over_q_v_is_the_direct_check(self, name):
@@ -258,7 +258,7 @@ class TestIntegralReport:
         for mu in dominant_weights_up_to_height(datum, 3):
             S = build_schur(datum.saturate([mu]))
             assert S.verify_presentation() \
-                == BlockAlgebra.verify_presentation(S), mu
+                == S.direct_presentation(), mu
 
     def test_the_fallback_decides_where_the_integral_report_fails(
             self, monkeypatch):
@@ -274,16 +274,16 @@ class TestIntegralReport:
         S = SchurAlgebra(pi)
         assert S.modules == [bad]
         assert S.verify_presentation() == report \
-            == BlockAlgebra.verify_presentation(S)
+            == S.direct_presentation()
 
         at_i = SpecializedSchur(pi, XI_I)
         assert at_i.modules == [bad]
-        direct = BlockAlgebra.verify_presentation(at_i)
+        direct = at_i.direct_presentation()
         assert all_ok(direct) and at_i.verify_relations() == direct
 
         at_one = SpecializedSchur(pi, XI_ONE)
         report = at_one.verify_relations()
-        assert report == BlockAlgebra.verify_presentation(at_one)
+        assert report == at_one.direct_presentation()
         assert [row for row in report if not row["ok"]] == commutator
 
     def test_four_points_share_one_check_and_multiply_nothing_over_r(
@@ -292,8 +292,8 @@ class TestIntegralReport:
         algebras = [SpecializedSchur(pi, point) for point in POINTS]
         integral_report.cache_clear()
         checks, fields = [], []
-        check = IntegralForm.verify_presentation
-        monkeypatch.setattr(IntegralForm, "verify_presentation",
+        check = IntegralForm.direct_presentation
+        monkeypatch.setattr(IntegralForm, "direct_presentation",
                             lambda self: checks.append(self) or check(self))
         for name in ("__mul__", "scale"):
             def spy(self, other, _method=getattr(SchurElement, name)):
@@ -326,6 +326,17 @@ class TestIntegralReport:
                 if row["witness"] is not None:
                     row["witness"]["i"] = 7
             got.append(got.pop(0))
+            assert get() == want
+
+    def test_a_caller_that_drops_passing_rows_leaves_the_memo_whole(self):
+        # flipped rows fail the memoized report, and the direct check
+        # answers in its place; dropped rows would still all pass
+        pi = sat("A2", [(1, 0)])
+        for get in (build_schur(pi).verify_presentation,
+                    specialize_schur(pi, XI_I).verify_relations):
+            got = get()
+            want = copy.deepcopy(got)
+            del got[1:]
             assert get() == want
 
     def test_a_tampered_module_list_never_reuses_the_honest_verdict(self):

@@ -10,10 +10,10 @@ from qschur.laurent import LaurentPoly, qint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, preset
 from qschur.schur import SchurAlgebra, build_schur
 from qschur.ulimit import (LimitElement, check_Kh_identity, check_u_relations,
-                           check_uhat_relations, cofinal_consistency,
-                           coherent_basis_check, hat_E, hat_K, hat_divided,
-                           hat_one, probe_schedule, separation_probe, theta,
-                           theta_dot, verify_coherence)
+                           cofinal_consistency, coherent_basis_check, hat_E,
+                           hat_K, hat_divided, hat_one, probe_schedule,
+                           separation_probe, theta, theta_dot,
+                           verify_coherence)
 from qschur.words import WordExpr
 
 
@@ -158,7 +158,7 @@ class TestLimitIdentities:
 
     def test_truncated_presentation_alias(self):
         a1 = preset("A1")
-        report = check_uhat_relations(a1.saturate([(2,)]))
+        report = build_schur(a1.saturate([(2,)])).verify_presentation()
         assert all(r["ok"] for r in report)
 
 
