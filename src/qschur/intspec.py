@@ -1,14 +1,14 @@
 """Integral forms over Z[v,v^-1]: the divided powers of each simple module
-as Laurent matrices in its lattice basis, exact specialization v -> xi,
-the specialized inverse system, and empirical kernel probes."""
+as Laurent matrices in its lattice basis, exact specialization v -> xi (the
+algebra of `schur` with a `rings.RingPoint` as its field), the specialized
+inverse system, and empirical kernel probes."""
 
 from __future__ import annotations
 
 from functools import cache
 
-from .laurent import LaurentPoly
 from .linalg import SparseEchelon
-from .rings import RingPoint, evaluate
+from .rings import RingPoint
 from .rootdata import dominant_weights_up_to_height
 from .schur import BlockAlgebra, TruncationMap
 
@@ -38,10 +38,9 @@ class LatticeBasis:
                 for k in range(1, m.nilpotency(sign, i) + 1)]
 
 
-@cache
 def lattice_basis(module):
-    """Memoized per module record, so a second record of the same highest
-    weight gets its own proof."""
+    """The lattice basis of one module record: a second record of the same
+    highest weight gets its own proof."""
     return LatticeBasis(module)
 
 
@@ -61,23 +60,12 @@ class SpecializedSchur(BlockAlgebra):
     """
 
     def __init__(self, pi, point: RingPoint):
-        super().__init__(pi)
+        super().__init__(pi, point)
         self.point = point
-        self.field = point.field
         self.generic_dim = self.expected_dim    # the name bench/ reads
-
-    def _poly(self, poly: LaurentPoly):
-        val = poly.evaluate(self.point.xi_pow)
-        return self.field.zero if val is None else val
-
-    def _scalar(self, c):
-        return evaluate(c, self.point)
 
     # the name bench/ and `qsl specialize` read
     verify_relations = BlockAlgebra.verify_presentation
-
-    def key(self):
-        return (self.pi, self.point)
 
     def __repr__(self):
         return f"SpecializedSchur(pi={list(self.pi)}, {self.point!r})"

@@ -41,6 +41,7 @@ class JobSpec:
         self.pi_gens = pi_gens or []
         self.tasks = tasks or []      # [(name, params dict)]
         self.ring_spec = ring_spec    # ("rational", Fraction) | ("cyclo", n)
+        self.lines = {}               # statement head -> its line, if parsed
 
     # -- resolution -------------------------------------------------------
 
@@ -53,19 +54,23 @@ class JobSpec:
         cartan = CartanDatum(arg)
         errors = cartan.validate()
         if errors:
-            raise SpecParseError("invalid Cartan form: " + "; ".join(errors))
+            raise SpecParseError("invalid Cartan form: " + "; ".join(errors),
+                                 self.lines.get("datum"))
         return simply_connected(cartan, name="custom")
 
     def pi(self):
         datum = self.datum()
         if not self.pi_gens:
             raise SpecParseError("no pi statement")
+        line = self.lines.get("pi")
         for g in self.pi_gens:
             if len(g) != datum.rank_x:
                 raise SpecParseError(
-                    f"weight {g} has rank {len(g)}, expected {datum.rank_x}")
+                    f"weight {g} has rank {len(g)}, expected {datum.rank_x}",
+                    line)
             if not datum.is_dominant(g):
-                raise SpecParseError(f"generator weight {g} is not dominant")
+                raise SpecParseError(f"generator weight {g} is not dominant",
+                                     line)
         return datum.saturate(self.pi_gens)
 
     def ring_point(self):
@@ -139,6 +144,7 @@ def parse_spec(text):
             else:
                 raise SpecParseError(f"unknown statement {head!r}",
                                      lineno, 1)
+            spec.lines[head] = lineno
     return spec
 
 

@@ -138,18 +138,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k):
         """Multiply by v^k."""
         out = LaurentPoly.__new__(LaurentPoly)
@@ -160,10 +148,6 @@ class LaurentPoly:
     def subs_power(self, d):
         """Substitute v -> v^d."""
         return LaurentPoly({e * d: a for e, a in self.coeffs.items()})
-
-    def bar(self):
-        """Substitute v -> v^-1."""
-        return LaurentPoly({-e: a for e, a in self.coeffs.items()})
 
     def content(self):
         return int_gcd(*self.coeffs.values())
@@ -541,14 +525,20 @@ R_ONE = RatFunc.from_poly(ONE)
 
 
 class RatFuncField:
-    """Field object for generic exact linear algebra over Q(v)."""
+    """Field object for generic exact linear algebra over Q(v): `image`
+    embeds Z[v,v^-1], and a Q(v) `coefficient` is itself."""
 
     zero = R_ZERO
     one = R_ONE
+    image = staticmethod(RatFunc.from_poly)
 
     @staticmethod
     def from_int(n):
         return RatFunc(n)
+
+    @staticmethod
+    def coefficient(f):
+        return f
 
 
 class LaurentRing:
@@ -557,6 +547,7 @@ class LaurentRing:
     zero = ZERO
     one = ONE
     from_int = staticmethod(LaurentPoly.const)
+    image = staticmethod(lambda p: p)
 
 
 # -- quantum integers ---------------------------------------------------
@@ -572,16 +563,6 @@ def qint(n, d=1):
         n, sign = -n, -1
     # [n] = v^{n-1} + v^{n-3} + ... + v^{1-n}, then v -> v^d
     return LaurentPoly({d * (n - 1 - 2 * k): sign for k in range(n)})
-
-
-def qfact(n, d=1):
-    """[n]! = [1][2]...[n] with v replaced by v^d."""
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * qint(k, d)
-    return out
 
 
 @lru_cache(maxsize=1024)

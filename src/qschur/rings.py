@@ -1,6 +1,7 @@
 """Exact specialization targets: the rational field and cyclotomic fields.
 
-A RingPoint bundles a field with an invertible element xi, the image of v.
+A RingPoint bundles a field with an invertible element xi, the image of v,
+and maps Laurent polynomials and rational functions there.
 Cyclotomic arithmetic is done in Q[x] modulo the n-th cyclotomic polynomial,
 so evaluation at roots of unity stays exact.
 """
@@ -193,13 +194,18 @@ class CycloField:
 
 
 class RingPoint:
-    """A target ring together with the invertible image xi of v."""
+    """A target field together with the invertible image xi of v: the
+    field object of the algebras specialized at v -> xi.  Its `zero`,
+    `one` and `from_int` are those of `field`; `image` and `coefficient`
+    map Z[v,v^-1] and Q(v) into `field`."""
 
     def __init__(self, field, xi):
         self.field = field
         self.xi = xi
         if not xi:
             raise ValueError("xi must be invertible")
+        self.zero, self.one = field.zero, field.one
+        self.from_int = field.from_int
         self._xi_inv = field.one / xi
         self._pow_cache = {0: field.one, 1: self.xi, -1: self._xi_inv}
 
@@ -208,12 +214,10 @@ class RingPoint:
         return RingPoint(QField(), Fraction(xi))
 
     @staticmethod
-    def cyclotomic(order, power=1):
+    def cyclotomic(order):
+        """The point xi = zeta_order, the primitive root of Q(zeta_order)."""
         field = CycloField(order)
-        xi = field.one
-        for _ in range(power % order):
-            xi = xi * field.zeta()
-        return RingPoint(field, xi)
+        return RingPoint(field, field.zeta())
 
     def xi_pow(self, e):
         cache = self._pow_cache
@@ -226,6 +230,20 @@ class RingPoint:
         cache[e] = out
         return out
 
+    def image(self, poly: LaurentPoly):
+        """The image of a Laurent polynomial under v -> xi."""
+        val = poly.evaluate(self.xi_pow)
+        return self.zero if val is None else val
+
+    def coefficient(self, f: RatFunc):
+        """Exact image of f in Q(v) under v -> xi; raises PoleError at a
+        vanishing denominator."""
+        den = self.image(f.den)
+        if not den:
+            raise PoleError(
+                f"denominator {f.den.to_string()} vanishes at xi={self.xi!r}")
+        return self.image(f.num) / den
+
     def __eq__(self, other):
         return (isinstance(other, RingPoint)
                 and (self.field, self.xi) == (other.field, other.xi))
@@ -235,18 +253,3 @@ class RingPoint:
 
     def __repr__(self):
         return f"RingPoint({self.field.name}, xi={self.xi!r})"
-
-
-def evaluate(f: RatFunc, point: RingPoint):
-    """Exact image of f under v -> xi; raises PoleError at a vanishing
-    denominator."""
-    den = f.den.evaluate(point.xi_pow)
-    if den is None:
-        den = point.field.one
-    if not den:
-        raise PoleError(
-            f"denominator {f.den.to_string()} vanishes at xi={point.xi!r}")
-    num = f.num.evaluate(point.xi_pow)
-    if num is None:
-        return point.field.zero
-    return num / den

@@ -293,10 +293,6 @@ class RootDatum:
         return tuple(sum(root[k] for root, _ in self._positive_roots)
                      for k in range(self.rank_x))
 
-    def rho(self):
-        """Half-sum of positive roots, with Fraction coordinates."""
-        return tuple(Fraction(x, 2) for x in self.two_rho)
-
     @cached_property
     def positive_coroot_rows(self):
         """The row of every positive coroot, in `positive_roots` order."""

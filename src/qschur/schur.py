@@ -3,8 +3,9 @@ modules, with presentation checks and the truncation maps of the inverse
 system.
 
 An element keeps one sparse row matrix per block (see `linalg`), with
-entries in the field of its algebra: Q(v) here, the target field of a
-specialization in `intspec`, which uses the same element type.
+entries in the scalars of its algebra, which `BlockAlgebra` takes as an
+argument: Q(v) for `SchurAlgebra`, Z[v,v^-1] for `integral_report`, and the
+point v -> xi of a specialization in `intspec`.
 
 The algebra A of a saturated set pi is generated by the weight idempotents
 and the divided powers E_i^(k), F_i^(k) at k = 1 and where [k]_i vanishes in
@@ -48,7 +49,7 @@ from __future__ import annotations
 from copy import deepcopy
 from functools import cache, cached_property
 
-from .laurent import LaurentPoly, LaurentRing, RatFunc, RatFuncField, qint
+from .laurent import LaurentPoly, LaurentRing, RatFuncField, qint
 from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
                      sparse_mul, sparse_neg, sparse_scale, sparse_sub,
                      sparse_transpose)
@@ -173,17 +174,19 @@ def relation_rows(name, witnesses, key="relation"):
 
 
 class BlockAlgebra:
-    """What the generic and the specialized algebras share: one block per
-    module of the saturated set `pi`, in the weight order of the module.
+    """The algebra of the saturated set `pi` with scalars in `field`: one
+    block per module, in the weight order of the module.
 
-    A subclass sets `field` and provides `key` (equal exactly when two
-    algebras have the same saturated set and the same scalars), `_scalar`
-    (the image in `field` of a Q(v) coefficient of a word expression) and
-    `_poly` (the image of a Laurent polynomial).  The module matrices have
-    Laurent entries, and `_poly` is where they enter `field`."""
+    The field object is `RatFuncField` for Q(v), `LaurentRing` for
+    Z[v,v^-1] or a `rings.RingPoint` for the specialization v -> xi.
+    Besides `zero`, `one` and `from_int` it supplies `image`, the ring map
+    from Z[v,v^-1] through which the Laurent module matrices enter
+    `field`, and `coefficient`, the image of a Q(v) coefficient of a word
+    expression."""
 
-    def __init__(self, pi, modules=None):
+    def __init__(self, pi, field, modules=None):
         self.pi = pi
+        self.field = field
         self.datum = pi.datum
         self.modules = modules or [weyl_module(pi.datum, lam) for lam in pi]
         self.orbit = pi.orbit_weights()
@@ -192,6 +195,11 @@ class BlockAlgebra:
         self._basis = None
         self._dp_cache = {}
         self._idem_cache = {}
+
+    def key(self):
+        """Equal exactly when two algebras have the same saturated set and
+        the same scalars."""
+        return (self.pi, self.field)
 
     def same_algebra(self, other):
         """Whether elements of the two algebras may be combined."""
@@ -212,7 +220,7 @@ class BlockAlgebra:
         el = self._dp_cache.get(key)
         if el is None:
             el = SchurElement(self, [
-                sparse_map(self._poly, m.divided_power(sign, i, k))
+                sparse_map(self.field.image, m.divided_power(sign, i, k))
                 for m in self.modules])
             self._dp_cache[key] = el
         return el
@@ -233,7 +241,8 @@ class BlockAlgebra:
         for i in range(self.datum.rank):
             top = max(self.datum.pair_i(i, nu) for nu in self.orbit)
             powers += [(i, 1)] + [(i, k) for k in range(2, top + 1) if not
-                                  self._poly(qint(k, self.datum.cartan.d(i)))]
+                                  self.field.image(
+                                      qint(k, self.datum.cartan.d(i)))]
         return powers
 
     def idempotent(self, lam):
@@ -259,7 +268,8 @@ class BlockAlgebra:
         for m in self.modules:
             diag = {}
             for nu in m.weights:
-                x = self._poly(LaurentPoly.monomial(1, self.datum.pair(h, nu)))
+                x = self.field.image(
+                    LaurentPoly.monomial(1, self.datum.pair(h, nu)))
                 off = m.offsets[nu]
                 diag.update(dict.fromkeys(range(off, off + m.dims[nu]), x))
             blocks.append(sparse_diagonal(diag))
@@ -278,19 +288,24 @@ class BlockAlgebra:
         raise ValueError(f"unknown symbol {sym!r}")
 
     def evaluate_word(self, word):
-        out = self.one()
-        for sym in word:
-            out = out * self.evaluate_symbol(sym)
+        if not word:
+            return self.one()
+        out = self.evaluate_symbol(word[0])
+        for sym in word[1:]:
             if out.is_zero():
                 break
+            out = out * self.evaluate_symbol(sym)
         return out
 
     def evaluate_expr(self, expr):
         """Image of a formal word expression under the quotient map."""
-        out = self.zero()
+        out = None
         for word, c in expr.terms.items():
-            out = out + self.evaluate_word(word).scale(self._scalar(c))
-        return out
+            el = self.evaluate_word(word)
+            if not c.is_one():
+                el = el.scale(self.field.coefficient(c))
+            out = el if out is None else out + el
+        return self.zero() if out is None else out
 
     def _closure(self, gens):
         """Echelonized spanning basis of the realized algebra: the span of
@@ -406,7 +421,7 @@ class BlockAlgebra:
                         n = datum.pair_i(i, lam)
                         if n != 0:
                             rhs = rhs + idem(lam).scale(
-                                self._poly(qint(n, d)))
+                                self.field.image(qint(n, d)))
                 if lhs != rhs:
                     bad.append({"i": i, "j": j})
         report += relation_rows("c:commutator", bad)
@@ -433,42 +448,24 @@ class BlockAlgebra:
         return report + relation_rows("d:serre", bad)
 
 
-class IntegralForm(BlockAlgebra):
-    """The blocks of pi over Z[v,v^-1], the module matrices as they are."""
-
-    field = LaurentRing
-    _poly = staticmethod(lambda p: p)
-
-    def key(self):
-        return ("Z[v,v^-1]", self.pi)
-
-
 @cache
 def integral_report(pi, modules):
     """`direct_presentation` over Z[v,v^-1] for the tuple `modules`, which
     key the memo by identity; callers hand out copies."""
-    return IntegralForm(pi, list(modules)).direct_presentation()
+    return BlockAlgebra(pi, LaurentRing, list(modules)).direct_presentation()
 
 
 class SchurAlgebra(BlockAlgebra):
     """The image of the quantized enveloping algebra on the direct sum of
     the highest-weight modules indexed by a finite saturated set."""
 
-    field = RatFuncField
-
-    @staticmethod
-    def _scalar(c):
-        return c
-
-    _poly = staticmethod(RatFunc.from_poly)
+    def __init__(self, pi, modules=None):
+        super().__init__(pi, RatFuncField, modules)
 
     @staticmethod
     def _realized_span(defect):
         # over Q(v) the check decides density, so a module record failed
         raise RuntimeError(f"density violated: {defect}")
-
-    def key(self):
-        return self.pi
 
     def __repr__(self):
         return f"SchurAlgebra(pi={list(self.pi)})"

@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import cache
 
 from .intspec import r_truncation_map, specialize_schur
-from .laurent import LaurentPoly, RatFunc, RatFuncField
+from .laurent import LaurentPoly
 from .linalg import SparseEchelon
 from .rootdata import dominant_weights_up_to_height
 from .schur import TruncationMap, build_schur, relation_rows
@@ -167,7 +167,8 @@ def check_Kh_identity(pi):
     for h in _coweights(datum):
         rhs = S.zero()
         for lam in sorted(S.orbit):
-            rhs = rhs + S.idempotent(lam).scale(_v_power(datum.pair(h, lam)))
+            rhs = rhs + S.idempotent(lam).scale(
+                S.field.image(LaurentPoly.monomial(1, datum.pair(h, lam))))
         report += relation_rows(f"K_h=sum(v^<h,lam> 1_lam), h={h}",
                                 [] if S.k_element(h) == rhs else [None])
     return report
@@ -201,7 +202,8 @@ def check_u_relations(pi):
             n = datum.pair(h, datum.simple_roots[i])
             for sign in (1, -1):
                 g = S.generator(sign, i)
-                if K(h) * g * K(_neg(h)) != g.scale(_v_power(sign * n)):
+                if K(h) * g * K(_neg(h)) != g.scale(
+                        S.field.image(LaurentPoly.monomial(1, sign * n))):
                     bad.append({"h": h, "i": i, "sign": sign})
     report += relation_rows("b:K-E-intertwine", bad)
 
@@ -219,10 +221,6 @@ def _coweights(datum):
 
 def _neg(h):
     return tuple(-x for x in h)
-
-
-def _v_power(n):
-    return RatFunc.from_poly(LaurentPoly.monomial(1, n))
 
 
 # -- probes ------------------------------------------------------------------
@@ -252,7 +250,7 @@ def coherent_basis_check(datum, exprs, pi):
     """Project a family of modified-form expressions to the algebra of pi,
     discard zero images, and report (independent, spanning, rank)."""
     S = build_schur(pi)
-    ech = SparseEchelon(RatFuncField)
+    ech = SparseEchelon(S.field)
     nonzero = 0
     for expr in exprs:
         img = S.evaluate_expr(expr)

@@ -35,14 +35,6 @@ class WordExpr:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero():
-        return WordExpr()
-
-    @staticmethod
-    def one():
-        return WordExpr({(): R_ONE})
-
-    @staticmethod
     def E(i, sign=1):
         return WordExpr({(("E", 1 if sign > 0 else -1, i),): R_ONE})
 
@@ -53,7 +45,7 @@ class WordExpr:
     @staticmethod
     def divided(i, k, sign=1):
         if k == 0:
-            return WordExpr.one()
+            return WordExpr({(): R_ONE})
         return WordExpr({(("Ed", 1 if sign > 0 else -1, i, k),): R_ONE})
 
     @staticmethod
@@ -118,15 +110,6 @@ class WordExpr:
         out = WordExpr.__new__(WordExpr)
         out.terms = {w: c * x for w, x in self.terms.items()}
         return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, WordExpr) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_modified(self):
         """True when every word carries at least one idempotent symbol (and

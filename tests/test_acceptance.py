@@ -92,7 +92,7 @@ def test_criterion_1_dimension_identities():
 # i, w3 and -1
 SPIN_POINTS = (RingPoint.rational(1), RingPoint.rational(2),
                RingPoint.cyclotomic(4), RingPoint.cyclotomic(3),
-               RingPoint.cyclotomic(4, power=2))
+               RingPoint.cyclotomic(2))
 
 
 def test_spin_verdict_agrees_with_exact_closure():

@@ -288,6 +288,48 @@ class TestGoldenFiles:
         assert "status: pass" in outs[0]
 
 
+# one malformed spec per SpecParseError raise site: (task, spec text, the
+# line of the faulty statement or None where there is none, a message part)
+MALFORMED = [
+    ("dims", "bogus statement", 1, "unknown statement"),
+    ("dims", "pi gens [1]\ndatum preset", 2, "kind and an argument"),
+    ("dims", "datum preset Z9", 1, "unknown preset"),
+    ("dims", "datum matrix 2,x;-1,2", 1, "bad matrix row"),
+    ("dims", "datum matrix 2,-1;-1", 1, "not square"),
+    ("dims", "datum lattice A1", 1, "unknown datum kind"),
+    ("dims", "datum preset A1\npi foo [1]", 2, "pi gens"),
+    ("dims", "datum preset A1\npi gens 1", 2, "bracketed"),
+    ("dims", "datum preset A1\npi gens []", 2, "empty"),
+    ("dims", "datum preset A2\npi gens [(1,0]", 2, "unbalanced"),
+    ("dims", "datum preset A2\npi gens [(1,x)]", 2, "bad weight tuple"),
+    ("dims", "datum preset A1\npi gens [x]", 2, "bad weight"),
+    ("dims", "datum preset A1\npi gens [1]\ntask", 3, "needs a name"),
+    ("dims", "datum preset A1\npi gens [1]\ntask frob", 3, "unknown task"),
+    ("probe", "datum preset A1 / pi gens [1]\n\ntask probe height", 3,
+     "key value pairs"),
+    ("build", "datum preset A1\npi gens [1]\ntask build height 4", 3,
+     "no parameter"),
+    ("probe", "datum preset A1\npi gens [1]\ntask probe height foo", 3,
+     "nonnegative integer"),
+    ("dims", "datum preset A1\nring\npi gens [1]", 2, "needs a kind"),
+    ("dims", "datum preset A1\nring rational 1/2", 2, "ring rational xi"),
+    ("dims", "datum preset A1\nring rational xi a/b", 2, "bad rational"),
+    ("dims", "datum preset A1\nring rational xi 0/1", 2, "invertible"),
+    ("dims", "datum preset A1\nring cyclotomic", 2, "ring cyclotomic n"),
+    ("dims", "datum preset A1\nring cyclotomic x", 2, "bad order"),
+    ("dims", "datum preset A1\nring cyclotomic 0", 2, ">= 1"),
+    ("dims", "datum preset A1\nring complex 1", 2, "unknown ring kind"),
+    ("dims", "pi gens [1]\ntask dims", None, "no datum statement"),
+    ("dims", "# a comment\n\ndatum matrix 2,-1;-2,2\npi gens [(1,0)]", 3,
+     "invalid Cartan form"),
+    ("dims", "datum preset A1\ntask dims", None, "no pi statement"),
+    ("dims", "datum preset A2\n\npi gens [1]", 3, "has rank 1"),
+    ("dims", "datum preset A1\ntask dims\npi gens [-1]", 3, "not dominant"),
+    ("specialize", "datum preset A1\npi gens [1]\ntask specialize", None,
+     "needs a ring statement"),
+]
+
+
 class TestExitCodes:
     def test_parse_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.qs"
@@ -295,6 +337,20 @@ class TestExitCodes:
         code, _, err = run_cli(["dims", "--spec", str(bad)], tmp_path)
         assert code == 2
         assert "not dominant" in err
+
+    @pytest.mark.parametrize("task,text,line,part", MALFORMED,
+                             ids=[case[3] for case in MALFORMED])
+    def test_a_malformed_spec_exits_2_naming_its_line(self, tmp_path, task,
+                                                      text, line, part):
+        bad = tmp_path / "bad.qs"
+        bad.write_text(text + "\n")
+        code, out, err = run_cli([task, "--spec", str(bad)], tmp_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and part in err
+        if line is None:
+            assert "(line" not in err
+        else:
+            assert f"(line {line}" in err
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 """Source hygiene, read from the syntax trees with the standard library
 only: no `assert` statement in the library, where `python -O` would strip
-the check, and no import that its file never uses."""
+the check, no import that its file never uses, and no private module-level
+function or class that the library never uses."""
 
 import ast
 import functools
@@ -12,17 +13,21 @@ TESTS = os.path.join(ROOT, "tests")
 
 
 @functools.cache
-def _scan(folder):
-    """Per Python file of the folder, in one walk of its syntax tree: the
-    lines of its `assert` statements and its unused imports."""
+def _trees(folder):
+    """The syntax tree of every Python file of the folder, by path."""
     out = {}
     for name in sorted(os.listdir(folder)):
         if name.endswith(".py"):
             path = os.path.join(folder, name)
             with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), path)
-            out[os.path.relpath(path, ROOT)] = _findings(tree)
+                out[os.path.relpath(path, ROOT)] = ast.parse(fh.read(), path)
     return out
+
+
+def _scan(folder):
+    """Per Python file of the folder: the lines of its `assert` statements
+    and its unused imports."""
+    return {path: _findings(tree) for path, tree in _trees(folder).items()}
 
 
 def _findings(tree):
@@ -56,6 +61,39 @@ def test_every_import_is_used():
              for path, (_, unused) in _scan(folder).items()
              for line, name in unused]
     assert found == []
+
+
+def _unused_private(trees):
+    """The (file, name) of every private module-level function or class of
+    the syntax trees {file: tree} that no other top-level statement of any
+    of them reads, by name or as an attribute."""
+    defined, used = [], set()
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                own = stmt.name
+                defined.append((path, own))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [(path, name) for path, name in defined if name not in used]
+
+
+def test_every_private_function_and_class_is_used():
+    assert _unused_private(_trees(SRC)) == []
+
+
+def test_the_scan_sees_an_unused_private_function():
+    trees = {"a.py": ast.parse("def _f(): return _f()\n"
+                               "class _C: pass\ndef _g(): pass\n"),
+             "b.py": ast.parse("import a\nx = a._g\ny = [_C]\n")}
+    assert _unused_private(trees) == [("a.py", "_f")]
 
 
 def test_the_scan_sees_an_unused_import_and_an_assert():

@@ -225,7 +225,7 @@ def _fraction_freudenthal(datum, lam):
 def test_roots_rho_and_alpha_coords_match_fractions(name):
     datum = DATA[name]
     assert datum.positive_roots() == _fraction_positive_roots(datum)
-    assert datum.rho() == _fraction_rho(datum)
+    assert datum.two_rho == tuple(2 * r for r in _fraction_rho(datum))
     coords = _fraction_alpha(datum)
     vectors = {root for root, _ in datum.positive_roots()}
     for lam in _weights(name):

@@ -12,15 +12,15 @@ import pytest
 from qschur import cli, intspec, schur, weylmod
 from qschur.intspec import (SpecializedSchur, kernel_probe_RU, lattice_basis,
                             r_truncation_map, specialize_schur)
-from qschur.laurent import (LaurentPoly, RatFunc, RatFuncField, is_integral,
-                            qint)
+from qschur.laurent import (LaurentPoly, LaurentRing, RatFunc, RatFuncField,
+                            is_integral, qint)
 from qschur.linalg import SparseEchelon, sparse_map, sparse_mul
 from qschur.jobspec import parse_spec
 from qschur.rings import CycloField, RingPoint
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
-from qschur.schur import (IntegralForm, SchurAlgebra, SchurElement,
+from qschur.schur import (BlockAlgebra, SchurAlgebra, SchurElement,
                           build_schur, integral_report)
 from qschur.ulimit import theta_dot, verify_coherence
 from qschur.weylmod import ModuleCheckError, WeylModule, weyl_module
@@ -155,7 +155,8 @@ class TestSpecializedDimensions:
         first = specialize_schur(pi, RingPoint.cyclotomic(4))
         assert specialize_schur(pi, RingPoint.cyclotomic(4)) is first
         # xi = -1 lives in the same field but is a different point
-        minus_one = specialize_schur(pi, RingPoint.cyclotomic(4, power=2))
+        q_i = CycloField(4)
+        minus_one = specialize_schur(pi, RingPoint(q_i, q_i.from_int(-1)))
         assert minus_one is not first
         assert minus_one.point.xi == -1
 
@@ -171,7 +172,8 @@ class TestSpecializedDimensions:
     def test_an_algebra_built_anew_mixes_exactly_with_its_memo(self):
         # the memo key and the key of an algebra are one identity
         pi = preset("A1").saturate([(1,)])
-        points = [RingPoint.cyclotomic(4), RingPoint.cyclotomic(4, power=2),
+        q_i = CycloField(4)
+        points = [RingPoint.cyclotomic(4), RingPoint(q_i, q_i.from_int(-1)),
                   RingPoint.cyclotomic(3), RingPoint.cyclotomic(2),
                   RingPoint.rational(1), RingPoint.rational(-1)]
         for p in points:
@@ -292,8 +294,8 @@ class TestIntegralReport:
         algebras = [SpecializedSchur(pi, point) for point in POINTS]
         integral_report.cache_clear()
         checks, fields = [], []
-        check = IntegralForm.direct_presentation
-        monkeypatch.setattr(IntegralForm, "direct_presentation",
+        check = BlockAlgebra.direct_presentation
+        monkeypatch.setattr(BlockAlgebra, "direct_presentation",
                             lambda self: checks.append(self) or check(self))
         for name in ("__mul__", "scale"):
             def spy(self, other, _method=getattr(SchurElement, name)):
@@ -306,7 +308,7 @@ class TestIntegralReport:
         for S in algebras:
             assert all_ok(S.verify_relations())
         assert len(checks) == 1 and fields
-        assert set(fields) == {IntegralForm.field}
+        assert set(fields) == {LaurentRing}
         # the warm round makes no product at all
         fields.clear()
         assert all_ok(build_schur(pi).verify_presentation())
@@ -352,6 +354,61 @@ class TestIntegralReport:
         assert integral_report.cache_info().misses == misses + 2
         assert all_ok(build_schur(pi).verify_presentation())
         assert all_ok(specialize_schur(pi, XI_ONE).verify_relations())
+
+
+def retouched(pi, lam, i, r, c, entry):
+    """The modules of pi with entry (r, c) of E_i on L(lam) set to `entry`;
+    the copy skips the module's commutator tripwire."""
+    modules = list(build_schur(pi).modules)
+    k = list(pi).index(lam)
+    module = copy.copy(modules[k])
+    module.e = list(module.e)
+    module.e[i] = {**module.e[i], r: {**module.e[i].get(r, {}), c: entry}}
+    module._dp_cache = {}
+    modules[k] = module
+    return modules
+
+
+def failing(report):
+    return [(row["relation"], row["witness"]) for row in report
+            if not row["ok"]]
+
+
+INTERTWINE = [("b:intertwine", {"i": 0, "sign": 1, "lam": (-1, 1)}),
+              ("c:commutator", {"i": 0, "j": 0}),
+              ("d:serre", {"i": 0, "j": 1, "sign": 1}),
+              ("d:serre", {"i": 1, "j": 0, "sign": 1})]
+SERRE = [("c:commutator", {"i": 0, "j": 0}),
+         ("d:serre", {"i": 0, "j": 1, "sign": 1})]
+
+
+class TestTamperedRows:
+    """Exact failing rows of the intertwining and Serre relations on a
+    tampered module record, over Z[v,v^-1], Q(v) and every point."""
+
+    @pytest.mark.parametrize("gen,lam,entry,rows,rows_at_i", [
+        # E_0 also maps the (0,-1) weight space of L(1,0) into (-1,1)
+        ((1, 0), (1, 0), (0, 2, 1, LaurentPoly.const(1)), INTERTWINE,
+         INTERTWINE),
+        # an entry [2] of E_0 on the adjoint module doubled: [2] vanishes at
+        # i, so the commutator holds there, but E_0^(2) = E_0^2/[2] still
+        # breaks the Serre row
+        ((1, 1), (1, 1), (0, 2, 3, qint(2) * 2), SERRE, SERRE[1:]),
+    ], ids=["b:intertwine", "d:serre"])
+    def test_rows_of_a_tampered_record(self, gen, lam, entry, rows,
+                                       rows_at_i):
+        pi = sat("A2", [gen])
+        modules = retouched(pi, lam, *entry)
+        report = integral_report(pi, tuple(modules))
+        assert failing(report) == rows
+        generic = SchurAlgebra(pi, modules)
+        assert generic.verify_presentation() == report \
+            == generic.direct_presentation()
+        for point in POINTS:
+            S = BlockAlgebra(pi, point, modules)
+            assert S.verify_presentation() == S.direct_presentation(), point
+        assert failing(BlockAlgebra(pi, XI_I, modules).verify_presentation()) \
+            == rows_at_i
 
 
 class TestProjectionCommutes:

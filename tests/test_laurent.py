@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur.laurent import (LaurentPoly, ONE, RatFunc, V, ZERO, _PACKED_MIN,
-                            _poly_gcd_int, is_integral, qbinom, qfact, qint)
+                            _poly_gcd_int, is_integral, qbinom, qint)
 
 
 def _fraction_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -69,17 +69,11 @@ class TestLaurentPoly:
         p = V + ONE                       # v + 1
         q = V - ONE
         assert p * q == LaurentPoly({2: 1, 0: -1})
-        assert p ** 3 == LaurentPoly({3: 1, 2: 3, 1: 3, 0: 1})
 
     def test_shift_and_subs_power(self):
         p = LaurentPoly({2: 1, -1: 3})
         assert p.shift(2) == LaurentPoly({4: 1, 1: 3})
         assert p.subs_power(3) == LaurentPoly({6: 1, -3: 3})
-
-    def test_bar_involution(self):
-        p = LaurentPoly({2: 1, -1: 3, 0: -2})
-        assert p.bar() == LaurentPoly({-2: 1, 1: 3, 0: -2})
-        assert p.bar().bar() == p
 
     def test_units(self):
         assert V.is_unit()
@@ -168,12 +162,6 @@ class TestQuantumNumbers:
         for n in [*range(-6, 0), *range(1, 7)]:
             for d in (1, 2, 3):
                 assert qint(n, d).evaluate(lambda e: 1) == n
-
-    def test_qfact(self):
-        assert qfact(0).is_one()
-        assert qfact(3) == qint(1) * qint(2) * qint(3)
-        assert qfact(4, 2) == qint(1, 2) * qint(2, 2) * qint(3, 2) \
-            * qint(4, 2)
 
     def test_qbinom_examples(self):
         assert qbinom(2, 1) == qint(2)

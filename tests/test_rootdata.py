@@ -168,9 +168,8 @@ class TestRootDatum:
     def test_rho_pairs_to_one_with_simple_coroots(self):
         for name in PRESET_NAMES:
             datum = preset(name)
-            rho = datum.rho()
             for i in range(datum.rank):
-                assert datum.pair_i(i, rho) == 1
+                assert datum.pair_i(i, datum.two_rho) == 2
 
     def test_invariant_form_is_weyl_invariant(self):
         b2 = preset("B2")

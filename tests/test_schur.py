@@ -596,7 +596,7 @@ class AllPowers(SpecializedSchur):
 
 ORACLE_POINTS = (RingPoint.rational(1), RingPoint.rational(2),
                  RingPoint.cyclotomic(3), RingPoint.cyclotomic(4),
-                 RingPoint.cyclotomic(4, power=2), RingPoint.cyclotomic(6),
+                 RingPoint.cyclotomic(2), RingPoint.cyclotomic(6),
                  RingPoint.cyclotomic(8))
 
 
