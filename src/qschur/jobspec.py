@@ -216,8 +216,7 @@ def _split_top(text):
             cur = ""
         else:
             cur += ch
-    if cur.strip():
-        out.append(cur)
+    out.append(cur)
     return out
 
 

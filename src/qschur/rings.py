@@ -238,6 +238,8 @@ class RingPoint:
     def coefficient(self, f: RatFunc):
         """Exact image of f in Q(v) under v -> xi; raises PoleError at a
         vanishing denominator."""
+        if f.den.is_one():
+            return self.image(f.num)
         den = self.image(f.den)
         if not den:
             raise PoleError(

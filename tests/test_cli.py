@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 from qschur import cache
 from qschur.cache import (algebras_equal, cache_load, cache_store)
 from qschur.laurent import RatFunc
-from qschur.cli import run
+from qschur.cli import _chain, run
 from qschur.jobspec import (TASK_NAMES, TASK_PARAMS, JobSpec, SpecParseError,
                             parse_spec)
-from qschur.rootdata import PRESET_NAMES, preset
+from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
+    preset
 from qschur.schur import SchurAlgebra
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -303,6 +305,7 @@ MALFORMED = [
     ("dims", "datum preset A2\npi gens [(1,0]", 2, "unbalanced"),
     ("dims", "datum preset A2\npi gens [(1,x)]", 2, "bad weight tuple"),
     ("dims", "datum preset A1\npi gens [x]", 2, "bad weight"),
+    ("dims", "datum preset A1\npi gens [1,]", 2, "bad weight ''"),
     ("dims", "datum preset A1\npi gens [1]\ntask", 3, "needs a name"),
     ("dims", "datum preset A1\npi gens [1]\ntask frob", 3, "unknown task"),
     ("probe", "datum preset A1 / pi gens [1]\n\ntask probe height", 3,
@@ -399,3 +402,58 @@ class TestExitCodes:
                    out=out, err=err)
         assert code == 0
         assert os.listdir(tmp_path / "envcache")
+
+
+# the chains of `qsl maps` and `limit`, pinned: each step adds the
+# saturation of the last weight plus the lowest dominant positive root
+CHAINS = {
+    ("A2", "(2,2)"): [
+        [[0, 0], [1, 1], [0, 3], [3, 0], [2, 2]],
+        [[0, 0], [1, 1], [0, 3], [3, 0], [2, 2], [1, 4], [4, 1], [3, 3]],
+        [[0, 0], [1, 1], [0, 3], [3, 0], [2, 2], [1, 4], [4, 1], [0, 6],
+         [3, 3], [6, 0], [2, 5], [5, 2], [4, 4]]],
+    ("B2", "(2,1)"): [
+        [[0, 1], [1, 1], [0, 3], [2, 1]],
+        [[0, 1], [1, 1], [0, 3], [2, 1], [1, 3], [3, 1]],
+        [[0, 1], [1, 1], [0, 3], [2, 1], [1, 3], [0, 5], [3, 1], [2, 3],
+         [4, 1]]],
+}
+
+
+class TestChain:
+    """`maps`, `limit` and `specialize` finish on sets whose `dims` is
+    cheap: a chain that grew with pi0 made them run for minutes."""
+
+    @pytest.fixture
+    def budget(self):
+        def expire(signum, frame):
+            raise TimeoutError("over the 10 s budget")
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("task", ["maps", "limit", "specialize"])
+    @pytest.mark.parametrize("name,gens", sorted(CHAINS))
+    def test_chain_tasks_finish(self, name, gens, task, tmp_path, budget):
+        spec = tmp_path / "job.qs"
+        spec.write_text(f"datum preset {name}\npi gens [{gens}]\n"
+                        "ring cyclotomic 3\n")
+        code, out, err = run_cli([task, "--spec", str(spec), "--format",
+                                  "json"], tmp_path)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        if task == "specialize":
+            assert result["projection_commutes"]
+        else:
+            assert result["chain"] == CHAINS[name, gens]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_step_is_strict_and_saturated(self, name):
+        datum = preset(name)
+        for mu in dominant_weights_up_to_height(datum, 4):
+            pi0, pi1, pi2 = chain = _chain(datum.saturate([mu]))
+            assert all(p.is_saturated() for p in chain), mu
+            assert pi0.issubset(pi1) and pi1.issubset(pi2), mu
+            assert len(pi0) < len(pi1) < len(pi2), mu

@@ -81,6 +81,20 @@ class TestEvaluate:
              * RatFunc.from_poly(qint(2)).inverse())   # = [4]/[2] = v^2+v^-2
         assert p.coefficient(f) == p.field.from_int(-2)
 
+    def test_a_polynomial_coefficient_is_its_image(self, monkeypatch):
+        # a denominator of 1 maps to 1: no inverse is taken
+        p = RingPoint.cyclotomic(8)
+        calls = []
+        inverse = CycloField._inverse
+        monkeypatch.setattr(CycloField, "_inverse",
+                            lambda *args: calls.append(1) or inverse(*args))
+        for n in range(-3, 6):
+            f = RatFunc.from_poly(qint(n) * qint(n + 1))
+            assert f.den.is_one()
+            assert p.coefficient(f) == p.image(f.num) == p.image(
+                qint(n)) * p.image(qint(n + 1))
+        assert calls == []
+
 
 class TestExactnessChecksRaise:
     """The checks stay on under `python -O`, which strips asserts."""
