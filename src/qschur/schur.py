@@ -487,8 +487,10 @@ class TruncationMap:
     target's generating divided powers (`_powers`) are among the source's,
     so once every row passes, the image holds the target's generators and
     idempotents: the map is onto, over every field, both algebras being
-    quotients of the modified quantized enveloping algebra.  Else an echelon
-    of the images of the source basis gives the image rank."""
+    quotients of the modified quantized enveloping algebra.  Else the image
+    rank is the sum of the squared kept block dimensions when the source is
+    dense, its basis being the matrix units, and an echelon of the images
+    of the source basis otherwise."""
 
     _algebra = staticmethod(build_schur)
 
@@ -529,9 +531,11 @@ class TruncationMap:
         report += relation_rows("multiplicative",
                                 [] if kept == tgt.block_dims else [None],
                                 key="check")
-        # the image rank: by the proof of the class docstring, or by echelon
+        # the image rank: by the proofs of the class docstring, or by echelon
         if all(row["ok"] for row in report):
             rank = tgt.dimension()
+        elif src._density_defect is None:
+            rank = sum(src.block_dims[k] ** 2 for k in self._indices)
         else:
             ech = SparseEchelon(src.field)
             for b in src.basis():

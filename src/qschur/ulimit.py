@@ -238,12 +238,42 @@ def probe_schedule(datum, height_bound):
 
 def separation_probe(datum, expr: WordExpr, height_bound):
     """Search the schedule for a saturated set where the modified-form
-    expression has nonzero image; None is inconclusive, never a zero claim."""
+    expression has nonzero image; None is inconclusive, never a zero claim.
+
+    S(pi) is the quotient of the modified form by the idempotents 1_lam
+    with lam outside W.pi, and every symbol maps weight spaces to weight
+    spaces, so a word that passes a weight outside W.pi is zero in S(pi).
+    A set where every word does so is skipped without building its
+    algebra; every other set is evaluated."""
     el = theta_dot(datum, expr)
+    paths = [p for p in (_weight_path(datum, w) for w in expr.terms)
+             if p is not None]
     for pi in probe_schedule(datum, height_bound):
-        if not el.at(pi).is_zero():
+        orbit = pi.orbit_weights()
+        if any(p <= orbit for p in paths) and not el.at(pi).is_zero():
             return pi
     return None
+
+
+def _weight_path(datum, word):
+    """The weights a word of the modified form passes through, fixed by its
+    first idempotent 1_lam: a symbol left of it acts after it and shifts
+    the weight by sign k alpha_i, one right of it acts before it; K keeps
+    the weight.  None when two idempotents disagree: the word is zero."""
+    start = next(k for k, sym in enumerate(word) if sym[0] == "1")
+    lam = word[start][1]
+    path = {lam}
+    for side, syms in ((1, reversed(word[:start])), (-1, word[start + 1:])):
+        nu = lam
+        for sym in syms:
+            if sym[0] == "1" and sym[1] != nu:
+                return None
+            if sym[0] in ("E", "Ed"):
+                k = side * sym[1] * (sym[3] if sym[0] == "Ed" else 1)
+                nu = tuple(x + k * a
+                           for x, a in zip(nu, datum.simple_roots[sym[2]]))
+                path.add(nu)
+    return path
 
 
 def coherent_basis_check(datum, exprs, pi):

@@ -112,8 +112,8 @@ class WordExpr:
         return out
 
     def is_modified(self):
-        """True when every word carries at least one idempotent symbol (and
-        the expression is nonzero-compatible with the modified algebra)."""
+        """True when every word carries at least one idempotent symbol, so
+        that the expression lies in the modified (idempotented) algebra."""
         return all(any(sym[0] == "1" for sym in w) for w in self.terms)
 
     def __repr__(self):

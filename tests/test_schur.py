@@ -531,6 +531,25 @@ class TestTruncationMaps:
         finally:
             specialize_schur.cache_clear()
 
+    def test_failing_row_on_a_dense_source_reads_the_kept_blocks(
+            self, monkeypatch):
+        # a tampered E_0 on a fresh copy of the target fails its row; the
+        # source is dense, so the image rank is the kept blocks' sum d^2
+        f = TruncationMap(sat("A2", [(2, 2)]), sat("A2", [(3, 3)]))
+        tgt = f.target = SchurAlgebra(f.target.pi, f.target.modules)
+        assert f.source.dimension() == f.source.expected_dim
+        assert tgt.dimension() == 994
+        tgt._dp_cache[(1, 0, 1)] = tgt.generator(1, 0).scale(2)
+        inserts = spy_calls(monkeypatch, (SparseEchelon, "insert"))
+        report = f.verify()
+        assert inserts == []
+        monkeypatch.undo()
+        assert [row["check"] for row in report if not row["ok"]] \
+            == ["generator(+0)"]
+        assert report[-1]["witness"] == {"image_rank": 994,
+                                         "target_dim": 994}
+        assert report == sampled_report(f)
+
     def test_proofs_make_no_product_echelon_or_basis_call(self,
                                                           monkeypatch):
         f = TruncationMap(sat("A2", [(1, 1)]), sat("A2", [(2, 2)]))

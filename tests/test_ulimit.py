@@ -4,6 +4,8 @@ separation probes."""
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur import schur, ulimit
 from qschur.laurent import LaurentPoly, qint
@@ -162,6 +164,53 @@ class TestLimitIdentities:
         assert all(r["ok"] for r in report)
 
 
+def unfiltered_probe(datum, expr, height_bound):
+    """The probe with no weight filter: it evaluates every scheduled set."""
+    el = theta_dot(datum, expr)
+    for pi in probe_schedule(datum, height_bound):
+        if not el.at(pi).is_zero():
+            return pi
+    return None
+
+
+def criterion_six(datum, max_height):
+    """1_lam, E_i^(a) 1_lam and F_i^(a) 1_lam for a <= 2 and lam up to the
+    height, each with a probe height that reaches the weight it needs."""
+    for lam in dominant_weights_up_to_height(datum, max_height):
+        yield WordExpr.idem(lam), max(6, datum.height(lam))
+        for a in (1, 2):
+            for i in range(datum.rank):
+                for sign in (1, -1):
+                    shifted = tuple(x + sign * a * y for x, y
+                                    in zip(lam, datum.simple_roots[i]))
+                    need = datum.dominant_representative(shifted)
+                    yield (WordExpr.divided(i, a, sign) * WordExpr.idem(lam),
+                           max(6, datum.height(need)))
+
+
+@st.composite
+def words_on_sets(draw):
+    """A datum, a word of at most 4 symbols with at least one idempotent,
+    and a principal saturated set up to height 4; the idempotents are
+    often weights of the set."""
+    datum = preset(draw(st.sampled_from(("A1", "A2", "B2"))))
+    pi = datum.saturate([draw(st.sampled_from(
+        dominant_weights_up_to_height(datum, 4)))])
+    weight = st.one_of(st.sampled_from(sorted(pi.orbit_weights())),
+                       st.tuples(*[st.integers(-4, 4)] * datum.rank_x))
+    sign, i = st.sampled_from((1, -1)), st.integers(0, datum.rank - 1)
+    coweight = st.sampled_from(
+        [(0,) * datum.rank_y] + list(datum.simple_coroots))
+    symbol = st.one_of(st.tuples(st.just("E"), sign, i),
+                       st.tuples(st.just("Ed"), sign, i, st.integers(1, 3)),
+                       st.tuples(st.just("K"), coweight),
+                       st.tuples(st.just("1"), weight))
+    word = draw(st.lists(symbol, min_size=1, max_size=4))
+    if not any(sym[0] == "1" for sym in word):
+        word[draw(st.integers(0, len(word) - 1))] = ("1", draw(weight))
+    return datum, tuple(word), pi
+
+
 class TestProbes:
     def test_schedule_is_cofinal_over_window(self):
         a1 = preset("A1")
@@ -183,23 +232,9 @@ class TestProbes:
         # shifted weight must separate it
         for name in ("A1", "A2"):
             datum = preset(name)
-            for lam in dominant_weights_up_to_height(datum, 4):
-                probes = [(WordExpr.idem(lam), lam)]
-                for a in (1, 2):
-                    for i in range(datum.rank):
-                        alpha = datum.simple_roots[i]
-                        for sign in (1, -1):
-                            shifted = tuple(
-                                x + sign * a * y
-                                for x, y in zip(lam, alpha))
-                            probes.append(
-                                (WordExpr.divided(i, a, sign)
-                                 * WordExpr.idem(lam),
-                                 datum.dominant_representative(shifted)))
-                for expr, needed in probes:
-                    bound = max(6, datum.height(needed))
-                    found = separation_probe(datum, expr, bound)
-                    assert found is not None, (name, lam, expr)
+            for expr, bound in criterion_six(datum, 4):
+                found = separation_probe(datum, expr, bound)
+                assert found is not None, (name, expr)
 
     def test_coherent_family_spans_small_algebra(self):
         a1 = preset("A1")
@@ -212,3 +247,71 @@ class TestProbes:
         assert report["dimension"] == 4
         assert report["rank"] == 4
         assert report["spanning"]
+
+
+class TestWeightFilter:
+    def test_weight_path(self):
+        a2 = preset("A2")
+        path = ulimit._weight_path
+        # E_0^(2) acts after 1_0: 0 + 2 alpha_0
+        assert path(a2, (("Ed", 1, 0, 2), ("1", (0, 0)))) \
+            == {(0, 0), (4, -2)}
+        # F_1 acts before 1_lam, from lam + alpha_1; K keeps the weight
+        assert path(a2, (("1", (1, 0)), ("K", (1, 0)), ("E", -1, 1))) \
+            == {(1, 0), (0, 2)}
+        assert path(a2, (("1", (0, 2)), ("E", 1, 1), ("1", (1, 0)))) \
+            == {(0, 2), (1, 0)}
+        assert path(a2, (("1", (1, 0)), ("E", 1, 1), ("1", (1, 0)))) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(words_on_sets())
+    def test_a_word_zero_by_weights_is_zero(self, case):
+        datum, word, pi = case
+        path = ulimit._weight_path(datum, word)
+        if path is None or not path <= pi.orbit_weights():
+            expr = WordExpr({word: 1})
+            assert build_schur(pi).evaluate_expr(expr).is_zero()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_hits_match_the_unfiltered_probe(self, name):
+        datum = preset(name)
+        for expr, bound in criterion_six(datum, 3):
+            found = separation_probe(datum, expr, bound)
+            assert found is not None, (name, expr)
+            assert found == unfiltered_probe(datum, expr, bound), expr
+
+    @pytest.mark.parametrize("expr,hit", [
+        # a sum of two words: the second is nonzero first
+        (WordExpr.divided(0, 2) * WordExpr.idem((0, 0))
+         + WordExpr.F(1) * WordExpr.idem((1, 1)), [(0, 0), (1, 1)]),
+        # two idempotents that agree: 1_(0,2) E_1 1_(1,0)
+        (WordExpr.idem((0, 2)) * WordExpr.E(1) * WordExpr.idem((1, 0)),
+         [(1, 0), (0, 2)]),
+        # two that disagree: zero in the modified form
+        (WordExpr.idem((1, 0)) * WordExpr.E(1) * WordExpr.idem((1, 0)),
+         None),
+    ], ids=["sum", "agree", "disagree"])
+    def test_words_and_sums_match_the_unfiltered_probe(self, expr, hit):
+        a2 = preset("A2")
+        found = separation_probe(a2, expr, 6)
+        assert found == unfiltered_probe(a2, expr, 6)
+        assert (None if found is None else list(found)) == hit
+
+    def test_unmodified_expression_is_refused_first(self):
+        with pytest.raises(ValueError, match="modified"):
+            separation_probe(preset("A1"), WordExpr.E(0), 4)
+
+    @pytest.mark.parametrize("name", ["A2", "B2"])
+    def test_each_probe_evaluates_only_its_hit(self, name, monkeypatch):
+        calls = []
+        at = LimitElement.at
+
+        def spy(self, pi):
+            calls.append(pi)
+            return at(self, pi)
+        monkeypatch.setattr(LimitElement, "at", spy)
+        datum = preset(name)
+        for expr, bound in criterion_six(datum, 4):
+            calls.clear()
+            found = separation_probe(datum, expr, bound)
+            assert found is not None and calls == [found], expr
