@@ -8,10 +8,11 @@ from __future__ import annotations
 from functools import cache
 
 from .intspec import r_truncation_map, specialize_schur
-from .laurent import LaurentPoly
-from .linalg import SparseEchelon
+from .laurent import ONE, LaurentPoly, RatFunc
+from .linalg import SparseEchelon, sparse_add, sparse_map, sparse_mul
 from .rootdata import dominant_weights_up_to_height
 from .schur import TruncationMap, build_schur, relation_rows
+from .weylmod import weyl_module
 from .words import WordExpr
 
 
@@ -240,40 +241,79 @@ def separation_probe(datum, expr: WordExpr, height_bound):
     """Search the schedule for a saturated set where the modified-form
     expression has nonzero image; None is inconclusive, never a zero claim.
 
-    S(pi) is the quotient of the modified form by the idempotents 1_lam
-    with lam outside W.pi, and every symbol maps weight spaces to weight
-    spaces, so a word that passes a weight outside W.pi is zero in S(pi).
-    A set where every word does so is skipped without building its
-    algebra; every other set is evaluated."""
-    el = theta_dot(datum, expr)
+    The schedule is the principal sets down(mu) in height order, and
+    S(down(mu)) is the sum of End L(nu) over nu <= mu.  Each nu < mu has a
+    smaller height, so down(nu) comes earlier, and the first set where the
+    expression is nonzero is the first down(mu) where its top block, its
+    image on L(mu), is nonzero: only that block is computed, over
+    Z[v,v^-1], which embeds in Q(v) (`module_image`).  S(pi) is the
+    quotient of the modified form by the 1_lam with lam outside W.pi, and
+    every symbol maps weight spaces to weight spaces, so a set where every
+    word passes a weight outside W.pi is skipped unbuilt."""
+    theta_dot(datum, expr)  # refuses a non-modified expression first
     paths = [p for p in (_weight_path(datum, w) for w in expr.terms)
              if p is not None]
+    top = LimitElement(datum, lambda pi: module_image(
+        weyl_module(datum, pi.elements[-1]), expr))
     for pi in probe_schedule(datum, height_bound):
         orbit = pi.orbit_weights()
-        if any(p <= orbit for p in paths) and not el.at(pi).is_zero():
+        if any(p <= orbit for p in paths) and top.at(pi):
             return pi
     return None
 
 
+def module_image(module, expr):
+    """The sparse matrix of a modified-form expression on one module, over
+    Z[v,v^-1] for one word with coefficient 1, else over Q(v).  Each word
+    is multiplied from the left, from the weight where it ends (`_walk`),
+    so the module's Laurent divided powers are read only where it goes."""
+    out = {}
+    for word, c in expr.terms.items():
+        walk = _walk(module.datum, word)
+        off, n = module.offsets.get(walk[0], 0), module.dims.get(walk[0], 0)
+        img = {r: {r: ONE} for r in range(off, off + n)}
+        for sym, nu in zip(word, walk[1:]):
+            if sym[0] == "K":
+                u = LaurentPoly.monomial(1, module.datum.pair(sym[1], nu))
+                img = sparse_map(u.__mul__, img)
+            elif sym[0] != "1":
+                img = sparse_mul(img, module.divided_power(
+                    sym[1], sym[2], sym[3] if sym[0] == "Ed" else 1))
+        if len(expr.terms) > 1 or not c.is_one():
+            img = sparse_map(lambda x: c * RatFunc.from_poly(x), img)
+        out = sparse_add(out, img)
+    return out
+
+
 def _weight_path(datum, word):
-    """The weights a word of the modified form passes through, fixed by its
-    first idempotent 1_lam: a symbol left of it acts after it and shifts
-    the weight by sign k alpha_i, one right of it acts before it; K keeps
-    the weight.  None when two idempotents disagree: the word is zero."""
+    """The weights of `_walk` as a set; None where idempotents disagree."""
+    path = set(_walk(datum, word))
+    return None if None in path else path
+
+
+def _walk(datum, word):
+    """The weights of a word of the modified form, from the left: where it
+    ends, fixed by its first idempotent 1_lam, then right of each symbol;
+    [None], a weight of no module, when two idempotents disagree."""
     start = next(k for k, sym in enumerate(word) if sym[0] == "1")
-    lam = word[start][1]
-    path = {lam}
-    for side, syms in ((1, reversed(word[:start])), (-1, word[start + 1:])):
-        nu = lam
-        for sym in syms:
-            if sym[0] == "1" and sym[1] != nu:
-                return None
-            if sym[0] in ("E", "Ed"):
-                k = side * sym[1] * (sym[3] if sym[0] == "Ed" else 1)
-                nu = tuple(x + k * a
-                           for x, a in zip(nu, datum.simple_roots[sym[2]]))
-                path.add(nu)
-    return path
+    nu = word[start][1]
+    for sym in word[:start]:
+        nu = _shift(datum, nu, sym, 1)
+    walk = [nu]
+    for sym in word:
+        if sym[0] == "1" and sym[1] != nu:
+            return [None]
+        nu = _shift(datum, nu, sym, -1)
+        walk.append(nu)
+    return walk
+
+
+def _shift(datum, nu, sym, side):
+    """nu + side k alpha_i for E_i^(k), nu - side k alpha_i for F_i^(k)."""
+    if sym[0] not in ("E", "Ed"):
+        return nu
+    k = side * sym[1] * (sym[3] if sym[0] == "Ed" else 1)
+    return tuple(x + k * a for x, a in zip(nu, datum.simple_roots[sym[2]]))
 
 
 def coherent_basis_check(datum, exprs, pi):

@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur import schur, ulimit
-from qschur.laurent import LaurentPoly, qint
+from qschur.laurent import R_ONE, LaurentPoly, RatFunc, qint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, preset
-from qschur.schur import SchurAlgebra, build_schur
+from qschur.linalg import sparse_map
+from qschur.schur import BlockAlgebra, SchurAlgebra, build_schur
 from qschur.ulimit import (LimitElement, check_Kh_identity, check_u_relations,
                            cofinal_consistency, coherent_basis_check, hat_E,
                            hat_K, hat_divided, hat_one, probe_schedule,
                            separation_probe, theta, theta_dot,
                            verify_coherence)
+from qschur.weylmod import weyl_module
 from qschur.words import WordExpr
 
 
@@ -196,7 +198,13 @@ def words_on_sets(draw):
     datum = preset(draw(st.sampled_from(("A1", "A2", "B2"))))
     pi = datum.saturate([draw(st.sampled_from(
         dominant_weights_up_to_height(datum, 4)))])
-    weight = st.one_of(st.sampled_from(sorted(pi.orbit_weights())),
+    return datum, draw_word(draw, datum, pi.orbit_weights()), pi
+
+
+def draw_word(draw, datum, weights):
+    """A word of at most 4 symbols with at least one idempotent, whose
+    idempotents are often among `weights`."""
+    weight = st.one_of(st.sampled_from(sorted(weights)),
                        st.tuples(*[st.integers(-4, 4)] * datum.rank_x))
     sign, i = st.sampled_from((1, -1)), st.integers(0, datum.rank - 1)
     coweight = st.sampled_from(
@@ -208,7 +216,24 @@ def words_on_sets(draw):
     word = draw(st.lists(symbol, min_size=1, max_size=4))
     if not any(sym[0] == "1" for sym in word):
         word[draw(st.integers(0, len(word) - 1))] = ("1", draw(weight))
-    return datum, tuple(word), pi
+    return tuple(word)
+
+
+@st.composite
+def modified_exprs(draw):
+    """A preset, and one word or a sum of two words of the modified form
+    with coefficients among 1, -1, v and 1/[2], whose idempotents are
+    often weights of the sets of the probe schedule up to height 4."""
+    datum = preset(draw(st.sampled_from(PRESET_NAMES)))
+    weights = frozenset().union(
+        *(pi.orbit_weights() for pi in probe_schedule(datum, 4)))
+    coeff = st.sampled_from((R_ONE, RatFunc(-1), RatFunc.from_poly(
+        LaurentPoly.monomial(1, 1)), R_ONE / RatFunc.from_poly(qint(2))))
+    expr = WordExpr()
+    for _ in range(draw(st.integers(1, 2))):
+        expr = expr + WordExpr({draw_word(draw, datum, weights):
+                                draw(coeff)})
+    return datum, expr
 
 
 class TestProbes:
@@ -315,3 +340,54 @@ class TestWeightFilter:
             calls.clear()
             found = separation_probe(datum, expr, bound)
             assert found is not None and calls == [found], expr
+
+
+class TestTopBlock:
+    """A probe evaluates each set it does not skip on the module of its
+    top weight only (`ulimit.module_image`), over Z[v,v^-1]."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(modified_exprs())
+    def test_top_block_matches_the_full_algebra(self, case):
+        datum, expr = case
+        found = separation_probe(datum, expr, 4)
+        assert found == unfiltered_probe(datum, expr, 4)
+        for pi in probe_schedule(datum, 4):
+            top = ulimit.module_image(weyl_module(datum, pi.elements[-1]),
+                                      expr)
+            block = build_schur(pi).evaluate_expr(expr).blocks[-1]
+            assert bool(top) == bool(block), (pi, expr)
+            assert sparse_map(_in_q_v, top) == block, (pi, expr)
+
+    def test_one_word_stays_laurent(self):
+        module = weyl_module(preset("A2"), (1, 1))
+        word = WordExpr.F(0) * WordExpr.idem((1, 1))
+        for expr, ring in ((word, LaurentPoly),
+                           (word.scale(RatFunc(-1)), RatFunc),
+                           (word + WordExpr.idem((1, 1)), RatFunc)):
+            entries = [x for row in ulimit.module_image(module, expr).values()
+                       for x in row.values()]
+            assert entries and all(isinstance(x, ring) for x in entries)
+
+    def test_a_round_builds_the_top_modules_and_no_algebra(
+            self, monkeypatch):
+        built = []
+        init = BlockAlgebra.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(BlockAlgebra, "__init__", spy)
+        weyl_module.cache_clear()
+        build_schur.cache_clear()
+        for name in ("A2", "B2"):
+            datum = preset(name)
+            for expr, bound in criterion_six(datum, 4):
+                assert separation_probe(datum, expr, bound) is not None
+        # the whole algebras of the hit sets hold 37 modules
+        assert weyl_module.cache_info().currsize == 32
+        assert built == []
+
+
+def _in_q_v(x):
+    return RatFunc.from_poly(x) if isinstance(x, LaurentPoly) else x
