@@ -1,16 +1,18 @@
 """Integral forms over Z[v,v^-1]: the divided powers of each simple module
 as Laurent matrices in its lattice basis, exact specialization v -> xi (the
 algebra of `schur` with a `rings.RingPoint` as its field), the specialized
-inverse system, and empirical kernel probes."""
+inverse system, and empirical kernel probes on the word matrices of the
+modules."""
 
 from __future__ import annotations
 
 from functools import cache
 
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, sparse_map
 from .rings import RingPoint
 from .rootdata import dominant_weights_up_to_height
 from .schur import BlockAlgebra, TruncationMap
+from .weylmod import weyl_module, word_matrix
 
 
 class LatticeBasis:
@@ -105,37 +107,39 @@ def kernel_probe_RU(datum, degree_bound, height_bound, point):
     """Joint kernel of the images of bounded divided-power words across the
     schedule of saturated sets, as a nonincreasing dimension sequence.
 
+    S(pi) is the sum of End L(lam) over lam in pi, so a set adds the rows
+    of its modules: row (r, c) of L(lam) holds entry (r, c) of each word
+    matrix under `point.image`.  Repeated rows leave the rank, so a module
+    adds its rows where it first appears, and no algebra is built.
+
     Empirical evidence only; a zero terminal kernel at bounded degree never
     proves injectivity.
     """
-    alphabet = []
-    for sign in (1, -1):
-        for i in range(datum.rank):
-            for k in range(1, degree_bound + 1):
-                alphabet.append(("Ed", sign, i, k))
-    for h in datum.simple_coroots:
-        alphabet.append(("K", tuple(h)))
-
-    words = [()]
-    layer = [()]
+    alphabet = [("Ed", sign, i, k) for sign in (1, -1)
+                for i in range(datum.rank) for k in range(1, degree_bound + 1)]
+    alphabet += [("K", tuple(h)) for h in datum.simple_coroots]
+    words, layer = [()], [()]
     for _ in range(degree_bound):
         layer = [w + (sym,) for w in layer for sym in alphabet]
         words.extend(layer)
 
     history = []
     kernel_dim = len(words)
-    # the constraint rows, one per matrix entry per pi: row ent holds
-    # entry ent of the image of every word
     ech = SparseEchelon(point.field)
+    seen = set()
     for mu in dominant_weights_up_to_height(datum, height_bound):
         pi = datum.saturate([mu])
-        S = specialize_schur(pi, point)
-        rows = {}
-        for j, w in enumerate(words):
-            for ent, x in S.evaluate_word(w).flatten().items():
-                rows.setdefault(ent, {})[j] = x
-        for ent in sorted(rows):
-            ech.insert(rows[ent])
+        for lam in [lam for lam in pi if lam not in seen]:
+            seen.add(lam)
+            module = weyl_module(datum, lam)
+            rows = {}
+            for j, w in enumerate(words):
+                mat = sparse_map(point.image, word_matrix(module, w))
+                for r, row in mat.items():
+                    for c, x in row.items():
+                        rows.setdefault((r, c), {})[j] = x
+            for ent in sorted(rows):
+                ech.insert(rows[ent])
         kernel_dim = len(words) - ech.rank
         history.append({"pi": list(pi), "kernel_dim": kernel_dim})
     return {"word_count": len(words), "history": history,

@@ -542,12 +542,19 @@ class RatFuncField:
 
 
 class LaurentRing:
-    """Ring object for Z[v,v^-1], for algebras that never divide."""
+    """Ring object for Z[v,v^-1], for algebras that never divide: a Q(v)
+    `coefficient` must be a Laurent polynomial."""
 
     zero = ZERO
     one = ONE
     from_int = staticmethod(LaurentPoly.const)
     image = staticmethod(lambda p: p)
+
+    @staticmethod
+    def coefficient(f):
+        if not f.den.is_one():
+            raise ValueError(f"{f.to_string()} is not in Z[v,v^-1]")
+        return f.num
 
 
 # -- quantum integers ---------------------------------------------------

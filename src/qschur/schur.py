@@ -5,7 +5,9 @@ system.
 An element keeps one sparse row matrix per block (see `linalg`), with
 entries in the scalars of its algebra, which `BlockAlgebra` takes as an
 argument: Q(v) for `SchurAlgebra`, Z[v,v^-1] for `integral_report`, and the
-point v -> xi of a specialization in `intspec`.
+point v -> xi of a specialization in `intspec`.  A divided power, an
+idempotent, K_h and the image of a word expression are the images in those
+scalars of their Laurent matrices on the modules (`weylmod.word_matrix`).
 
 The algebra A of a saturated set pi is generated by the weight idempotents
 and the divided powers E_i^(k), F_i^(k) at k = 1 and where [k]_i vanishes in
@@ -49,11 +51,11 @@ from __future__ import annotations
 from copy import deepcopy
 from functools import cache, cached_property
 
-from .laurent import LaurentPoly, LaurentRing, RatFuncField, qint
+from .laurent import LaurentRing, RatFunc, RatFuncField, qint
 from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
                      sparse_mul, sparse_neg, sparse_scale, sparse_sub,
                      sparse_transpose)
-from .weylmod import weyl_module
+from .weylmod import weyl_module, word_matrix
 
 
 class SchurElement:
@@ -91,8 +93,11 @@ class SchurElement:
         return self.scale(other)
 
     def scale(self, c):
+        """c times the element: c in the field, an int, or in Q(v)."""
         if isinstance(c, int):
             c = self.algebra.field.from_int(c)
+        elif isinstance(c, RatFunc):
+            c = self.algebra.field.coefficient(c)
         if not c:
             return self.algebra.zero()
         return SchurElement(self.algebra,
@@ -125,6 +130,20 @@ class SchurElement:
 
     def __repr__(self):
         return f"SchurElement(pi={list(self.algebra.pi)})"
+
+
+def expr_block(module, expr, field):
+    """The sparse matrix over `field` of a word expression on one module:
+    the sum of the images of its word matrices (`word_matrix`), each times
+    the image of its coefficient."""
+    out = {}
+    for word, c in expr.terms.items():
+        mat = sparse_map(field.image, word_matrix(module, word))
+        if not c.is_one():
+            x = field.coefficient(c)
+            mat = sparse_map(lambda y: x * y, mat)
+        out = sparse_add(out, mat)
+    return out
 
 
 def density_defect(modules, raising, lowering, field):
@@ -193,8 +212,7 @@ class BlockAlgebra:
         self.block_dims = [m.dim for m in self.modules]
         self.expected_dim = sum(d * d for d in self.block_dims)
         self._basis = None
-        self._dp_cache = {}
-        self._idem_cache = {}
+        self._lifts = {}
 
     def key(self):
         """Equal exactly when two algebras have the same saturated set and
@@ -214,16 +232,19 @@ class BlockAlgebra:
             sparse_diagonal(dict.fromkeys(range(d), one))
             for d in self.block_dims])
 
+    def _lift(self, sym):
+        """The element of one word symbol: the image in `field` of its
+        matrix on each module (`HighestWeightModule.symbol`), cached."""
+        el = self._lifts.get(sym)
+        if el is None:
+            el = self._lifts[sym] = SchurElement(self, [
+                sparse_map(self.field.image, m.symbol(sym))
+                for m in self.modules])
+        return el
+
     def divided_power(self, sign, i, k):
         """E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i."""
-        key = (1 if sign > 0 else -1, i, k)
-        el = self._dp_cache.get(key)
-        if el is None:
-            el = SchurElement(self, [
-                sparse_map(self.field.image, m.divided_power(sign, i, k))
-                for m in self.modules])
-            self._dp_cache[key] = el
-        return el
+        return self._lift(("Ed", 1 if sign > 0 else -1, i, k))
 
     def generator(self, sign, i):
         return self.divided_power(sign, i, 1)
@@ -249,64 +270,17 @@ class BlockAlgebra:
     def idempotent(self, lam):
         """The weight projector; the zero element when lam is outside the
         orbit of the saturated set."""
-        lam = tuple(lam)
-        el = self._idem_cache.get(lam)
-        if el is None:
-            one = self.field.one
-            blocks = []
-            for m in self.modules:
-                off = m.offsets.get(lam, 0)
-                blocks.append(sparse_diagonal(dict.fromkeys(
-                    range(off, off + m.dims.get(lam, 0)), one)))
-            el = SchurElement(self, blocks)
-            self._idem_cache[lam] = el
-        return el
+        return self._lift(("1", tuple(lam)))
 
     def k_element(self, h):
         """K_h = sum over orbit weights of v^<h,lam> 1_lam."""
-        h = tuple(h)
-        blocks = []
-        for m in self.modules:
-            diag = {}
-            for nu in m.weights:
-                x = self.field.image(
-                    LaurentPoly.monomial(1, self.datum.pair(h, nu)))
-                off = m.offsets[nu]
-                diag.update(dict.fromkeys(range(off, off + m.dims[nu]), x))
-            blocks.append(sparse_diagonal(diag))
-        return SchurElement(self, blocks)
-
-    def evaluate_symbol(self, sym):
-        kind = sym[0]
-        if kind == "E":
-            return self.generator(sym[1], sym[2])
-        if kind == "Ed":
-            return self.divided_power(sym[1], sym[2], sym[3])
-        if kind == "K":
-            return self.k_element(sym[1])
-        if kind == "1":
-            return self.idempotent(sym[1])
-        raise ValueError(f"unknown symbol {sym!r}")
-
-    def evaluate_word(self, word):
-        if not word:
-            return self.one()
-        out = self.evaluate_symbol(word[0])
-        for sym in word[1:]:
-            if out.is_zero():
-                break
-            out = out * self.evaluate_symbol(sym)
-        return out
+        return self._lift(("K", tuple(h)))
 
     def evaluate_expr(self, expr):
-        """Image of a formal word expression under the quotient map."""
-        out = None
-        for word, c in expr.terms.items():
-            el = self.evaluate_word(word)
-            if not c.is_one():
-                el = el.scale(self.field.coefficient(c))
-            out = el if out is None else out + el
-        return self.zero() if out is None else out
+        """Image of a formal word expression under the quotient map, block
+        by block (`expr_block`)."""
+        return SchurElement(self, [expr_block(m, expr, self.field)
+                                   for m in self.modules])
 
     def _closure(self, gens):
         """Echelonized spanning basis of the realized algebra: the span of

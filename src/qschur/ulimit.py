@@ -1,18 +1,19 @@
 """The inverse limit of the tower of generalized q-Schur algebras, as lazily
 evaluated coherent families, with the embeddings of the quantized enveloping
 algebra and of its modified (idempotented) form, plus the identity checks
-and probes that live at the limit level."""
+and probes that live at the limit level.  Coherence compares the blocks of
+the values themselves, in whatever ring they lie."""
 
 from __future__ import annotations
 
 from functools import cache
 
-from .intspec import r_truncation_map, specialize_schur
-from .laurent import ONE, LaurentPoly, RatFunc
-from .linalg import SparseEchelon, sparse_add, sparse_map, sparse_mul
+from .intspec import specialize_schur
+from .laurent import LaurentPoly, RatFuncField
+from .linalg import SparseEchelon
 from .rootdata import dominant_weights_up_to_height
-from .schur import TruncationMap, build_schur, relation_rows
-from .weylmod import weyl_module
+from .schur import build_schur, expr_block, relation_rows
+from .weylmod import weyl_module, word_walk
 from .words import WordExpr
 
 
@@ -114,23 +115,25 @@ def theta_dot(datum, expr: WordExpr, point=None):
 # -- coherence ---------------------------------------------------------------
 
 
-def _link_holds(element, small, large, point=None):
-    """Truncation of the evaluation at `large` equals the evaluation at
-    `small`, over Q(v) or in the specializations at `point`."""
-    f = (TruncationMap(small, large) if point is None
-         else r_truncation_map(small, large, point))
-    return f.apply(element.at(large)) == element.at(small)
+def _link_holds(element, small, large):
+    """The evaluation at `large`, restricted to the blocks of `small`, is
+    the evaluation at `small`, with scalars in the same ring."""
+    big, little = element.at(large), element.at(small)
+    return ((big.algebra.pi, little.algebra.pi) == (large, small)
+            and big.algebra.field == little.algebra.field
+            and tuple(big.blocks[list(large).index(lam)] for lam in small)
+            == little.blocks)
 
 
-def verify_coherence(element, chain, point=None):
+def verify_coherence(element, chain):
     """Check the compatibility condition along a nested chain of saturated
-    sets, over Q(v) or in the specializations at `point`; returns a report
+    sets, in whatever ring the values of the element lie; returns a report
     with witnesses for failures."""
     links = []
     for small, large in zip(chain, chain[1:]):
         if not small.issubset(large):
             raise ValueError("chain is not nested")
-        passed = _link_holds(element, small, large, point)
+        passed = _link_holds(element, small, large)
         link = {"pi": list(small), "pi_prime": list(large)}
         links.append({**link, "ok": passed,
                       "witness": None if passed else link})
@@ -245,16 +248,16 @@ def separation_probe(datum, expr: WordExpr, height_bound):
     S(down(mu)) is the sum of End L(nu) over nu <= mu.  Each nu < mu has a
     smaller height, so down(nu) comes earlier, and the first set where the
     expression is nonzero is the first down(mu) where its top block, its
-    image on L(mu), is nonzero: only that block is computed, over
-    Z[v,v^-1], which embeds in Q(v) (`module_image`).  S(pi) is the
-    quotient of the modified form by the 1_lam with lam outside W.pi, and
-    every symbol maps weight spaces to weight spaces, so a set where every
-    word passes a weight outside W.pi is skipped unbuilt."""
+    image on L(mu), is nonzero: only that block is computed, over Q(v)
+    (`expr_block`).  S(pi) is the quotient of the modified form by the
+    1_lam with lam outside W.pi, and every symbol maps weight spaces to
+    weight spaces, so a set where every word passes a weight outside W.pi
+    is skipped unbuilt."""
     theta_dot(datum, expr)  # refuses a non-modified expression first
     paths = [p for p in (_weight_path(datum, w) for w in expr.terms)
              if p is not None]
-    top = LimitElement(datum, lambda pi: module_image(
-        weyl_module(datum, pi.elements[-1]), expr))
+    top = LimitElement(datum, lambda pi: expr_block(
+        weyl_module(datum, pi.elements[-1]), expr, RatFuncField))
     for pi in probe_schedule(datum, height_bound):
         orbit = pi.orbit_weights()
         if any(p <= orbit for p in paths) and top.at(pi):
@@ -262,58 +265,11 @@ def separation_probe(datum, expr: WordExpr, height_bound):
     return None
 
 
-def module_image(module, expr):
-    """The sparse matrix of a modified-form expression on one module, over
-    Z[v,v^-1] for one word with coefficient 1, else over Q(v).  Each word
-    is multiplied from the left, from the weight where it ends (`_walk`),
-    so the module's Laurent divided powers are read only where it goes."""
-    out = {}
-    for word, c in expr.terms.items():
-        walk = _walk(module.datum, word)
-        off, n = module.offsets.get(walk[0], 0), module.dims.get(walk[0], 0)
-        img = {r: {r: ONE} for r in range(off, off + n)}
-        for sym, nu in zip(word, walk[1:]):
-            if sym[0] == "K":
-                u = LaurentPoly.monomial(1, module.datum.pair(sym[1], nu))
-                img = sparse_map(u.__mul__, img)
-            elif sym[0] != "1":
-                img = sparse_mul(img, module.divided_power(
-                    sym[1], sym[2], sym[3] if sym[0] == "Ed" else 1))
-        if len(expr.terms) > 1 or not c.is_one():
-            img = sparse_map(lambda x: c * RatFunc.from_poly(x), img)
-        out = sparse_add(out, img)
-    return out
-
-
 def _weight_path(datum, word):
-    """The weights of `_walk` as a set; None where idempotents disagree."""
-    path = set(_walk(datum, word))
+    """The weights of `word_walk` as a set; None where idempotents
+    disagree."""
+    path = set(word_walk(datum, word))
     return None if None in path else path
-
-
-def _walk(datum, word):
-    """The weights of a word of the modified form, from the left: where it
-    ends, fixed by its first idempotent 1_lam, then right of each symbol;
-    [None], a weight of no module, when two idempotents disagree."""
-    start = next(k for k, sym in enumerate(word) if sym[0] == "1")
-    nu = word[start][1]
-    for sym in word[:start]:
-        nu = _shift(datum, nu, sym, 1)
-    walk = [nu]
-    for sym in word:
-        if sym[0] == "1" and sym[1] != nu:
-            return [None]
-        nu = _shift(datum, nu, sym, -1)
-        walk.append(nu)
-    return walk
-
-
-def _shift(datum, nu, sym, side):
-    """nu + side k alpha_i for E_i^(k), nu - side k alpha_i for F_i^(k)."""
-    if sym[0] not in ("E", "Ed"):
-        return nu
-    k = side * sym[1] * (sym[3] if sym[0] == "Ed" else 1)
-    return tuple(x + k * a for x, a in zip(nu, datum.simple_roots[sym[2]]))
 
 
 def coherent_basis_check(datum, exprs, pi):

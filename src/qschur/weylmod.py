@@ -6,7 +6,8 @@ highest vector by the divided powers of the lowering operators, in a basis
 of its Lusztig lattice.  Two independent classical oracles (Weyl dimension
 formula, Freudenthal recursion) check the result, and the record checks
 the commutator relation.  A tensor-product realization is kept as an
-independent check of the lowering.
+independent check of the lowering.  `word_matrix` is the one evaluator of
+a word of symbols (see `words`): its Laurent matrix on one module.
 
 The lowering takes no fraction: the basis of each weight space is chosen
 over F_p, where rank cannot exceed the rank over Q(v), and every other
@@ -79,6 +80,7 @@ class HighestWeightModule:
         self.e = list(e)
         self.f = list(f)
         self._dp_cache = {}
+        self._diag_cache = {}
         if self.dims.get(self.lam) != 1:
             raise ModuleCheckError(
                 f"highest weight space of {self.lam} is not one dimensional")
@@ -124,6 +126,26 @@ class HighestWeightModule:
                         f"{'E' if sign > 0 else 'F'}_{i}^({k}) on L({self.lam})"
                         " is not in Z[v,v^-1]") from None
             self._dp_cache[key] = mat
+        return mat
+
+    def symbol(self, sym):
+        """The sparse matrix of one symbol of a word (see `words`): its
+        divided power, the diagonal v^<h, nu> of K_h, or for 1_lam the
+        identity on the rows of weight lam, if any."""
+        if sym[0] in ("E", "Ed"):
+            return self.divided_power(sym[1], sym[2],
+                                      sym[3] if sym[0] == "Ed" else 1)
+        mat = self._diag_cache.get(sym)
+        if mat is None:
+            if sym[0] not in ("K", "1"):
+                raise ValueError(f"unknown symbol {sym!r}")
+            mat = self._diag_cache[sym] = {}
+            for nu in [sym[1]] if sym[0] == "1" else self.weights:
+                x = ONE if sym[0] == "1" else LaurentPoly.monomial(
+                    1, self.datum.pair(sym[1], nu))
+                off = self.offsets.get(nu, 0)
+                mat.update((r, {r: x}) for r in
+                           range(off, off + self.dims.get(nu, 0)))
         return mat
 
     def nilpotency(self, sign, i):
@@ -464,8 +486,13 @@ def _coproduct_action(datum, left, right):
                                             m.divided_power(sign, i, 1)))
                 for m in (left, right))
             for sign in (1, -1) for i in range(r)}
-    k1 = [_ktilde_diag(left, i, 1) for i in range(r)]
-    k2inv = [_ktilde_diag(right, i, -1) for i in range(r)]
+
+    def ktilde(m, i, sign):  # K~_i^sign = K_(sign d_i h_i)
+        h = tuple(sign * datum.cartan.d(i) * x
+                  for x in datum.simple_coroots[i])
+        return sparse_map(RatFunc.from_poly, m.symbol(("K", h)))
+    k1 = [ktilde(left, i, 1) for i in range(r)]
+    k2inv = [ktilde(right, i, -1) for i in range(r)]
 
     def apply(i, sign, vec):
         cols1, cols2 = cols[sign, i]
@@ -473,7 +500,8 @@ def _coproduct_action(datum, left, right):
         for idx, c in vec.items():
             q, p = divmod(idx, d1)
             # E: E x 1 + K~ x E;  F: F x K~^{-1} + 1 x F
-            c1, c2 = (c, c * k1[i][p]) if sign > 0 else (c * k2inv[i][q], c)
+            c1, c2 = ((c, c * k1[i][p][p]) if sign > 0
+                      else (c * k2inv[i][q][q], c))
             for p2, a in cols1.get(p, {}).items():
                 j = q * d1 + p2
                 out[j] = out.get(j, _F.zero) + a * c1
@@ -527,14 +555,44 @@ def _check_character(datum, lam, dims, mult):
                                "dimension formula")
 
 
-def _ktilde_diag(module, i, sign):
-    d = module.datum.cartan.d(i)
-    out = []
-    for nu in module.weights:
-        n = sign * d * module.datum.pair_i(i, nu)
-        out.extend([RatFunc.from_poly(LaurentPoly.monomial(1, n))]
-                   * module.dims[nu])
-    return out
+def word_matrix(module, word):
+    """The sparse matrix over Z[v,v^-1] of a word of symbols on the module,
+    multiplied from the left.  A word of the modified form starts from the
+    rows of the weight where it ends (`word_walk`), which also places its
+    idempotents, so only the rows it reaches are multiplied; any other
+    word starts from the identity."""
+    mat = (module.symbol(("1", word_walk(module.datum, word)[0]))
+           if any(sym[0] == "1" for sym in word) else
+           sparse_diagonal(dict.fromkeys(range(module.dim), ONE)))
+    for sym in word:
+        if mat and sym[0] != "1":
+            mat = sparse_mul(mat, module.symbol(sym))
+    return mat
+
+
+def word_walk(datum, word):
+    """The weights of a word of the modified form, from the left: where it
+    ends, fixed by its first idempotent 1_lam, then right of each symbol;
+    [None], a weight of no module, when two idempotents disagree."""
+    start = next(k for k, sym in enumerate(word) if sym[0] == "1")
+    nu = word[start][1]
+    for sym in word[:start]:
+        nu = _shift(datum, nu, sym, 1)
+    walk = [nu]
+    for sym in word:
+        if sym[0] == "1" and sym[1] != nu:
+            return [None]
+        nu = _shift(datum, nu, sym, -1)
+        walk.append(nu)
+    return walk
+
+
+def _shift(datum, nu, sym, side):
+    """nu + side k alpha_i for E_i^(k), nu - side k alpha_i for F_i^(k)."""
+    if sym[0] not in ("E", "Ed"):
+        return nu
+    k = side * sym[1] * (sym[3] if sym[0] == "Ed" else 1)
+    return tuple(x + k * a for x, a in zip(nu, datum.simple_roots[sym[2]]))
 
 
 @cache

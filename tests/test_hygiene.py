@@ -1,7 +1,8 @@
 """Source hygiene, read from the syntax trees with the standard library
 only: no `assert` statement in the library, where `python -O` would strip
-the check, no import that its file never uses, and no private module-level
-function or class that the library never uses."""
+the check, no import that its file never uses, no private module-level
+function or class that the library never uses, and no private name that
+one library module imports from another."""
 
 import ast
 import functools
@@ -100,3 +101,33 @@ def test_the_scan_sees_an_unused_import_and_an_assert():
     tree = ast.parse("from __future__ import annotations\nimport os\n"
                      "from a import b as c, d\nassert d\n")
     assert _findings(tree) == ([4], [(2, "os"), (3, "c")])
+
+
+def _private_imports(trees):
+    """The (file, line, name) of every private name that an import of the
+    syntax trees takes from a module of the package: a relative import, or
+    one from `qschur`."""
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0]
+                    == "qschur"):
+                found += [(path, node.lineno, alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.startswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert _private_imports(_trees(SRC)) == []
+
+
+def test_the_scan_sees_a_private_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from .a import _f, g\nfrom . import _b\n"
+                     "from qschur.c import _h\nfrom os import _exit\n"
+                     "from .d import __all__\n")
+    assert _private_imports({"x.py": tree}) == [
+        ("x.py", 2, "_f"), ("x.py", 3, "_b"), ("x.py", 4, "_h")]

@@ -12,19 +12,22 @@ import pytest
 from qschur import cli, intspec, schur, weylmod
 from qschur.intspec import (SpecializedSchur, kernel_probe_RU, lattice_basis,
                             r_truncation_map, specialize_schur)
-from qschur.laurent import (LaurentPoly, LaurentRing, RatFunc, RatFuncField,
-                            is_integral, qint)
+from qschur.laurent import (R_ONE, LaurentPoly, LaurentRing, RatFunc,
+                            RatFuncField, is_integral, qint)
 from qschur.linalg import SparseEchelon, sparse_map, sparse_mul
 from qschur.jobspec import parse_spec
-from qschur.rings import CycloField, RingPoint
+from qschur.rings import CycloField, PoleError, RingPoint
 from qschur.rootdata import (PRESET_NAMES, CartanDatum,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
 from qschur.schur import (BlockAlgebra, SchurAlgebra, SchurElement,
                           build_schur, integral_report)
-from qschur.ulimit import theta_dot, verify_coherence
+from qschur.ulimit import (LimitElement, cofinal_consistency, theta_dot,
+                           verify_coherence)
 from qschur.weylmod import ModuleCheckError, WeylModule, weyl_module
 from qschur.words import WordExpr
+
+import reference_eval
 
 XI_ONE = RingPoint.rational(1)
 XI_I = RingPoint.cyclotomic(4)
@@ -143,7 +146,7 @@ class TestSpecializedDimensions:
                 for word in itertools.product(syms, repeat=length):
                     el = idem
                     for sym in word:
-                        el = S.evaluate_symbol(sym) * el
+                        el = reference_eval.symbol(S, sym) * el
                         if el.is_zero():
                             break
                     if not el.is_zero():
@@ -427,7 +430,7 @@ class TestProjectionCommutes:
         small = intspec.specialize_schur(pi, point)
         # [3] vanishes at w3, so E^(3) generates the larger algebra
         assert big._powers == [(0, 1), (0, 3)]
-        big._dp_cache[(1, 0, 3)] = (big.divided_power(1, 0, 3)
+        big._lifts[("Ed", 1, 0, 3)] = (big.divided_power(1, 0, 3)
                                     + big.idempotent((0,)))
         f = intspec.r_truncation_map(pi, pi1, point)
         assert all(f.apply(big.divided_power(sign, 0, k))
@@ -466,12 +469,89 @@ class TestSpecializedTruncation:
             expr = WordExpr.E(0) * WordExpr.idem((0,)) \
                 + WordExpr.idem((2,))
             el = theta_dot(a1, expr, point)
-            assert verify_coherence(el, chain, point)["ok"]
-            assert verify_coherence(el * point.xi, chain, point)["ok"]
+            assert verify_coherence(el, chain)["ok"]
+            assert verify_coherence(el * point.xi, chain)["ok"]
+
+    def test_cofinal_consistency_of_a_specialized_family(self):
+        a1 = preset("A1")
+        chain = [a1.saturate([(2,)])]
+        chain.append(chain[0].union(a1.saturate([(3,)])))
+        chain.append(chain[1].union(a1.saturate([(4,)])))
+        other = [a1.saturate([(0,)]), chain[1]]
+        w3 = RingPoint.cyclotomic(3)
+        el = theta_dot(a1, WordExpr.E(0) * WordExpr.idem((0,)), w3)
+        report = cofinal_consistency(el, chain, other)
+        assert report["ok"] and len(report["comparisons"]) == 6
+
+        def perturbed(pi):     # wrong on the largest set only
+            out = el.at(pi)
+            return out + out.algebra.one() if len(pi) == 5 else out
+        report = cofinal_consistency(LimitElement(a1, perturbed), chain,
+                                     other)
+        assert [c["ok"] for c in report["comparisons"]] \
+            == [True, True, True, True, False, False]
+        # 1_2 at 1 on the smallest set and at 2 above it: equal blocks
+        # whose scalars lie in different rings
+        at_1, at_2 = (theta_dot(a1, WordExpr.idem((2,)),
+                                RingPoint.rational(xi)) for xi in (1, 2))
+        assert at_1.at(chain[0]).blocks == at_2.at(chain[1]).blocks[::2]
+        report = verify_coherence(LimitElement(
+            a1, lambda pi: (at_1 if len(pi) == 2 else at_2).at(pi)), chain)
+        assert [link["ok"] for link in report["links"]] == [False, True]
+
+    @pytest.mark.parametrize("point", [RingPoint.rational(2),
+                                       RingPoint.cyclotomic(3)],
+                             ids=["2", "w3"])
+    def test_a_specialized_family_times_a_q_v_scalar(self, point):
+        a1 = preset("A1")
+        expr = WordExpr.E(0) * WordExpr.idem((0,))
+        fam = theta_dot(a1, expr, point)
+        pi = a1.saturate([(4,)])
+        v = RatFunc.from_poly(LaurentPoly.monomial(1, 1))
+        for c in (v, R_ONE / (v + R_ONE), RatFunc(3)):
+            want = theta_dot(a1, expr.scale(c), point).at(pi)
+            assert (fam * c).at(pi) == want
+            assert not want.is_zero()
+        # v^2 + v + 1 vanishes at w3: a pole there, a scalar at 2
+        c = R_ONE / (v * v + v + R_ONE)
+        if point.xi == 2:
+            assert (fam * c).at(pi) == theta_dot(
+                a1, expr.scale(c), point).at(pi)
+        else:
+            with pytest.raises(PoleError):
+                (fam * c).at(pi)
 
     def test_specialized_theta_dot_requires_modified(self):
         with pytest.raises(ValueError):
             theta_dot(preset("A1"), WordExpr.E(0), XI_ONE)
+
+
+def kernel_probe_per_set(datum, degree_bound, height_bound, point):
+    """The kernel probe set by set: the specialized algebra of each set of
+    the schedule, and every word as the product of its symbols there."""
+    alphabet = [("Ed", sign, i, k) for sign in (1, -1)
+                for i in range(datum.rank)
+                for k in range(1, degree_bound + 1)]
+    alphabet += [("K", tuple(h)) for h in datum.simple_coroots]
+    words, layer = [()], [()]
+    for _ in range(degree_bound):
+        layer = [w + (sym,) for w in layer for sym in alphabet]
+        words.extend(layer)
+    history = []
+    ech = SparseEchelon(point.field)
+    for mu in dominant_weights_up_to_height(datum, height_bound):
+        pi = datum.saturate([mu])
+        S = specialize_schur(pi, point)
+        rows = {}
+        for j, w in enumerate(words):
+            for ent, x in reference_eval.word(S, w).flatten().items():
+                rows.setdefault(ent, {})[j] = x
+        for ent in sorted(rows):
+            ech.insert(rows[ent])
+        history.append({"pi": list(pi),
+                        "kernel_dim": len(words) - ech.rank})
+    return {"word_count": len(words), "history": history,
+            "final_kernel_dim": history[-1]["kernel_dim"]}
 
 
 class TestKernelProbe:
@@ -491,6 +571,29 @@ class TestKernelProbe:
         a1 = preset("A1")
         report = kernel_probe_RU(a1, 2, 6, XI_ONE)
         assert report["final_kernel_dim"] > 0
+
+    @pytest.mark.parametrize("name,degree,height,point,final", [
+        ("A1", 2, 3, XI_I, 11), ("A1", 2, 4, XI_I, 8),
+        ("A1", 2, 3, RingPoint.cyclotomic(3), 13),
+        ("A1", 2, 4, RingPoint.cyclotomic(3), 13),
+        ("A2", 1, 3, XI_I, None), ("A2", 1, 3, RingPoint.rational(2), None),
+    ], ids=["A1-3-i", "A1-4-i", "A1-3-w3", "A1-4-w3", "A2-i", "A2-2"])
+    def test_history_matches_the_per_set_reference(
+            self, name, degree, height, point, final, monkeypatch):
+        datum = preset(name)
+        want = kernel_probe_per_set(datum, degree, height, point)
+        built = []
+        init = BlockAlgebra.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(BlockAlgebra, "__init__", spy)
+        assert kernel_probe_RU(datum, degree, height, point) == want
+        assert built == []
+        if final is not None:
+            assert (want["word_count"], want["final_kernel_dim"]) \
+                == (31, final)
 
     def test_frozen_kernel_history(self):
         a1 = preset("A1")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qschur.intspec import RTruncationMap, SpecializedSchur, \
     r_truncation_map, specialize_schur
-from qschur.laurent import LaurentPoly, RatFunc, qint
+from qschur.laurent import (R_ONE, LaurentPoly, LaurentRing, RatFunc,
+                            RatFuncField, qint)
 from qschur.linalg import SparseEchelon
 from qschur.rings import RingPoint
 from qschur import cli, intspec, schur
@@ -23,6 +24,8 @@ from qschur.schur import BlockAlgebra, SchurAlgebra, SchurElement, \
 from qschur.ulimit import check_u_relations
 from qschur.weylmod import HighestWeightModule, weyl_module
 from qschur.words import WordExpr
+
+import reference_eval
 
 
 def sat(name, gens):
@@ -113,7 +116,7 @@ COMBINATIONS = st.lists(st.tuples(st.sampled_from(SYMBOLS),
 def combination(S, terms):
     out = S.zero()
     for sym, c in terms:
-        out = out + S.evaluate_symbol(sym).scale(c)
+        out = out + reference_eval.symbol(S, sym).scale(c)
     return out
 
 
@@ -168,6 +171,76 @@ class TestSparseElements:
             assert_sparse(S, got)
             assert dense(S, got) == want
         assert (a - b == S.zero()) == (da == db)
+
+
+# word evaluation on one small set per datum, over each kind of scalars
+EVAL_ALGEBRAS = [BlockAlgebra(pi, field)
+                 for pi in (sat("A1", [(3,)]), sat("A2", [(1, 1)]))
+                 for field in (RatFuncField, LaurentRing,
+                               RingPoint.rational(2),
+                               RingPoint.cyclotomic(3))]
+V = LaurentPoly.monomial(1, 1)
+LAURENT_COEFFS = [RatFunc(1), RatFunc(-2), RatFunc.from_poly(V),
+                  RatFunc.from_poly(LaurentPoly({-1: 1, 0: 3}))]
+# [2] vanishes at no point here
+FRACTION_COEFFS = LAURENT_COEFFS + [R_ONE / RatFunc.from_poly(qint(2))]
+
+
+def _weight(datum, word):
+    """The weight a word of E, Ed and K symbols adds."""
+    out = [0] * datum.rank
+    for sym in word:
+        if sym[0] in ("E", "Ed"):
+            k = sym[1] * (sym[3] if sym[0] == "Ed" else 1)
+            out = [x + k * a for x, a in zip(out, datum.simple_roots[sym[2]])]
+    return tuple(out)
+
+
+@st.composite
+def evaluated_exprs(draw):
+    """An algebra and an expression of up to three words: without an
+    idempotent, with one, or with two that agree or disagree."""
+    S = draw(st.sampled_from(EVAL_ALGEBRAS))
+    datum = S.datum
+    signs, index = st.sampled_from((1, -1)), st.integers(0, datum.rank - 1)
+    plain = st.one_of(
+        st.tuples(st.just("E"), signs, index),
+        st.tuples(st.just("Ed"), signs, index, st.integers(0, 3)),
+        st.builds(lambda h, s: ("K", tuple(s * x for x in h)),
+                  st.sampled_from(datum.simple_coroots), signs))
+    weights = sorted(S.orbit)
+    weights.append(tuple(x + 7 for x in weights[0]))   # outside the orbit
+    coeffs = LAURENT_COEFFS if S.field is LaurentRing else FRACTION_COEFFS
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        left, mid, right = (tuple(draw(st.lists(plain, max_size=2)))
+                            for _ in range(3))
+        lam = draw(st.sampled_from(weights))
+        mu = tuple(a - b for a, b in zip(lam, _weight(datum, mid)))
+        kind = draw(st.sampled_from(("none", "one", "agree", "disagree")))
+        if kind == "disagree":
+            mu = tuple(x + a for x, a in zip(mu, datum.simple_roots[0]))
+        if kind == "none":
+            word = left + mid + right
+        elif kind == "one":
+            word = left + (("1", lam),) + mid + right
+        else:
+            word = left + (("1", lam),) + mid + (("1", mu),) + right
+        terms[word] = draw(st.sampled_from(coeffs))
+    return S, WordExpr(terms)
+
+
+class TestWordEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(evaluated_exprs())
+    def test_evaluate_expr_matches_the_product_of_generators(self, case):
+        S, expr = case
+        assert S.evaluate_expr(expr) == reference_eval.expr(S, expr)
+
+    def test_an_unknown_symbol_is_refused(self):
+        with pytest.raises(ValueError, match="unknown symbol"):
+            build_schur(sat("A1", [(1,)])).evaluate_expr(
+                WordExpr({(("X", 0),): 1}))
 
 
 class TestPresentation:
@@ -539,7 +612,7 @@ class TestTruncationMaps:
         tgt = f.target = SchurAlgebra(f.target.pi, f.target.modules)
         assert f.source.dimension() == f.source.expected_dim
         assert tgt.dimension() == 994
-        tgt._dp_cache[(1, 0, 1)] = tgt.generator(1, 0).scale(2)
+        tgt._lifts[("Ed", 1, 0, 1)] = tgt.generator(1, 0).scale(2)
         inserts = spy_calls(monkeypatch, (SparseEchelon, "insert"))
         report = f.verify()
         assert inserts == []
@@ -667,4 +740,4 @@ class TestGeneratingPowers:
         S = SchurAlgebra(pi) if point is None else SpecializedSchur(pi, point)
         assert S.dimension() == 994
         assert calls == []
-        assert {k for _, _, k in S._dp_cache} == {1}
+        assert {sym[3] for sym in S._lifts if sym[0] == "Ed"} == {1}

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur import schur, ulimit
-from qschur.laurent import R_ONE, LaurentPoly, RatFunc, qint
+from qschur.laurent import R_ONE, LaurentPoly, RatFunc, RatFuncField, qint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, preset
-from qschur.linalg import sparse_map
 from qschur.schur import BlockAlgebra, SchurAlgebra, build_schur
 from qschur.ulimit import (LimitElement, check_Kh_identity, check_u_relations,
                            cofinal_consistency, coherent_basis_check, hat_E,
@@ -19,6 +18,8 @@ from qschur.ulimit import (LimitElement, check_Kh_identity, check_u_relations,
                            verify_coherence)
 from qschur.weylmod import weyl_module
 from qschur.words import WordExpr
+
+import reference_eval
 
 
 def a1_chain():
@@ -344,7 +345,7 @@ class TestWeightFilter:
 
 class TestTopBlock:
     """A probe evaluates each set it does not skip on the module of its
-    top weight only (`ulimit.module_image`), over Z[v,v^-1]."""
+    top weight only (`schur.expr_block`)."""
 
     @settings(max_examples=100, deadline=None)
     @given(modified_exprs())
@@ -353,21 +354,10 @@ class TestTopBlock:
         found = separation_probe(datum, expr, 4)
         assert found == unfiltered_probe(datum, expr, 4)
         for pi in probe_schedule(datum, 4):
-            top = ulimit.module_image(weyl_module(datum, pi.elements[-1]),
-                                      expr)
-            block = build_schur(pi).evaluate_expr(expr).blocks[-1]
-            assert bool(top) == bool(block), (pi, expr)
-            assert sparse_map(_in_q_v, top) == block, (pi, expr)
-
-    def test_one_word_stays_laurent(self):
-        module = weyl_module(preset("A2"), (1, 1))
-        word = WordExpr.F(0) * WordExpr.idem((1, 1))
-        for expr, ring in ((word, LaurentPoly),
-                           (word.scale(RatFunc(-1)), RatFunc),
-                           (word + WordExpr.idem((1, 1)), RatFunc)):
-            entries = [x for row in ulimit.module_image(module, expr).values()
-                       for x in row.values()]
-            assert entries and all(isinstance(x, ring) for x in entries)
+            top = schur.expr_block(weyl_module(datum, pi.elements[-1]),
+                                   expr, RatFuncField)
+            block = reference_eval.expr(build_schur(pi), expr).blocks[-1]
+            assert top == block, (pi, expr)
 
     def test_a_round_builds_the_top_modules_and_no_algebra(
             self, monkeypatch):
@@ -387,7 +377,3 @@ class TestTopBlock:
         # the whole algebras of the hit sets hold 37 modules
         assert weyl_module.cache_info().currsize == 32
         assert built == []
-
-
-def _in_q_v(x):
-    return RatFunc.from_poly(x) if isinstance(x, LaurentPoly) else x
