@@ -18,9 +18,9 @@ tags: when every inserted vector carries a unit entry at its own tag index
 past all vector indices, a vector in their span reduces to minus its
 coordinates on the tags.  Two fraction-free eliminations live beside it:
 module bases are chosen mod p and solved in Z[v,v^-1] by
-`weylmod._bareiss`, and `rootdata._bareiss` reads the minors and the
-determinant of an integer Cartan form.  No lattice coordinates are
-computed: the lowering builds each module in its lattice basis.
+`weylmod._bareiss`, and `rootdata._bareiss` reads the leading minors of
+an integer Cartan form.  No lattice coordinates are computed: the
+lowering builds each module in its lattice basis.
 """
 
 from __future__ import annotations

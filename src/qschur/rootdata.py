@@ -1,8 +1,9 @@
 """Cartan data, finite-type root data, dominance order, Weyl orbits, and
 saturated sets of dominant weights.
 
-Weights are plain integer tuples in the chosen basis of the weight lattice X;
-conversions to the simple-root basis solve exact linear systems.
+Weights are plain integer tuples in the chosen basis of the weight lattice X,
+and coweights in the dual basis of Y, so every pairing <h, lam> is one dot
+product; conversions to the simple-root basis solve exact linear systems.
 """
 
 from __future__ import annotations
@@ -61,28 +62,19 @@ class CartanDatum:
 
     def is_finite_type(self):
         """Positive definiteness: every leading principal minor, read off
-        one Bareiss elimination without row swaps, is positive."""
-        pivots, _ = _bareiss(self.form, swap=False)
+        one Bareiss elimination, is positive."""
+        pivots = _bareiss(self.form)
         return len(pivots) == self.rank and all(p > 0 for p in pivots)
 
 
-def _bareiss(m, swap):
-    """Bareiss fraction-free elimination of a square integer matrix.
-
-    Returns (pivots, sign).  The k-th pivot is the leading k x k minor of
-    the matrix with the rows swapped so far, and `sign` is the sign of
-    those swaps, so sign times the n-th pivot is the determinant.  Without
-    `swap` no row moves, so the pivots are the leading principal minors.
-    Elimination stops at the first zero pivot that no swap removes."""
+def _bareiss(m):
+    """The leading principal minors of a square integer matrix, by Bareiss
+    fraction-free elimination without row swaps: the k-th pivot is the
+    leading k x k minor.  Elimination stops at the first zero pivot."""
     a = [list(row) for row in m]
     n = len(a)
-    pivots, sign, prev = [], 1, 1
+    pivots, prev = [], 1
     for k in range(n):
-        if swap and a[k][k] == 0:
-            r = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if r is not None:
-                a[k], a[r] = a[r], a[k]
-                sign = -sign
         p = a[k][k]
         pivots.append(p)
         if p == 0:
@@ -91,33 +83,23 @@ def _bareiss(m, swap):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
         prev = p
-    return pivots, sign
-
-
-def _int_det(m):
-    if not m:
-        return 1
-    pivots, sign = _bareiss(m, swap=True)
-    return sign * pivots[-1] if len(pivots) == len(m) else 0
+    return pivots
 
 
 class RootDatum:
-    """Lattices X, Y with a perfect pairing and simple roots/coroots.
+    """Lattices X, Y with simple roots in X and simple coroots in Y.
 
-    pairing: rankY x rankX integer matrix; <h, lam> = h^T . pairing . lam.
-    simple_roots[i] lives in X, simple_coroots[i] in Y.
+    Weights are written in a basis of X and coweights in the dual basis of
+    Y, so the perfect pairing <h, lam> is the dot product of the tuples.
     """
 
-    def __init__(self, cartan, pairing, simple_roots, simple_coroots,
-                 name=None):
+    def __init__(self, cartan, simple_roots, simple_coroots, name=None):
         self.cartan = cartan
-        self.pairing = tuple(tuple(int(x) for x in row) for row in pairing)
-        self.rank_y = len(self.pairing)
-        self.rank_x = len(self.pairing[0]) if self.pairing else 0
         self.simple_roots = tuple(tuple(int(x) for x in a)
                                   for a in simple_roots)
         self.simple_coroots = tuple(tuple(int(x) for x in h)
                                     for h in simple_coroots)
+        self.rank_x = len(self.simple_roots[0]) if self.simple_roots else 0
         self.rank = cartan.rank
         self.name = name
         self._alpha_memo = {}       # vec -> alpha_coords(vec)
@@ -126,28 +108,11 @@ class RootDatum:
     # -- pairing and reflections ---------------------------------------
 
     def pair(self, h, lam):
-        """<h, lam> for a coweight vector h and weight lam."""
-        return sum(h[a] * self.pairing[a][b] * lam[b]
-                   for a in range(self.rank_y) for b in range(self.rank_x))
+        """<h, lam> for a coweight h and a weight lam."""
+        return sum(c * x for c, x in zip(h, lam))
 
     def pair_i(self, i, lam):
-        return sum(c * x for c, x in zip(self._coroot_rows[i], lam))
-
-    def _row(self, h):
-        """The row h . pairing, so that <h, lam> is one dot product."""
-        return tuple(sum(h[a] * self.pairing[a][b] for a in range(self.rank_y))
-                     for b in range(self.rank_x))
-
-    @cached_property
-    def _coroot_rows(self):
-        return tuple(map(self._row, self.simple_coroots))
-
-    @cached_property
-    def _root_cols(self):
-        """The column pairing . alpha_i of every simple root alpha_i."""
-        return tuple(tuple(sum(x * y for x, y in zip(row, alpha))
-                           for row in self.pairing)
-                     for alpha in self.simple_roots)
+        return sum(c * x for c, x in zip(self.simple_coroots[i], lam))
 
     def is_dominant(self, lam):
         return all(self.pair_i(i, lam) >= 0 for i in range(self.rank))
@@ -158,7 +123,7 @@ class RootDatum:
         return tuple(x - c * a for x, a in zip(lam, alpha))
 
     def reflect_coweight(self, i, h):
-        c = sum(x * y for x, y in zip(h, self._root_cols[i]))
+        c = self.pair(h, self.simple_roots[i])
         hi = self.simple_coroots[i]
         return tuple(x - c * a for x, a in zip(h, hi))
 
@@ -171,12 +136,13 @@ class RootDatum:
             report.append("number of simple roots/coroots differs from the "
                           "Cartan rank")
             return report
-        if self.rank_x != self.rank_y:
-            report.append("pairing not perfect: X and Y have different ranks")
-        else:
-            d = _int_det([list(row) for row in self.pairing])
-            if abs(d) != 1:
-                report.append(f"pairing not perfect: determinant {d}")
+        lengths = [f"simple {kind} {i} has {len(v)} entries, not "
+                   f"{self.rank_x}"
+                   for kind, vectors in (("root", self.simple_roots),
+                                         ("coroot", self.simple_coroots))
+                   for i, v in enumerate(vectors) if len(v) != self.rank_x]
+        if lengths:
+            return report + lengths
         for i in range(r):
             for j in range(r):
                 expect = self.cartan.cartan_entry(i, j)
@@ -200,7 +166,7 @@ class RootDatum:
     @cached_property
     def _pairing_solver(self):
         """Solves <h_i, lam> = n_i for a rational weight lam."""
-        return _solver([list(row) for row in self._coroot_rows])
+        return _solver(self.simple_coroots)
 
     def alpha_coords(self, vec):
         """Coordinates of vec in the simple-root basis, or None when vec is
@@ -227,7 +193,7 @@ class RootDatum:
         """Sum of alpha-coordinates of lam - w0(lam), for dominant lam:
         <rho^vee, alpha_i> = 1, so it is <rho^vee, lam - w0(lam)> =
         <2 rho^vee, lam>, an integer."""
-        return sum(c * x for c, x in zip(self.two_rho_vee_row, lam))
+        return self.pair(self.two_rho_vee, lam)
 
     # -- Weyl orbits -----------------------------------------------------
 
@@ -294,14 +260,10 @@ class RootDatum:
                      for k in range(self.rank_x))
 
     @cached_property
-    def positive_coroot_rows(self):
-        """The row of every positive coroot, in `positive_roots` order."""
-        return [self._row(h) for _, h in self._positive_roots]
-
-    @cached_property
-    def two_rho_vee_row(self):
-        """The row of 2 rho^vee, the sum of the positive coroots."""
-        return tuple(map(sum, zip(*self.positive_coroot_rows)))
+    def two_rho_vee(self):
+        """2 rho^vee, the sum of the positive coroots, a coweight."""
+        return tuple(sum(h[k] for _, h in self._positive_roots)
+                     for k in range(self.rank_x))
 
     # -- saturation --------------------------------------------------------
 
@@ -346,8 +308,7 @@ class RootDatum:
     def key(self):
         """Deterministic identity: equal data have equal keys, whatever
         their names."""
-        return (self.cartan.form, self.pairing, self.simple_roots,
-                self.simple_coroots)
+        return self.cartan.form, self.simple_roots, self.simple_coroots
 
     def __eq__(self, other):
         return self is other or (isinstance(other, RootDatum)
@@ -434,9 +395,12 @@ class SaturatedSet:
         return hash((self.datum, self._members))
 
     def issubset(self, other):
-        return self._members <= other._members
+        """Containment; sets of different root data are never nested."""
+        return self.datum == other.datum and self._members <= other._members
 
     def union(self, other):
+        if self.datum != other.datum:
+            raise ValueError("saturated sets of different root data")
         return SaturatedSet(self.datum, self._members | other._members,
                             check=False)
 
@@ -463,10 +427,10 @@ class SaturatedSet:
 
 
 def simply_connected(cartan, name=None):
-    """Root datum with weight basis the fundamental weights and identity
-    pairing; simple roots are the columns of the Cartan matrix."""
+    """Root datum with weight basis the fundamental weights, so the simple
+    coroots are the dual basis and the simple roots are the columns of the
+    Cartan matrix."""
     r = cartan.rank
-    pairing = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
     roots = []
     for j in range(r):
         col = []
@@ -477,7 +441,7 @@ def simply_connected(cartan, name=None):
             col.append(int(c))
         roots.append(tuple(col))
     coroots = [tuple(1 if b == i else 0 for b in range(r)) for i in range(r)]
-    return RootDatum(cartan, pairing, roots, coroots, name=name)
+    return RootDatum(cartan, roots, coroots, name=name)
 
 
 # -- presets ----------------------------------------------------------------
@@ -487,27 +451,16 @@ def simply_connected(cartan, name=None):
 def preset(name):
     """Shipping root data: A1, A1adj, A1xA1, A2, B2.
 
-    All are simply connected (weight basis = fundamental weights, identity
-    pairing) except A1adj, whose weight lattice is the root lattice.
+    All are simply connected (weight basis = fundamental weights) except
+    A1adj, whose weight lattice is the root lattice.
     """
-    if name == "A1":
-        return RootDatum(CartanDatum([[2]]), [[1]], [(2,)], [(1,)], name="A1")
     if name == "A1adj":
-        return RootDatum(CartanDatum([[2]]), [[1]], [(1,)], [(2,)],
-                         name="A1adj")
-    if name == "A1xA1":
-        return RootDatum(CartanDatum([[2, 0], [0, 2]]),
-                         [[1, 0], [0, 1]],
-                         [(2, 0), (0, 2)], [(1, 0), (0, 1)], name="A1xA1")
-    if name == "A2":
-        return RootDatum(CartanDatum([[2, -1], [-1, 2]]),
-                         [[1, 0], [0, 1]],
-                         [(2, -1), (-1, 2)], [(1, 0), (0, 1)], name="A2")
-    if name == "B2":
-        return RootDatum(CartanDatum([[4, -2], [-2, 2]]),
-                         [[1, 0], [0, 1]],
-                         [(2, -2), (-1, 2)], [(1, 0), (0, 1)], name="B2")
-    raise KeyError(f"unknown preset {name!r}")
+        return RootDatum(CartanDatum([[2]]), [(1,)], [(2,)], name="A1adj")
+    forms = {"A1": [[2]], "A1xA1": [[2, 0], [0, 2]],
+             "A2": [[2, -1], [-1, 2]], "B2": [[4, -2], [-2, 2]]}
+    if name not in forms:
+        raise KeyError(f"unknown preset {name!r}")
+    return simply_connected(CartanDatum(forms[name]), name=name)
 
 
 PRESET_NAMES = ("A1", "A1adj", "A1xA1", "A2", "B2")

@@ -194,7 +194,7 @@ def check_u_relations(pi):
             if K(h) * K(hp) != K(tuple(a + b for a, b in zip(h, hp))):
                 bad.append({"h": h, "h'": hp})
     report = relation_rows("a:K-group-law", bad)
-    zero = K((0,) * datum.rank_y)
+    zero = K((0,) * datum.rank_x)
     report += relation_rows("a:K-zero", [] if zero == S.one() else [None])
     bad = [{"h": h} for h in coweights if K(h) * K(_neg(h)) != S.one()]
     report += relation_rows("a:K-inverse", bad)

@@ -208,7 +208,7 @@ class WeylModule(HighestWeightModule):
             below = {tuple(x - a for x, a in zip(nu, roots[i]))
                      for nu in level for i in range(r)}
             level = []
-            for nu in _weight_order(datum, lam, below):
+            for nu in _weight_order(datum, below):
                 basis = _lower(datum, lam, nu, mult.get(nu, 0), words,
                                index, e, fdp)
                 if basis:
@@ -441,7 +441,7 @@ class TensorModule(HighestWeightModule):
         echelons = _close_under_lowering(datum, lam, hw, apply)
         got = {nu: ech.rank for nu, ech in echelons.items()}
         _check_character(datum, lam, got, freudenthal_oracle(datum, lam))
-        weights = _weight_order(datum, lam, echelons)
+        weights = _weight_order(datum, echelons)
         offsets = _offsets(weights, got)
         pivots = {nu: sorted(ech.pivots) for nu, ech in echelons.items()}
 
@@ -534,13 +534,13 @@ def _close_under_lowering(datum, lam, hw, apply):
     return echelons
 
 
-def _weight_order(datum, lam, weights):
-    """The weights below lam sorted by depth (the height of lam - nu in the
-    simple roots), then by the weight itself."""
-    def key(nu):
-        return (sum(datum.root_coords(tuple(a - b for a, b in
-                                            zip(lam, nu)))), nu)
-    return sorted(weights, key=key)
+def _weight_order(datum, weights):
+    """The weights below a highest weight lam sorted by depth (the height
+    of lam - nu in the simple roots), then by the weight itself.  Since
+    <rho^vee, alpha_i> = 1, the depth is <rho^vee, lam - nu>, so the key
+    -<2 rho^vee, nu> sorts by depth with no root coordinates."""
+    return sorted(weights,
+                  key=lambda nu: (-datum.pair(datum.two_rho_vee, nu), nu))
 
 
 def _check_character(datum, lam, dims, mult):
@@ -613,9 +613,9 @@ def weyl_dim_oracle(datum, lam):
         raise ValueError(f"{lam} is not dominant")
     shifted = tuple(2 * x + t for x, t in zip(lam, datum.two_rho))
     num = den = 1
-    for row in datum.positive_coroot_rows:
-        num *= sum(c * x for c, x in zip(row, shifted))
-        den *= sum(c * x for c, x in zip(row, datum.two_rho))
+    for _, h in datum.positive_roots():
+        num *= datum.pair(h, shifted)
+        den *= datum.pair(h, datum.two_rho)
     dim, rest = divmod(num, den)
     if rest:
         raise ModuleCheckError(
@@ -630,13 +630,11 @@ def freudenthal_oracle(datum, lam):
     lam = tuple(lam)
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    dominants = _weight_order(datum, lam, datum.saturate([lam]).elements)
-    # only weights <= lam occur; dominants[0] == lam
+    # the saturation holds only weights <= lam; dominants[0] == lam
+    dominants = _weight_order(datum, datum.saturate([lam]).elements)
     mult = {}
     pos = datum.positive_roots()
     for mu in dominants:
-        if not datum.dominance_leq(mu, lam):
-            continue
         if mu == lam:
             mult[mu] = 1
             continue

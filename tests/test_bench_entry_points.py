@@ -86,7 +86,12 @@ def test_every_library_name_the_child_calls_resolves():
             (jobspec, "parse_spec"),
             (intspec.SpecializedSchur, "verify_relations")]:
         assert callable(getattr(owner, attr)), (owner, attr)
+    # the datum members the child reads; rank and simple_roots are
+    # instance attributes, so only a built datum has them
     a1 = rootdata.preset("A1")
+    for attr in ("height", "dominant_representative", "saturate", "key"):
+        assert callable(getattr(a1, attr)), attr
+    assert a1.rank == 1 and a1.simple_roots == ((2,),)
     lattice = intspec.lattice_basis(weylmod.weyl_module(a1, (1,)))
     assert callable(lattice.check_integrality)
     # an instance attribute, so only a built algebra has it

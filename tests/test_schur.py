@@ -668,6 +668,11 @@ class TestTruncationMaps:
         with pytest.raises(ValueError):
             TruncationMap(sat("A1", [(3,)]), sat("A1", [(2,)]))
 
+    def test_map_refuses_sets_of_different_data(self):
+        # the weight tuple of A2 (1,0) lies in B2's set below (1,0)
+        with pytest.raises(ValueError, match="not contained"):
+            TruncationMap(sat("A2", [(1, 0)]), sat("B2", [(1, 0)]))
+
     def test_idempotent_dies_outside_smaller_orbit(self):
         pi0 = sat("A1", [(2,)])
         pi1 = sat("A1", [(4,)])

@@ -62,6 +62,12 @@ class TestCoherence:
         with pytest.raises(ValueError):
             verify_coherence(hat_K(datum, (1,)), [chain[2], chain[0]])
 
+    def test_a_chain_across_root_data_is_not_nested(self):
+        a2, b2 = preset("A2"), preset("B2")
+        chain = [a2.saturate([(1, 0)]), b2.saturate([(1, 0)])]
+        with pytest.raises(ValueError, match="chain is not nested"):
+            verify_coherence(hat_K(a2, (1, 0)), chain)
+
     def test_cofinal_consistency_across_two_chains(self):
         datum, chain = a1_chain()
         other = [datum.saturate([(0,)]), chain[1]]
@@ -209,7 +215,7 @@ def draw_word(draw, datum, weights):
                        st.tuples(*[st.integers(-4, 4)] * datum.rank_x))
     sign, i = st.sampled_from((1, -1)), st.integers(0, datum.rank - 1)
     coweight = st.sampled_from(
-        [(0,) * datum.rank_y] + list(datum.simple_coroots))
+        [(0,) * datum.rank_x] + list(datum.simple_coroots))
     symbol = st.one_of(st.tuples(st.just("E"), sign, i),
                        st.tuples(st.just("Ed"), sign, i, st.integers(1, 3)),
                        st.tuples(st.just("K"), coweight),

@@ -10,6 +10,7 @@ import pytest
 
 from qschur import laurent, schur, weylmod
 from qschur.cache import serialize_algebra
+from qschur.jobspec import parse_spec
 from qschur.laurent import LaurentPoly, RatFunc, qbinom, qint
 from qschur.linalg import sparse_add, sparse_mul, sparse_scale, sparse_sub
 from qschur.rootdata import PRESET_NAMES, CartanDatum, \
@@ -236,9 +237,58 @@ class TestTensorPath:
             HighestWeightModule(m.datum, m.lam, m.weights, m.dims, e, m.f)
 
 
+def _depth_order(datum, lam, weights):
+    """The weights below lam sorted by the sum of the root coordinates of
+    lam - nu, then by nu: the order `_weight_order` replaced."""
+    def key(nu):
+        return sum(datum.root_coords(tuple(a - b for a, b
+                                           in zip(lam, nu)))), nu
+    return sorted(weights, key=key)
+
+
+class TestWeightOrder:
+    """`_weight_order` sorts by one pairing with 2 rho^vee, against the
+    depth in root coordinates as the oracle."""
+
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    def test_presets_sort_like_the_depth(self, name):
+        for datum, lam in modules_up_to_height(name, 6):
+            weights = list(freudenthal_oracle(datum, lam))
+            assert weylmod._weight_order(datum, weights) \
+                == _depth_order(datum, lam, weights), (name, lam)
+
+    @pytest.mark.parametrize("matrix,lam", [
+        ("2,-3;-3,6", (3, 1)), ("4,-2,0;-2,4,-2;0,-2,2", (1, 1, 1))],
+        ids=["G2", "B3"])
+    def test_datum_matrix_forms_sort_like_the_depth(self, matrix, lam):
+        datum = parse_spec(f"datum matrix {matrix}\n").datum()
+        weights = list(freudenthal_oracle(datum, lam))
+        assert weylmod._weight_order(datum, weights) \
+            == _depth_order(datum, lam, weights)
+
+    def test_building_a_module_solves_no_root_coordinates(self,
+                                                          monkeypatch):
+        # the Freudenthal oracle reads the invariant form, which does
+        # solve for root coordinates, so its answers are taken up front
+        datum = preset("B2")
+        mults = {lam: freudenthal_oracle(datum, lam)
+                 for lam in [(1, 0), (0, 1), (1, 1)]}
+        monkeypatch.setattr(weylmod, "freudenthal_oracle",
+                            lambda datum, lam: mults[tuple(lam)])
+        calls = _spy(monkeypatch, type(datum), "root_coords")
+        lowered = WeylModule(datum, (1, 1))
+        TensorModule(datum, (1, 1), WeylModule(datum, (1, 0)),
+                     WeylModule(datum, (0, 1)))
+        assert calls == []
+        _depth_order(datum, (1, 1), lowered.weights)
+        assert calls                         # the spy sees the old order
+
+
 # SHA-256 of the compact JSON of `cache.serialize_algebra(build_schur(pi))`
 # (cache format 3), taken from the lowering with divided powers, whose basis
-# is the Lusztig lattice
+# is the Lusztig lattice.  The digests were taken when the key of a root
+# datum held its pairing matrix, so `datum` is written in that form: the
+# pairing of dual bases is the identity.
 MATRIX_DIGESTS = [
     ("A2", (2, 1),
      "16c03cf141b72dd1dc9336cf3b7834400141f53110d52dd1af9fee9070237fae"),
@@ -252,9 +302,13 @@ MATRIX_DIGESTS = [
 
 
 def _matrix_digest(name, lam):
-    pi = preset(name).saturate([lam])
-    text = json.dumps(serialize_algebra(build_schur(pi)), sort_keys=True,
-                      separators=(",", ":"))
+    datum = preset(name)
+    body = serialize_algebra(build_schur(datum.saturate([lam])))
+    identity = tuple(tuple(int(a == b) for b in range(datum.rank_x))
+                     for a in range(datum.rank_x))
+    body["datum"] = repr((datum.cartan.form, identity, datum.simple_roots,
+                          datum.simple_coroots))
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
