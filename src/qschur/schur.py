@@ -448,8 +448,13 @@ class SchurAlgebra(BlockAlgebra):
 
 @cache
 def build_schur(pi):
-    """Memoized pure construction of the algebra for a saturated set."""
-    return SchurAlgebra(pi)
+    """Memoized pure construction of the algebra for a saturated set, its
+    modules lowered whole; `SchurAlgebra(pi)` lowers a module only where
+    a read needs it (`weylmod.WeylModule`)."""
+    S = SchurAlgebra(pi)
+    for m in S.modules:
+        m.lowered_to(None)
+    return S
 
 
 class TruncationMap:

@@ -12,7 +12,7 @@ from .intspec import specialize_schur
 from .laurent import LaurentPoly, RatFuncField
 from .linalg import SparseEchelon
 from .rootdata import dominant_weights_up_to_height
-from .schur import build_schur, expr_block, relation_rows
+from .schur import SchurAlgebra, build_schur, expr_block, relation_rows
 from .weylmod import weyl_module, word_walk
 from .words import WordExpr
 
@@ -75,14 +75,16 @@ def hat_E(datum, sign, i):
     return LimitElement(datum, lambda pi: build_schur(pi).generator(sign, i))
 
 
+# a weight diagonal reads only the weights of each module, so hat_one and
+# hat_K take an algebra that lowers none of them, not `build_schur`'s
 def hat_one(datum, lam):
     lam = tuple(lam)
-    return LimitElement(datum, lambda pi: build_schur(pi).idempotent(lam))
+    return LimitElement(datum, lambda pi: SchurAlgebra(pi).idempotent(lam))
 
 
 def hat_K(datum, h):
     h = tuple(h)
-    return LimitElement(datum, lambda pi: build_schur(pi).k_element(h))
+    return LimitElement(datum, lambda pi: SchurAlgebra(pi).k_element(h))
 
 
 def hat_divided(datum, sign, i, k):

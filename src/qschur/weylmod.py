@@ -1,13 +1,15 @@
 """Highest-weight modules over Q(v), as one record of exact sparse action
 matrices with entries in Z[v,v^-1].
 
-The simple module of highest weight lam is built weight by weight from its
-highest vector by the divided powers of the lowering operators, in a basis
-of its Lusztig lattice.  Two independent classical oracles (Weyl dimension
-formula, Freudenthal recursion) check the result, and the record checks
-the commutator relation.  A tensor-product realization is kept as an
-independent check of the lowering.  `word_matrix` is the one evaluator of
-a word of symbols (see `words`): its Laurent matrix on one module.
+The simple module of highest weight lam takes its weights from the
+Freudenthal recursion up front and is lowered on demand, level by level
+from its highest vector by the divided powers of the lowering operators, in
+a basis of its Lusztig lattice: a word is read on the levels its walk
+reaches, a generator on the whole module.  The Weyl dimension formula and
+the commutator relation check the result.  A tensor-product realization is
+kept as an independent check of the lowering.  `word_matrix` is the one
+evaluator of a word of symbols (see `words`): its Laurent matrix on one
+module.
 
 The lowering takes no fraction: the basis of each weight space is chosen
 over F_p, where rank cannot exceed the rank over Q(v), and every other
@@ -19,6 +21,8 @@ Q(v) (see `WeylModule`), which stays as the fallback and the test oracle.
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby
+from types import SimpleNamespace
 
 from .laurent import (ONE, R_ONE, ZERO, LaurentPoly, RatFunc, RatFuncField,
                       is_integral, qbinom, qint)
@@ -66,44 +70,55 @@ class HighestWeightModule:
     are the matrices of E_i and F_i, sparse row dicts in the `linalg`
     format with entries in Z[v,v^-1], acting on coordinate columns.  Every
     construction ends here: the constructor refuses a highest weight space
-    that is not a line, and checks [E_i, F_j] = delta_ij [<h_i, nu>]_i on
-    every weight space.
+    that is not a line and, given E and F, checks
+    [E_i, F_j] = delta_ij [<h_i, nu>]_i on every weight space.
     """
 
-    def __init__(self, datum, lam, weights, dims, e, f):
+    def __init__(self, datum, lam, weights, dims, e=None, f=None):
         self.datum = datum
         self.lam = tuple(lam)
         self.weights = list(weights)
         self.dims = dict(dims)
         self.offsets = _offsets(self.weights, self.dims)
         self.dim = sum(self.dims.values())
-        self.e = list(e)
-        self.f = list(f)
+        two = datum.two_rho_vee         # depth: the height of lam - nu
+        self.depths = {nu: (datum.pair(two, self.lam) - datum.pair(two, nu))
+                       // 2 for nu in self.weights}
         self._dp_cache = {}
         self._diag_cache = {}
         if self.dims.get(self.lam) != 1:
             raise ModuleCheckError(
                 f"highest weight space of {self.lam} is not one dimensional")
-        self._check_commutators()
+        if e is not None:
+            self.e, self.f = list(e), list(f)
+            self._check_commutators(self.weights, self.e, self.f)
 
-    def _check_commutators(self):
+    def _check_commutators(self, weights, e, f, sign=1):
+        """Check [E_i, F_j] = delta_ij [<h_i, nu>]_i on the given weights,
+        from the rows of E_i and F_j there, or for sign -1 from their
+        column dicts: [E^T, F^T] = -[E, F]^T, and the right side is
+        diagonal."""
         datum = self.datum
+        rows = {k: nu for nu in weights for k in range(
+            self.offsets[nu], self.offsets[nu] + self.dims[nu])}
+        es, fs = ([{k: m[k] for k in rows if k in m} for m in mats]
+                  for mats in (e, f))
         for i in range(datum.rank):
             d = datum.cartan.d(i)
-            cartan = {}
-            for nu in self.weights:
-                c = qint(datum.pair_i(i, nu), d)
-                if c:
-                    off = self.offsets[nu]
-                    for k in range(off, off + self.dims[nu]):
-                        cartan[k] = {k: c}
+            cs = {nu: qint(sign * datum.pair_i(i, nu), d) for nu in weights}
+            cartan = {k: {k: cs[nu]} for k, nu in rows.items() if cs[nu]}
             for j in range(datum.rank):
-                comm = sparse_sub(sparse_mul(self.e[i], self.f[j]),
-                                  sparse_mul(self.f[j], self.e[i]))
+                comm = sparse_sub(sparse_mul(es[i], f[j]),
+                                  sparse_mul(fs[j], e[i]))
                 if comm != (cartan if i == j else {}):
                     raise ModuleCheckError(
                         f"commutator [E_{i}, F_{j}] fails on the module of "
                         f"highest weight {self.lam}")
+
+    def lowered_to(self, depth):
+        """The record, exact on the weights down to `depth` below lam: a
+        record with all its matrices is its own."""
+        return self
 
     def divided_power(self, sign, i, k):
         """Sparse matrix of E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i,
@@ -161,11 +176,15 @@ class HighestWeightModule:
 
 
 class WeylModule(HighestWeightModule):
-    """The simple highest-weight module L(lam), lowered from its highest
-    vector weight by weight with divided powers, from the top down.  Its
-    basis is a Z[v,v^-1]-basis of the Lusztig form V_A = U_A^- v_lam
-    (Lusztig, Introduction to Quantum Groups, 23 and 29), and `words` holds
-    the word of each basis vector.
+    """The simple highest-weight module L(lam): its weights, dims and
+    offsets from the Freudenthal recursion up front, and a basis lowered
+    from the highest vector with divided powers, level by level from the
+    top, as deep as a read needs (`lowered_to`; `e`, `f` and `words` need
+    the whole module).  The basis is a Z[v,v^-1]-basis of the Lusztig form
+    V_A = U_A^- v_lam (Lusztig, Introduction to Quantum Groups, 23 and 29),
+    exact on every weight it reaches; `words` holds the word of each basis
+    vector.  Built directly, the record is lowered whole; `weyl_module`
+    builds it lazy.
 
     The candidates at weight nu are the vectors F_i^(a) b, for every a >= 1
     and every basis vector b at mu = nu + a alpha_i whose word does not
@@ -190,36 +209,85 @@ class WeylModule(HighestWeightModule):
     choice is the greedy choice over Q(v).  Where a check fails at every
     point of `_POINTS`, that greedy choice itself (`_choose_exact`) redoes
     the weight and raises ModuleCheckError on a non-Laurent coordinate.
+
+    Each weight is proved as it is built, its multiplicity against the
+    Freudenthal recursion too; the commutator check runs on a level once
+    the level below it exists, the Weyl formula once the module is whole.
     """
 
-    def __init__(self, datum, lam):
+    def __init__(self, datum, lam, lazy=False):
         lam = tuple(lam)
         if not datum.is_dominant(lam):
             raise ValueError(f"highest weight {lam} is not dominant")
-        r = datum.rank
-        roots = datum.simple_roots
         mult = freudenthal_oracle(datum, lam)
-        words = {lam: [()]}           # nu -> basis words
-        index = {(): 0}               # word -> basis index
-        e = [{} for _ in range(r)]    # column dicts while building
-        fdp = {}                      # (i, a) -> columns of F_i^(a)
-        level = [lam]
-        while level:                  # the weights one step further down
-            below = {tuple(x - a for x, a in zip(nu, roots[i]))
-                     for nu in level for i in range(r)}
+        super().__init__(datum, lam, _weight_order(datum, mult), mult)
+        # the lowering so far: basis words by weight, the index of each
+        # word, the columns of E_j and of every F_i^(a), the deepest level
+        # and its depth, the views by depth, and the Freudenthal weights by
+        # depth (none past the bottom)
+        self._low = SimpleNamespace(
+            words={lam: [()]}, index={(): 0}, fdp={}, level=[lam], depth=0,
+            e=[{} for _ in range(datum.rank)], views={},
+            levels=[list(g) for _, g in groupby(self.weights, self.depths.get)]
+            + [[]])
+        if not lazy:
+            self.lowered_to(None)
+
+    def __getattr__(self, name):
+        # only the whole module has E, F and every word
+        if name in ("e", "f", "words") and "_low" in self.__dict__:
+            self.lowered_to(None)
+            return self.__dict__[name]
+        raise AttributeError(name)
+
+    def lowered_to(self, depth):
+        """Lower level by level down to `depth` (None: to the bottom).  The
+        record itself once whole, with E, F and `words` plain attributes;
+        else a view, a HighestWeightModule of the basis built down to some
+        level: E on its columns and F on those above that level, so it
+        holds the block of every symbol between weights of depth <= `depth`.
+        Each view keeps its divided powers, so a read is served by the
+        shallowest one deep enough."""
+        low = self.__dict__.get("_low")
+        if low is None:
+            return self
+        if depth in low.views:
+            return low.views[depth]
+        datum, r, roots = self.datum, self.datum.rank, self.datum.simple_roots
+        while low.level and (depth is None or low.depth < depth):
+            below = set(low.levels[low.depth + 1])
+            below.update(tuple(x - a for x, a in zip(nu, roots[i]))
+                         for nu in low.level for i in range(r))
             level = []
             for nu in _weight_order(datum, below):
-                basis = _lower(datum, lam, nu, mult.get(nu, 0), words,
-                               index, e, fdp)
+                basis = low.words.get(nu) or _lower(
+                    datum, self.lam, nu, self.dims.get(nu, 0), low.words,
+                    low.index, low.e, low.fdp)
                 if basis:
-                    words[nu] = basis
+                    low.words[nu] = basis
                     level.append(nu)
-        dims = {nu: len(ws) for nu, ws in words.items()}
-        _check_character(datum, lam, dims, mult)
-        self.words = list(index)
-        f = [fdp.get((i, 1), {}) for i in range(r)]
-        super().__init__(datum, lam, list(words), dims,
-                         *(map(sparse_transpose, mats) for mats in (e, f)))
+            self._check_commutators(low.level, low.e, [
+                low.fdp.get((i, 1), {}) for i in range(r)], -1)
+            low.level, low.depth = level, low.depth + 1
+        if low.level:       # the shallowest view that reaches `depth`
+            depth = min(d for d in [*low.views, low.depth] if d >= depth)
+            if depth in low.views:
+                return low.views[depth]
+        mats = {"words": list(low.index),
+                "e": [sparse_transpose(c) for c in low.e],
+                "f": [sparse_transpose(low.fdp.get((i, 1), {}))
+                      for i in range(r)]}
+        if low.level:
+            view = low.views[depth] = HighestWeightModule(
+                datum, self.lam, self.weights, self.dims)
+            view.__dict__.update(mats)
+            return view
+        _check_character(datum, self.lam, {
+            nu: len(ws) for nu, ws in low.words.items()}, self.dims)
+        del self._low
+        for name, value in mats.items():
+            self.__dict__.setdefault(name, value)
+        return self
 
 
 def _word_order(word):
@@ -259,6 +327,9 @@ def _lower(datum, lam, nu, mult, words, index, e, fdp):
             break
     else:
         sol = _choose_exact(vecs, off, lam, nu, [cand[0] for cand in cands])
+        if sol.count(None) != mult:
+            raise ModuleCheckError(f"weight {nu} of L({lam}) has multiplicity"
+                                   f" {sol.count(None)}, not {mult}")
     basis = []
     for n, ((word, i, a, mu, b), x) in enumerate(zip(cands, sol)):
         if x is None:
@@ -559,11 +630,19 @@ def word_matrix(module, word):
     """The sparse matrix over Z[v,v^-1] of a word of symbols on the module,
     multiplied from the left.  A word of the modified form starts from the
     rows of the weight where it ends (`word_walk`), which also places its
-    idempotents, so only the rows it reaches are multiplied; any other
-    word starts from the identity."""
-    mat = (module.symbol(("1", word_walk(module.datum, word)[0]))
-           if any(sym[0] == "1" for sym in word) else
-           sparse_diagonal(dict.fromkeys(range(module.dim), ONE)))
+    idempotents, so only the rows it reaches are multiplied, on the module
+    lowered only as deep as its walk goes; a walk that leaves the weights
+    of the module is zero, and lowers nothing.  Any other word starts from
+    the identity."""
+    if any(sym[0] == "1" for sym in word):
+        walk = word_walk(module.datum, word)
+        depths = [module.depths.get(nu) for nu in walk]
+        if None in depths:
+            return {}
+        module = module.lowered_to(max(depths))
+        mat = module.symbol(("1", walk[0]))
+    else:
+        mat = sparse_diagonal(dict.fromkeys(range(module.dim), ONE))
     for sym in word:
         if mat and sym[0] != "1":
             mat = sparse_mul(mat, module.symbol(sym))
@@ -597,9 +676,9 @@ def _shift(datum, nu, sym, side):
 
 @cache
 def weyl_module(datum, lam):
-    """Memoized construction; a pure function of the datum and the weight
-    tuple lam."""
-    return WeylModule(datum, lam)
+    """Memoized construction, lowered on demand (`WeylModule`); a pure
+    function of the datum and the weight tuple lam."""
+    return WeylModule(datum, lam, lazy=True)
 
 
 # -- independent oracles ----------------------------------------------------

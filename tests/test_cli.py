@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur import cache
+from qschur import cache, weylmod
 from qschur.cache import (algebras_equal, cache_load, cache_store)
 from qschur.laurent import RatFunc
-from qschur.cli import _chain, run
+from qschur.cli import _chain, run, task_limit
 from qschur.jobspec import (TASK_NAMES, TASK_PARAMS, JobSpec, SpecParseError,
                             parse_spec)
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
-from qschur.schur import SchurAlgebra
+from qschur.schur import SchurAlgebra, build_schur
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -457,3 +457,25 @@ class TestChain:
             assert all(p.is_saturated() for p in chain), mu
             assert pi0.issubset(pi1) and pi1.issubset(pi2), mu
             assert len(pi0) < len(pi1) < len(pi2), mu
+
+
+def test_limit_lowers_no_module_outside_pi0(monkeypatch):
+    # the coherence rows of 1_lam and K_h read only diagonal lifts at pi1
+    # and pi2, which take the weights of a module and lower none of it
+    lowered = set()
+    lower = weylmod._lower
+
+    def spy(datum, lam, *args):
+        lowered.add(lam)
+        return lower(datum, lam, *args)
+    monkeypatch.setattr(weylmod, "_lower", spy)
+    weylmod.weyl_module.cache_clear()
+    build_schur.cache_clear()
+    spec = parse_spec("datum preset B2\npi gens [(2,2)]\ntask limit\n")
+    pi0 = spec.pi()
+    _, witnesses, passed = task_limit(spec, pi0, None, {}, [])
+    assert passed and witnesses == []
+    pi2 = _chain(pi0)[2]
+    assert len(set(pi2) - set(pi0)) == 7
+    assert weylmod.weyl_module.cache_info().currsize == len(pi2)
+    assert lowered == set(pi0)

@@ -2,12 +2,14 @@
 separation probes."""
 
 import copy
+import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur import schur, ulimit
+from qschur import schur, ulimit, weylmod
 from qschur.laurent import R_ONE, LaurentPoly, RatFunc, RatFuncField, qint
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, preset
 from qschur.schur import BlockAlgebra, SchurAlgebra, build_schur
@@ -20,6 +22,9 @@ from qschur.weylmod import weyl_module
 from qschur.words import WordExpr
 
 import reference_eval
+
+EXPECTED_PROBE = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                              "bench", "expected_probe.json")
 
 
 def a1_chain():
@@ -367,19 +372,44 @@ class TestTopBlock:
 
     def test_a_round_builds_the_top_modules_and_no_algebra(
             self, monkeypatch):
-        built = []
-        init = BlockAlgebra.__init__
+        built, lowered = [], []
+        init, lower = BlockAlgebra.__init__, weylmod._lower
 
         def spy(self, *args, **kwargs):
             built.append(args[0])
             init(self, *args, **kwargs)
+
+        def lower_spy(*args):
+            basis = lower(*args)
+            lowered.extend(basis)
+            return basis
         monkeypatch.setattr(BlockAlgebra, "__init__", spy)
+        monkeypatch.setattr(weylmod, "_lower", lower_spy)
         weyl_module.cache_clear()
         build_schur.cache_clear()
+        with open(EXPECTED_PROBE) as fh:
+            hits = json.load(fh)
+        names = set()
         for name in ("A2", "B2"):
             datum = preset(name)
             for expr, bound in criterion_six(datum, 4):
-                assert separation_probe(datum, expr, bound) is not None
-        # the whole algebras of the hit sets hold 37 modules
+                found = separation_probe(datum, expr, bound)
+                names.add(probe_name(name, expr))
+                assert [list(w) for w in found] \
+                    == hits[probe_name(name, expr)], expr
+        assert names == hits.keys()
+        # the whole algebras of the hit sets hold 37 modules; the 32 top
+        # modules have 785 basis vectors, and the words reach 405 of them
         assert weyl_module.cache_info().currsize == 32
+        assert 32 + len(lowered) == 405
         assert built == []
+
+
+def probe_name(name, expr):
+    """The name of a probe of `criterion_six` in bench/expected_probe.json."""
+    (word,) = expr.terms
+    lam = list(word[-1][1])
+    if len(word) == 1:
+        return f"{name} 1_{lam}"
+    _, sign, i, a = word[0]
+    return f"{name} {'E' if sign > 0 else 'F'}{i}^({a})1_{lam}"

@@ -4,21 +4,25 @@ the module matrices pinned by digest."""
 
 import hashlib
 import json
+from functools import cache
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur import laurent, schur, weylmod
 from qschur.cache import serialize_algebra
 from qschur.jobspec import parse_spec
 from qschur.laurent import LaurentPoly, RatFunc, qbinom, qint
-from qschur.linalg import sparse_add, sparse_mul, sparse_scale, sparse_sub
+from qschur.linalg import (sparse_add, sparse_mul, sparse_scale, sparse_sub,
+                           sparse_transpose)
 from qschur.rootdata import PRESET_NAMES, CartanDatum, \
     dominant_weights_up_to_height, preset, simply_connected
 from qschur.schur import SchurAlgebra, build_schur
 from qschur.weylmod import (HighestWeightModule, ModuleCheckError,
-                            TensorModule, WeylModule,
-                            freudenthal_oracle, weyl_dim_oracle, weyl_module)
+                            TensorModule, WeylModule, freudenthal_oracle,
+                            weyl_dim_oracle, weyl_module, word_matrix)
 
 ALL_PRESETS = list(PRESET_NAMES)
 G2 = simply_connected(CartanDatum(((2, -3), (-3, 6))))
@@ -422,3 +426,93 @@ class TestModularChoice:
         assert m.divided_power(-1, 0, 1)
         with pytest.raises(ModuleCheckError, match=r"F_0\^\(2\).*\(2,\)"):
             m.divided_power(-1, 0, 2)
+
+
+@cache
+def _eager(datum, lam):
+    return WeylModule(datum, lam)
+
+
+@st.composite
+def partial_records(draw):
+    """A preset, a highest weight of height at most 5, a depth down to one
+    past the bottom of its module, and a word of at most four symbols with
+    one idempotent, most often at a weight of the module."""
+    datum = preset(draw(st.sampled_from(ALL_PRESETS)))
+    lam = draw(st.sampled_from(dominant_weights_up_to_height(datum, 5)))
+    eager = _eager(datum, lam)
+    depth = draw(st.integers(0, eager.depths[eager.weights[-1]] + 1))
+    sign, i = st.sampled_from((1, -1)), st.integers(0, datum.rank - 1)
+    symbol = st.one_of(
+        st.tuples(st.just("E"), sign, i),
+        st.tuples(st.just("Ed"), sign, i, st.integers(1, 3)),
+        st.tuples(st.just("K"), st.sampled_from(datum.simple_coroots)))
+    word = draw(st.lists(symbol, max_size=3))
+    weight = st.one_of(st.sampled_from(eager.weights),
+                       st.tuples(*[st.integers(-4, 4)] * datum.rank_x))
+    word.insert(draw(st.integers(0, len(word))), ("1", draw(weight)))
+    return datum, lam, depth, tuple(word)
+
+
+def _columns(mats, depth_of, keep):
+    """Each matrix's columns {col: {row: x}} at the kept column depths."""
+    return [{c: col for c, col in sparse_transpose(mat).items()
+             if keep(depth_of[c])} for mat in mats]
+
+
+class TestLazyRecord:
+    """A record lowered on demand equals the one lowered whole at once, on
+    every weight it has reached."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_records())
+    def test_a_partial_record_equals_the_whole_one(self, case):
+        datum, lam, depth, word = case
+        eager = _eager(datum, lam)
+        lazy = WeylModule(datum, lam, lazy=True)
+        part = lazy.lowered_to(depth)
+        assert (part.weights, part.offsets) == (eager.weights, eager.offsets)
+        depth_of = [eager.depths[nu] for nu in eager.weights
+                    for _ in range(eager.dims[nu])]
+        assert part.words == eager.words[:sum(d <= depth for d in depth_of)]
+        for mats, keep in (("e", lambda d: d <= depth),
+                           ("f", lambda d: d < depth)):
+            assert _columns(getattr(part, mats), depth_of, keep) \
+                == _columns(getattr(eager, mats), depth_of, keep), mats
+        walk = weylmod.word_walk(datum, word)
+        whole = word_matrix(eager, word)
+        if set(walk) <= eager.dims.keys() \
+                and max(eager.depths[nu] for nu in walk) <= depth:
+            assert word_matrix(part, word) == whole
+        assert word_matrix(lazy, word) == whole
+        assert lazy.lowered_to(None) is lazy and "_low" not in vars(lazy)
+        assert (lazy.words, lazy.e, lazy.f) \
+            == (eager.words, eager.e, eager.f)
+
+    def test_diagonal_symbols_and_outside_walks_lower_nothing(
+            self, monkeypatch):
+        lowered = _spy(monkeypatch, weylmod, "_lower")
+        m = WeylModule(preset("B2"), (1, 1), lazy=True)
+        for sym in [("1", (1, 1)), ("1", (-1, -1)), ("K", (1, 0))]:
+            assert m.symbol(sym)
+        assert word_matrix(m, (("E", 1, 0), ("1", (5, 5)))) == {}
+        assert word_matrix(m, (("1", (-1, -1)), ("1", (1, 1)))) == {}
+        assert lowered == []
+        assert word_matrix(m, (("E", -1, 0), ("1", (1, 1))))
+        # lam - alpha_0 and lam - alpha_1, and nothing deeper
+        assert [call[2] for call in lowered] == [(-1, 3), (2, -1)]
+
+    def test_a_failing_weight_raises_on_every_read(self, monkeypatch):
+        # in plain word order the weight (0, -2) of A2 (2,0), at depth 4, is
+        # refused (`test_plain_word_order_is_refused`); the levels above it
+        # read fine, and the refused weight leaves nothing behind
+        monkeypatch.setattr(weylmod, "_word_order", lambda word: word)
+        m = WeylModule(preset("A2"), (2, 0), lazy=True)
+        assert word_matrix(m, (("E", -1, 0), ("1", (1, -1))))     # depth 3
+        for _ in range(2):
+            with pytest.raises(ModuleCheckError,
+                               match=r"\(0, -2\).*\(2, 0\)"):
+                word_matrix(m, (("E", -1, 1), ("1", (-1, 0))))   # depth 4
+            assert len(m.lowered_to(3).words) == 5
+        with pytest.raises(ModuleCheckError, match=r"\(0, -2\)"):
+            m.e
