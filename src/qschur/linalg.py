@@ -2,7 +2,7 @@
 over a field.
 
 A field object only needs `zero`, `one` attributes and elements supporting
-+, -, *, / and equality; Q(v), Q, and cyclotomic fields all qualify.
++, -, *, / and equality; Q(v), Q, cyclotomic and prime fields all qualify.
 
 Sparse matrices are row dicts `{row: {col: x}}` that store nonzero entries
 only (no zero entry, no empty row); the module matrices are sparse, and
@@ -12,7 +12,8 @@ their arguments.  Because the scalars are canonical, two sparse matrices
 are equal exactly when their dicts are.
 
 `SparseEchelon` is the elimination over a field: span closures, the
-density spins, kernel probes, the root-datum solvers over Q and the Q(v)
+density spins (at points of F_p, at specializations and the Q(v)
+fallback), kernel probes, the root-datum solvers over Q and the Q(v)
 fallbacks of module construction run through it.  Coordinates come from
 tags: when every inserted vector carries a unit entry at its own tag index
 past all vector indices, a vector in their span reduces to minus its

@@ -1,9 +1,11 @@
-"""Exact specialization targets: the rational field and cyclotomic fields.
+"""Exact specialization targets: the rational field, cyclotomic fields and
+prime fields.
 
 A RingPoint bundles a field with an invertible element xi, the image of v,
 and maps Laurent polynomials and rational functions there.
 Cyclotomic arithmetic is done in Q[x] modulo the n-th cyclotomic polynomial,
-so evaluation at roots of unity stays exact.
+so evaluation at roots of unity stays exact.  A point of a prime field F_p
+is where `schur.SchurAlgebra` proves density over Q(v).
 """
 
 from __future__ import annotations
@@ -54,6 +56,60 @@ class QField:
 
     def __hash__(self):
         return hash("QField")
+
+
+class Residue:
+    """An element n of the prime field F_p, 0 <= n < p."""
+
+    __slots__ = ("p", "n")
+
+    def __init__(self, p, n):
+        self.p, self.n = p, n % p
+
+    def __add__(self, other):
+        return Residue(self.p, self.n + other.n)
+
+    def __sub__(self, other):
+        return Residue(self.p, self.n - other.n)
+
+    def __neg__(self):
+        return Residue(self.p, -self.n)
+
+    def __mul__(self, other):       # by a residue or an int
+        return Residue(self.p, self.n * getattr(other, "n", other))
+
+    def __truediv__(self, other):
+        return Residue(self.p, self.n * pow(other.n, -1, self.p))
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __eq__(self, other):
+        return isinstance(other, Residue) \
+            and (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+    def __repr__(self):
+        return f"Residue({self.n} mod {self.p})"
+
+
+class PrimeField:
+    """The prime field F_p, whose elements are `Residue`s."""
+
+    def __init__(self, p):
+        self.p, self.name = p, f"prime({p})"
+        self.zero, self.one = Residue(p, 0), Residue(p, 1)
+
+    def from_int(self, n):
+        return Residue(self.p, n)
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and self.p == other.p
+
+    def __hash__(self):
+        return hash(("PrimeField", self.p))
 
 
 class CycloElement:

@@ -38,24 +38,38 @@ module record, and `SchurAlgebra` raises; at a specialization a module
 need not stay simple (at roots of unity), and the realized algebra is the
 span closure.
 
+`SchurAlgebra` first spins at a point v -> a of F_p (`PRIME_POINTS`).  As
+a is a unit mod p, v -> a is a ring map Z[v,v^-1] -> F_p, so rank cannot
+rise under it: words in the divided powers that span at the point span
+over Q(v), and (iii) does not see the field.  Only a short rank at every
+point runs the spin over Q(v), the fallback and the test oracle.
+
 The defining relations are identities among the Laurent module matrices,
 so `integral_report` checks them once per module list over Z[v,v^-1], and
 `verify_presentation` reads that report for every algebra.  Z[v,v^-1] ->
 Q(v) and v -> xi are ring maps, so once every row passes the relations hold
 in every algebra.  Where a row fails, the direct check over the algebra's
 own field says what fails there: over Q(v) the same rows, since Z[v,v^-1]
--> Q(v) is injective."""
+-> Q(v) is injective.
+
+The rows (a) and (b) and the K rows of `ulimit` follow from the grading
+where each 1_lam lifts to its weight projector, each K_h to the diagonal
+v^<h, nu>, every module weight lies in W.pi and every entry of E_i (F_i)
+maps weight nu to nu + alpha_i (nu - alpha_i): `BlockAlgebra.graded`
+checks that, and where it fails the products run, so the witnesses are
+those of the direct check."""
 
 from __future__ import annotations
 
 from copy import deepcopy
 from functools import cache, cached_property
 
-from .laurent import LaurentRing, RatFunc, RatFuncField, qint
+from .laurent import LaurentPoly, LaurentRing, RatFunc, RatFuncField, qint
 from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
                      sparse_mul, sparse_neg, sparse_scale, sparse_sub,
                      sparse_transpose)
-from .weylmod import weyl_module, word_matrix
+from .rings import PrimeField, Residue, RingPoint
+from .weylmod import PRIME_POINTS, weyl_module, word_matrix
 
 
 class SchurElement:
@@ -350,6 +364,42 @@ class BlockAlgebra:
             return deepcopy(report)
         return self.direct_presentation()
 
+    def graded(self, hs=()):
+        """Whether the lifts that the rows (a) and (b) read, and K_h for h
+        in `hs`, are what the weight grading makes them (see the module
+        docstring), by one pass over their nonzeros."""
+        datum, one, orbit = self.datum, self.field.one, self.orbit
+        spans = [{nu: range(m.offsets[nu], m.offsets[nu] + m.dims[nu])
+                  for nu in m.weights} for m in self.modules]
+
+        def diagonal(entry):        # entry(nu) on the rows of weight nu
+            return tuple({r: {r: x} for nu, rows in s.items()
+                          if (x := entry(nu)) for r in rows} for s in spans)
+
+        def moves(sign, i):         # E_i (F_i) maps nu to nu +- alpha_i
+            alpha = datum.simple_roots[i]
+            for s, block in zip(spans, self.generator(sign, i).blocks):
+                weight = {r: nu for nu, rows in s.items() for r in rows}
+                for r, row in block.items():   # () is no module's weight
+                    source = s.get(tuple(x - sign * a for x, a in zip(
+                        weight.get(r, ()), alpha)), ())
+                    if not all(c in source for c in row):
+                        return False
+            return True
+
+        shifted = {tuple(x + sign * a for x, a in zip(nu, alpha))
+                   for nu in orbit for alpha in datum.simple_roots
+                   for sign in (1, -1)}
+        return (all(s.keys() <= orbit for s in spans)
+                and all(self.idempotent(lam).blocks
+                        == diagonal(lambda nu: nu == lam and one)
+                        for lam in orbit | shifted)
+                and all(self.k_element(h).blocks == diagonal(
+                    lambda nu: self.field.image(LaurentPoly.monomial(
+                        1, datum.pair(h, nu)))) for h in hs)
+                and all(moves(sign, i) for sign in (1, -1)
+                        for i in range(datum.rank)))
+
     def direct_presentation(self):
         """The direct check of the defining relations over `field`, as
         `relation_rows`."""
@@ -357,19 +407,20 @@ class BlockAlgebra:
         r = datum.rank
         orbit = sorted(self.orbit)
         idem = self.idempotent
+        loop = [] if self.graded() else orbit     # (a), (b) hold by grading
 
         # (a) orthogonal idempotents summing to the identity
         bad = []
         total = self.zero()
-        for lam in orbit:
+        for lam in loop:
             total = total + idem(lam)
             for mu in orbit:
                 expect = idem(lam) if lam == mu else self.zero()
                 if idem(lam) * idem(mu) != expect:
                     bad.append({"lam": lam, "mu": mu})
         report = relation_rows("a:orthogonality", bad)
-        report += relation_rows("a:completeness",
-                                [] if total == self.one() else [None])
+        report += relation_rows("a:completeness", [] if not loop
+                                or total == self.one() else [None])
 
         # (b)/(b') idempotent intertwining with the convention outside W.pi
         bad = []
@@ -377,7 +428,7 @@ class BlockAlgebra:
             alpha = datum.simple_roots[i]
             for sign in (1, -1):
                 g = self.generator(sign, i)
-                for lam in orbit:
+                for lam in loop:
                     shifted = tuple(x + sign * a for x, a in zip(lam, alpha))
                     if g * idem(lam) != idem(shifted) * g:
                         bad.append({"i": i, "sign": sign, "lam": lam})
@@ -436,6 +487,17 @@ class SchurAlgebra(BlockAlgebra):
 
     def __init__(self, pi, modules=None):
         super().__init__(pi, RatFuncField, modules)
+
+    @cached_property
+    def _density_defect(self):
+        """None once density is proved by the spin at a point v -> a of
+        F_p (see the module docstring), else the spin over Q(v)."""
+        for p, a in PRIME_POINTS:
+            point = RingPoint(PrimeField(p), Residue(p, a))
+            if BlockAlgebra(self.pi, point, self.modules)._density_defect \
+                    is None:
+                return None
+        return BlockAlgebra._density_defect.func(self)
 
     @staticmethod
     def _realized_span(defect):

@@ -207,7 +207,7 @@ class WeylModule(HighestWeightModule):
     candidates before y and give sum x_t c_t = y on every column.  So every
     rejected candidate lies in the span of the chosen ones before it: the
     choice is the greedy choice over Q(v).  Where a check fails at every
-    point of `_POINTS`, that greedy choice itself (`_choose_exact`) redoes
+    point of `PRIME_POINTS`, that greedy choice itself (`_choose_exact`) redoes
     the weight and raises ModuleCheckError on a non-Laurent coordinate.
 
     Each weight is proved as it is built, its multiplicity against the
@@ -321,7 +321,7 @@ def _lower(datum, lam, nu, mult, words, index, e, fdp):
     cands.sort(key=lambda cand: _word_order(cand[0]))
     images = [_e_images(datum, e, fdp, *cand[1:]) for cand in cands]
     vecs = [{k: x for img in imgs for k, x in img.items()} for imgs in images]
-    for point in _POINTS:
+    for point in PRIME_POINTS:
         sol = _choose_mod_p(vecs, mult, *point)
         if sol is not None:
             break
@@ -371,9 +371,10 @@ def _e_images(datum, e, fdp, i, a, mu, b):
     return images
 
 
-# the points (p, a) where the basis of a weight space is chosen, tried in
-# order: primes below 2^31 and the image a of v in F_p
-_POINTS = ((2147483629, 91831), (2147483587, 48271), (2147483579, 16807))
+# the points (p, a), tried in order, where the basis of a weight space is
+# chosen and `schur.SchurAlgebra` spins for density: primes below 2^31 and
+# the image a of v in F_p
+PRIME_POINTS = ((2147483629, 91831), (2147483587, 48271), (2147483579, 16807))
 
 
 def _choose_mod_p(vecs, mult, p, a):

@@ -14,15 +14,15 @@ from qschur.intspec import RTruncationMap, SpecializedSchur, \
 from qschur.laurent import (R_ONE, LaurentPoly, LaurentRing, RatFunc,
                             RatFuncField, qint)
 from qschur.linalg import SparseEchelon
-from qschur.rings import RingPoint
-from qschur import cli, intspec, schur
+from qschur.rings import PrimeField, RingPoint
+from qschur import cli, intspec, laurent, schur, ulimit
 from qschur.jobspec import parse_spec
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import BlockAlgebra, SchurAlgebra, SchurElement, \
     TruncationMap, build_schur, relation_rows
-from qschur.ulimit import check_u_relations
-from qschur.weylmod import HighestWeightModule, weyl_module
+from qschur.ulimit import check_Kh_identity, check_u_relations
+from qschur.weylmod import PRIME_POINTS, HighestWeightModule, weyl_module
 from qschur.words import WordExpr
 
 import reference_eval
@@ -485,6 +485,110 @@ class TestDensityCertificate:
         assert_matrix_units(S)
 
 
+def prime_point(p, a):
+    """The point v -> a of F_p."""
+    field = PrimeField(p)
+    return RingPoint(field, field.from_int(a))
+
+
+# the height of the sets on which the spin at a point of F_p meets its
+# oracle, the spin over Q(v)
+SPIN_HEIGHT = 6
+
+
+class TestPrimePointSpin:
+    """Density over Q(v) is proved by the spin at a point v -> a of F_p; the
+    spin over Q(v) runs only where that one falls short."""
+
+    def test_verdict_matches_the_spin_over_q_v(self):
+        cases = 0
+        for name in PRESET_NAMES:
+            datum = preset(name)
+            for mu in dominant_weights_up_to_height(datum, SPIN_HEIGHT):
+                pi = datum.saturate([mu])
+                modules = build_schur(pi).modules
+                exact = BlockAlgebra(pi, RatFuncField, modules)
+                for p, a in PRIME_POINTS:
+                    at = BlockAlgebra(pi, prime_point(p, a), modules)
+                    assert (at._density_defect is None) \
+                        == (exact._density_defect is None), (pi, p)
+                cases += 1
+        assert cases == 53
+
+    def test_b2_33_takes_no_polynomial_gcd(self, monkeypatch):
+        calls = spy_calls(monkeypatch, (laurent, "_primitive_prem"))
+        S = SchurAlgebra(sat("B2", [(3, 3)]))
+        assert S.dimension() == S.expected_dim == 146240
+        assert calls == []
+
+    def test_a_point_where_2_vanishes_falls_back_to_q_v(self, monkeypatch):
+        # 2^2 = -1 mod 5, so [2] = v + v^-1 vanishes at v -> 2, as at i,
+        # where A2 (2,1) realizes 162 of 270
+        pi = sat("A2", [(2, 1)])
+        point = prime_point(5, 2)
+        assert point.image(qint(2)) == point.zero
+        assert BlockAlgebra(pi, point, build_schur(pi).modules)\
+            ._density_defect is not None
+        fields = []
+        spin = schur.density_defect
+        monkeypatch.setattr(schur, "PRIME_POINTS", ((5, 2),))
+        monkeypatch.setattr(schur, "density_defect", lambda *args: (
+            fields.append(args[3]) or spin(*args)))
+        assert SchurAlgebra(pi).dimension() == 270
+        assert fields == [point, RatFuncField]
+
+
+class TestGradedRows:
+    """The weight rows of the presentation and the K rows of
+    `check_u_relations` pass by one support check (`graded`) or run as
+    products, with the same rows either way on a genuine algebra."""
+
+    @pytest.mark.parametrize("name,gens", [
+        ("A2", [(1, 1)]), ("B2", [(2, 1)]), ("A1xA1", [(1, 2)]),
+        ("A1", [(3,)])])
+    def test_the_check_and_the_products_give_the_same_rows(
+            self, name, gens, monkeypatch):
+        pi = sat(name, gens)
+        S = build_schur(pi)
+        assert S.graded(ulimit._coweights(S.datum))
+
+        def reports():
+            return (S.direct_presentation(), check_u_relations(pi),
+                    check_Kh_identity(pi))
+        by_grading = reports()
+        monkeypatch.setattr(BlockAlgebra, "graded", lambda self, hs=(): False)
+        assert reports() == by_grading
+        assert all(row["ok"] for rows in by_grading for row in rows)
+
+    def test_a_tampered_idempotent_gets_the_witnesses_of_the_products(
+            self):
+        pi = sat("A2", [(1, 1)])
+        S = SchurAlgebra(pi, build_schur(pi).modules)
+        orbit = sorted(S.orbit)
+        lam, mu = orbit[0], orbit[1]
+        # 1_lam lifted as 1_lam + 1_mu: its square is itself, but it no
+        # longer kills 1_mu from either side
+        S._lifts[("1", lam)] = S.idempotent(lam) + S.idempotent(mu)
+        assert not S.graded()
+        idem = S.idempotent
+        products = [{"lam": x, "mu": y} for x in orbit for y in orbit
+                    if idem(x) * idem(y) != (idem(x) if x == y
+                                             else S.zero())]
+        assert products == [{"lam": lam, "mu": mu}, {"lam": mu, "mu": lam}]
+        rows = [row for row in S.direct_presentation()
+                if row["relation"] == "a:orthogonality"]
+        assert [row["witness"] for row in rows] == products
+        assert not any(row["ok"] for row in rows)
+
+    def test_a_tampered_k_lift_fails_the_check(self):
+        pi = sat("B2", [(1, 0)])
+        S = SchurAlgebra(pi, build_schur(pi).modules)
+        h = S.datum.simple_coroots[0]
+        assert S.graded([h])
+        S._lifts[("K", h)] = S.k_element(h).scale(2)
+        assert S.graded() and not S.graded([h])
+
+
 # five 3-chains per preset, each given by a seed and two enlargement steps;
 # pi0 = sat(seed), pi1 = pi0 u sat(step1), pi2 = pi1 u sat(step2)
 CHAINS = {
@@ -740,9 +844,17 @@ class TestGeneratingPowers:
     @pytest.mark.parametrize("point", [None, RingPoint.rational(1)],
                              ids=["Q(v)", "1"])
     def test_dense_algebras_build_only_e_and_f(self, point, monkeypatch):
+        # over Q(v) the lifts are those of the spin at a point of F_p
         calls = spy_calls(monkeypatch, (HighestWeightModule, "nilpotency"))
+        lifted, lift = [], BlockAlgebra._lift
+        monkeypatch.setattr(BlockAlgebra, "_lift", lambda self, sym: (
+            lifted.append((self.field, sym)) or lift(self, sym)))
         pi = sat("A2", [(2, 2)])
         S = SchurAlgebra(pi) if point is None else SpecializedSchur(pi, point)
         assert S.dimension() == 994
         assert calls == []
-        assert {sym[3] for sym in S._lifts if sym[0] == "Ed"} == {1}
+        fields = {field for field, _ in lifted}
+        assert fields == ({point} if point else {
+            RingPoint(PrimeField(p), PrimeField(p).from_int(a))
+            for p, a in PRIME_POINTS[:1]})
+        assert {sym[3] for _, sym in lifted if sym[0] == "Ed"} == {1}

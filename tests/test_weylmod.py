@@ -345,7 +345,7 @@ class TestModularChoice:
             exact = _spy(patch, weylmod, "_choose_exact")
             fast = WeylModule(datum, lam)
             assert exact == [], lam
-            patch.setattr(weylmod, "_POINTS", ())
+            patch.setattr(weylmod, "PRIME_POINTS", ())
             oracle = WeylModule(datum, lam)
         assert fast.words == oracle.words, lam
         assert fast.e == oracle.e, lam
@@ -367,7 +367,7 @@ class TestModularChoice:
         # at v = 5 in F_13, 5^2 = -1, so [2] = v + v^-1 vanishes and the
         # rank mod 13 falls short wherever an E-image is a multiple of [2]
         assert (5 * 5 + 1) % 13 == 0
-        monkeypatch.setattr(weylmod, "_POINTS", ((13, 5),))
+        monkeypatch.setattr(weylmod, "PRIME_POINTS", ((13, 5),))
         weylmod.weyl_module.cache_clear()
         schur.build_schur.cache_clear()
         exact = _spy(monkeypatch, weylmod, "_choose_exact")
@@ -379,7 +379,7 @@ class TestModularChoice:
         # v^2 + 1 vanishes at v = 5 mod 13, and nowhere at a shipped point
         s = LaurentPoly({2: 1, 0: 1})
         one = LaurentPoly.const(1)
-        good = weylmod._POINTS[0]
+        good = weylmod.PRIME_POINTS[0]
         # the rank mod 13 is 0, short of the multiplicity 1
         assert weylmod._choose_mod_p([{0: s}], 1, 13, 5) is None
         assert weylmod._choose_mod_p([{0: s}], 1, *good) == [None]
@@ -401,8 +401,8 @@ class TestModularChoice:
         assert weylmod._choose_mod_p(vecs, 1, *good) == [None, {0: s}]
 
     def test_shipped_points_are_primes(self):
-        assert len(weylmod._POINTS) == 3
-        for p, a in weylmod._POINTS:
+        assert len(weylmod.PRIME_POINTS) == 3
+        for p, a in weylmod.PRIME_POINTS:
             assert all(p % q for q in range(2, isqrt(p) + 1)), p
             assert 0 < a < p
 
