@@ -854,7 +854,5 @@ class TestGeneratingPowers:
         assert S.dimension() == 994
         assert calls == []
         fields = {field for field, _ in lifted}
-        assert fields == ({point} if point else {
-            RingPoint(PrimeField(p), PrimeField(p).from_int(a))
-            for p, a in PRIME_POINTS[:1]})
+        assert fields == {point or prime_point(*PRIME_POINTS[0])}
         assert {sym[3] for _, sym in lifted if sym[0] == "Ed"} == {1}
