@@ -4,6 +4,11 @@ saturated sets of dominant weights.
 Weights are plain integer tuples in the chosen basis of the weight lattice X,
 and coweights in the dual basis of Y, so every pairing <h, lam> is one dot
 product; conversions to the simple-root basis solve exact linear systems.
+
+Each `RootDatum` memoizes its alpha coordinates, Weyl orbits, dominant
+representatives and saturated sets in tables of its own: the results are
+immutable, a call that raises stores nothing, and unlike a value-keyed
+`functools.cache` no table hands one datum the sets of an equal one.
 """
 
 from __future__ import annotations
@@ -103,7 +108,16 @@ class RootDatum:
         self.rank = cartan.rank
         self.name = name
         self._alpha_memo = {}       # vec -> alpha_coords(vec)
+        self._orbit_memo = {}       # lam -> weyl_orbit(lam)
+        self._dominant_memo = {}    # lam -> dominant_representative(lam)
+        self._saturate_memo = {}    # frozenset of generators -> saturate
         self._hash = hash(self.key())
+
+    def _memo(self, table, key, body):
+        """table[key], computed as body(key) once; a raise stores nothing."""
+        if key not in table:
+            table[key] = body(key)
+        return table[key]
 
     # -- pairing and reflections ---------------------------------------
 
@@ -171,10 +185,7 @@ class RootDatum:
     def alpha_coords(self, vec):
         """Coordinates of vec in the simple-root basis, or None when vec is
         outside the rational span.  Entries are Fractions; memoized."""
-        vec = tuple(vec)
-        if vec not in self._alpha_memo:
-            self._alpha_memo[vec] = self._alpha_solver(vec)
-        return self._alpha_memo[vec]
+        return self._memo(self._alpha_memo, tuple(vec), self._alpha_solver)
 
     def root_coords(self, vec):
         """The alpha-coordinates of vec as ints, or None when vec is outside
@@ -198,9 +209,12 @@ class RootDatum:
     # -- Weyl orbits -----------------------------------------------------
 
     def weyl_orbit(self, lam):
-        """Closure of {lam} under the simple reflections."""
-        seen = {tuple(lam)}
-        frontier = [tuple(lam)]
+        """The closure of {lam} under the simple reflections, memoized."""
+        return self._memo(self._orbit_memo, tuple(lam), self._weyl_orbit)
+
+    def _weyl_orbit(self, lam):
+        seen = {lam}
+        frontier = [lam]
         while frontier:
             nxt = []
             for mu in frontier:
@@ -210,10 +224,14 @@ class RootDatum:
                         seen.add(nu)
                         nxt.append(nu)
             frontier = nxt
-        return seen
+        return frozenset(seen)
 
     def dominant_representative(self, lam):
-        mu = tuple(lam)
+        """The dominant weight of the Weyl orbit of lam; memoized."""
+        return self._memo(self._dominant_memo, tuple(lam),
+                          self._dominant_representative)
+
+    def _dominant_representative(self, mu):
         while True:
             for i in range(self.rank):
                 if self.pair_i(i, mu) < 0:
@@ -268,10 +286,14 @@ class RootDatum:
     # -- saturation --------------------------------------------------------
 
     def saturate(self, generators):
-        """The smallest saturated subset of X+ containing the generators:
-        below a dominant mu, every dominant weight is reached from mu by
+        """The least saturated set of X+ holding the generators; memoized."""
+        return self._memo(self._saturate_memo,
+                          frozenset(tuple(g) for g in generators),
+                          self._saturate)
+
+    def _saturate(self, gens):
+        """Below a dominant mu, every dominant weight is reached from mu by
         dominant steps down by a positive root (Stembridge 1998)."""
-        gens = [tuple(g) for g in generators]
         for g in gens:
             if not self.is_dominant(g):
                 raise ValueError(f"generator {g} is not dominant")
@@ -375,7 +397,6 @@ class SaturatedSet:
         self.elements = tuple(sorted(
             elems, key=lambda w: (datum.height(w), w)))
         self._members = frozenset(elems)
-        self._weights = None
 
     def __contains__(self, w):
         return tuple(w) in self._members
@@ -412,15 +433,14 @@ class SaturatedSet:
                     return False
         return True
 
+    @cached_property
+    def _orbit_weights(self):
+        return frozenset().union(*map(self.datum.weyl_orbit, self.elements))
+
     def orbit_weights(self):
         """The union of Weyl orbits of the elements (the weights supporting
-        the idempotents)."""
-        if self._weights is None:
-            out = set()
-            for lam in self.elements:
-                out |= self.datum.weyl_orbit(lam)
-            self._weights = frozenset(out)
-        return self._weights
+        the idempotents), a frozenset computed once per set."""
+        return self._orbit_weights
 
     def __repr__(self):
         return f"SaturatedSet({list(self.elements)})"

@@ -243,7 +243,8 @@ def _neg(h):
 def probe_schedule(datum, height_bound):
     """Default schedule of saturated sets: the downward closures of single
     dominant weights, enumerated by height.  Cofinal in the full system.
-    Memoized per (datum, height_bound); the schedule is a tuple."""
+    Memoized per (datum, height_bound); the schedule is a tuple, and its
+    sets and their orbits are the datum's own, shared between bounds."""
     # mu is the largest weight of its saturation, so the sets are distinct
     return tuple(datum.saturate([mu])
                  for mu in dominant_weights_up_to_height(datum, height_bound))

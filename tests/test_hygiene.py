@@ -2,11 +2,14 @@
 only: no `assert` statement in the library, where `python -O` would strip
 the check, no import that its file never uses, no private module-level
 function or class that the library never uses, and no private name that
-one library module imports from another."""
+one library module imports from another.  `import qschur.cli` loads only
+the layers that every task needs."""
 
 import ast
 import functools
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "qschur")
@@ -131,3 +134,26 @@ def test_the_scan_sees_a_private_import():
                      "from .d import __all__\n")
     assert _private_imports({"x.py": tree}) == [
         ("x.py", 2, "_f"), ("x.py", 3, "_b"), ("x.py", 4, "_h")]
+
+
+# every `qsl` job imports the CLI first, and each task imports the layers it
+# runs, so the CLI itself must load no others
+CLI_MODULES = ["qschur", "qschur.cli", "qschur.jobspec", "qschur.laurent",
+               "qschur.linalg", "qschur.rings", "qschur.rootdata"]
+
+
+def test_the_package_imports_no_submodule():
+    tree = _trees(SRC)[os.path.join("src", "qschur", "__init__.py")]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_the_cli_loads_exactly_the_layers_every_task_needs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(SRC)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                  if p]))
+    code = ("import sys, qschur.cli; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'qschur'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == CLI_MODULES

@@ -257,6 +257,63 @@ class TestSaturatedSets:
                 assert pi.is_saturated()
 
 
+# the `datum matrix` forms of B3 and G2, built as a spec builds them
+MATRIX_FORMS = {"B3": ((4, -2, 0), (-2, 4, -2), (0, -2, 2)),
+                "G2": ((2, -3), (-3, 6))}
+
+
+def _memo_data():
+    """Every preset and the B3 and G2 matrix forms, each built afresh, so
+    that its memo tables start empty."""
+    data = {name: preset.__wrapped__(name) for name in PRESET_NAMES}
+    data.update({name: simply_connected(CartanDatum(form), name="custom")
+                 for name, form in MATRIX_FORMS.items()})
+    return data
+
+
+class TestMemoTables:
+    """Orbits, dominant representatives and saturated sets are computed
+    once per datum, and equal the uncached bodies."""
+
+    @pytest.mark.parametrize("name", sorted(_memo_data()))
+    def test_memoized_results_equal_the_uncached_bodies(self, name):
+        datum = _memo_data()[name]
+        for lam in dominant_weights_up_to_height(datum, 8):
+            orbit = datum.weyl_orbit(lam)
+            assert type(orbit) is frozenset
+            assert orbit == datum._weyl_orbit(lam)
+            assert datum.weyl_orbit(list(lam)) is orbit
+            for nu in orbit:
+                assert datum.dominant_representative(nu) \
+                    == datum._dominant_representative(nu) == lam
+            pi = datum.saturate([lam])
+            assert pi == datum._saturate(frozenset([lam]))
+            assert datum.saturate([list(lam), lam]) is pi
+            assert pi.datum is datum
+            assert pi.orbit_weights() == frozenset().union(
+                *(datum._weyl_orbit(mu) for mu in pi))
+
+    def test_a_non_dominant_generator_raises_on_every_call(self):
+        a2 = preset.__wrapped__("A2")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not dominant"):
+                a2.saturate([(1, 1), (-1, 2)])
+        assert a2._saturate_memo == {}
+
+    def test_equal_generators_on_two_data_share_nothing(self):
+        a1, a1adj = preset("A1"), preset("A1adj")
+        assert list(a1.saturate([(2,)])) == [(0,), (2,)]
+        assert list(a1adj.saturate([(2,)])) == [(0,), (1,), (2,)]
+        assert a1adj.saturate([(2,)]).datum is a1adj
+        # an equal datum built apart, as a `datum matrix` spec builds it
+        apart = simply_connected(CartanDatum([[2]]), name="custom")
+        assert apart == a1
+        pi = apart.saturate([(2,)])
+        assert pi == a1.saturate([(2,)]) and pi.datum is apart
+        assert pi is not a1.saturate([(2,)])
+        assert apart.weyl_orbit((2,)) is not a1.weyl_orbit((2,))
+
+
 def _weight_from_pairings(datum, ns):
     """An integral weight lam with <h_i, lam> = ns[i], or None."""
     lam = datum._pairing_solver(ns)

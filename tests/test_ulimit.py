@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qschur import schur, ulimit, weylmod
 from qschur.laurent import R_ONE, LaurentPoly, RatFunc, RatFuncField, qint
-from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, preset
+from qschur.rootdata import (PRESET_NAMES, RootDatum,
+                             dominant_weights_up_to_height, preset)
 from qschur.schur import BlockAlgebra, SchurAlgebra, build_schur
 from qschur.ulimit import (LimitElement, check_Kh_identity, check_u_relations,
                            cofinal_consistency, coherent_basis_check, hat_E,
@@ -403,6 +404,28 @@ class TestTopBlock:
         assert weyl_module.cache_info().currsize == 32
         assert 32 + len(lowered) == 405
         assert built == []
+
+    def test_a_round_saturates_each_principal_set_once(self, monkeypatch):
+        # the schedule of each probe height repeats the principal sets of
+        # the lower ones, and each module asks for its own for its weights
+        calls = []
+        body = RootDatum._saturate
+
+        def spy(self, gens):
+            calls.append((self.key(), gens))
+            return body(self, gens)
+        monkeypatch.setattr(RootDatum, "_saturate", spy)
+        weyl_module.cache_clear()
+        probe_schedule.cache_clear()
+        tops = set()
+        for name in ("A2", "B2"):
+            datum = preset.__wrapped__(name)  # fresh, empty tables
+            for expr, bound in criterion_six(datum, 4):
+                separation_probe(datum, expr, bound)
+                tops |= {(datum.key(), pi.elements[-1])
+                         for pi in probe_schedule(datum, bound)}
+        assert len(calls) == len(set(calls))
+        assert tops <= {(key, top) for key, (top,) in calls}
 
 
 def probe_name(name, expr):
