@@ -259,9 +259,9 @@ def run(argv=None, out=None, err=None):
 
     t0 = time.monotonic()
     try:
-        with open(args.spec) as fh:
+        with open(args.spec, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read spec file: {exc}", file=err)
         return 2
     try:

@@ -133,6 +133,8 @@ def parse_spec(text):
                 continue
             words = stmt.split()
             head = words[0]
+            if head in spec.lines and head != "task":
+                raise SpecParseError(f"repeated {head} statement", lineno, 1)
             if head == "datum":
                 spec.datum_spec = _parse_datum(words, lineno)
             elif head == "pi":

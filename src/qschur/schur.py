@@ -38,11 +38,11 @@ module record, and `SchurAlgebra` raises; at a specialization a module
 need not stay simple (at roots of unity), and the realized algebra is the
 span closure.
 
-`SchurAlgebra` first spins at a point v -> a of F_p (`PRIME_POINTS`).  As
-a is a unit mod p, v -> a is a ring map Z[v,v^-1] -> F_p, so rank cannot
-rise under it: words in the divided powers that span at the point span
-over Q(v), and (iii) does not see the field.  Only a short rank at every
-point runs the spin over Q(v), the fallback and the test oracle.
+`SchurAlgebra` spins each record once, under its E_i and F_i at a point v
+-> a of F_p (`record_spins`).  As a is a unit mod p, v -> a is a ring map
+Z[v,v^-1] -> F_p, so rank cannot rise under it: words that span at the
+point span over Q(v), and (iii) does not see the field.  A record short
+at every point runs the spin over Q(v), the fallback and the test oracle.
 
 The defining relations are identities among the Laurent module matrices,
 so `integral_report` checks them once per module list over Z[v,v^-1], and
@@ -57,12 +57,25 @@ where each 1_lam lifts to its weight projector, each K_h to the diagonal
 v^<h, nu>, every module weight lies in W.pi and every entry of E_i (F_i)
 maps weight nu to nu + alpha_i (nu - alpha_i): `BlockAlgebra.graded`
 checks that, and where it fails the products run, so the witnesses are
-those of the direct check."""
+those of the direct check.
+
+In `integral_report` the rows (d) pass with no product once the rows (c)
+pass, `graded` holds, E_i kills each highest vector, F_i each highest
+covector, and every record spins.  Each block is then a module over the
+algebra of the K and commutator relations alone, where each Serre element
+u+ commutes with all F_k and each u- with all E_k (Jantzen, Lectures on
+Quantum Groups, ch. 4).  Each term of u+ ends in E_j or in E_i^(s) with
+s >= 1, and E_i^(s) = E_i^s / [s]_i! as `divided_power` divides exactly, so
+u+ kills v_lam and so every F-word on v_lam; these span the block over Q(v)
+as its record spins.  Dually, the highest covector times u- is zero, and
+so is every covector, as the E-words on the highest one span the dual.
+Where a premise fails the products run, so the witnesses do not move."""
 
 from __future__ import annotations
 
 from copy import deepcopy
 from functools import cache, cached_property
+from itertools import permutations
 
 from .laurent import LaurentPoly, LaurentRing, RatFunc, RatFuncField, qint
 from .linalg import (SparseEchelon, sparse_add, sparse_diagonal, sparse_map,
@@ -167,7 +180,7 @@ def density_defect(modules, raising, lowering, field):
     checks (i)-(iii) of the module docstring fails.  Each module spins from
     its highest vector at `offsets[lam]`, wherever the order of its weights
     puts it."""
-    if len({frozenset(m.dims.items()) for m in modules}) < len(modules):
+    if not distinct_multiplicities(modules):
         return "two modules have the same weight multiplicities"
     for k, m in enumerate(modules):
         top = {m.offsets[m.lam]: field.one}
@@ -179,6 +192,25 @@ def density_defect(modules, raising, lowering, field):
             return (f"the highest covector of L({m.lam}) does not spin to "
                     "the whole dual")
     return None
+
+
+def distinct_multiplicities(modules):
+    """Check (iii) of the module docstring."""
+    return len({frozenset(m.dims.items()) for m in modules}) == len(modules)
+
+
+@cache
+def record_spins(module):
+    """Whether (i) and (ii) hold for the record under its E_i and F_i at a
+    point of `PRIME_POINTS`; memoized by the identity of the record, so a
+    tampered copy gets its own verdict."""
+    for p, a in PRIME_POINTS:
+        point = RingPoint(PrimeField(p), Residue(p, a))
+        gens = ([[sparse_map(point.image, module.divided_power(sign, i, 1))]
+                 for i in range(module.datum.rank)] for sign in (1, -1))
+        if density_defect([module], *gens, point) is None:
+            return True
+    return False
 
 
 def _spins(start, mats, field, dim):
@@ -451,34 +483,52 @@ class BlockAlgebra:
                 if lhs != rhs:
                     bad.append({"i": i, "j": j})
         report += relation_rows("c:commutator", bad)
+        proved = not bad and not loop and self._serre_proved()
+        return report + relation_rows(
+            "d:serre", [] if proved else self._serre_witnesses())
 
-        # (d) quantum Serre relations in divided-power form
-        bad = []
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                n = 1 - datum.pair_i(i, datum.simple_roots[j])
-                for sign in (1, -1):
-                    total = self.zero()
-                    for s in range(n + 1):
-                        sp = n - s
-                        term = (self.divided_power(sign, i, s)
-                                * self.generator(sign, j)
-                                * self.divided_power(sign, i, sp))
-                        if sp % 2 == 1:
-                            term = -term
-                        total = total + term
-                    if not total.is_zero():
-                        bad.append({"i": i, "j": j, "sign": sign})
-        return report + relation_rows("d:serre", bad)
+    def _serre_proved(self):
+        """Never: here the d:serre rows are products."""
+        return False
+
+    def _serre_witnesses(self):
+        """(d) the quantum Serre relations in divided-power form: the
+        (i, j, sign) whose alternating sum of products is not zero."""
+        datum, bad = self.datum, []
+        for i, j in permutations(range(datum.rank), 2):
+            n = 1 - datum.pair_i(i, datum.simple_roots[j])
+            for sign in (1, -1):
+                total = self.zero()
+                for s in range(n + 1):
+                    term = (self.divided_power(sign, i, s)
+                            * self.generator(sign, j)
+                            * self.divided_power(sign, i, n - s))
+                    total = total - term if (n - s) % 2 else total + term
+                if not total.is_zero():
+                    bad.append({"i": i, "j": j, "sign": sign})
+        return bad
+
+
+class _IntegralAlgebra(BlockAlgebra):
+    """The algebra of `integral_report`, over Z[v,v^-1] from the records."""
+
+    def _serre_proved(self):
+        """The premises of the Serre proof in the module docstring beyond
+        the rows (c) and `graded`."""
+        tops = [m.offsets[m.lam] for m in self.modules]
+        return all(not f.get(top) and all(top not in r for r in e.values())
+                   for i in range(self.datum.rank)
+                   for top, e, f in zip(tops, self.generator(1, i).blocks,
+                                        self.generator(-1, i).blocks)) \
+            and all(map(record_spins, self.modules))
 
 
 @cache
 def integral_report(pi, modules):
     """`direct_presentation` over Z[v,v^-1] for the tuple `modules`, which
     key the memo by identity; callers hand out copies."""
-    return BlockAlgebra(pi, LaurentRing, list(modules)).direct_presentation()
+    return _IntegralAlgebra(pi, LaurentRing,
+                            list(modules)).direct_presentation()
 
 
 class SchurAlgebra(BlockAlgebra):
@@ -490,13 +540,11 @@ class SchurAlgebra(BlockAlgebra):
 
     @cached_property
     def _density_defect(self):
-        """None once density is proved by the spin at a point v -> a of
-        F_p (see the module docstring), else the spin over Q(v)."""
-        for p, a in PRIME_POINTS:
-            point = RingPoint(PrimeField(p), Residue(p, a))
-            if BlockAlgebra(self.pi, point, self.modules)._density_defect \
-                    is None:
-                return None
+        """None once (iii) holds and every record spins (`record_spins`),
+        else the spin over Q(v)."""
+        if distinct_multiplicities(self.modules) \
+                and all(map(record_spins, self.modules)):
+            return None
         return BlockAlgebra._density_defect.func(self)
 
     @staticmethod

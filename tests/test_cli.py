@@ -330,6 +330,13 @@ MALFORMED = [
     ("dims", "datum preset A1\ntask dims\npi gens [-1]", 3, "not dominant"),
     ("specialize", "datum preset A1\npi gens [1]\ntask specialize", None,
      "needs a ring statement"),
+    # a second datum, pi or ring statement would replace the first
+    ("dims", "datum preset A1 / datum preset A2\npi gens [1]", 1,
+     "repeated datum"),
+    ("dims", "datum preset A1\npi gens [1]\npi gens [2]\ntask dims", 3,
+     "repeated pi"),
+    ("specialize", "datum preset A1\npi gens [1]\nring cyclotomic 3\n"
+     "ring cyclotomic 4\ntask specialize", 4, "repeated ring"),
 ]
 
 
@@ -359,6 +366,16 @@ class TestExitCodes:
         code, _, err = run_cli(
             ["dims", "--spec", str(tmp_path / "nope.qs")], tmp_path)
         assert code == 2
+
+    def test_a_spec_that_is_not_utf8_exits_2(self, tmp_path):
+        spec = tmp_path / "spec.qs"
+        body = "\ndatum preset A1\npi gens [1]\ntask dims\n"
+        spec.write_bytes("# caf\u00e9".encode("latin-1") + body.encode())
+        code, out, err = run_cli(["dims", "--spec", str(spec)], tmp_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read spec file")
+        spec.write_bytes("# caf\u00e9".encode("utf-8") + body.encode())
+        assert run_cli(["dims", "--spec", str(spec)], tmp_path)[0] == 0
 
     def test_missing_ring_for_specialize_exits_2(self, tmp_path):
         bad = tmp_path / "bad.qs"

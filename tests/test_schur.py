@@ -22,7 +22,8 @@ from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
 from qschur.schur import BlockAlgebra, SchurAlgebra, SchurElement, \
     TruncationMap, build_schur, relation_rows
 from qschur.ulimit import check_Kh_identity, check_u_relations
-from qschur.weylmod import PRIME_POINTS, HighestWeightModule, weyl_module
+from qschur.weylmod import PRIME_POINTS, HighestWeightModule, WeylModule, \
+    weyl_module
 from qschur.words import WordExpr
 
 import reference_eval
@@ -485,6 +486,15 @@ class TestDensityCertificate:
         assert_matrix_units(S)
 
 
+@pytest.fixture
+def fresh_verdicts():
+    """Empties the memo of `record_spins` before and after a test that
+    spins anew or at other points."""
+    schur.record_spins.cache_clear()
+    yield
+    schur.record_spins.cache_clear()
+
+
 def prime_point(p, a):
     """The point v -> a of F_p."""
     field = PrimeField(p)
@@ -521,7 +531,8 @@ class TestPrimePointSpin:
         assert S.dimension() == S.expected_dim == 146240
         assert calls == []
 
-    def test_a_point_where_2_vanishes_falls_back_to_q_v(self, monkeypatch):
+    def test_a_point_where_2_vanishes_falls_back_to_q_v(self, monkeypatch,
+                                                         fresh_verdicts):
         # 2^2 = -1 mod 5, so [2] = v + v^-1 vanishes at v -> 2, as at i,
         # where A2 (2,1) realizes 162 of 270
         pi = sat("A2", [(2, 1)])
@@ -535,7 +546,74 @@ class TestPrimePointSpin:
         monkeypatch.setattr(schur, "density_defect", lambda *args: (
             fields.append(args[3]) or spin(*args)))
         assert SchurAlgebra(pi).dimension() == 270
-        assert fields == [point, RatFuncField]
+        # the records spin one at a time, up to the first that falls short
+        assert set(fields[:-1]) == {point} and fields[-1] == RatFuncField
+
+
+def serre_sets():
+    """The principal sets of `TestPrimePointSpin`, then the smallest ones of
+    G2 given by its symmetric form, where n = 1 - a_01 reaches 4."""
+    for name in PRESET_NAMES:
+        datum = preset(name)
+        for mu in dominant_weights_up_to_height(datum, SPIN_HEIGHT):
+            yield datum.saturate([mu])
+    g2 = parse_spec("datum matrix 2,-3;-3,6\npi gens [(1,0)]\n").pi().datum
+    assert 1 - g2.pair_i(0, g2.simple_roots[1]) == 4
+    for mu in [(1, 0), (0, 1), (2, 0), (1, 1)]:
+        yield g2.saturate([mu])
+
+
+class TestSerreBySpin:
+    """The d:serre rows of `integral_report` pass with no product where the
+    commutator rows pass, `graded` holds, E_i kills each highest vector,
+    F_i each highest covector, and every record spins (`record_spins`); the
+    products of `direct_presentation` are the oracle."""
+
+    def test_the_proof_gives_the_rows_of_the_products(self, monkeypatch):
+        products = spy_calls(monkeypatch, (BlockAlgebra, "_serre_witnesses"))
+        cases = 0
+        for pi in serre_sets():
+            modules = build_schur(pi).modules
+            report = schur.integral_report.__wrapped__(pi, tuple(modules))
+            assert products == [], pi
+            assert report == BlockAlgebra(pi, LaurentRing, modules)\
+                .direct_presentation(), pi
+            products.clear()
+            cases += 1
+        assert cases == 57
+
+    def test_a_short_spin_runs_the_products(self, monkeypatch,
+                                            fresh_verdicts):
+        # [2] vanishes at v -> 2 of F_5, so the F_i alone span less there
+        pi = sat("A2", [(2, 1)])
+        modules = build_schur(pi).modules
+        monkeypatch.setattr(schur, "PRIME_POINTS", ((5, 2),))
+        products = spy_calls(monkeypatch, (BlockAlgebra, "_serre_witnesses"))
+        report = schur.integral_report.__wrapped__(pi, tuple(modules))
+        assert products == ["_serre_witnesses"]
+        assert not all(map(schur.record_spins, modules))
+        assert report == BlockAlgebra(pi, LaurentRing, modules)\
+            .direct_presentation()
+        assert all(row["ok"] for row in report)
+
+    def test_density_and_the_proof_share_one_spin(self, monkeypatch):
+        pi = sat("A2", [(2, 1)])
+        modules = [WeylModule(pi.datum, lam) for lam in pi]  # unseen records
+        spins, spin = [], schur.density_defect
+        monkeypatch.setattr(schur, "density_defect", lambda *args: (
+            spins.append(args[0]) or spin(*args)))
+        products = spy_calls(monkeypatch, (BlockAlgebra, "_serre_witnesses"))
+        S = SchurAlgebra(pi, modules)
+        assert S.dimension() == 270
+        assert all(row["ok"] for row in S.verify_presentation())
+        assert spins == [[m] for m in modules] and products == []
+        # a copy is another key: spun again, and with F emptied it falls
+        # short at every point
+        honest, bad = copy.copy(modules[1]), copy.copy(modules[1])
+        bad.f, bad._dp_cache = [{} for _ in bad.f], {}
+        assert schur.record_spins(honest) and not schur.record_spins(bad)
+        assert spins[len(modules):] \
+            == [[honest]] + [[bad]] * len(PRIME_POINTS)
 
 
 class TestGradedRows:
@@ -843,16 +921,22 @@ class TestGeneratingPowers:
 
     @pytest.mark.parametrize("point", [None, RingPoint.rational(1)],
                              ids=["Q(v)", "1"])
-    def test_dense_algebras_build_only_e_and_f(self, point, monkeypatch):
-        # over Q(v) the lifts are those of the spin at a point of F_p
+    def test_dense_algebras_build_only_e_and_f(self, point, monkeypatch,
+                                               fresh_verdicts):
+        # over Q(v) the spins read E and F of the records and lift nothing
         calls = spy_calls(monkeypatch, (HighestWeightModule, "nilpotency"))
         lifted, lift = [], BlockAlgebra._lift
         monkeypatch.setattr(BlockAlgebra, "_lift", lambda self, sym: (
             lifted.append((self.field, sym)) or lift(self, sym)))
+        powers, power = [], HighestWeightModule.divided_power
+        monkeypatch.setattr(HighestWeightModule, "divided_power", lambda
+                            self, sign, i, k: powers.append(k) or power(
+                                self, sign, i, k))
         pi = sat("A2", [(2, 2)])
         S = SchurAlgebra(pi) if point is None else SpecializedSchur(pi, point)
         assert S.dimension() == 994
-        assert calls == []
+        assert calls == [] and set(powers) == {1}
         fields = {field for field, _ in lifted}
-        assert fields == {point or prime_point(*PRIME_POINTS[0])}
-        assert {sym[3] for _, sym in lifted if sym[0] == "Ed"} == {1}
+        assert fields == ({point} if point else set())
+        assert {sym[3] for _, sym in lifted if sym[0] == "Ed"} \
+            == ({1} if point else set())
