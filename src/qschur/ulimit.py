@@ -262,15 +262,33 @@ def separation_probe(datum, expr: WordExpr, height_bound):
     (`expr_block`).  S(pi) is the quotient of the modified form by the
     1_lam with lam outside W.pi, and every symbol maps weight spaces to
     weight spaces, so a set where every word passes a weight outside W.pi
-    is skipped unbuilt."""
+    is skipped unbuilt.
+
+    A probe of a one-index word, one word whose E and Ed symbols all carry
+    one simple index i (with any K and 1 symbols), builds no module: the
+    word's top block is nonzero exactly when its path lies in wt L(mu).
+    The K_h act by units, and the idempotents as the identity on the path.
+    U_i is U_{v_i}(sl2).  The path lies in one i-string, which is unbroken
+    and s_i-stable in wt L(mu); its top weight space holds U_i-highest
+    vectors, so L(mu) has a U_i-summand L(n) whose weights are the whole
+    string (Jantzen, Lectures on Quantum Groups, ch. 2 and 5).  On L(n)
+    each E_i^(a) and F_i^(b) sends a basis vector to a nonzero
+    v_i-binomial multiple of another while the weight stays in the
+    string, so the word is nonzero on L(n).  And wt L(mu) = W.down(mu),
+    the `orbit_weights` of down(mu) (Humphreys 21.3), so the first set
+    that the weight filter passes is the answer.  Sums and words with two
+    indices are evaluated; `expr_block` on every set is the test oracle."""
     theta_dot(datum, expr)  # refuses a non-modified expression first
     paths = [p for p in (_weight_path(datum, w) for w in expr.terms)
              if p is not None]
+    proved = len(expr.terms) == 1 and len({
+        sym[2] for sym in next(iter(expr.terms))
+        if sym[0] in ("E", "Ed")}) <= 1
     top = LimitElement(datum, lambda pi: expr_block(
         weyl_module(datum, pi.elements[-1]), expr, RatFuncField))
     for pi in probe_schedule(datum, height_bound):
         orbit = pi.orbit_weights()
-        if any(p <= orbit for p in paths) and top.at(pi):
+        if any(p <= orbit for p in paths) and (proved or top.at(pi)):
             return pi
     return None
 

@@ -74,11 +74,15 @@ class TestParsing:
 
     def test_task_parameters_are_checked(self):
         for stmt in ("task probe height foo", "task probe height -3",
-                     "task probe depth 3", "task build height 4"):
+                     "task probe depth 3", "task build height 4",
+                     "task probe height 33", "task probe height 0033",
+                     "task probe height " + "9" * 5000):
             with pytest.raises(SpecParseError, match="line 2"):
                 parse_spec(f"datum preset A1\n{stmt}\n")
         assert parse_spec("task probe height 0").tasks == [
             ("probe", {"height": 0})]
+        assert parse_spec("task probe height 032").tasks == [
+            ("probe", {"height": 32})]
 
     def test_serialize_round_trip(self):
         text = ("datum preset B2\npi gens [(1,0),(0,2)]\n"
@@ -129,8 +133,8 @@ def job_specs(draw):
         st.tuples(st.just("cyclo"), st.integers(1, 60))))
     tasks = draw(st.lists(st.sampled_from(TASK_NAMES).flatmap(
         lambda name: st.tuples(st.just(name), st.fixed_dictionaries(
-            {}, optional={k: st.integers(0, 99)
-                          for k in TASK_PARAMS.get(name, ())}))),
+            {}, optional={k: st.integers(0, top) for k, top
+                          in TASK_PARAMS.get(name, {}).items()}))),
         max_size=4))
     return JobSpec(datum, weights, tasks, ring)
 
@@ -314,6 +318,8 @@ MALFORMED = [
      "no parameter"),
     ("probe", "datum preset A1\npi gens [1]\ntask probe height foo", 3,
      "nonnegative integer"),
+    ("probe", "datum preset A1\npi gens [1]\ntask probe height 33", 3,
+     "at most 32"),
     ("dims", "datum preset A1\nring\npi gens [1]", 2, "needs a kind"),
     ("dims", "datum preset A1\nring rational 1/2", 2, "ring rational xi"),
     ("dims", "datum preset A1\nring rational xi a/b", 2, "bad rational"),

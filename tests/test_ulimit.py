@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur import schur, ulimit, weylmod
+from qschur.jobspec import parse_spec
 from qschur.laurent import R_ONE, LaurentPoly, RatFunc, RatFuncField, qint
 from qschur.rootdata import (PRESET_NAMES, RootDatum,
                              dominant_weights_up_to_height, preset)
@@ -26,6 +27,14 @@ import reference_eval
 
 EXPECTED_PROBE = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                               "bench", "expected_probe.json")
+
+
+# G2 in its `datum matrix` form, next to the presets
+G2 = parse_spec("datum matrix 2,-3;-3,6").datum()
+
+
+def datum_of(name):
+    return G2 if name == "G2" else preset(name)
 
 
 def a1_chain():
@@ -203,6 +212,21 @@ def criterion_six(datum, max_height):
                            max(6, datum.height(need)))
 
 
+def two_index(datum, max_height):
+    """F_j F_i^(a) 1_lam for i != j, a <= 2 and lam up to the height, each
+    with a probe height that reaches every weight of its path."""
+    for lam in dominant_weights_up_to_height(datum, max_height):
+        for a in (1, 2):
+            for i in range(datum.rank):
+                for j in set(range(datum.rank)) - {i}:
+                    expr = (WordExpr.F(j) * WordExpr.divided(i, a, -1)
+                            * WordExpr.idem(lam))
+                    (word,) = expr.terms
+                    yield expr, max(6, *(
+                        datum.height(datum.dominant_representative(nu))
+                        for nu in ulimit._weight_path(datum, word)))
+
+
 @st.composite
 def words_on_sets(draw):
     """A datum, a word of at most 4 symbols with at least one idempotent,
@@ -214,12 +238,27 @@ def words_on_sets(draw):
     return datum, draw_word(draw, datum, pi.orbit_weights()), pi
 
 
-def draw_word(draw, datum, weights):
+@st.composite
+def one_index_words(draw):
+    """A preset or G2, a principal set up to height 4 (10 on G2, whose
+    fundamental weights have heights 6 and 10), and a word of at most 4
+    symbols whose E and Ed symbols all carry one index."""
+    name = draw(st.sampled_from(PRESET_NAMES + ("G2",)))
+    datum = datum_of(name)
+    pi = datum.saturate([draw(st.sampled_from(dominant_weights_up_to_height(
+        datum, 10 if name == "G2" else 4)))])
+    index = draw(st.integers(0, datum.rank - 1))
+    return datum, draw_word(draw, datum, pi.orbit_weights(), index), pi
+
+
+def draw_word(draw, datum, weights, index=None):
     """A word of at most 4 symbols with at least one idempotent, whose
-    idempotents are often among `weights`."""
+    idempotents are often among `weights`, and whose E and Ed symbols
+    carry `index` where one is given."""
     weight = st.one_of(st.sampled_from(sorted(weights)),
                        st.tuples(*[st.integers(-4, 4)] * datum.rank_x))
-    sign, i = st.sampled_from((1, -1)), st.integers(0, datum.rank - 1)
+    sign = st.sampled_from((1, -1))
+    i = st.integers(0, datum.rank - 1) if index is None else st.just(index)
     coweight = st.sampled_from(
         [(0,) * datum.rank_x] + list(datum.simple_coroots))
     symbol = st.one_of(st.tuples(st.just("E"), sign, i),
@@ -310,9 +349,21 @@ class TestWeightFilter:
             expr = WordExpr({word: 1})
             assert build_schur(pi).evaluate_expr(expr).is_zero()
 
-    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @settings(max_examples=150, deadline=None)
+    @given(one_index_words())
+    def test_a_one_index_word_is_nonzero_exactly_on_its_weights(self, case):
+        # the proof that lets a probe of such a word build nothing, against
+        # the word's exact block on the top module
+        datum, word, pi = case
+        path = ulimit._weight_path(datum, word)
+        block = schur.expr_block(weyl_module(datum, pi.elements[-1]),
+                                 WordExpr({word: 1}), RatFuncField)
+        assert bool(block) == (path is not None
+                               and path <= pi.orbit_weights()), (pi, word)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES + ("G2",))
     def test_hits_match_the_unfiltered_probe(self, name):
-        datum = preset(name)
+        datum = datum_of(name)
         for expr, bound in criterion_six(datum, 3):
             found = separation_probe(datum, expr, bound)
             assert found is not None, (name, expr)
@@ -328,7 +379,11 @@ class TestWeightFilter:
         # two that disagree: zero in the modified form
         (WordExpr.idem((1, 0)) * WordExpr.E(1) * WordExpr.idem((1, 0)),
          None),
-    ], ids=["sum", "agree", "disagree"])
+        # one-index words that cancel: E_0 F_0 - F_0 E_0 = [2] on 1_(2,0)
+        ((WordExpr.E(0) * WordExpr.F(0) - WordExpr.F(0) * WordExpr.E(0)
+          - WordExpr({(): RatFunc.from_poly(qint(2))}))
+         * WordExpr.idem((2, 0)), None),
+    ], ids=["sum", "agree", "disagree", "commutator"])
     def test_words_and_sums_match_the_unfiltered_probe(self, expr, hit):
         a2 = preset("A2")
         found = separation_probe(a2, expr, 6)
@@ -349,7 +404,9 @@ class TestWeightFilter:
             return at(self, pi)
         monkeypatch.setattr(LimitElement, "at", spy)
         datum = preset(name)
-        for expr, bound in criterion_six(datum, 4):
+        # a word with two indices is evaluated; the weights skip every set
+        # before its hit
+        for expr, bound in two_index(datum, 4):
             calls.clear()
             found = separation_probe(datum, expr, bound)
             assert found is not None and calls == [found], expr
@@ -357,7 +414,8 @@ class TestWeightFilter:
 
 class TestTopBlock:
     """A probe evaluates each set it does not skip on the module of its
-    top weight only (`schur.expr_block`)."""
+    top weight only (`schur.expr_block`), and a probe of a one-index word
+    evaluates none."""
 
     @settings(max_examples=100, deadline=None)
     @given(modified_exprs())
@@ -371,23 +429,35 @@ class TestTopBlock:
             block = reference_eval.expr(build_schur(pi), expr).blocks[-1]
             assert top == block, (pi, expr)
 
-    def test_a_round_builds_the_top_modules_and_no_algebra(
-            self, monkeypatch):
-        built, lowered = [], []
-        init, lower = BlockAlgebra.__init__, weylmod._lower
+    @staticmethod
+    def spy_on_building(monkeypatch):
+        """Clear the module and algebra memos and record each evaluation,
+        lowered vector and block algebra from here on."""
+        seen = {"at": [], "lowered": [], "built": []}
+        at, init, lower = (LimitElement.at, BlockAlgebra.__init__,
+                           weylmod._lower)
 
-        def spy(self, *args, **kwargs):
-            built.append(args[0])
+        def at_spy(self, pi):
+            seen["at"].append(pi)
+            return at(self, pi)
+
+        def init_spy(self, *args, **kwargs):
+            seen["built"].append(args[0])
             init(self, *args, **kwargs)
 
         def lower_spy(*args):
             basis = lower(*args)
-            lowered.extend(basis)
+            seen["lowered"].extend(basis)
             return basis
-        monkeypatch.setattr(BlockAlgebra, "__init__", spy)
+        monkeypatch.setattr(LimitElement, "at", at_spy)
+        monkeypatch.setattr(BlockAlgebra, "__init__", init_spy)
         monkeypatch.setattr(weylmod, "_lower", lower_spy)
         weyl_module.cache_clear()
         build_schur.cache_clear()
+        return seen
+
+    def test_a_one_index_round_builds_nothing(self, monkeypatch):
+        seen = self.spy_on_building(monkeypatch)
         with open(EXPECTED_PROBE) as fh:
             hits = json.load(fh)
         names = set()
@@ -399,11 +469,27 @@ class TestTopBlock:
                 assert [list(w) for w in found] \
                     == hits[probe_name(name, expr)], expr
         assert names == hits.keys()
+        assert seen == {"at": [], "lowered": [], "built": []}
+        assert weyl_module.cache_info().currsize == 0
+
+    def test_a_round_builds_the_top_modules_and_no_algebra(
+            self, monkeypatch):
+        # a round of reads of each hit's top block, as a probe that
+        # evaluated its hit would make
+        seen = self.spy_on_building(monkeypatch)
+        with open(EXPECTED_PROBE) as fh:
+            hits = json.load(fh)
+        for name in ("A2", "B2"):
+            datum = preset(name)
+            for expr, _ in criterion_six(datum, 4):
+                top = tuple(hits[probe_name(name, expr)][-1])
+                assert schur.expr_block(weyl_module(datum, top), expr,
+                                        RatFuncField), expr
         # the whole algebras of the hit sets hold 37 modules; the 32 top
         # modules have 785 basis vectors, and the words reach 405 of them
         assert weyl_module.cache_info().currsize == 32
-        assert 32 + len(lowered) == 405
-        assert built == []
+        assert 32 + len(seen["lowered"]) == 405
+        assert seen["built"] == []
 
     def test_a_round_saturates_each_principal_set_once(self, monkeypatch):
         # the schedule of each probe height repeats the principal sets of
