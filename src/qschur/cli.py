@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .jobspec import TASK_NAMES, SpecParseError, parse_spec
+from .jobspec import PROBE_SETS, TASK_NAMES, SpecParseError, parse_spec
 from .rings import PoleError
 
 # each task imports the layers it runs, so a job loads no others
@@ -145,10 +145,15 @@ def task_limit(spec, pi, cache_dir, params, notes):
 
 
 def task_probe(spec, pi, cache_dir, params, notes):
+    from .rootdata import dominant_weights_up_to_height
     from .ulimit import probe_schedule, separation_probe
     from .words import WordExpr
     height = params.get("height", 4)
     datum = pi.datum
+    if len(dominant_weights_up_to_height(datum, height)) > PROBE_SETS:
+        raise SpecParseError(
+            f"height {height} schedules more than {PROBE_SETS} sets",
+            spec.lines.get("task probe"))
     exprs = []
     for lam in spec.pi_gens:
         exprs.append((f"1_{list(lam)}", WordExpr.idem(lam)))

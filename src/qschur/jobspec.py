@@ -19,11 +19,12 @@ from .rootdata import CartanDatum, preset, simply_connected
 
 TASK_NAMES = ("build", "verify", "dims", "maps", "limit", "probe",
               "specialize")
-# the parameters a task takes, each with its largest value; each value is a
-# nonnegative integer.  A probe saturates every dominant weight up to its
-# height: on a 2-core Xeon VM every A3-A10 schedule of height 32 takes under
-# 0.25 s, and A8 at 128 runs for more than 10 minutes
+# each task parameter with its largest value, a nonnegative integer.  A probe
+# saturates every dominant weight up to its height, at most PROBE_SETS of them
+# (`cli` counts first).  On a 2-core Xeon VM: A3-A10 at height 32 under 0.05
+# s, A1^3 at 32 (6,545 sets) 0.7 s, A8 at 96 (4,639 sets) 2.7 s
 TASK_PARAMS = {"probe": {"height": 32}}
+PROBE_SETS = 10_000
 
 
 class SpecParseError(ValueError):
@@ -144,6 +145,7 @@ def parse_spec(text):
                 spec.pi_gens = _parse_pi(stmt, words, lineno)
             elif head == "task":
                 spec.tasks.append(_parse_task(words, lineno))
+                spec.lines[" ".join(words[:2])] = lineno
             elif head == "ring":
                 spec.ring_spec = _parse_ring(words, lineno)
             else:

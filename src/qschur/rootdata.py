@@ -6,9 +6,9 @@ and coweights in the dual basis of Y, so every pairing <h, lam> is one dot
 product; conversions to the simple-root basis solve exact linear systems.
 
 Each `RootDatum` memoizes its alpha coordinates, Weyl orbits, dominant
-representatives and saturated sets in tables of its own: the results are
-immutable, a call that raises stores nothing, and unlike a value-keyed
-`functools.cache` no table hands one datum the sets of an equal one.
+representatives, saturated sets and dominant-weight walk in tables of its
+own: the results are immutable, a call that raises stores nothing, and no
+table hands one datum the sets of an equal one, as a `functools.cache` would.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ class RootDatum:
         self._orbit_memo = {}       # lam -> weyl_orbit(lam)
         self._dominant_memo = {}    # lam -> dominant_representative(lam)
         self._saturate_memo = {}    # frozenset of generators -> saturate
+        self._walk_memo = (-1, [])  # bound, [(height, dominant weight)]
         self._hash = hash(self.key())
 
     def _memo(self, table, key, body):
@@ -293,7 +294,11 @@ class RootDatum:
 
     def _saturate(self, gens):
         """Below a dominant mu, every dominant weight is reached from mu by
-        dominant steps down by a positive root (Stembridge 1998)."""
+        dominant steps down by a positive root (Stembridge 1998).  A step
+        onto a lam whose down(lam) is memoized adds it whole: it is closed
+        under the same steps, so the reachable set is the same.  Sets passed
+        inside are not stored (one per weight below a large generator); each
+        member is dominant when found, so only an empty set is checked."""
         for g in gens:
             if not self.is_dominant(g):
                 raise ValueError(f"generator {g} is not dominant")
@@ -304,11 +309,15 @@ class RootDatum:
             for mu in frontier:
                 for root, _ in self._positive_roots:
                     lam = tuple(x - a for x, a in zip(mu, root))
-                    if lam not in out and self.is_dominant(lam):
+                    if lam in out or not self.is_dominant(lam):
+                        continue
+                    if known := self._saturate_memo.get(frozenset((lam,))):
+                        out |= known._members
+                    else:
                         out.add(lam)
                         nxt.append(lam)
             frontier = nxt
-        return SaturatedSet(self, out)
+        return SaturatedSet(self, out, not out)
 
     # -- invariant form ----------------------------------------------------
 
@@ -426,12 +435,12 @@ class SaturatedSet:
                             check=False)
 
     def is_saturated(self):
-        """Re-verify downward closure by exhaustive dominance tests."""
-        for mu in self.elements:
-            for lam in self.datum.saturate([mu]):
-                if lam not in self._members:
-                    return False
-        return True
+        """Whether each dominant mu - beta, for a member mu and a positive
+        root beta, is a member: the steps of `RootDatum._saturate`."""
+        d = self.datum
+        return all(lam in self._members or not d.is_dominant(lam)
+                   for mu in self.elements for root, _ in d.positive_roots()
+                   for lam in [tuple(x - a for x, a in zip(mu, root))])
 
     @cached_property
     def _orbit_weights(self):
@@ -495,23 +504,26 @@ def dominant_weights_up_to_height(datum, bound):
     <2 rho^vee, lam> = sum n_i ht_i, where 2 rho^vee is the sum of the
     positive coroots and ht_i = <2 rho^vee, omega_i> is a positive integer.
     So the n are walked depth first, pruned once the height passes the
-    bound, and lam is kept when it is integral.
+    bound, and lam is kept when it is integral.  The longest walk is
+    memoized per datum: a larger bound walks again, a smaller one reads it.
     """
-    r = datum.rank
-    fund = [datum._pairing_solver(tuple(int(i == j) for j in range(r)))
-            for i in range(r)]
-    hts = [datum.height(w) for w in fund]
-    out = []
+    if datum._walk_memo[0] < bound:
+        r = datum.rank
+        fund = [datum._pairing_solver(tuple(int(i == j) for j in range(r)))
+                for i in range(r)]
+        hts = [datum.height(w) for w in fund]
+        out = []
 
-    def walk(i, height, lam):
-        if i == r:
-            if all(x.denominator == 1 for x in lam):
-                out.append((height, tuple(int(x) for x in lam)))
-            return
-        while height <= bound:
-            walk(i + 1, height, lam)
-            height += hts[i]
-            lam = tuple(x + w for x, w in zip(lam, fund[i]))
+        def walk(i, height, lam):
+            if i == r:
+                if all(x.denominator == 1 for x in lam):
+                    out.append((height, tuple(int(x) for x in lam)))
+                return
+            while height <= bound:
+                walk(i + 1, height, lam)
+                height += hts[i]
+                lam = tuple(x + w for x, w in zip(lam, fund[i]))
 
-    walk(0, 0, (Fraction(0),) * datum.rank_x)
-    return [lam for _, lam in sorted(out)]
+        walk(0, 0, (Fraction(0),) * datum.rank_x)
+        datum._walk_memo = (bound, sorted(out))
+    return [lam for height, lam in datum._walk_memo[1] if height <= bound]

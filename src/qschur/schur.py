@@ -60,8 +60,12 @@ checks that, and where it fails the products run, so the witnesses are
 those of the direct check.
 
 In `integral_report` the rows (d) pass with no product once the rows (c)
-pass, `graded` holds, E_i kills each highest vector, F_i each highest
-covector, and every record spins.  Each block is then a module over the
+pass, `graded` holds and every record spins.  Then E_i kills each highest
+vector v_lam and F_i each highest covector: under `graded` each F_i maps
+weight nu to nu - alpha_i, so the F-words on v_lam lie in the weights lam
+minus sums of simple roots.  They span the block, so no basis vector has
+the weight lam + alpha_i, the only one where E_i v_lam or the highest
+covector times F_i could be nonzero.  Each block is then a module over the
 algebra of the K and commutator relations alone, where each Serre element
 u+ commutes with all F_k and each u- with all E_k (Jantzen, Lectures on
 Quantum Groups, ch. 4).  Each term of u+ ends in E_j or in E_i^(s) with
@@ -513,14 +517,9 @@ class _IntegralAlgebra(BlockAlgebra):
     """The algebra of `integral_report`, over Z[v,v^-1] from the records."""
 
     def _serre_proved(self):
-        """The premises of the Serre proof in the module docstring beyond
-        the rows (c) and `graded`."""
-        tops = [m.offsets[m.lam] for m in self.modules]
-        return all(not f.get(top) and all(top not in r for r in e.values())
-                   for i in range(self.datum.rank)
-                   for top, e, f in zip(tops, self.generator(1, i).blocks,
-                                        self.generator(-1, i).blocks)) \
-            and all(map(record_spins, self.modules))
+        """The premise of the Serre proof in the module docstring beyond
+        the rows (c) and `graded`: every record spins."""
+        return all(map(record_spins, self.modules))
 
 
 @cache

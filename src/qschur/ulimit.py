@@ -244,8 +244,10 @@ def probe_schedule(datum, height_bound):
     """Default schedule of saturated sets: the downward closures of single
     dominant weights, enumerated by height.  Cofinal in the full system.
     Memoized per (datum, height_bound); the schedule is a tuple, and its
-    sets and their orbits are the datum's own, shared between bounds."""
-    # mu is the largest weight of its saturation, so the sets are distinct
+    sets and their orbits are the datum's own, shared between bounds.  In
+    height order the weights below mu come first, so `RootDatum._saturate`
+    makes down(mu) {mu} and unions of memoized sets one root below: exact,
+    as each is closed under its steps.  mu tops its set, so sets differ."""
     return tuple(datum.saturate([mu])
                  for mu in dominant_weights_up_to_height(datum, height_bound))
 

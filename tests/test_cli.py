@@ -17,10 +17,10 @@ from qschur import cache, weylmod
 from qschur.cache import (algebras_equal, cache_load, cache_store)
 from qschur.laurent import RatFunc
 from qschur.cli import _chain, run, task_limit
-from qschur.jobspec import (TASK_NAMES, TASK_PARAMS, JobSpec, SpecParseError,
-                            parse_spec)
-from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
-    preset
+from qschur.jobspec import (PROBE_SETS, TASK_NAMES, TASK_PARAMS, JobSpec,
+                            SpecParseError, parse_spec)
+from qschur.rootdata import PRESET_NAMES, CartanDatum, RootDatum, \
+    dominant_weights_up_to_height, preset, simply_connected
 from qschur.schur import SchurAlgebra, build_schur
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -416,6 +416,28 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ")
         assert "line 3" in err
+
+    def test_a_probe_of_too_many_sets_exits_2_before_saturating(
+            self, tmp_path, monkeypatch):
+        # the fundamental weights of A1^r have height 1, so height 32 has
+        # C(32 + r, r) dominant weights: 6,545 on A1^3, 58,905 on A1^4
+        a13 = simply_connected(CartanDatum(((2, 0, 0), (0, 2, 0),
+                                            (0, 0, 2))))
+        assert len(dominant_weights_up_to_height(a13, 32)) == 6545 \
+            <= PROBE_SETS
+        calls = []
+        saturate = RootDatum.saturate
+        monkeypatch.setattr(RootDatum, "saturate", lambda self, gens:
+                            calls.append(gens) or saturate(self, gens))
+        bad = tmp_path / "bad.qs"
+        bad.write_text("task probe height 32\n"
+                       "datum matrix 2,0,0,0;0,2,0,0;0,0,2,0;0,0,0,2\n"
+                       "pi gens [(1,0,0,0)]\ntask dims\n")
+        code, out, err = run_cli(["probe", "--spec", str(bad)], tmp_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: height 32 schedules more than 10000")
+        assert "(line 1)" in err
+        assert calls == [[(1, 0, 0, 0)]]     # the spec's own pi, no more
 
     def test_env_cache_dir_is_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QHAT_CACHE_DIR", str(tmp_path / "envcache"))

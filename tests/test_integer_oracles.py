@@ -288,6 +288,33 @@ def test_saturate_matches_box_enumeration():
             assert set(datum.saturate([mu])) == _box_saturate(datum, [mu])
 
 
+def test_saturations_that_reuse_memoized_sets_match_the_box():
+    # in height order every principal set below mu is memoized before mu,
+    # so down(mu) is built from unions of them
+    a13 = simply_connected(CartanDatum(((2, 0, 0), (0, 2, 0), (0, 0, 2))))
+    for mu in dominant_weights_up_to_height(a13, 10):
+        assert set(a13.saturate([mu])) == _box_saturate(a13, [mu]), mu
+    assert len(a13._saturate_memo) == 286
+
+
+@pytest.mark.parametrize("form,chain", [
+    (((4, -2), (-2, 2)), [(2 * k, 2 * k) for k in range(6)]),
+    (((2, -3), (-3, 6)), [(k, k) for k in range(5)]),
+], ids=["B2", "G2"])
+@pytest.mark.parametrize("order", ["top-down", "bottom-up"])
+def test_a_chain_saturated_in_either_order_matches_the_box(form, chain,
+                                                           order):
+    # top down every search runs whole; bottom up each one stops at the
+    # saturation of the weight below it
+    datum = simply_connected(CartanDatum(form))
+    for mu in chain[::-1] if order == "top-down" else chain:
+        assert set(datum.saturate([mu])) == _box_saturate(datum, [mu]), mu
+    for lo, hi in zip(chain, chain[1:]):
+        assert datum.saturate([lo]).issubset(datum.saturate([hi]))
+    pair = datum.saturate([chain[0], chain[-1]])
+    assert set(pair) == _box_saturate(datum, [chain[-1]])
+
+
 def test_a12_fundamental_weight_saturates_without_the_box(monkeypatch):
     # the box below omega_1 - w0(omega_1) has 2^12 points; the walk tests
     # the generator, one step per positive root from each weight it reaches,

@@ -12,6 +12,7 @@ from qschur.rootdata import (CartanDatum, PRESET_NAMES, RootDatum,
                              SaturatedSet, _bareiss, _rank_of, _solver,
                              dominant_weights_up_to_height, preset,
                              simply_connected)
+from test_integer_oracles import _box_saturate
 
 
 def _laplace_det(m):
@@ -273,7 +274,8 @@ def _memo_data():
 
 class TestMemoTables:
     """Orbits, dominant representatives and saturated sets are computed
-    once per datum, and equal the uncached bodies."""
+    once per datum, and equal the uncached bodies; saturated sets equal the
+    box oracle, as `_saturate` reads the memo itself."""
 
     @pytest.mark.parametrize("name", sorted(_memo_data()))
     def test_memoized_results_equal_the_uncached_bodies(self, name):
@@ -287,7 +289,7 @@ class TestMemoTables:
                 assert datum.dominant_representative(nu) \
                     == datum._dominant_representative(nu) == lam
             pi = datum.saturate([lam])
-            assert pi == datum._saturate(frozenset([lam]))
+            assert set(pi) == _box_saturate(datum, [lam])
             assert datum.saturate([list(lam), lam]) is pi
             assert pi.datum is datum
             assert pi.orbit_weights() == frozenset().union(
@@ -366,6 +368,22 @@ class TestDominantEnumeration:
         assert len(calls) == 6
         assert len(dominant_weights_up_to_height(datum, 12)) == 10
         assert len(calls) == 12
+
+    def test_a_lower_bound_reads_the_longest_walk(self, monkeypatch):
+        datum = simply_connected(CartanDatum(_type_a_form(3)))
+        boxes = [_box_dominant_weights(datum, bound) for bound in range(9)]
+        calls = []
+        solve = datum._pairing_solver
+        monkeypatch.setattr(datum, "_pairing_solver",
+                            lambda ns: calls.append(ns) or solve(ns))
+        high = dominant_weights_up_to_height(datum, 8)
+        assert len(calls) == 3
+        for bound in range(9):
+            got = dominant_weights_up_to_height(datum, bound)
+            assert got == boxes[bound] == high[:len(got)]
+        assert len(calls) == 3
+        got.clear()             # a caller's list is its own
+        assert dominant_weights_up_to_height(datum, 8) == high
 
     def test_a1_window(self):
         a1 = preset("A1")

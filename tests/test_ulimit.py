@@ -2,6 +2,7 @@
 separation probes."""
 
 import copy
+import itertools
 import json
 import os
 
@@ -294,6 +295,19 @@ class TestProbes:
         sched = probe_schedule(a1, 4)
         for mu in dominant_weights_up_to_height(a1, 4):
             assert any(mu in pi for pi in sched)
+
+    @pytest.mark.parametrize("name", ["A1xA1", "A2", "B2"])
+    def test_a_lower_schedule_is_a_prefix_of_the_same_sets(self, name):
+        datum = preset.__wrapped__(name)  # fresh, empty tables
+        probe_schedule.cache_clear()      # it keys equal data together
+        heights = [6, 2, 8, 0, 4, 7]      # neither rising nor falling
+        scheds = {h: probe_schedule(datum, h) for h in heights}
+        for lo, hi in itertools.combinations(sorted(heights), 2):
+            low, high = scheds[lo], scheds[hi]
+            assert len(low) <= len(high)
+            assert all(a is b for a, b in zip(low, high)), (lo, hi)
+        assert [pi.elements[-1] for pi in scheds[8]] \
+            == dominant_weights_up_to_height(datum, 8)
 
     def test_separation_finds_idempotents(self):
         a1 = preset("A1")
