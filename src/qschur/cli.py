@@ -150,7 +150,8 @@ def task_probe(spec, pi, cache_dir, params, notes):
     from .words import WordExpr
     height = params.get("height", 4)
     datum = pi.datum
-    if len(dominant_weights_up_to_height(datum, height)) > PROBE_SETS:
+    if len(dominant_weights_up_to_height(datum, height, PROBE_SETS)) \
+            > PROBE_SETS:
         raise SpecParseError(
             f"height {height} schedules more than {PROBE_SETS} sets",
             spec.lines.get("task probe"))

@@ -58,7 +58,11 @@ class SpecializedSchur(BlockAlgebra):
     there the check fails, and the realized algebra, a proper quotient of
     the base-changed integral form, is the span closure of the idempotents
     under the generating divided powers.  Only its dimension is computed
-    and reported, never identified with the abstract base change.
+    and reported, never identified with the abstract base change.  The
+    braid symmetries T_i carry A 1_lam onto A 1_{s_i lam}, so where the
+    relation rows pass and [k]_i X^(k) = X^(k-1) X on every record (the
+    `schur` docstring), the dimension is the sum over the dominant lam in
+    pi of |W lam| times the closure from 1_lam; `basis()` stays whole.
     """
 
     def __init__(self, pi, point: RingPoint):

@@ -6,16 +6,17 @@ and coweights in the dual basis of Y, so every pairing <h, lam> is one dot
 product; conversions to the simple-root basis solve exact linear systems.
 
 Each `RootDatum` memoizes its alpha coordinates, Weyl orbits, dominant
-representatives, saturated sets and dominant-weight walk in tables of its
-own: the results are immutable, a call that raises stores nothing, and no
-table hands one datum the sets of an equal one, as a `functools.cache` would.
+representatives, saturated sets, dominant-weight walk and probe schedules
+in tables of its own: the results are immutable, a call that raises stores
+nothing, and no table hands one datum the sets of an equal one, as a
+`functools.cache` would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import inf, lcm
 
 from .linalg import SparseEchelon
 from .rings import QField
@@ -112,6 +113,7 @@ class RootDatum:
         self._dominant_memo = {}    # lam -> dominant_representative(lam)
         self._saturate_memo = {}    # frozenset of generators -> saturate
         self._walk_memo = (-1, [])  # bound, [(height, dominant weight)]
+        self._schedule_memo = {}    # height bound -> ulimit.probe_schedule
         self._hash = hash(self.key())
 
     def _memo(self, table, key, body):
@@ -495,7 +497,7 @@ def preset(name):
 PRESET_NAMES = ("A1", "A1adj", "A1xA1", "A2", "B2")
 
 
-def dominant_weights_up_to_height(datum, bound):
+def dominant_weights_up_to_height(datum, bound, limit=inf):
     """All dominant weights of height <= bound, sorted by (height, lex).
 
     A dominant weight is sum n_i omega_i over its pairings n_i = <h_i, lam>
@@ -506,6 +508,8 @@ def dominant_weights_up_to_height(datum, bound):
     So the n are walked depth first, pruned once the height passes the
     bound, and lam is kept when it is integral.  The longest walk is
     memoized per datum: a larger bound walks again, a smaller one reads it.
+    A walk that finds more than `limit` weights stops there and returns
+    those limit + 1 unsorted; it is not memoized.
     """
     if datum._walk_memo[0] < bound:
         r = datum.rank
@@ -519,11 +523,13 @@ def dominant_weights_up_to_height(datum, bound):
                 if all(x.denominator == 1 for x in lam):
                     out.append((height, tuple(int(x) for x in lam)))
                 return
-            while height <= bound:
+            while height <= bound and len(out) <= limit:
                 walk(i + 1, height, lam)
                 height += hts[i]
                 lam = tuple(x + w for x, w in zip(lam, fund[i]))
 
         walk(0, 0, (Fraction(0),) * datum.rank_x)
+        if len(out) > limit:
+            return [lam for _, lam in out]
         datum._walk_memo = (bound, sorted(out))
     return [lam for height, lam in datum._walk_memo[1] if height <= bound]

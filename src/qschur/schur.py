@@ -52,6 +52,19 @@ in every algebra.  Where a row fails, the direct check over the algebra's
 own field says what fails there: over Q(v) the same rows, since Z[v,v^-1]
 -> Q(v) is injective.
 
+Where A is not dense, over a point v -> xi, its dimension needs one span
+closure per dominant weight.  A is the sum of the left ideals A 1_lam,
+lam in W.pi.  Lusztig's symmetries T_i act on each integrable module by a
+Laurent formula in the divided powers, with T_i(u m) = T_i(u) T_i(m),
+T_i(U_A) = U_A and T_i sending weight nu to s_i nu (Lusztig, Introduction
+to Quantum Groups, 5.2 and part VI; Jantzen, Lectures on Quantum Groups,
+ch. 8).  So conjugation by T_i is an automorphism of A carrying A 1_lam
+onto A 1_{s_i lam}, and dim A is the sum over the dominant lam in pi of
+|W lam| dim A 1_lam.  The records must be a U_A-form whose generating
+divided powers give the image of U_A: every row of `integral_report`
+passes, and [k]_i X^(k) = X^(k-1) X on each (`divided_powers_agree`).
+Else the dimension is that of the closure `basis` builds.
+
 The rows (a) and (b) and the K rows of `ulimit` follow from the grading
 where each 1_lam lifts to its weight projector, each K_h to the diagonal
 v^<h, nu>, every module weight lies in W.pi and every entry of E_i (F_i)
@@ -217,6 +230,19 @@ def record_spins(module):
     return False
 
 
+@cache
+def divided_powers_agree(module):
+    """Whether [k]_i X^(k) = X^(k-1) X for every divided power X^(k) of the
+    record, E and F, up to one past its nilpotency; memoized by the
+    identity of the record, as `record_spins` is."""
+    d = module.datum.cartan.d
+    return all(sparse_scale(qint(k, d(i)), module.divided_power(sign, i, k))
+               == sparse_mul(module.divided_power(sign, i, k - 1),
+                             module.divided_power(sign, i, 1))
+               for sign in (1, -1) for i in range(module.datum.rank)
+               for k in range(2, module.nilpotency(sign, i) + 2))
+
+
 def _spins(start, mats, field, dim):
     """Whether the row vector `start` times every word in `mats` spans a
     space of dimension `dim`."""
@@ -332,11 +358,12 @@ class BlockAlgebra:
         return SchurElement(self, [expr_block(m, expr, self.field)
                                    for m in self.modules])
 
-    def _closure(self, gens):
+    def _closure(self, gens, start=None):
         """Echelonized spanning basis of the realized algebra: the span of
-        the idempotents closed under left multiplication by gens."""
+        the idempotents 1_lam, lam in `start` (by default the orbit),
+        closed under left multiplication by gens."""
         ech = SparseEchelon(self.field)
-        basis = [el for el in map(self.idempotent, sorted(self.orbit))
+        basis = [el for el in map(self.idempotent, sorted(start or self.orbit))
                  if ech.insert(el.flatten())]
         for el in basis:  # the list grows while it is walked: breadth first
             for g in gens:
@@ -367,10 +394,23 @@ class BlockAlgebra:
 
     def dimension(self):
         """The sum of squared block dimensions once density is proved,
-        without building the matrix units."""
-        if self._density_defect is None:
-            return self.expected_dim
-        return len(self.basis())
+        without building the matrix units; else `_realized_dim`."""
+        return (self.expected_dim if self._density_defect is None
+                else self._realized_dim)
+
+    @cached_property
+    def _realized_dim(self):
+        """Over a `RingPoint` where both premises of the module docstring
+        hold, the sum over the dominant lam in pi of |W lam| times the
+        closure from 1_lam alone; else the size of `basis()`."""
+        if not (isinstance(self.field, RingPoint)
+                and all(row["ok"] for row in integral_report(
+                    self.pi, tuple(self.modules)))
+                and all(map(divided_powers_agree, self.modules))):
+            return len(self.basis())
+        gens = self._generators(1) + self._generators(-1)
+        return sum(len(self.datum.weyl_orbit(lam))
+                   * len(self._closure(gens, [lam])) for lam in self.pi)
 
     def _realized_span(self, defect):
         """A basis of the algebra where it is not dense: the closure

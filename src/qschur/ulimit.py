@@ -6,8 +6,6 @@ the values themselves, in whatever ring they lie."""
 
 from __future__ import annotations
 
-from functools import cache
-
 from .intspec import specialize_schur
 from .laurent import LaurentPoly, RatFuncField
 from .linalg import SparseEchelon
@@ -239,17 +237,18 @@ def _neg(h):
 # -- probes ------------------------------------------------------------------
 
 
-@cache
 def probe_schedule(datum, height_bound):
     """Default schedule of saturated sets: the downward closures of single
     dominant weights, enumerated by height.  Cofinal in the full system.
-    Memoized per (datum, height_bound); the schedule is a tuple, and its
-    sets and their orbits are the datum's own, shared between bounds.  In
-    height order the weights below mu come first, so `RootDatum._saturate`
-    makes down(mu) {mu} and unions of memoized sets one root below: exact,
-    as each is closed under its steps.  mu tops its set, so sets differ."""
-    return tuple(datum.saturate([mu])
-                 for mu in dominant_weights_up_to_height(datum, height_bound))
+    Memoized per height bound in a table of the datum, as its saturations
+    are; the schedule is a tuple, and its sets and their orbits are the
+    datum's own, shared between bounds.  In height order the weights below
+    mu come first, so `RootDatum._saturate` makes down(mu) {mu} and unions
+    of memoized sets one root below: exact, as each is closed under its
+    steps.  mu tops its set, so sets differ."""
+    return datum._memo(datum._schedule_memo, height_bound, lambda h: tuple(
+        datum.saturate([mu])
+        for mu in dominant_weights_up_to_height(datum, h)))
 
 
 def separation_probe(datum, expr: WordExpr, height_bound):

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -438,6 +439,21 @@ class TestExitCodes:
         assert err.startswith("error: height 32 schedules more than 10000")
         assert "(line 1)" in err
         assert calls == [[(1, 0, 0, 0)]]     # the spec's own pi, no more
+
+    def test_a_refused_probe_stops_the_walk_past_the_bound(self, tmp_path):
+        # A1^5 has 435,897 dominant weights up to height 32; the walk stops
+        # once it passes PROBE_SETS of them
+        bad = tmp_path / "bad.qs"
+        form = ";".join(",".join("2" if i == j else "0" for j in range(5))
+                        for i in range(5))
+        bad.write_text(f"datum matrix {form}\npi gens [(0,0,0,0,0)]\n"
+                       "task probe height 32\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(["probe", "--spec", str(bad)], tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: height 32 schedules more than 10000")
+        assert "(line 3)" in err
 
     def test_env_cache_dir_is_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QHAT_CACHE_DIR", str(tmp_path / "envcache"))

@@ -414,6 +414,82 @@ class TestTamperedRows:
             == rows_at_i
 
 
+class TestOrbitWeightedDimension:
+    """dim A = sum over the dominant lam in pi of |W lam| dim A 1_lam, by
+    the braid symmetries, where the relations and the divided powers of
+    the records hold (`BlockAlgebra._realized_dim`)."""
+
+    def test_a_failing_relation_row_runs_the_whole_closure(self):
+        # L(2) on A1 with F zero from weight 0 to -2: the commutator fails
+        # at v = 1, while F^(2) = F F / [2] = 0 keeps the divided powers
+        pi = sat("A1", [(2,)])
+        honest = build_schur(pi).modules
+        module = copy.copy(honest[1])
+        assert module.lam == (2,)
+        r, c = module.offsets[(-2,)], module.offsets[(0,)]
+        f0 = {k: dict(row) for k, row in module.f[0].items()}
+        del f0[r][c]
+        module.f = [{k: row for k, row in f0.items() if row}]
+        module._dp_cache, module._diag_cache = {}, {}
+        modules = [honest[0], module]
+        assert not all_ok(integral_report(pi, tuple(modules)))
+        assert all(map(schur.divided_powers_agree, modules))
+        S = BlockAlgebra(pi, XI_ONE, modules)
+        gens = S._generators(1) + S._generators(-1)
+        sizes = {lam: len(S._closure(gens, [lam])) for lam in S.orbit}
+        assert sizes == {(-2,): 3, (0,): 3, (2,): 2}
+        assert sum(len(pi.datum.weyl_orbit(lam)) * sizes[lam]
+                   for lam in pi) == 7
+        assert S._density_defect is not None
+        assert S.dimension() == 8 == len(S._closure(gens))
+
+    def test_a_zero_divided_power_past_a_nonzero_square_is_caught(self):
+        # L(2) on A1 with F^(2) = 0 in its cache while F F is not: F looks
+        # nilpotent of order 1, every relation row passes, and at i, where
+        # F^(2) is a generator, the orbit-weighted sum is 5, not 6
+        pi = sat("A1", [(2,)])
+        honest = build_schur(pi).modules
+        module = copy.copy(honest[1])
+        module._dp_cache, module._diag_cache = {(False, 0, 2): {}}, {}
+        modules = [honest[0], module]
+        assert module.nilpotency(-1, 0) == 1
+        assert sparse_mul(module.f[0], module.f[0])
+        assert all_ok(integral_report(pi, tuple(modules)))
+        assert not schur.divided_powers_agree(module)
+        S = BlockAlgebra(pi, XI_I, modules)
+        gens = S._generators(1) + S._generators(-1)
+        assert sum(len(pi.datum.weyl_orbit(lam))
+                   * len(S._closure(gens, [lam])) for lam in pi) == 5
+        assert S.dimension() == 6 == len(S._closure(gens))
+
+    def test_one_closure_per_dominant_weight(self, monkeypatch):
+        pi = sat("A2", [(2, 1)])
+        S = SpecializedSchur(pi, XI_I)
+        starts = []
+        closure = BlockAlgebra._closure
+        monkeypatch.setattr(BlockAlgebra, "_closure",
+                            lambda self, gens, start=None:
+                            starts.append(start) or closure(self, gens, start))
+        assert S.dimension() == 162
+        assert starts == [[lam] for lam in pi]
+        assert len(pi) < len(S.orbit)
+
+    @pytest.mark.parametrize("name,mu,n", [
+        ("A2", (2, 2), 5), ("B2", (1, 1), 5), ("B2", (2, 0), 5),
+        ("A2", (1, 1), 6), ("A2", (0, 3), 6), ("B2", (0, 3), 6)])
+    def test_closures_are_constant_on_orbits_off_the_spin_points(
+            self, name, mu, n):
+        datum = preset(name)
+        S = SpecializedSchur(datum.saturate([mu]), RingPoint.cyclotomic(n))
+        assert S._density_defect is not None
+        gens = S._generators(1) + S._generators(-1)
+        sizes = {lam: len(S._closure(gens, [lam])) for lam in S.orbit}
+        assert all(sizes[lam] == sizes[datum.dominant_representative(lam)]
+                   for lam in sizes)
+        dim = S.dimension()
+        assert dim == sum(sizes.values()) == len(S.basis()) < S.expected_dim
+
+
 class TestProjectionCommutes:
     def test_a_wrong_generating_power_of_the_larger_algebra_is_caught(
             self, monkeypatch):

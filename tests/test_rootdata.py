@@ -385,6 +385,16 @@ class TestDominantEnumeration:
         got.clear()             # a caller's list is its own
         assert dominant_weights_up_to_height(datum, 8) == high
 
+    def test_a_limited_walk_stops_past_the_limit_and_is_not_kept(self):
+        datum = simply_connected(CartanDatum(_type_a_form(3)))
+        box = _box_dominant_weights(datum, 8)
+        assert len(box) == 10
+        got = dominant_weights_up_to_height(datum, 8, 5)
+        assert len(got) == 6 and set(got) <= set(box)
+        assert datum._walk_memo == (-1, [])
+        assert dominant_weights_up_to_height(datum, 8, len(box)) == box
+        assert dominant_weights_up_to_height(datum, 8, 5) == box
+
     def test_a1_window(self):
         a1 = preset("A1")
         got = dominant_weights_up_to_height(a1, 4)

@@ -299,7 +299,6 @@ class TestProbes:
     @pytest.mark.parametrize("name", ["A1xA1", "A2", "B2"])
     def test_a_lower_schedule_is_a_prefix_of_the_same_sets(self, name):
         datum = preset.__wrapped__(name)  # fresh, empty tables
-        probe_schedule.cache_clear()      # it keys equal data together
         heights = [6, 2, 8, 0, 4, 7]      # neither rising nor falling
         scheds = {h: probe_schedule(datum, h) for h in heights}
         for lo, hi in itertools.combinations(sorted(heights), 2):
@@ -308,6 +307,17 @@ class TestProbes:
             assert all(a is b for a, b in zip(low, high)), (lo, hi)
         assert [pi.elements[-1] for pi in scheds[8]] \
             == dominant_weights_up_to_height(datum, 8)
+
+    @pytest.mark.parametrize("name", ["A1xA1", "A2", "B2"])
+    def test_each_scheduled_set_belongs_to_the_datum_asked(self, name):
+        # an equal datum built anew gets its own sets, not the preset's
+        probe_schedule(preset(name), 6)
+        datum = preset.__wrapped__(name)
+        assert datum == preset(name) and datum is not preset(name)
+        for bound in (6, 4):
+            for pi in probe_schedule(datum, bound):
+                assert pi.datum is datum
+                assert datum.saturate([pi.elements[-1]]) is pi
 
     def test_separation_finds_idempotents(self):
         a1 = preset("A1")
@@ -516,7 +526,6 @@ class TestTopBlock:
             return body(self, gens)
         monkeypatch.setattr(RootDatum, "_saturate", spy)
         weyl_module.cache_clear()
-        probe_schedule.cache_clear()
         tops = set()
         for name in ("A2", "B2"):
             datum = preset.__wrapped__(name)  # fresh, empty tables
