@@ -445,8 +445,7 @@ class BlockAlgebra:
         in `hs`, are what the weight grading makes them (see the module
         docstring), by one pass over their nonzeros."""
         datum, one, orbit = self.datum, self.field.one, self.orbit
-        spans = [{nu: range(m.offsets[nu], m.offsets[nu] + m.dims[nu])
-                  for nu in m.weights} for m in self.modules]
+        spans = [{nu: m.rows(nu) for nu in m.weights} for m in self.modules]
 
         def diagonal(entry):        # entry(nu) on the rows of weight nu
             return tuple({r: {r: x} for nu, rows in s.items()
@@ -598,11 +597,11 @@ class SchurAlgebra(BlockAlgebra):
 @cache
 def build_schur(pi):
     """Memoized pure construction of the algebra for a saturated set, its
-    modules lowered whole; `SchurAlgebra(pi)` lowers a module only where
-    a read needs it (`weylmod.WeylModule`)."""
+    modules lowered whole up front; `SchurAlgebra(pi)` lowers a module
+    only once a read needs its E or F (`weylmod.WeylModule`)."""
     S = SchurAlgebra(pi)
     for m in S.modules:
-        m.lowered_to(None)
+        m.lower()
     return S
 
 

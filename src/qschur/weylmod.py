@@ -2,14 +2,14 @@
 matrices with entries in Z[v,v^-1].
 
 The simple module of highest weight lam takes its weights from the
-Freudenthal recursion up front and is lowered on demand, level by level
-from its highest vector by the divided powers of the lowering operators, in
-a basis of its Lusztig lattice: a word is read on the levels its walk
-reaches, a generator on the whole module.  The Weyl dimension formula and
-the commutator relation check the result.  A tensor-product realization is
-kept as an independent check of the lowering.  `word_matrix` is the one
-evaluator of a word of symbols (see `words`): its Laurent matrix on one
-module.
+Freudenthal recursion up front, and is lowered whole on the first read of
+its generators, level by level from its highest vector by the divided
+powers of the lowering operators, in a basis of its Lusztig lattice.  The
+diagonal symbols, and a word whose walk leaves the weights of the module,
+need no lowering.  The Weyl dimension formula and the commutator relation
+check the result.  A tensor-product realization is kept as an independent
+check of the lowering.  `word_matrix` is the one evaluator of a word of
+symbols (see `words`): its Laurent matrix on one module.
 
 The lowering takes no fraction: the basis of each weight space is chosen
 over F_p, where rank cannot exceed the rank over Q(v), and every other
@@ -21,8 +21,6 @@ Q(v) (see `WeylModule`), which stays as the fallback and the test oracle.
 from __future__ import annotations
 
 from functools import cache
-from itertools import groupby
-from types import SimpleNamespace
 
 from .laurent import (ONE, R_ONE, ZERO, LaurentPoly, RatFunc, RatFuncField,
                       is_integral, qbinom, qint)
@@ -68,10 +66,10 @@ class HighestWeightModule:
     The basis is grouped by weight in the order of `weights`; weight nu
     holds the `dims[nu]` indices from `offsets[nu]` on.  `e[i]` and `f[i]`
     are the matrices of E_i and F_i, sparse row dicts in the `linalg`
-    format with entries in Z[v,v^-1], acting on coordinate columns.  Every
-    construction ends here: the constructor refuses a highest weight space
-    that is not a line and, given E and F, checks
-    [E_i, F_j] = delta_ij [<h_i, nu>]_i on every weight space.
+    format with entries in Z[v,v^-1], acting on coordinate columns.  The
+    constructor refuses a highest weight space that is not a line, and E
+    and F enter every record through `_set_action`, which checks
+    [E_i, F_j] = delta_ij [<h_i, nu>]_i on every weight space first.
     """
 
     def __init__(self, datum, lam, weights, dims, e=None, f=None):
@@ -81,44 +79,41 @@ class HighestWeightModule:
         self.dims = dict(dims)
         self.offsets = _offsets(self.weights, self.dims)
         self.dim = sum(self.dims.values())
-        two = datum.two_rho_vee         # depth: the height of lam - nu
-        self.depths = {nu: (datum.pair(two, self.lam) - datum.pair(two, nu))
-                       // 2 for nu in self.weights}
         self._dp_cache = {}
         self._diag_cache = {}
         if self.dims.get(self.lam) != 1:
             raise ModuleCheckError(
                 f"highest weight space of {self.lam} is not one dimensional")
         if e is not None:
-            self.e, self.f = list(e), list(f)
-            self._check_commutators(self.weights, self.e, self.f)
+            self._set_action(e, f)
 
-    def _check_commutators(self, weights, e, f, sign=1):
-        """Check [E_i, F_j] = delta_ij [<h_i, nu>]_i on the given weights,
-        from the rows of E_i and F_j there, or for sign -1 from their
-        column dicts: [E^T, F^T] = -[E, F]^T, and the right side is
-        diagonal."""
+    def rows(self, nu):
+        """The basis indices of weight nu: none if nu is not a weight."""
+        off = self.offsets.get(nu, 0)
+        return range(off, off + self.dims.get(nu, 0))
+
+    def _set_action(self, e, f):
+        """Store the matrices e of E_i and f of F_i once they pass
+        `_check_commutators`."""
+        e, f = list(e), list(f)
+        self._check_commutators(e, f)
+        self.e, self.f = e, f
+
+    def _check_commutators(self, e, f):
+        """Check [E_i, F_j] = delta_ij [<h_i, nu>]_i on every weight."""
         datum = self.datum
-        rows = {k: nu for nu in weights for k in range(
-            self.offsets[nu], self.offsets[nu] + self.dims[nu])}
-        es, fs = ([{k: m[k] for k in rows if k in m} for m in mats]
-                  for mats in (e, f))
         for i in range(datum.rank):
             d = datum.cartan.d(i)
-            cs = {nu: qint(sign * datum.pair_i(i, nu), d) for nu in weights}
-            cartan = {k: {k: cs[nu]} for k, nu in rows.items() if cs[nu]}
+            cartan = {k: {k: c} for nu in self.weights
+                      if (c := qint(datum.pair_i(i, nu), d))
+                      for k in self.rows(nu)}
             for j in range(datum.rank):
-                comm = sparse_sub(sparse_mul(es[i], f[j]),
-                                  sparse_mul(fs[j], e[i]))
+                comm = sparse_sub(sparse_mul(e[i], f[j]),
+                                  sparse_mul(f[j], e[i]))
                 if comm != (cartan if i == j else {}):
                     raise ModuleCheckError(
                         f"commutator [E_{i}, F_{j}] fails on the module of "
                         f"highest weight {self.lam}")
-
-    def lowered_to(self, depth):
-        """The record, exact on the weights down to `depth` below lam: a
-        record with all its matrices is its own."""
-        return self
 
     def divided_power(self, sign, i, k):
         """Sparse matrix of E_i^k / [k]!_i (sign > 0) or F_i^k / [k]!_i,
@@ -158,9 +153,7 @@ class HighestWeightModule:
             for nu in [sym[1]] if sym[0] == "1" else self.weights:
                 x = ONE if sym[0] == "1" else LaurentPoly.monomial(
                     1, self.datum.pair(sym[1], nu))
-                off = self.offsets.get(nu, 0)
-                mat.update((r, {r: x}) for r in
-                           range(off, off + self.dims.get(nu, 0)))
+                mat.update((r, {r: x}) for r in self.rows(nu))
         return mat
 
     def nilpotency(self, sign, i):
@@ -176,15 +169,16 @@ class HighestWeightModule:
 
 
 class WeylModule(HighestWeightModule):
-    """The simple highest-weight module L(lam): its weights, dims and
-    offsets from the Freudenthal recursion up front, and a basis lowered
-    from the highest vector with divided powers, level by level from the
-    top, as deep as a read needs (`lowered_to`; `e`, `f` and `words` need
-    the whole module).  The basis is a Z[v,v^-1]-basis of the Lusztig form
-    V_A = U_A^- v_lam (Lusztig, Introduction to Quantum Groups, 23 and 29),
-    exact on every weight it reaches; `words` holds the word of each basis
-    vector.  Built directly, the record is lowered whole; `weyl_module`
-    builds it lazy.
+    """The simple highest-weight module L(lam), in one of two states.
+    Unlowered, it holds its weights, dims and offsets from the Freudenthal
+    recursion, which serve the diagonals of 1_lam and K_h and every walk
+    that leaves its weights.  Whole, it also holds E, F and `words`, the
+    word of each basis vector: `lower` lowers it from the highest vector
+    with divided powers, level by level to the bottom, on the first read
+    of `e`, `f` or `words`.  A lowering that raises stores nothing, so
+    every later read raises again.  The basis is a Z[v,v^-1]-basis of the
+    Lusztig form V_A = U_A^- v_lam (Lusztig, Introduction to Quantum
+    Groups, 23 and 29).
 
     The candidates at weight nu are the vectors F_i^(a) b, for every a >= 1
     and every basis vector b at mu = nu + a alpha_i whose word does not
@@ -211,82 +205,51 @@ class WeylModule(HighestWeightModule):
     the weight and raises ModuleCheckError on a non-Laurent coordinate.
 
     Each weight is proved as it is built, its multiplicity against the
-    Freudenthal recursion too; the commutator check runs on a level once
-    the level below it exists, the Weyl formula once the module is whole.
+    Freudenthal recursion too; once the module is whole, the Weyl formula
+    and the commutator check run on it.
     """
 
-    def __init__(self, datum, lam, lazy=False):
+    def __init__(self, datum, lam):
         lam = tuple(lam)
         if not datum.is_dominant(lam):
             raise ValueError(f"highest weight {lam} is not dominant")
         mult = freudenthal_oracle(datum, lam)
         super().__init__(datum, lam, _weight_order(datum, mult), mult)
-        # the lowering so far: basis words by weight, the index of each
-        # word, the columns of E_j and of every F_i^(a), the deepest level
-        # and its depth, the views by depth, and the Freudenthal weights by
-        # depth (none past the bottom)
-        self._low = SimpleNamespace(
-            words={lam: [()]}, index={(): 0}, fdp={}, level=[lam], depth=0,
-            e=[{} for _ in range(datum.rank)], views={},
-            levels=[list(g) for _, g in groupby(self.weights, self.depths.get)]
-            + [[]])
-        if not lazy:
-            self.lowered_to(None)
 
     def __getattr__(self, name):
         # only the whole module has E, F and every word
-        if name in ("e", "f", "words") and "_low" in self.__dict__:
-            self.lowered_to(None)
-            return self.__dict__[name]
+        if name in ("e", "f", "words"):
+            return getattr(self.lower(), name)
         raise AttributeError(name)
 
-    def lowered_to(self, depth):
-        """Lower level by level down to `depth` (None: to the bottom).  The
-        record itself once whole, with E, F and `words` plain attributes;
-        else a view, a HighestWeightModule of the basis built down to some
-        level: E on its columns and F on those above that level, so it
-        holds the block of every symbol between weights of depth <= `depth`.
-        Each view keeps its divided powers, so a read is served by the
-        shallowest one deep enough."""
-        low = self.__dict__.get("_low")
-        if low is None:
+    def lower(self):
+        """The record, lowered whole: each level is the set of weights one
+        simple root below a weight of the level above, lowered in
+        `_weight_order`, down to the first level with no basis vector."""
+        if "words" in self.__dict__:
             return self
-        if depth in low.views:
-            return low.views[depth]
         datum, r, roots = self.datum, self.datum.rank, self.datum.simple_roots
-        while low.level and (depth is None or low.depth < depth):
-            below = set(low.levels[low.depth + 1])
-            below.update(tuple(x - a for x, a in zip(nu, roots[i]))
-                         for nu in low.level for i in range(r))
+        # basis words by weight, the index of each word, and the columns of
+        # E_j and of every F_i^(a)
+        words, index, fdp = {self.lam: [()]}, {(): 0}, {}
+        cols = [{} for _ in range(r)]
+        level = [self.lam]
+        while level:
+            below = {tuple(x - a for x, a in zip(nu, roots[i]))
+                     for nu in level for i in range(r)}
             level = []
             for nu in _weight_order(datum, below):
-                basis = low.words.get(nu) or _lower(
-                    datum, self.lam, nu, self.dims.get(nu, 0), low.words,
-                    low.index, low.e, low.fdp)
+                basis = _lower(datum, self.lam, nu, self.dims.get(nu, 0),
+                               words, index, cols, fdp)
                 if basis:
-                    low.words[nu] = basis
+                    words[nu] = basis
                     level.append(nu)
-            self._check_commutators(low.level, low.e, [
-                low.fdp.get((i, 1), {}) for i in range(r)], -1)
-            low.level, low.depth = level, low.depth + 1
-        if low.level:       # the shallowest view that reaches `depth`
-            depth = min(d for d in [*low.views, low.depth] if d >= depth)
-            if depth in low.views:
-                return low.views[depth]
-        mats = {"words": list(low.index),
-                "e": [sparse_transpose(c) for c in low.e],
-                "f": [sparse_transpose(low.fdp.get((i, 1), {}))
-                      for i in range(r)]}
-        if low.level:
-            view = low.views[depth] = HighestWeightModule(
-                datum, self.lam, self.weights, self.dims)
-            view.__dict__.update(mats)
-            return view
         _check_character(datum, self.lam, {
-            nu: len(ws) for nu, ws in low.words.items()}, self.dims)
-        del self._low
-        for name, value in mats.items():
-            self.__dict__.setdefault(name, value)
+            nu: len(ws) for nu, ws in words.items()}, self.dims)
+        self._set_action([sparse_transpose(c) for c in cols],
+                         [sparse_transpose(fdp.get((i, 1), {}))
+                          for i in range(r)])
+        self.words = list(index)
         return self
 
 
@@ -631,16 +594,13 @@ def word_matrix(module, word):
     """The sparse matrix over Z[v,v^-1] of a word of symbols on the module,
     multiplied from the left.  A word of the modified form starts from the
     rows of the weight where it ends (`word_walk`), which also places its
-    idempotents, so only the rows it reaches are multiplied, on the module
-    lowered only as deep as its walk goes; a walk that leaves the weights
-    of the module is zero, and lowers nothing.  Any other word starts from
-    the identity."""
+    idempotents, so only the rows it reaches are multiplied; a walk that
+    leaves the weights of the module is zero, and lowers nothing.  Any
+    other word starts from the identity."""
     if any(sym[0] == "1" for sym in word):
         walk = word_walk(module.datum, word)
-        depths = [module.depths.get(nu) for nu in walk]
-        if None in depths:
+        if not module.dims.keys() >= set(walk):
             return {}
-        module = module.lowered_to(max(depths))
         mat = module.symbol(("1", walk[0]))
     else:
         mat = sparse_diagonal(dict.fromkeys(range(module.dim), ONE))
@@ -677,9 +637,10 @@ def _shift(datum, nu, sym, side):
 
 @cache
 def weyl_module(datum, lam):
-    """Memoized construction, lowered on demand (`WeylModule`); a pure
-    function of the datum and the weight tuple lam."""
-    return WeylModule(datum, lam, lazy=True)
+    """Memoized construction, unlowered until a read needs E or F
+    (`WeylModule`); a pure function of the datum and the weight tuple
+    lam."""
+    return WeylModule(datum, lam)
 
 
 # -- independent oracles ----------------------------------------------------

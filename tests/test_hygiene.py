@@ -1,8 +1,9 @@
 """Source hygiene, read from the syntax trees with the standard library
 only: no `assert` statement in the library, where `python -O` would strip
 the check, no import that its file never uses, no private module-level
-function or class that the library never uses, and no private name that
-one library module imports from another.  `import qschur.cli` loads only
+function or class that the library never uses, no public one that no
+library, test or bench file names, and no private name that one library
+module imports from another.  `import qschur.cli` loads only
 the layers that every task needs."""
 
 import ast
@@ -14,6 +15,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "qschur")
 TESTS = os.path.join(ROOT, "tests")
+BENCH = os.path.join(ROOT, "bench")
 
 
 @functools.cache
@@ -67,37 +69,56 @@ def test_every_import_is_used():
     assert found == []
 
 
-def _unused_private(trees):
-    """The (file, name) of every private module-level function or class of
-    the syntax trees {file: tree} that no other top-level statement of any
-    of them reads, by name or as an attribute."""
+def _unused(trees, public=False, readers=()):
+    """The (file, name) of every private (or, with `public`, public)
+    module-level function or class of the syntax trees {file: tree} that
+    no other top-level statement of them, nor any statement of the trees
+    in `readers`, reads, by name or as an attribute."""
     defined, used = [], set()
     for path, tree in trees.items():
         for stmt in tree.body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                    and stmt.name.startswith("_") \
+                    and stmt.name.startswith("_") != public \
                     and not stmt.name.startswith("__"):
                 own = stmt.name
                 defined.append((path, own))
-            for node in ast.walk(stmt):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else
-                        None)
-                if name is not None and name != own:
-                    used.add(name)
+            used |= _read_names(stmt) - {own}
+    for tree in readers:
+        used |= _read_names(tree)
     return [(path, name) for path, name in defined if name not in used]
 
 
+def _read_names(node):
+    """Every name that the syntax tree reads, plainly or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def test_every_private_function_and_class_is_used():
-    assert _unused_private(_trees(SRC)) == []
+    assert _unused(_trees(SRC)) == []
+
+
+def test_every_public_function_and_class_is_named():
+    readers = [tree for folder in (TESTS, BENCH)
+               for tree in _trees(folder).values()]
+    assert _unused(_trees(SRC), public=True, readers=readers) == []
 
 
 def test_the_scan_sees_an_unused_private_function():
     trees = {"a.py": ast.parse("def _f(): return _f()\n"
                                "class _C: pass\ndef _g(): pass\n"),
              "b.py": ast.parse("import a\nx = a._g\ny = [_C]\n")}
-    assert _unused_private(trees) == [("a.py", "_f")]
+    assert _unused(trees) == [("a.py", "_f")]
+
+
+def test_the_scan_sees_an_unnamed_public_function():
+    trees = {"a.py": ast.parse("def f(): return f()\nclass C: pass\n"
+                               "def g(): pass\ndef _h(): pass\n")}
+    readers = [ast.parse("import a\nx = a.g\n")]
+    assert _unused(trees, public=True, readers=readers) == [("a.py", "f"),
+                                                            ("a.py", "C")]
 
 
 def test_the_scan_sees_an_unused_import_and_an_assert():

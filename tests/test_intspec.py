@@ -108,10 +108,10 @@ class TestLatticeBases:
         # in plain word order the construction picks, at weight (0, -2) of
         # A2 (2,0), a vector outside the lattice: a coordinate of another
         # candidate is v/(v^2+1)
-        WeylModule(preset("A2"), (2, 0))
+        assert WeylModule(preset("A2"), (2, 0)).e
         monkeypatch.setattr(weylmod, "_word_order", lambda word: word)
         with pytest.raises(ModuleCheckError, match=r"\(0, -2\).*\(2, 0\)"):
-            WeylModule(preset("A2"), (2, 0))
+            WeylModule(preset("A2"), (2, 0)).e
 
 
 class TestSpecializedDimensions:

@@ -509,10 +509,11 @@ class TestTopBlock:
                 top = tuple(hits[probe_name(name, expr)][-1])
                 assert schur.expr_block(weyl_module(datum, top), expr,
                                         RatFuncField), expr
-        # the whole algebras of the hit sets hold 37 modules; the 32 top
-        # modules have 785 basis vectors, and the words reach 405 of them
+        # the whole algebras of the hit sets hold 37 modules; the words
+        # read E or F on each of the 32 top modules, which is lowered whole:
+        # 785 basis vectors, the 32 highest vectors among them
         assert weyl_module.cache_info().currsize == 32
-        assert 32 + len(seen["lowered"]) == 405
+        assert 32 + len(seen["lowered"]) == 785
         assert seen["built"] == []
 
     def test_a_round_saturates_each_principal_set_once(self, monkeypatch):

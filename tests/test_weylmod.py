@@ -15,8 +15,7 @@ from qschur import laurent, schur, weylmod
 from qschur.cache import serialize_algebra
 from qschur.jobspec import parse_spec
 from qschur.laurent import LaurentPoly, RatFunc, qbinom, qint
-from qschur.linalg import (sparse_add, sparse_mul, sparse_scale, sparse_sub,
-                           sparse_transpose)
+from qschur.linalg import sparse_add, sparse_mul, sparse_scale, sparse_sub
 from qschur.rootdata import PRESET_NAMES, CartanDatum, \
     dominant_weights_up_to_height, preset, simply_connected
 from qschur.schur import SchurAlgebra, build_schur
@@ -280,9 +279,9 @@ class TestWeightOrder:
         monkeypatch.setattr(weylmod, "freudenthal_oracle",
                             lambda datum, lam: mults[tuple(lam)])
         calls = _spy(monkeypatch, type(datum), "root_coords")
-        lowered = WeylModule(datum, (1, 1))
-        TensorModule(datum, (1, 1), WeylModule(datum, (1, 0)),
-                     WeylModule(datum, (0, 1)))
+        lowered = WeylModule(datum, (1, 1)).lower()
+        TensorModule(datum, (1, 1), WeylModule(datum, (1, 0)).lower(),
+                     WeylModule(datum, (0, 1)).lower())
         assert calls == []
         _depth_order(datum, (1, 1), lowered.weights)
         assert calls                         # the spy sees the old order
@@ -343,10 +342,11 @@ class TestModularChoice:
     def _same_as_exact_echelon(monkeypatch, datum, lam):
         with monkeypatch.context() as patch:
             exact = _spy(patch, weylmod, "_choose_exact")
-            fast = WeylModule(datum, lam)
+            fast = WeylModule(datum, lam).lower()
             assert exact == [], lam
             patch.setattr(weylmod, "PRIME_POINTS", ())
-            oracle = WeylModule(datum, lam)
+            oracle = WeylModule(datum, lam).lower()
+            assert exact, lam
         assert fast.words == oracle.words, lam
         assert fast.e == oracle.e, lam
         assert fast.f == oracle.f, lam
@@ -410,7 +410,7 @@ class TestModularChoice:
         calls = _spy(monkeypatch, laurent, "_poly_gcd_int")
         for datum, lam in [(preset("B2"), (3, 3)), (G2, (1, 1)),
                            (preset("A2"), (4, 4))]:
-            WeylModule(datum, lam)
+            assert WeylModule(datum, lam).lower().e
         assert len(calls) == 0
 
     def test_divided_power_refuses_a_non_laurent_entry(self):
@@ -429,90 +429,86 @@ class TestModularChoice:
 
 
 @cache
-def _eager(datum, lam):
-    return WeylModule(datum, lam)
+def _whole(datum, lam):
+    return WeylModule(datum, lam).lower()
 
 
 @st.composite
-def partial_records(draw):
-    """A preset, a highest weight of height at most 5, a depth down to one
-    past the bottom of its module, and a word of at most four symbols with
-    one idempotent, most often at a weight of the module."""
+def module_words(draw):
+    """A preset, a highest weight of height at most 5, and a word of at
+    most four symbols with one idempotent, most often at a weight of the
+    module."""
     datum = preset(draw(st.sampled_from(ALL_PRESETS)))
     lam = draw(st.sampled_from(dominant_weights_up_to_height(datum, 5)))
-    eager = _eager(datum, lam)
-    depth = draw(st.integers(0, eager.depths[eager.weights[-1]] + 1))
     sign, i = st.sampled_from((1, -1)), st.integers(0, datum.rank - 1)
     symbol = st.one_of(
         st.tuples(st.just("E"), sign, i),
         st.tuples(st.just("Ed"), sign, i, st.integers(1, 3)),
         st.tuples(st.just("K"), st.sampled_from(datum.simple_coroots)))
     word = draw(st.lists(symbol, max_size=3))
-    weight = st.one_of(st.sampled_from(eager.weights),
+    weight = st.one_of(st.sampled_from(_whole(datum, lam).weights),
                        st.tuples(*[st.integers(-4, 4)] * datum.rank_x))
     word.insert(draw(st.integers(0, len(word))), ("1", draw(weight)))
-    return datum, lam, depth, tuple(word)
-
-
-def _columns(mats, depth_of, keep):
-    """Each matrix's columns {col: {row: x}} at the kept column depths."""
-    return [{c: col for c, col in sparse_transpose(mat).items()
-             if keep(depth_of[c])} for mat in mats]
+    return datum, lam, tuple(word)
 
 
 class TestLazyRecord:
-    """A record lowered on demand equals the one lowered whole at once, on
-    every weight it has reached."""
+    """A record is unlowered or whole: its weights serve the diagonals and
+    every walk that leaves them, and the first read of E or F lowers it
+    whole, to the record lowered up front."""
 
     @settings(max_examples=60, deadline=None)
-    @given(partial_records())
-    def test_a_partial_record_equals_the_whole_one(self, case):
-        datum, lam, depth, word = case
-        eager = _eager(datum, lam)
-        lazy = WeylModule(datum, lam, lazy=True)
-        part = lazy.lowered_to(depth)
-        assert (part.weights, part.offsets) == (eager.weights, eager.offsets)
-        depth_of = [eager.depths[nu] for nu in eager.weights
-                    for _ in range(eager.dims[nu])]
-        assert part.words == eager.words[:sum(d <= depth for d in depth_of)]
-        for mats, keep in (("e", lambda d: d <= depth),
-                           ("f", lambda d: d < depth)):
-            assert _columns(getattr(part, mats), depth_of, keep) \
-                == _columns(getattr(eager, mats), depth_of, keep), mats
-        walk = weylmod.word_walk(datum, word)
-        whole = word_matrix(eager, word)
-        if set(walk) <= eager.dims.keys() \
-                and max(eager.depths[nu] for nu in walk) <= depth:
-            assert word_matrix(part, word) == whole
-        assert word_matrix(lazy, word) == whole
-        assert lazy.lowered_to(None) is lazy and "_low" not in vars(lazy)
-        assert (lazy.words, lazy.e, lazy.f) \
-            == (eager.words, eager.e, eager.f)
+    @given(module_words())
+    def test_a_read_of_e_or_f_lowers_the_record_whole(self, case):
+        datum, lam, word = case
+        whole = _whole(datum, lam)
+        m = WeylModule(datum, lam)
+        assert (m.weights, m.offsets) == (whole.weights, whole.offsets)
+        assert word_matrix(m, word) == word_matrix(whole, word)
+        # 1_lam and K_h keep the rows of a walk inside the weights, so its
+        # first E or F symbol is read
+        inside = set(weylmod.word_walk(datum, word)) <= m.dims.keys()
+        reads = inside and any(sym[0] in ("E", "Ed") for sym in word)
+        assert ("words" in vars(m)) == reads
+        assert (m.words, m.e, m.f) == (whole.words, whole.e, whole.f)
 
-    def test_diagonal_symbols_and_outside_walks_lower_nothing(
-            self, monkeypatch):
+    def test_only_a_read_of_e_or_f_lowers(self, monkeypatch):
         lowered = _spy(monkeypatch, weylmod, "_lower")
-        m = WeylModule(preset("B2"), (1, 1), lazy=True)
+        m = WeylModule(preset("B2"), (1, 1))
+        assert (m.dim, m.offsets[(1, 1)], m.offsets[(-1, -1)]) == (16, 0, 15)
         for sym in [("1", (1, 1)), ("1", (-1, -1)), ("K", (1, 0))]:
             assert m.symbol(sym)
         assert word_matrix(m, (("E", 1, 0), ("1", (5, 5)))) == {}
         assert word_matrix(m, (("1", (-1, -1)), ("1", (1, 1)))) == {}
-        assert lowered == []
+        assert word_matrix(m, (("K", (1, 0)), ("1", (1, 1))))
+        assert lowered == [] and "e" not in vars(m)
         assert word_matrix(m, (("E", -1, 0), ("1", (1, 1))))
-        # lam - alpha_0 and lam - alpha_1, and nothing deeper
-        assert [call[2] for call in lowered] == [(-1, 3), (2, -1)]
+        # every weight below the top once, and some weights one simple root
+        # below a weight, which get no basis vector
+        weights = [call[2] for call in lowered]
+        assert len(set(weights)) == len(weights)
+        assert set(m.weights) - set(weights) == {(1, 1)}
+        assert all(any(tuple(x + a for x, a in zip(nu, root)) in m.dims
+                       for root in m.datum.simple_roots)
+                   for nu in set(weights) - set(m.weights))
+        assert m.e and m.f and m.words and m.lower() is m
+        assert word_matrix(m, (("E", 1, 1), ("1", (-1, -1))))
+        assert len(lowered) == len(weights)
 
     def test_a_failing_weight_raises_on_every_read(self, monkeypatch):
-        # in plain word order the weight (0, -2) of A2 (2,0), at depth 4, is
-        # refused (`test_plain_word_order_is_refused`); the levels above it
-        # read fine, and the refused weight leaves nothing behind
+        # in plain word order the weight (0, -2) of A2 (2,0) is refused
+        # (`test_plain_word_order_is_refused`): every read that needs E or
+        # F lowers again and raises, and the record keeps no E, F or words
         monkeypatch.setattr(weylmod, "_word_order", lambda word: word)
-        m = WeylModule(preset("A2"), (2, 0), lazy=True)
-        assert word_matrix(m, (("E", -1, 0), ("1", (1, -1))))     # depth 3
-        for _ in range(2):
+        lowered = _spy(monkeypatch, weylmod, "_lower")
+        m = WeylModule(preset("A2"), (2, 0))
+        assert word_matrix(m, (("E", -1, 0), ("1", (5, 5)))) == {}
+        for read in (lambda: m.e, lambda: m.f, lambda: m.words, m.lower,
+                     lambda: word_matrix(m, (("E", -1, 0), ("1", (1, -1))))):
+            calls = len(lowered)
             with pytest.raises(ModuleCheckError,
                                match=r"\(0, -2\).*\(2, 0\)"):
-                word_matrix(m, (("E", -1, 1), ("1", (-1, 0))))   # depth 4
-            assert len(m.lowered_to(3).words) == 5
-        with pytest.raises(ModuleCheckError, match=r"\(0, -2\)"):
-            m.e
+                read()
+            assert len(lowered) > calls
+            assert not vars(m).keys() & {"e", "f", "words"}
+        assert m.symbol(("1", (0, -2)))
