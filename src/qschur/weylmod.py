@@ -210,10 +210,7 @@ class WeylModule(HighestWeightModule):
     """
 
     def __init__(self, datum, lam):
-        lam = tuple(lam)
-        if not datum.is_dominant(lam):
-            raise ValueError(f"highest weight {lam} is not dominant")
-        mult = freudenthal_oracle(datum, lam)
+        mult = freudenthal_oracle(datum, lam)    # refuses a non-dominant lam
         super().__init__(datum, lam, _weight_order(datum, mult), mult)
 
     def __getattr__(self, name):

@@ -140,18 +140,57 @@ def job_specs(draw):
     return JobSpec(datum, weights, tasks, ring)
 
 
-def _double_value(entry):
-    x = RatFunc.parse(entry[2])
-    entry[2] = (x + x).to_string()
+# tampers of the body of the cache file of A1 down (2): each changes what
+# the checksum covers, and each meets another check of `cache_load`
 
 
-def _move_out_of_range(entry):
-    entry[0] = 99
+def _entry(body):
+    return body["modules"][-1]["e"][0][0]     # an entry of E on Delta(2)
 
 
-def _divide_by_v_plus_2(entry):
-    x = RatFunc.parse(entry[2])
-    entry[2] = (x / RatFunc.parse("v + 2")).to_string()
+def _double_value(body):
+    x = RatFunc.parse(_entry(body)[2])
+    _entry(body)[2] = (x + x).to_string()
+
+
+def _move_out_of_range(body):
+    _entry(body)[0] = 99
+
+
+def _divide_by_v_plus_2(body):
+    x = RatFunc.parse(_entry(body)[2])
+    _entry(body)[2] = (x / RatFunc.parse("v + 2")).to_string()
+
+
+def _next_version(body):
+    body["version"] += 1
+
+
+def _other_datum(body):
+    body["datum"] = repr(preset("A1adj").key())
+
+
+def _other_set(body):
+    body["pi"] = [[2]]
+
+
+def _drop_a_module(body):
+    del body["modules"][0]
+
+
+def _drop_a_matrix(body):
+    del body["modules"][-1]["e"][0]
+
+
+def _pad_the_zero_weight(body):
+    # a second basis vector of weight 0, which E and F kill, so the vector
+    # of weight -2 moves from index 2 to 3: the commutator still holds on
+    # every weight, and the module is one dimension too large
+    record = body["modules"][-1]
+    record["dims"][record["weights"].index([0])] += 1
+    for mat in record["e"] + record["f"]:
+        for entry in mat:
+            entry[:2] = [x + (x == 2) for x in entry[:2]]
 
 
 class TestCache:
@@ -186,10 +225,15 @@ class TestCache:
 
     @pytest.mark.parametrize("tamper,reason", [
         (_double_value, "module check"), (_move_out_of_range, "unreadable"),
-        (_divide_by_v_plus_2, "not in Z[v,v^-1]")])
+        (_divide_by_v_plus_2, "not in Z[v,v^-1]"),
+        (_next_version, "has version"), (_other_datum, "different root datum"),
+        (_other_set, "different saturated set"),
+        (_drop_a_module, "wrong number of modules"),
+        (_drop_a_matrix, "malformed module record"),
+        (_pad_the_zero_weight, "the Weyl formula gives 3")])
     def test_wrong_content_under_a_valid_checksum_is_rebuilt(
             self, tmp_path, tamper, reason):
-        # one E entry changed and the checksum recomputed: the file is
+        # the body changed and the checksum recomputed: the file is
         # refused, and the driver rebuilds the algebra
         spec_path = os.path.join(DATA, "a1_build.qs")
         args = ["build", "--spec", spec_path, "--format", "json"]
@@ -197,8 +241,7 @@ class TestCache:
         [path] = glob.glob(str(tmp_path / "*.json"))
         with open(path) as fh:
             body = json.load(fh)["body"]
-        entry = body["modules"][-1]["e"][0][0]     # E on Delta(2)
-        tamper(entry)
+        tamper(body)
         text = json.dumps(body, sort_keys=True, separators=(",", ":"))
         checksum = hashlib.sha256(text.encode()).hexdigest()
         with open(path, "w") as fh:

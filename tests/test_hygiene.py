@@ -2,13 +2,15 @@
 only: no `assert` statement in the library, where `python -O` would strip
 the check, no import that its file never uses, no private module-level
 function or class that the library never uses, no public one that no
-library, test or bench file names, and no private name that one library
-module imports from another.  `import qschur.cli` loads only
-the layers that every task needs."""
+library, test or bench file names, no private name that one library
+module imports from another, and no test named in the README's table of
+proof premises that the tests do not define.  `import qschur.cli` loads
+only the layers that every task needs."""
 
 import ast
 import functools
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "qschur")
 TESTS = os.path.join(ROOT, "tests")
 BENCH = os.path.join(ROOT, "bench")
+README = os.path.join(ROOT, "README.md")
 
 
 @functools.cache
@@ -155,6 +158,44 @@ def test_the_scan_sees_a_private_import():
                      "from .d import __all__\n")
     assert _private_imports({"x.py": tree}) == [
         ("x.py", 2, "_f"), ("x.py", 3, "_b"), ("x.py", 4, "_h")]
+
+
+def _premise_tests():
+    """The (file, (class, function) or (function,)) of every test that the
+    README's "Proof premises" table names, without its parameter id."""
+    with open(README, encoding="utf-8") as fh:
+        table = fh.read().split("### Proof premises", 1)[1]
+    table = table.split("\n#", 1)[0]
+    return [(path, tuple(names.split("::"))) for path, names
+            in re.findall(r"`(tests/\w+\.py)::(\w+(?:::\w+)?)", table)]
+
+
+def _defines(tree, names):
+    """Whether the syntax tree defines the nested classes and function
+    `names` at its top level."""
+    body = tree.body
+    for name in names:
+        found = [n for n in body if isinstance(n, (ast.ClassDef,
+                                                   ast.FunctionDef))
+                 and n.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_every_test_of_the_premise_table_exists():
+    named = _premise_tests()
+    trees = _trees(TESTS)
+    assert len(named) >= 15
+    assert [(path, names) for path, names in named
+            if path not in trees or not _defines(trees[path], names)] == []
+
+
+def test_the_scan_sees_a_missing_test():
+    tree = ast.parse("class A:\n    def f(self): pass\ndef g(): pass\n")
+    assert _defines(tree, ("A", "f")) and _defines(tree, ("g",))
+    assert not _defines(tree, ("A", "g")) and not _defines(tree, ("f",))
 
 
 # every `qsl` job imports the CLI first, and each task imports the layers it

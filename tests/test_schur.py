@@ -15,15 +15,15 @@ from qschur.laurent import (R_ONE, LaurentPoly, LaurentRing, RatFunc,
                             RatFuncField, qint)
 from qschur.linalg import SparseEchelon
 from qschur.rings import PrimeField, RingPoint
-from qschur import cli, intspec, laurent, schur, ulimit
+from qschur import cli, intspec, laurent, schur
 from qschur.jobspec import parse_spec
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
     preset
 from qschur.schur import BlockAlgebra, SchurAlgebra, SchurElement, \
     TruncationMap, build_schur, relation_rows
 from qschur.ulimit import check_Kh_identity, check_u_relations
-from qschur.weylmod import PRIME_POINTS, HighestWeightModule, WeylModule, \
-    weyl_module
+from qschur.weylmod import PRIME_POINTS, HighestWeightModule, \
+    ModuleCheckError, WeylModule, weyl_module
 from qschur.words import WordExpr
 
 import reference_eval
@@ -282,11 +282,7 @@ class TestFailingRows:
             (c, x), = row.items()
             e.append({r: {c: x + x if i in doubled else x}})
         S = SchurAlgebra(pi, [tampered(pi, e=e)])
-        # the limit checks and the truncation maps find it by its set
-        build_schur.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(schur, "SchurAlgebra", lambda pi: S)
-            build_schur(pi)
+        inject(pi, S, monkeypatch)
         return S
 
     @pytest.mark.parametrize("doubled", [(0,), (0, 1)])
@@ -326,10 +322,7 @@ class TestFailingRows:
         # source keeps its block L(1,0), of dimension 3
         pi = sat("A2", [(1, 0)])
         S = SchurAlgebra(pi, [weyl_module(pi.datum, (2, 0))])
-        build_schur.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(schur, "SchurAlgebra", lambda pi: S)
-            build_schur(pi)
+        inject(pi, S, monkeypatch)
         f = TruncationMap(pi, sat("A2", [(2, 1)]))
         assert f.target is S and f.source.block_dims == [3, 6, 15]
         checks = [{"check": f"generator({s}{i})", "ok": False,
@@ -370,6 +363,15 @@ class TestFailingRows:
                               "ok": False, "witness": None}
                              for name in ("f10", "f20") for i in doubled]
         assert not passed and result["composition"] and result["identity"]
+
+
+def inject(pi, S, monkeypatch):
+    """Make `build_schur(pi)` return S, so that the limit checks, the CLI
+    tasks and the truncation maps find it by its set."""
+    build_schur.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(schur, "SchurAlgebra", lambda pi: S)
+        build_schur(pi)
 
 
 def tampered(pi, e=None, f=None):
@@ -618,8 +620,15 @@ class TestSerreBySpin:
 
 class TestGradedRows:
     """The weight rows of the presentation and the K rows of
-    `check_u_relations` pass by one support check (`graded`) or run as
-    products, with the same rows either way on a genuine algebra."""
+    `check_u_relations` and `check_Kh_identity` pass by one support check
+    (`graded`) or run as products, with the same rows either way on a
+    genuine algebra; a record that breaks the check gets the witnesses of
+    the products."""
+
+    @pytest.fixture(autouse=True)
+    def _forget_the_injected_algebra(self):
+        yield
+        build_schur.cache_clear()
 
     @pytest.mark.parametrize("name,gens", [
         ("A2", [(1, 1)]), ("B2", [(2, 1)]), ("A1xA1", [(1, 2)]),
@@ -628,43 +637,70 @@ class TestGradedRows:
             self, name, gens, monkeypatch):
         pi = sat(name, gens)
         S = build_schur(pi)
-        assert S.graded(ulimit._coweights(S.datum))
+        assert S.graded()
 
         def reports():
             return (S.direct_presentation(), check_u_relations(pi),
                     check_Kh_identity(pi))
         by_grading = reports()
-        monkeypatch.setattr(BlockAlgebra, "graded", lambda self, hs=(): False)
+        monkeypatch.setattr(BlockAlgebra, "graded", lambda self: False)
         assert reports() == by_grading
         assert all(row["ok"] for rows in by_grading for row in rows)
 
-    def test_a_tampered_idempotent_gets_the_witnesses_of_the_products(
-            self):
-        pi = sat("A2", [(1, 1)])
-        S = SchurAlgebra(pi, build_schur(pi).modules)
-        orbit = sorted(S.orbit)
-        lam, mu = orbit[0], orbit[1]
-        # 1_lam lifted as 1_lam + 1_mu: its square is itself, but it no
-        # longer kills 1_mu from either side
-        S._lifts[("1", lam)] = S.idempotent(lam) + S.idempotent(mu)
-        assert not S.graded()
-        idem = S.idempotent
-        products = [{"lam": x, "mu": y} for x in orbit for y in orbit
-                    if idem(x) * idem(y) != (idem(x) if x == y
-                                             else S.zero())]
-        assert products == [{"lam": lam, "mu": mu}, {"lam": mu, "mu": lam}]
-        rows = [row for row in S.direct_presentation()
-                if row["relation"] == "a:orthogonality"]
-        assert [row["witness"] for row in rows] == products
-        assert not any(row["ok"] for row in rows)
+    def test_a_record_off_the_grading_gets_the_rows_of_the_products(
+            self, monkeypatch):
+        # E_0 on L(1,0) also maps the highest vector, of weight (1,0), to
+        # the lowest, of weight (0,-1), with coefficient [2]: every
+        # commutator holds and the record spins, but the new entry moves
+        # no weight by alpha_0, so only `graded` sees it
+        pi = sat("A2", [(1, 0)])
+        honest = build_schur(pi).modules[0]
+        top, bottom = honest.rows((1, 0))[0], honest.rows((0, -1))[0]
 
-    def test_a_tampered_k_lift_fails_the_check(self):
-        pi = sat("B2", [(1, 0)])
-        S = SchurAlgebra(pi, build_schur(pi).modules)
-        h = S.datum.simple_coroots[0]
-        assert S.graded([h])
-        S._lifts[("K", h)] = S.k_element(h).scale(2)
-        assert S.graded() and not S.graded([h])
+        def record(c):
+            e = [{r: dict(row) for r, row in mat.items()}
+                 for mat in honest.e]
+            e[0].setdefault(bottom, {})[top] = c
+            return HighestWeightModule(pi.datum, honest.lam, honest.weights,
+                                       honest.dims, e, honest.f)
+        module = record(qint(2))
+        assert schur.record_spins(module)
+        report = schur.integral_report(pi, (module,))
+        assert report == BlockAlgebra(pi, LaurentRing, [module])\
+            .direct_presentation()
+        assert [(row["relation"], row["witness"]) for row in report
+                if not row["ok"]] == [
+            ("b:intertwine", {"i": 0, "sign": 1, "lam": (1, 0)}),
+            ("d:serre", {"i": 0, "j": 1, "sign": 1})]
+
+        S = SchurAlgebra(pi, [tampered(pi, e=module.e)])
+        inject(pi, S, monkeypatch)
+        assert [row["witness"] for row in check_u_relations(pi)
+                if row["relation"] == "b:K-E-intertwine"] == [
+            {"h": (1, 0), "i": 0, "sign": 1},
+            {"h": (-1, 0), "i": 0, "sign": 1}]
+
+        # with coefficient 1, E_0^2 maps weight (-1,1) to (0,-1) with
+        # coefficient 1, so E_0^(2) = E_0^2 / [2] is not Laurent
+        module = record(LaurentPoly.const(1))
+        with pytest.raises(ModuleCheckError, match="not in Z"):
+            schur.integral_report(pi, (module,))
+
+    def test_a_module_off_the_orbit_gets_the_rows_of_the_products(
+            self, monkeypatch):
+        # the one block of the algebra of A2 down (1,0) is L(2,0), none
+        # of whose weights lies in the orbit of (1,0)
+        pi = sat("A2", [(1, 0)])
+        S = SchurAlgebra(pi, [weyl_module(pi.datum, (2, 0))])
+        report = S.verify_presentation()
+        assert report == S.direct_presentation()
+        assert [(row["relation"], row["witness"]) for row in report
+                if not row["ok"]] == [
+            ("a:completeness", None),
+            ("c:commutator", {"i": 0, "j": 0}),
+            ("c:commutator", {"i": 1, "j": 1})]
+        inject(pi, S, monkeypatch)
+        assert [row["ok"] for row in check_Kh_identity(pi)] == [False] * 4
 
 
 # five 3-chains per preset, each given by a seed and two enlargement steps;

@@ -89,6 +89,10 @@ class TestModuleConstruction:
         assert m.weights == [(2,), (0,), (-2,)]
         assert m.dims == {(2,): 1, (0,): 1, (-2,): 1}
 
+    def test_a_non_dominant_weight_is_refused(self):
+        with pytest.raises(ValueError, match="not dominant"):
+            weyl_module(preset("A2"), (-1, 1))
+
     def test_highest_weight_space_is_a_line(self):
         for name in ALL_PRESETS:
             for datum, lam in modules_up_to_height(name, 4):
