@@ -7,6 +7,7 @@ modules."""
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate, product
 
 from .linalg import SparseEchelon, sparse_map
 from .rings import RingPoint
@@ -106,6 +107,8 @@ def r_truncation_map(target_pi, source_pi, point):
 
 # -- kernel probe ------------------------------------------------------------
 
+PROBE_WORDS = 10_000    # most words of one probe: jobspec.PROBE_SETS's scale
+
 
 def kernel_probe_RU(datum, degree_bound, height_bound, point):
     """Joint kernel of the images of bounded divided-power words across the
@@ -117,15 +120,18 @@ def kernel_probe_RU(datum, degree_bound, height_bound, point):
     adds its rows where it first appears, and no algebra is built.
 
     Empirical evidence only; a zero terminal kernel at bounded degree never
-    proves injectivity.
+    proves injectivity.  It counts its words up to each degree first and
+    raises ValueError, naming the count, once that passes PROBE_WORDS.
     """
     alphabet = [("Ed", sign, i, k) for sign in (1, -1)
                 for i in range(datum.rank) for k in range(1, degree_bound + 1)]
     alphabet += [("K", tuple(h)) for h in datum.simple_coroots]
-    words, layer = [()], [()]
-    for _ in range(degree_bound):
-        layer = [w + (sym,) for w in layer for sym in alphabet]
-        words.extend(layer)
+    counts = accumulate(len(alphabet) ** d for d in range(degree_bound + 1))
+    count = next((n for n in counts if n > PROBE_WORDS), 0)
+    if count:
+        raise ValueError(f"at least {count} probe words, past {PROBE_WORDS}")
+    words = [w for d in range(degree_bound + 1)
+             for w in product(alphabet, repeat=d)]
 
     history = []
     kernel_dim = len(words)

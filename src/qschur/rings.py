@@ -4,7 +4,8 @@ prime fields.
 A RingPoint bundles a field with an invertible element xi, the image of v,
 and maps Laurent polynomials and rational functions there.
 Cyclotomic arithmetic is done in Q[x] modulo the n-th cyclotomic polynomial,
-so evaluation at roots of unity stays exact.  A point of a prime field F_p
+on integer coefficients over one integer denominator, so evaluation at roots
+of unity stays exact and builds no `Fraction`.  A point of a prime field F_p
 is where `schur.SchurAlgebra` proves density over Q(v).
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .laurent import LaurentPoly, RatFunc
 
@@ -113,64 +114,77 @@ class PrimeField:
 
 
 class CycloElement:
-    """An element of Q[x] / Phi_n(x), stored as a coefficient tuple:
-    `int` coefficients, and a `Fraction` only where an inverse divides."""
+    """An element of Q[x] / Phi_n(x): integer coefficients `num` over one
+    integer denominator `den` > 0, in lowest terms, so arithmetic runs on
+    integers and equal elements store equal tuples.  `coeffs` reads them
+    as rationals: an `int` where whole, else a `Fraction`."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != field.degree:
-            raise ValueError(f"{len(self.coeffs)} coefficients for "
+        coeffs = tuple(coeffs)          # ints or Fractions
+        if len(coeffs) != field.degree:
+            raise ValueError(f"{len(coeffs)} coefficients for "
                              f"{field.name} of degree {field.degree}")
+        den = lcm(*(c.denominator for c in coeffs))
+        e = field._elem([int(c * den) for c in coeffs], den)
+        self.field, self.num, self.den = field, e.num, e.den
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+    @property
+    def coeffs(self):
+        d = self.den
+        return self.num if d == 1 else tuple(
+            Fraction(x, d) if x % d else x // d for x in self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        other = self.field._lift(other)
+        return NotImplemented if other is None else (
+            (self.field.order, self.num, self.den)
+            == (other.field.order, other.num, other.den))
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        if any(self.num[1:]):
+            return hash((self.field.order, self.num, self.den))
+        # a rational value hashes as the int or Fraction it equals
+        return hash(self.num[0] if self.den == 1
+                    else Fraction(self.num[0], self.den))
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return CycloElement(self.field,
-                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
+    def __add__(self, other, sign=1):
+        other = self.field._lift(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.den, other.den
+        return self.field._elem(
+            [x * b + sign * y * a for x, y in zip(self.num, other.num)],
+            a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElement(self.field, [-a for a in self.coeffs])
+        return self.field._elem([-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return self.field.from_int(other) - self
+        return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, CycloElement):
+            return self.field._mul(self, other)
         if isinstance(other, (int, Fraction)):
-            return CycloElement(self.field, [a * other for a in self.coeffs])
-        return self.field._mul(self, other)
+            return self.field._elem([x * other.numerator for x in self.num],
+                                    self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return self * other.inverse()
+        other = self.field._lift(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def inverse(self):
         return self.field._inverse(self)
@@ -201,52 +215,69 @@ class CycloField:
         return f"CycloField({self.order})"
 
     def from_int(self, n):
-        return CycloElement(self, [n] + [0] * (self.degree - 1))
+        """The constant n, an int or a Fraction."""
+        return self._elem((n.numerator,) + (0,) * (self.degree - 1),
+                          n.denominator)
+
+    def _lift(self, q):
+        """q as an element of this field, or None if q is not rational."""
+        if isinstance(q, CycloElement):
+            return q
+        return self.from_int(q) if isinstance(q, (int, Fraction)) else None
+
+    def _elem(self, num, den=1):
+        """The element num / den, for integers num and den != 0."""
+        if den != 1:
+            g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+            if g != 1:
+                num, den = [x // g for x in num], den // g
+        e = CycloElement.__new__(CycloElement)
+        e.field, e.num, e.den = self, tuple(num), den
+        return e
 
     def zeta(self):
         """The class of x: a primitive root of unity of this order."""
-        if self.degree == 1:
-            # Phi_1 = x - 1, Phi_2 = x + 1: x reduces to a rational
-            return self.from_int(1 if self.order == 1 else -1)
-        return CycloElement(self, [0, 1] + [0] * (self.degree - 2))
+        return self._elem(self._reduce([0, 1] + [0] * (self.degree - 1)))
 
-    def _reduce(self, coeffs):
-        c = list(coeffs)
+    def _reduce(self, c):
+        """The integer list c reduced in place modulo the monic Phi_n."""
         d = self.degree
         for i in range(len(c) - 1, d - 1, -1):
             f = c[i]
             if f:
-                for j in range(d + 1):
-                    c[i - d + j] -= f * self.modulus[j]
-        return CycloElement(self, c[:d])
+                for j, m in enumerate(self.modulus):
+                    c[i - d + j] -= f * m
+        return c[:d]
 
-    def _mul(self, a, b):
+    def _product(self, p, q):
+        """The reduced product of two integer coefficient sequences."""
         out = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a.coeffs):
+        for i, x in enumerate(p):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(q):
                     if y:
                         out[i + j] += x * y
         return self._reduce(out)
 
+    def _mul(self, a, b):
+        return self._elem(self._product(a.num, b.num), a.den * b.den)
+
     def _inverse(self, a):
-        """The product of the Galois conjugates of a other than a, divided
-        by the norm (a times that product, a rational number).  The
-        conjugate for k prime to n sends x to x^k, and x^n = 1."""
-        if a.is_zero():
+        """For a = A / den with A integral: den times the product R of the
+        Galois conjugates of A other than A, divided by the integer norm
+        A R.  The conjugate for k prime to n sends x to x^k, and x^n = 1."""
+        if not a:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         n = self.order
-        rest = self.one
+        rest = self.one.num
         for k in range(2, n):
             if gcd(k, n) == 1:
                 c = [0] * n
-                for j, x in enumerate(a.coeffs):
+                for j, x in enumerate(a.num):
                     c[j * k % n] += x
-                rest = rest * self._reduce(c)
-        norm = (a * rest).coeffs[0]
-        quots = [Fraction(x) / norm for x in rest.coeffs]
-        return CycloElement(self, [q.numerator if q.denominator == 1 else q
-                                   for q in quots])
+                rest = self._product(rest, self._reduce(c))
+        return self._elem([x * a.den for x in rest],
+                          self._product(a.num, rest)[0])
 
 
 class RingPoint:

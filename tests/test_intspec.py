@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -474,11 +475,12 @@ class TestOrbitWeightedDimension:
         assert starts == [[lam] for lam in pi]
         assert len(pi) < len(S.orbit)
 
-    @pytest.mark.parametrize("name,mu,n", [
-        ("A2", (2, 2), 5), ("B2", (1, 1), 5), ("B2", (2, 0), 5),
-        ("A2", (1, 1), 6), ("A2", (0, 3), 6), ("B2", (0, 3), 6)])
+    @pytest.mark.parametrize("name,mu,n,realized,whole", [
+        ("A2", (2, 2), 5, 778, 994), ("B2", (1, 1), 5, 208, 272),
+        ("B2", (2, 0), 5, 308, 322), ("A2", (1, 1), 6, 57, 65),
+        ("A2", (0, 3), 6, 87, 165), ("B2", (0, 3), 6, 352, 672)])
     def test_closures_are_constant_on_orbits_off_the_spin_points(
-            self, name, mu, n):
+            self, name, mu, n, realized, whole):
         datum = preset(name)
         S = SpecializedSchur(datum.saturate([mu]), RingPoint.cyclotomic(n))
         assert S._density_defect is not None
@@ -487,7 +489,14 @@ class TestOrbitWeightedDimension:
         assert all(sizes[lam] == sizes[datum.dominant_representative(lam)]
                    for lam in sizes)
         dim = S.dimension()
-        assert dim == sum(sizes.values()) == len(S.basis()) < S.expected_dim
+        assert dim == sum(sizes.values()) == len(S.basis()) == realized
+        assert S.expected_dim == whole
+
+    def test_realized_dimension_of_b2_at_a_fifth_root_of_unity(self):
+        # Q(zeta_5) has degree 4, past the degree-2 points i and w3
+        S = specialize_schur(sat("B2", [(2, 1)]), RingPoint.cyclotomic(5))
+        assert S._density_defect is not None
+        assert (S.dimension(), S.expected_dim) == (2208, 2272)
 
 
 class TestProjectionCommutes:
@@ -679,6 +688,53 @@ class TestKernelProbe:
         r2 = kernel_probe_RU(a1, 2, 4, XI_I)
         assert [h["kernel_dim"] for h in r2["history"]] \
             == [30, 26, 20, 11, 8]
+
+    @pytest.mark.parametrize("name,degree,count", [
+        ("A1", 5, 1 + 11 + 11 ** 2 + 11 ** 3 + 11 ** 4),    # 11 symbols
+        ("A2", 12, 1 + 50 + 50 ** 2 + 50 ** 3),             # 50 symbols
+        ("A1", 1000, 1 + 2001 + 2001 ** 2)],
+        ids=["A1-5", "A2-12", "A1-1000"])
+    def test_too_many_words_are_refused_before_any_is_built(
+            self, name, degree, count, monkeypatch):
+        # counted up to the first degree whose words pass the bound
+        calls = []
+        monkeypatch.setattr(intspec, "word_matrix",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(intspec, "weyl_module",
+                            lambda *args: calls.append(args))
+        assert count > intspec.PROBE_WORDS
+        with pytest.raises(ValueError,
+                           match=f"^at least {count} probe words, past"):
+            kernel_probe_RU(preset(name), degree, 4, XI_I)
+        assert calls == []
+
+
+class TestNoFractionAtRootsOfUnity:
+    """Cyclotomic scalars are integers over one integer denominator: the
+    arithmetic at a root of unity builds no `Fraction`."""
+
+    def test_specialized_dimension_and_kernel_probe(self, monkeypatch):
+        pi, a1 = sat("A2", [(2, 1)]), preset("A1")
+        # the modules are built first, over Q, where the root-datum
+        # solvers read Fraction pivots
+        build_schur(pi)
+        kernel_probe_RU(a1, 2, 4, XI_ONE)
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(
+            lambda cls, *args, **kwargs: built.append(args)
+            or new(cls, *args, **kwargs)))
+        if hasattr(Fraction, "_from_coprime_ints"):
+            # from Python 3.12 on, Fraction arithmetic builds its results
+            # here, past __new__
+            coprime = Fraction._from_coprime_ints
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+                lambda cls, *args: built.append(args) or coprime(*args)))
+        w3 = RingPoint.cyclotomic(3)
+        assert SpecializedSchur(pi, w3).dimension() == 270
+        assert kernel_probe_RU(a1, 2, 4, w3)["final_kernel_dim"] == 13
+        monkeypatch.undo()
+        assert built == []
 
 
 # SHA-256 of the compact JSON of the monomials and of every integral matrix

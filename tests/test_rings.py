@@ -1,6 +1,7 @@
 """Cyclotomic fields, rational points, and specialization of coefficients."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -211,3 +212,122 @@ class TestIntegerCoefficients:
         assert repr(RingPoint.cyclotomic(4)) == (
             "RingPoint(cyclotomic(4), xi=CycloElement(n=4, "
             "[Fraction(0, 1), Fraction(1, 1)]))")
+
+
+class TestMixedArithmetic:
+    """An int or a Fraction on either side of +, -, * and ==."""
+
+    def test_a_fraction_adds_on_either_side(self):
+        field = CycloField(4)
+        half = Fraction(1, 2)
+        want = CycloElement(field, [Fraction(3, 2), 0])
+        assert field.one + half == half + field.one == want
+        assert field.one - half == CycloElement(field, [half, 0])
+        assert half - field.one == CycloElement(field, [-half, 0])
+        assert 2 + field.zeta() == field.zeta() + 2 \
+            == CycloElement(field, [2, 1])
+        assert 1 - field.zeta() == -(field.zeta() - 1)
+
+    def test_a_fraction_compares_on_either_side(self):
+        field = CycloField(4)
+        assert field.one == Fraction(1) and Fraction(1) == field.one
+        assert field.one == 1 and 1 == field.one
+        assert field.from_int(3) / 2 == Fraction(3, 2) == CycloElement(
+            field, [Fraction(3, 2), 0])
+        # equal values hash equal across types
+        assert hash(field.from_int(3) / 2) == hash(Fraction(3, 2))
+        assert hash(field.one) == hash(1) and len({field.one, 1}) == 1
+        assert field.one != Fraction(1, 2) and field.zeta() != 0
+        assert field.one != "1"
+
+    def test_a_fraction_scales_on_either_side(self):
+        field = CycloField(5)
+        a = CycloElement(field, [1, 2, 0, -3])
+        assert a * Fraction(1, 2) == Fraction(1, 2) * a == a / 2
+
+
+def fraction_reference(coeffs):
+    """The coefficients as Fractions: what the integer form must read
+    back."""
+    return tuple(map(Fraction, coeffs))
+
+
+def reference_product(field, a, b):
+    """The product of two Fraction coefficient tuples, reduced modulo
+    Phi_n by long division: the form before one denominator."""
+    d, modulus = field.degree, cyclotomic_coeffs(field.order)
+    out = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i in range(len(out) - 1, d - 1, -1):
+        f = out[i]
+        for j in range(d + 1):
+            out[i - d + j] -= f * modulus[j]
+    return tuple(out[:d])
+
+
+@st.composite
+def small_order_triples(draw):
+    """A field Q(zeta_n), n <= 8, and three of its elements as Fraction
+    coefficient lists."""
+    field = CycloField(draw(st.integers(1, 8)))
+    return field, *[draw(st.lists(fractions, min_size=field.degree,
+                                  max_size=field.degree)) for _ in range(3)]
+
+
+class TestOneDenominator:
+    """An element is integer coefficients over one positive denominator in
+    lowest terms, whatever arithmetic built it."""
+
+    @staticmethod
+    def assert_canonical(x, reference):
+        assert x.den > 0 and all(type(c) is int for c in (*x.num, x.den))
+        assert gcd(x.den, *x.num) == 1
+        assert x.coeffs == reference
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in x.coeffs)
+        assert repr(x) == (f"CycloElement(n={x.field.order}, "
+                           f"{list(reference)!r})")
+
+    @given(small_order_triples())
+    @settings(max_examples=150, deadline=None)
+    def test_every_result_is_in_lowest_terms_and_reads_as_the_reference(
+            self, triple):
+        field, *lists = triple
+        a, b, c = (CycloElement(field, x) for x in lists)
+        ra, rb, rc = (fraction_reference(x) for x in lists)
+        results = [
+            (a, ra),
+            (a + b, tuple(x + y for x, y in zip(ra, rb))),
+            (a - b, tuple(x - y for x, y in zip(ra, rb))),
+            (-c, tuple(-x for x in rc)),
+            (a * b, reference_product(field, ra, rb)),
+            ((a + c) * b, reference_product(
+                field, tuple(x + y for x, y in zip(ra, rc)), rb)),
+            (a * Fraction(3, 4), tuple(x * Fraction(3, 4) for x in ra)),
+            (b + Fraction(1, 6), (rb[0] + Fraction(1, 6), *rb[1:])),
+        ]
+        for x, reference in results:
+            self.assert_canonical(x, reference)
+        if b:
+            inverse = b.inverse()
+            assert reference_product(
+                field, fraction_reference(inverse.coeffs), rb) \
+                == fraction_reference(field.one.coeffs)
+            self.assert_canonical(a / b, reference_product(
+                field, ra, fraction_reference(inverse.coeffs)))
+
+    @given(small_order_triples())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_values_are_equal_and_hash_equal(self, triple):
+        field, *lists = triple
+        a, b, c = (CycloElement(field, x) for x in lists)
+        ways = [a, a + b - b, (a * 6) / 6, a - c + c,
+                CycloElement(field, a.coeffs), a + field.zero,
+                a * field.one]
+        if b:
+            ways += [(a * b) / b, a / b * b, b * a * b.inverse()]
+        for x in ways:
+            assert x == a and hash(x) == hash(a)
+            assert (x.num, x.den) == (a.num, a.den)
