@@ -1,8 +1,8 @@
-"""Sparse exact linear algebra over any exact field, and the elimination
-over a field.
+"""Sparse exact linear algebra: the elimination over any exact field, and
+the same elimination mod p on plain ints.
 
 A field object only needs `zero`, `one` attributes and elements supporting
-+, -, *, / and equality; Q(v), Q, cyclotomic and prime fields all qualify.
++, -, *, / and equality; Q(v), Q and cyclotomic fields all qualify.
 
 Sparse matrices are row dicts `{row: {col: x}}` that store nonzero entries
 only (no zero entry, no empty row); the module matrices are sparse, and
@@ -12,19 +12,22 @@ their arguments.  Because the scalars are canonical, two sparse matrices
 are equal exactly when their dicts are.
 
 `SparseEchelon` is the elimination over a field: span closures, the
-density spins (at points of F_p, at specializations and the Q(v)
-fallback), kernel probes, the root-datum solvers over Q and the Q(v)
-fallbacks of module construction run through it.  Coordinates come from
-tags: when every inserted vector carries a unit entry at its own tag index
-past all vector indices, a vector in their span reduces to minus its
-coordinates on the tags.  Two fraction-free eliminations live beside it:
-module bases are chosen mod p and solved in Z[v,v^-1] by
-`weylmod._bareiss`, and `rootdata._bareiss` reads the leading minors of
-an integer Cartan form.  No lattice coordinates are computed: the
-lowering builds each module in its lattice basis.
+density spins at specializations and over Q(v), kernel probes, the
+root-datum solvers over Q and the Q(v) fallbacks of module construction
+run through it.  Coordinates come from tags: when every inserted vector
+carries a unit entry at its own tag index past all vector indices, a
+vector in their span reduces to minus its coordinates on the tags.  The
+mod-p kernel, `residues` (v -> a of Z[v,v^-1] to F_p) and `ModPEchelon`,
+chooses module bases (`weylmod._choose_mod_p`) and spins module records
+(`schur.record_spins`).  `weylmod._bareiss` solves for the rejected
+candidates in Z[v,v^-1] without fractions, and `rootdata._bareiss` reads
+the leading minors of an integer Cartan form.
 """
 
 from __future__ import annotations
+
+from functools import cache, partial
+from heapq import heappop, heappush
 
 
 # -- sparse row matrices -------------------------------------------------
@@ -163,6 +166,48 @@ class SparseEchelon:
     @property
     def rank(self):
         return len(self.pivots)
+
+
+class ModPEchelon:
+    """An echelon basis over F_p of vectors of ints read mod p.  A row has
+    1 at its pivot and nothing before it, so a vector is reduced at its
+    pivots in increasing order, and no row at a later pivot.  The residue
+    of a vector, zero at every pivot, is that of `SparseEchelon`, so the
+    pivots, each the smallest index of a residue, are too."""
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = {}  # in insertion order: pivot -> row with 1 there
+
+    def insert(self, vec):
+        """Insert a vector; returns True when it enlarged the span."""
+        p, pivots = self.p, self.pivots
+        res = {k: x % p for k, x in vec.items()}
+        todo = sorted(k for k in res if k in pivots)     # a heap
+        while todo:
+            k = heappop(todo)
+            if f := res[k]:
+                for j, y in pivots[k].items():
+                    if j not in res and j in pivots:
+                        heappush(todo, j)
+                    res[j] = (res.get(j, 0) - f * y) % p
+        res = {k: x for k, x in res.items() if x}
+        if not res:
+            return False
+        q = min(res)
+        inv = pow(res[q], -1, p)
+        pivots[q] = {k: x * inv % p for k, x in res.items()}
+        return True
+
+    rank = SparseEchelon.rank
+
+
+@cache
+def residues(p, a):
+    """The ring map Z[v,v^-1] -> F_p, v -> a (a unit mod p), on
+    `LaurentPoly`s; one per point, so its powers of a are shared."""
+    power = cache(partial(pow, a, mod=p))
+    return lambda x: sum(c * power(k) for k, c in x.coeffs.items()) % p
 
 
 def _sub_multiple(vec, f, row):

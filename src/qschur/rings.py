@@ -1,12 +1,12 @@
-"""Exact specialization targets: the rational field, cyclotomic fields and
-prime fields.
+"""Exact specialization targets: the rational field and cyclotomic fields.
 
 A RingPoint bundles a field with an invertible element xi, the image of v,
 and maps Laurent polynomials and rational functions there.
 Cyclotomic arithmetic is done in Q[x] modulo the n-th cyclotomic polynomial,
 on integer coefficients over one integer denominator, so evaluation at roots
-of unity stays exact and builds no `Fraction`.  A point of a prime field F_p
-is where `schur.SchurAlgebra` proves density over Q(v).
+of unity stays exact and builds no `Fraction`.  Points of F_p, where
+`schur.SchurAlgebra` proves density over Q(v), take no field object: they
+run on plain ints through the mod-p kernel of `linalg`.
 """
 
 from __future__ import annotations
@@ -39,78 +39,12 @@ def cyclotomic_coeffs(n):
 
 
 class QField:
-    """The rational field, wrapping fractions.Fraction."""
+    """Field object for the rational field, wrapping fractions.Fraction."""
 
     name = "rational"
     zero = Fraction(0)
     one = Fraction(1)
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
-
-    def __repr__(self):
-        return "QField()"
-
-    def __eq__(self, other):
-        return isinstance(other, QField)
-
-    def __hash__(self):
-        return hash("QField")
-
-
-class Residue:
-    """An element n of the prime field F_p, 0 <= n < p."""
-
-    __slots__ = ("p", "n")
-
-    def __init__(self, p, n):
-        self.p, self.n = p, n % p
-
-    def __add__(self, other):
-        return Residue(self.p, self.n + other.n)
-
-    def __sub__(self, other):
-        return Residue(self.p, self.n - other.n)
-
-    def __neg__(self):
-        return Residue(self.p, -self.n)
-
-    def __mul__(self, other):       # by a residue or an int
-        return Residue(self.p, self.n * getattr(other, "n", other))
-
-    def __truediv__(self, other):
-        return Residue(self.p, self.n * pow(other.n, -1, self.p))
-
-    def __bool__(self):
-        return self.n != 0
-
-    def __eq__(self, other):
-        return isinstance(other, Residue) \
-            and (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self):
-        return hash((self.p, self.n))
-
-    def __repr__(self):
-        return f"Residue({self.n} mod {self.p})"
-
-
-class PrimeField:
-    """The prime field F_p, whose elements are `Residue`s."""
-
-    def __init__(self, p):
-        self.p, self.name = p, f"prime({p})"
-        self.zero, self.one = Residue(p, 0), Residue(p, 1)
-
-    def from_int(self, n):
-        return Residue(self.p, n)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+    from_int = Fraction
 
 
 class CycloElement:
@@ -185,6 +119,10 @@ class CycloElement:
     def __truediv__(self, other):
         other = self.field._lift(other)
         return NotImplemented if other is None else self * other.inverse()
+
+    def __rtruediv__(self, other):      # an int or a Fraction over self
+        other = self.field._lift(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def inverse(self):
         return self.field._inverse(self)
@@ -298,7 +236,7 @@ class RingPoint:
 
     @staticmethod
     def rational(xi):
-        return RingPoint(QField(), Fraction(xi))
+        return RingPoint(QField, Fraction(xi))
 
     @staticmethod
     def cyclotomic(order):

@@ -24,8 +24,8 @@ from functools import cache
 
 from .laurent import (ONE, R_ONE, ZERO, LaurentPoly, RatFunc, RatFuncField,
                       is_integral, qbinom, qint)
-from .linalg import (SparseEchelon, sparse_diagonal, sparse_map, sparse_mul,
-                     sparse_sub, sparse_transpose)
+from .linalg import (ModPEchelon, SparseEchelon, residues, sparse_diagonal,
+                     sparse_map, sparse_mul, sparse_sub, sparse_transpose)
 
 _F = RatFuncField
 
@@ -332,8 +332,8 @@ def _e_images(datum, e, fdp, i, a, mu, b):
 
 
 # the points (p, a), tried in order, where the basis of a weight space is
-# chosen and `schur.SchurAlgebra` spins for density: primes below 2^31 and
-# the image a of v in F_p
+# chosen and `schur.record_spins` spins for density, both through the mod-p
+# kernel of `linalg`: primes below 2^31 and the image a of v in F_p
 PRIME_POINTS = ((2147483629, 91831), (2147483587, 48271), (2147483579, 16807))
 
 
@@ -342,26 +342,9 @@ def _choose_mod_p(vecs, mult, p, a):
     and proved over Q(v) as `WeylModule` says, or None where the proof
     fails.  Returns a list with None for a chosen vector and, for any
     other, its coordinates {t: x}, x in Z[v,v^-1], on the chosen t."""
-    powers = {}
-
-    def residue(x):
-        return sum(c * (powers.get(k) or powers.setdefault(k, pow(a, k, p)))
-                   for k, c in x.coeffs.items()) % p
-
-    rows, chosen = [], []             # (pivot, row mod p with 1 there)
-    for n, vec in enumerate(vecs):
-        r = {k: residue(x) for k, x in vec.items()}
-        for q, row in rows:
-            f = r.get(q)
-            if f:
-                for k, c in row.items():
-                    r[k] = (r.get(k, 0) - f * c) % p
-        r = {k: c for k, c in r.items() if c}
-        if r:
-            q = min(r)
-            inv = pow(r[q], -1, p)
-            rows.append((q, {k: c * inv % p for k, c in r.items()}))
-            chosen.append(n)
+    residue, ech = residues(p, a), ModPEchelon(p)
+    chosen = [n for n, vec in enumerate(vecs)
+              if ech.insert({k: residue(x) for k, x in vec.items()})]
     m = len(chosen)
     if m != mult:
         return None
@@ -369,7 +352,7 @@ def _choose_mod_p(vecs, mult, p, a):
     # a unit mod p, so no pivot of the elimination vanishes
     cols = chosen + [n for n in range(len(vecs)) if n not in chosen]
     mat = _bareiss([{c: vecs[t][q] for c, t in enumerate(cols)
-                     if q in vecs[t]} for q, _ in rows])
+                     if q in vecs[t]} for q in ech.pivots])
     sol = [None] * len(vecs)
     for col, n in enumerate(cols[m:], m):
         x = {}                        # back substitution, in Z[v,v^-1]

@@ -1,11 +1,73 @@
 """The product-of-generators evaluation of words, kept as the reference for
 `BlockAlgebra.evaluate_expr`: every symbol is a whole-algebra element, the
 idempotents and K_h built here from the weight offsets of the modules, and
-a word is the product of its symbols over the algebra's field."""
+a word is the product of its symbols over the algebra's field.
+
+Also the prime field F_p as a field object, one `Residue` per scalar, kept
+as the reference for the mod-p kernel of `linalg`: `SparseEchelon` and
+`RingPoint` run over it as over any field."""
 
 from qschur.laurent import LaurentPoly
 from qschur.linalg import sparse_diagonal
+from qschur.rings import RingPoint
 from qschur.schur import SchurElement
+
+
+class Residue:
+    """An element n of the prime field F_p, 0 <= n < p."""
+
+    __slots__ = ("p", "n")
+
+    def __init__(self, p, n):
+        self.p, self.n = p, n % p
+
+    def __add__(self, other):
+        return Residue(self.p, self.n + other.n)
+
+    def __sub__(self, other):
+        return Residue(self.p, self.n - other.n)
+
+    def __neg__(self):
+        return Residue(self.p, -self.n)
+
+    def __mul__(self, other):       # by a residue or an int
+        return Residue(self.p, self.n * getattr(other, "n", other))
+
+    def __truediv__(self, other):
+        return Residue(self.p, self.n * pow(other.n, -1, self.p))
+
+    def __bool__(self):
+        return self.n != 0
+
+    def __eq__(self, other):
+        return isinstance(other, Residue) \
+            and (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+
+class PrimeField:
+    """The prime field F_p, whose elements are `Residue`s."""
+
+    def __init__(self, p):
+        self.p, self.name = p, f"prime({p})"
+        self.zero, self.one = Residue(p, 0), Residue(p, 1)
+
+    def from_int(self, n):
+        return Residue(self.p, n)
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and self.p == other.p
+
+    def __hash__(self):
+        return hash(("PrimeField", self.p))
+
+
+def prime_point(p, a):
+    """The point v -> a of F_p, as a field object."""
+    field = PrimeField(p)
+    return RingPoint(field, field.from_int(a))
 
 
 def idempotent(S, lam):

@@ -3,9 +3,9 @@ only: no `assert` statement in the library, where `python -O` would strip
 the check, no import that its file never uses, no private module-level
 function or class that the library never uses, no public one that no
 library, test or bench file names, no private name that one library
-module imports from another, and no test named in the README's table of
-proof premises that the tests do not define.  `import qschur.cli` loads
-only the layers that every task needs."""
+module imports from another, and no test or source name in the README's
+table of proof premises that the tests or the library do not define.
+`import qschur.cli` loads only the layers that every task needs."""
 
 import ast
 import functools
@@ -160,14 +160,39 @@ def test_the_scan_sees_a_private_import():
         ("x.py", 2, "_f"), ("x.py", 3, "_b"), ("x.py", 4, "_h")]
 
 
+def _premise_table():
+    """The README's "Proof premises" section."""
+    with open(README, encoding="utf-8") as fh:
+        table = fh.read().split("### Proof premises", 1)[1]
+    return table.split("\n#", 1)[0]
+
+
 def _premise_tests():
     """The (file, (class, function) or (function,)) of every test that the
     README's "Proof premises" table names, without its parameter id."""
-    with open(README, encoding="utf-8") as fh:
-        table = fh.read().split("### Proof premises", 1)[1]
-    table = table.split("\n#", 1)[0]
     return [(path, tuple(names.split("::"))) for path, names
-            in re.findall(r"`(tests/\w+\.py)::(\w+(?:::\w+)?)", table)]
+            in re.findall(r"`(tests/\w+\.py)::(\w+(?:::\w+)?)",
+                          _premise_table())]
+
+
+def _premise_sources(table):
+    """The last dotted component of every backticked name, with or without
+    a call's `()`, in the first two columns of the rows of `table`: the
+    library functions, methods and classes that its proofs rest on."""
+    names = []
+    for line in table.splitlines():
+        cells = re.split(r"(?<!\\)\|", line)     # a cell may hold \|
+        for cell in cells[1:3] if len(cells) > 3 else ():
+            names += [name.split(".")[-1] for name in
+                      re.findall(r"`([A-Za-z_][\w.]*)(?:\(\))?`", cell)]
+    return names
+
+
+def _library_defines():
+    """The name of every function, method and class of the library."""
+    return {node.name for tree in _trees(SRC).values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def _defines(tree, names):
@@ -190,6 +215,22 @@ def test_every_test_of_the_premise_table_exists():
     assert len(named) >= 15
     assert [(path, names) for path, names in named
             if path not in trees or not _defines(trees[path], names)] == []
+
+
+def test_every_source_name_of_the_premise_table_is_defined():
+    named = _premise_sources(_premise_table())
+    assert len(named) >= 15
+    assert sorted(set(named) - _library_defines()) == []
+
+
+def test_the_scan_sees_a_deleted_source_name():
+    table = ("| proof | premise | test that catches its removal |\n"
+             "|---|---|---|\n"
+             "| by spin (`schur._spin_at`) | `graded()` holds, \\|W\\| "
+             "times, `not loop` | `tests/test_a.py::test_b` (`_c`) |\n")
+    assert _premise_sources(table) == ["_spin_at", "graded"]
+    assert set(_premise_sources(table)) - _library_defines() \
+        == {"_spin_at"}
 
 
 def test_the_scan_sees_a_missing_test():

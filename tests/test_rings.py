@@ -215,7 +215,7 @@ class TestIntegerCoefficients:
 
 
 class TestMixedArithmetic:
-    """An int or a Fraction on either side of +, -, * and ==."""
+    """An int or a Fraction on either side of +, -, *, / and ==."""
 
     def test_a_fraction_adds_on_either_side(self):
         field = CycloField(4)
@@ -244,6 +244,16 @@ class TestMixedArithmetic:
         field = CycloField(5)
         a = CycloElement(field, [1, 2, 0, -3])
         assert a * Fraction(1, 2) == Fraction(1, 2) * a == a / 2
+
+    def test_a_fraction_divides_by_an_element(self):
+        field = CycloField(4)
+        zeta = field.zeta()
+        assert 1 / zeta == -zeta == CycloElement(field, [0, -1])
+        assert Fraction(1, 2) / zeta \
+            == CycloElement(field, [0, Fraction(-1, 2)])
+        assert (1 / zeta) * zeta == 1
+        with pytest.raises(ZeroDivisionError):
+            1 / field.zero
 
 
 def fraction_reference(coeffs):

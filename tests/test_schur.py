@@ -14,7 +14,7 @@ from qschur.intspec import RTruncationMap, SpecializedSchur, \
 from qschur.laurent import (R_ONE, LaurentPoly, LaurentRing, RatFunc,
                             RatFuncField, qint)
 from qschur.linalg import SparseEchelon
-from qschur.rings import PrimeField, RingPoint
+from qschur.rings import RingPoint
 from qschur import cli, intspec, laurent, schur
 from qschur.jobspec import parse_spec
 from qschur.rootdata import PRESET_NAMES, dominant_weights_up_to_height, \
@@ -497,10 +497,13 @@ def fresh_verdicts():
     schur.record_spins.cache_clear()
 
 
-def prime_point(p, a):
-    """The point v -> a of F_p."""
-    field = PrimeField(p)
-    return RingPoint(field, field.from_int(a))
+def defect_mod_p(modules, p, a):
+    """None where the density check passes at v -> a of F_p, by the mod-p
+    kernel: (iii) holds and every record spins there (`spins_mod_p`)."""
+    if schur.distinct_multiplicities(modules) \
+            and all(schur.spins_mod_p(m, p, a) for m in modules):
+        return None
+    return "a record falls short"
 
 
 # the height of the sets on which the spin at a point of F_p meets its
@@ -521,8 +524,7 @@ class TestPrimePointSpin:
                 modules = build_schur(pi).modules
                 exact = BlockAlgebra(pi, RatFuncField, modules)
                 for p, a in PRIME_POINTS:
-                    at = BlockAlgebra(pi, prime_point(p, a), modules)
-                    assert (at._density_defect is None) \
+                    assert (defect_mod_p(modules, p, a) is None) \
                         == (exact._density_defect is None), (pi, p)
                 cases += 1
         assert cases == 53
@@ -538,13 +540,16 @@ class TestPrimePointSpin:
         # 2^2 = -1 mod 5, so [2] = v + v^-1 vanishes at v -> 2, as at i,
         # where A2 (2,1) realizes 162 of 270
         pi = sat("A2", [(2, 1)])
-        point = prime_point(5, 2)
+        point = reference_eval.prime_point(5, 2)
         assert point.image(qint(2)) == point.zero
         assert BlockAlgebra(pi, point, build_schur(pi).modules)\
             ._density_defect is not None
         fields = []
-        spin = schur.density_defect
+        spin, spin_mod_p = schur.density_defect, schur.spins_mod_p
         monkeypatch.setattr(schur, "PRIME_POINTS", ((5, 2),))
+        monkeypatch.setattr(schur, "spins_mod_p", lambda m, p, a: (
+            fields.append(reference_eval.prime_point(p, a))
+            or spin_mod_p(m, p, a)))
         monkeypatch.setattr(schur, "density_defect", lambda *args: (
             fields.append(args[3]) or spin(*args)))
         assert SchurAlgebra(pi).dimension() == 270
@@ -601,9 +606,9 @@ class TestSerreBySpin:
     def test_density_and_the_proof_share_one_spin(self, monkeypatch):
         pi = sat("A2", [(2, 1)])
         modules = [WeylModule(pi.datum, lam) for lam in pi]  # unseen records
-        spins, spin = [], schur.density_defect
-        monkeypatch.setattr(schur, "density_defect", lambda *args: (
-            spins.append(args[0]) or spin(*args)))
+        spins, spin = [], schur.spins_mod_p
+        monkeypatch.setattr(schur, "spins_mod_p", lambda m, *point: (
+            spins.append([m]) or spin(m, *point)))
         products = spy_calls(monkeypatch, (BlockAlgebra, "_serre_witnesses"))
         S = SchurAlgebra(pi, modules)
         assert S.dimension() == 270
